@@ -86,18 +86,45 @@ def _is_square_dim(k: int) -> int | None:
     return r if r * r == k else None
 
 
+class StallDetector:
+    """Shortcut for iterations that cannot reach their tolerance within a cap.
+
+    Reaching a tolerance of about 1e-12 within 10^5 steps needs the per-step
+    change to shrink by >= 13% per 500-step window, so two consecutive
+    windows without 10% improvement (after the first 2000 steps) prove the
+    cap would be hit anyway.  Shared by the Riccati fixed-point iteration and
+    the power iteration on lifted maps.
+    """
+
+    WINDOW = 500
+    START = 2000
+
+    def __init__(self):
+        self.best_prev, self.best_cur, self.stalls = np.inf, np.inf, 0
+
+    def stalled(self, it: int, delta: float) -> bool:
+        """Record the change of step `it`; True once the run has stalled."""
+        self.best_cur = min(self.best_cur, delta)
+        if it % self.WINDOW == 0:
+            if it >= self.START and self.best_cur > 0.9 * self.best_prev:
+                self.stalls += 1
+                if self.stalls >= 2:
+                    return True
+            else:
+                self.stalls = 0
+            self.best_prev, self.best_cur = self.best_cur, np.inf
+        return False
+
+
 def _power_iteration(M: np.ndarray, v0: np.ndarray) -> tuple[float, bool]:
     """Rayleigh-quotient power iteration; returns (estimate, converged).
 
-    A stall detector shortcuts hopeless runs: reaching POWER_RTOL within the
-    cap requires shrinking the update by >= 13% per 500-iteration window, so
-    two consecutive windows without 10% improvement prove the cap would be
-    hit anyway (oscillating Rayleigh sequences, complex dominant pairs).
+    A `StallDetector` shortcuts hopeless runs (oscillating Rayleigh
+    sequences, complex dominant pairs).
     """
     v = v0 / np.linalg.norm(v0)
     est = 0.0
-    window, stall_after = 500, 2000
-    best_prev, best_cur, stalls = np.inf, np.inf, 0
+    stall = StallDetector()
     for it in range(1, POWER_ITER_CAP + 1):
         w = M @ v
         nw = np.linalg.norm(w)
@@ -109,15 +136,8 @@ def _power_iteration(M: np.ndarray, v0: np.ndarray) -> tuple[float, bool]:
             return new_est, True
         est = new_est
         v = w / nw
-        best_cur = min(best_cur, delta)
-        if it % window == 0:
-            if it >= stall_after and best_cur > 0.9 * best_prev:
-                stalls += 1
-                if stalls >= 2:
-                    return est, False
-            else:
-                stalls = 0
-            best_prev, best_cur = best_cur, np.inf
+        if stall.stalled(it, delta):
+            return est, False
     return est, False
 
 

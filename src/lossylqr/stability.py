@@ -20,10 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NoSolutionError
-from .numerics import psd_sqrt, spectral_radius, sym_eig_extremes, symmetrize
+from .numerics import _dense_spectral_radius, psd_sqrt, spectral_radius, sym_eig_extremes, symmetrize
 from .riccati import (
+    RHO_MARGIN,
+    CriticalProbability,
     Gain,
     SystemSpec,
+    _feedback_gain,
     ce_gain,
     critical_probability,
     dare_solve,
@@ -37,8 +40,6 @@ THRESHOLD_VARIANTS = (VARIANT_GENERAL, VARIANT_SCALAR, VARIANT_INVERTIBLE_B)
 
 # Strict matrix inequalities "M > 0" are decided as lambda_min > this margin.
 STRICT_MARGIN = 1e-9
-# The exact oracle declares stability when rho(Phi) < 1 - RHO_MARGIN.
-RHO_MARGIN = 1e-9
 # Absolute tolerance of the zero-sample safe-rate bisection.
 SAFE_Q_BISECT_TOL = 1e-6
 
@@ -207,12 +208,7 @@ def exact_ms_stable(sys: SystemSpec, K, q: float) -> StabilityVerdict:
     )
 
 
-def _dense_rho(Phi: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(Phi))))
-
-
-def _qc_clamp(sys: SystemSpec) -> float:
-    cp = critical_probability(sys, refine=False)
+def _qc_clamp(cp: CriticalProbability) -> float:
     return cp.exact if cp.exact is not None else cp.upper
 
 
@@ -245,6 +241,14 @@ def st_lower_bound(sys: SystemSpec, q: float, variant: str) -> ThresholdReport:
     is clamped at the critical probability.  Reported bounds are capped at
     the critical probability, the width of the admissible square.
     """
+    _check_threshold_variant(sys, variant)
+    P = mare_solve(sys, q).P
+    qc = _qc_clamp(critical_probability(sys, refine=False))
+    P0 = None if variant == VARIANT_SCALAR else dare_solve(sys).P
+    return _threshold_bound(sys, q, variant, P, P0, qc)
+
+
+def _check_threshold_variant(sys: SystemSpec, variant: str) -> None:
     if variant not in THRESHOLD_VARIANTS:
         raise InvalidInputError(f"unknown threshold variant {variant!r}")
     if variant == VARIANT_SCALAR and not sys.is_scalar:
@@ -256,8 +260,12 @@ def st_lower_bound(sys: SystemSpec, q: float, variant: str) -> ThresholdReport:
         if sv[-1] <= 1e-10 * sv[0]:
             raise DimensionError("the invertible-B threshold variant requires a well-conditioned B")
 
-    P = mare_solve(sys, q).P
-    qc = _qc_clamp(sys)
+
+def _threshold_bound(
+    sys: SystemSpec, q: float, variant: str, P: np.ndarray, P0: np.ndarray | None, qc: float
+) -> ThresholdReport:
+    """`st_lower_bound` from the modified Riccati solution P at q, the standard
+    one P0 (unused by the scalar variant) and the clamp qc."""
     A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
 
     if variant == VARIANT_SCALAR:
@@ -273,7 +281,6 @@ def st_lower_bound(sys: SystemSpec, q: float, variant: str) -> ThresholdReport:
         )
 
     if variant == VARIANT_GENERAL:
-        P0 = dare_solve(sys).P
         _, lmax_bbt = sym_eig_extremes(B @ B.T)
         lmin_rp0, _ = sym_eig_extremes(R + B.T @ P0 @ B)
         c1 = lmax_bbt / lmin_rp0
@@ -290,7 +297,6 @@ def st_lower_bound(sys: SystemSpec, q: float, variant: str) -> ThresholdReport:
         )
 
     # invertible_B
-    P0 = dare_solve(sys).P
     lmin_r, _ = sym_eig_extremes(R)
     lmin_bbt, _ = sym_eig_extremes(B @ B.T)
     _, lmax_rpb = sym_eig_extremes(R + B.T @ P @ B)
@@ -314,20 +320,27 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
     q_hat in [0, q_c), i.e. even with zero channel samples.  Returns 0 (with a
     warning) when the threshold bound sits below q already at q = 0.
     """
-    qc = _qc_clamp(sys)
-
-    def excess(q: float) -> float:
-        try:
-            return st_lower_bound(sys, q, variant).bound - q
-        except NoSolutionError:
-            return -np.inf
-
-    if excess(0.0) <= 0.0:
+    _check_threshold_variant(sys, variant)
+    qc = _qc_clamp(critical_probability(sys, refine=False))
+    try:
+        # The standard Riccati solution is also the one at q = 0.
+        P0 = dare_solve(sys).P
+    except NoSolutionError:
+        P0 = None
+    if P0 is None or _threshold_bound(sys, 0.0, variant, P0, P0, qc).bound <= 0.0:
         warnings.warn(
             "threshold bound does not exceed the loss rate anywhere; no zero-sample safe range",
             stacklevel=2,
         )
         return 0.0
+
+    def excess(q: float) -> float:
+        try:
+            P = mare_solve(sys, q).P
+        except NoSolutionError:
+            return -np.inf
+        return _threshold_bound(sys, q, variant, P, P0, qc).bound - q
+
     lo, hi = 0.0, qc
     while hi - lo > SAFE_Q_BISECT_TOL:
         mid = 0.5 * (lo + hi)
@@ -357,32 +370,38 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
         raise InvalidInputError(f"unknown sufficient variant {sufficient_variant!r}")
     if sufficient_variant in (VARIANT_SCALAR, "scalar_iff") and not sys.is_scalar:
         raise DimensionError(f"variant {sufficient_variant!r} requires a scalar system")
+    if sufficient_variant in THRESHOLD_VARIANTS:
+        _check_threshold_variant(sys, sufficient_variant)
 
     cp = critical_probability(sys, refine=False)
     qc = cp.exact if cp.exact is not None else cp.lower
     grid = np.arange(0.0, qc, step)
 
-    # Per-column design data; columns whose Riccati solve fails are excluded.
-    gains, p_hats, kept = [], [], []
-    for qh in grid:
+    # One Riccati solve per grid value serves both its column (design data)
+    # and its row (threshold bound); grid values whose solve fails are
+    # excluded as columns and get a zero bound as rows.
+    solutions = {}
+    for i, q in enumerate(grid):
         try:
-            gain, sol = ce_gain(sys, float(qh))
+            solutions[i] = mare_solve(sys, float(q)).P
         except NoSolutionError:
-            continue
-        gains.append(gain.K)
-        p_hats.append(sol.P)
-        kept.append(qh)
-    q_hat_grid = np.asarray(kept)
+            pass
+    kept = list(solutions)
+    gains = [_feedback_gain(sys, solutions[i]) for i in kept]
+    p_hats = [solutions[i] for i in kept]
+    q_hat_grid = grid[kept]
     q_grid = grid.copy()
 
     bounds = None
     if sufficient_variant in THRESHOLD_VARIANTS:
-        bounds = np.empty(len(q_grid))
-        for i, q in enumerate(q_grid):
-            try:
-                bounds[i] = st_lower_bound(sys, float(q), sufficient_variant).bound
-            except NoSolutionError:
-                bounds[i] = 0.0
+        # grid[0] = 0, so its solution is the standard one; without it no
+        # rate is feasible and every bound stays zero.
+        bounds = np.zeros(len(q_grid))
+        if 0 in solutions:
+            for i in kept:
+                bounds[i] = _threshold_bound(
+                    sys, float(q_grid[i]), sufficient_variant, solutions[i], solutions[0], _qc_clamp(cp)
+                ).bound
 
     margin = _strict_margin(sys)
     kron_A = np.kron(sys.A, sys.A)
@@ -398,7 +417,7 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
         qh = float(q_hat_grid[j])
         for i in range(n_q):
             q = float(q_grid[i])
-            rho = _dense_rho((1.0 - q) * kron_M + q * kron_A)
+            rho = _dense_spectral_radius((1.0 - q) * kron_M + q * kron_A)
             stable = rho < 1.0 - RHO_MARGIN
             exact_stable[i, j] = stable
 

@@ -9,6 +9,7 @@ from lossylqr import (
     ce_gain,
     critical_probability,
     dare_solve,
+    exact_ms_stable,
     mare_solve,
     optimal_cost,
 )
@@ -134,6 +135,54 @@ class TestCriticalProbability:
         mare_solve(sys, refined.lower - 1e-3)
         with pytest.raises(NoSolutionError):
             mare_solve(sys, min(refined.upper + 1e-2, 0.999))
+
+
+@pytest.fixture(scope="module")
+def plant3() -> SystemSpec:
+    """B of rank 2 on three states; q_c = 1/1.3^2 since each unstable mode has its own input."""
+    return SystemSpec(
+        A=np.diag([1.3, 1.2, 0.4]),
+        B=np.array([[1.0, 0.0], [0.0, 1.0], [0.2, 0.1]]),
+        Q=np.eye(3),
+        R=np.eye(2),
+    )
+
+
+class TestNearCritical:
+    @pytest.mark.parametrize("q", [0.5916, 0.5917])
+    def test_feasible_rate_just_below_critical_is_solved(self, plant3, q):
+        sol = mare_solve(plant3, q)
+        assert sol.residual <= 1e-10
+        gain, _ = ce_gain(plant3, q)
+        assert exact_ms_stable(plant3, gain, q).stable
+
+    def test_bisection_bracket_contains_critical(self, plant3):
+        cp = critical_probability(plant3)
+        # The bracket's upper end is evaluated as 1 / 1.3**2, which rounds
+        # just below 1 / 1.69.
+        assert cp.lower <= 1.0 / 1.69 <= cp.upper + 1e-12
+
+    @pytest.mark.parametrize("q", [0.444, 0.4444])
+    def test_scalar_close_to_critical(self, example1, q):
+        sol = mare_solve(example1, q)
+        assert sol.P[0, 0] == pytest.approx(scalar_mare_root(q), rel=1e-10)
+        assert sol.iterations <= 200
+
+    def test_rate_stabilized_by_some_gain_is_solved(self):
+        # A mean-square stabilizing gain at q2 proves q2 feasible, so the
+        # solver must not declare it infeasible.
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(40):
+            sys = random_stabilizable_system(rng)
+            cp = critical_probability(sys, refine=False)
+            q1 = float(feasible_rate_ceiling(sys) * rng.uniform(0.9, 0.9999))
+            q2 = float(rng.uniform(q1, min(cp.upper, 0.9999)))
+            gain, _ = ce_gain(sys, q1)
+            if exact_ms_stable(sys, gain, q2).stable:
+                checked += 1
+                mare_solve(sys, q2)
+        assert checked >= 10
 
 
 class TestCeGain:
