@@ -36,6 +36,8 @@ from .simulator import SimConfig, empirical_ms_decay, monte_carlo_cost, simulate
 from .stability import (
     CELL_LABELS,
     THRESHOLD_VARIANTS,
+    _check_threshold_variant,
+    _threshold_bound,
     exact_ms_stable,
     lyapunov_sufficient_stable,
     region_map,
@@ -266,14 +268,22 @@ def cmd_threshold(args, emit: Emitter):
             {"variant": report.variant, "bound": report.bound, "constituents": report.constituents}
         )
         return
+    # One critical probability and one standard Riccati solution per curve:
+    # the bound's clamp is the limit, and the grid starts at q = 0, where the
+    # modified Riccati equation is the standard one (`dare_solve`).
+    _check_threshold_variant(sys_spec, args.variant)
     _, limit = _qc_limit(sys_spec)
     q_max = args.q_max if args.q_max is not None else limit
     rows = []
+    P0 = None
     for q in np.arange(0.0, q_max, args.step):
         try:
-            rows.append((float(q), st_lower_bound(sys_spec, float(q), args.variant).bound))
+            P = mare_solve(sys_spec, float(q)).P
         except NoSolutionError:
             break
+        if P0 is None:
+            P0 = P
+        rows.append((float(q), _threshold_bound(sys_spec, float(q), args.variant, P, P0, limit).bound))
     emit.emit_csv(
         ["q", "bound"],
         rows,

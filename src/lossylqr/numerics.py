@@ -119,11 +119,15 @@ class StallDetector:
 def _power_iteration(M: np.ndarray, v0: np.ndarray) -> tuple[float, bool]:
     """Rayleigh-quotient power iteration; returns (estimate, converged).
 
-    A `StallDetector` shortcuts hopeless runs (oscillating Rayleigh
-    sequences, complex dominant pairs).
+    Converged means two consecutive steps each moved the Rayleigh quotient by
+    at most POWER_RTOL relative: on a non-normal map the quotient can overshoot
+    rho and turn back, and the single step at the turn is small while the
+    estimate is still off.  A `StallDetector` shortcuts hopeless runs
+    (oscillating Rayleigh sequences, complex dominant pairs).
     """
     v = v0 / np.linalg.norm(v0)
     est = 0.0
+    small_steps = 0
     stall = StallDetector()
     for it in range(1, POWER_ITER_CAP + 1):
         w = M @ v
@@ -132,7 +136,8 @@ def _power_iteration(M: np.ndarray, v0: np.ndarray) -> tuple[float, bool]:
             return 0.0, True
         new_est = float(v @ w)
         delta = abs(new_est - est) / (1.0 + abs(new_est))
-        if delta <= POWER_RTOL:
+        small_steps = small_steps + 1 if delta <= POWER_RTOL else 0
+        if small_steps == 2:
             return new_est, True
         est = new_est
         v = w / nw

@@ -5,7 +5,14 @@ logical stream gets its own 128-bit key: the first word is the user seed
 XOR-mixed with the stream index through a splitmix64 finalizer, the second
 word tags the stream family (channel sampling vs. trajectory rollout).
 Per-trajectory substreams make results bit-reproducible and independent of
-evaluation order, so batched and one-at-a-time rollouts agree exactly.
+evaluation order: batched and one-at-a-time rollouts draw identical initial
+states and channel bits.
+
+Philox4x64-10 is a pure function of (counter, key) (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11), so the batched rollout evaluates
+it directly on numpy uint64 arrays, every trajectory's key in lock-step,
+instead of building one Generator per trajectory.  `_stream` stays the
+reference those draws are tested against.
 """
 
 import math
@@ -29,6 +36,20 @@ DIVERGENCE_NORM = 1e150
 DECAY_SLOPE_TOL = -1e-3
 
 
+# Philox4x64-10 multipliers and key increments (Random123, philox.h).
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+# Philox blocks (4 words each) evaluated at once by the batched draws; bounds
+# their working memory independently of the trajectory count.
+_CHUNK_BLOCKS = 4096
+# Seeds the Philox that `_stream` then re-keys.  Philox(key=...) alone would
+# read OS entropy for a SeedSequence it then discards.
+_FIXED_SEED = np.random.SeedSequence(0)
+
+
 def _mix64(x: int) -> int:
     """splitmix64 finalizer; bijective 64-bit hash."""
     z = (x + 0x9E3779B97F4A7C15) & _MASK64
@@ -37,9 +58,77 @@ def _mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """`_mix64` on a uint64 array (arithmetic wraps modulo 2^64)."""
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _stream_key(seed: int, index: int) -> int:
+    return (seed ^ _mix64(index)) & _MASK64
+
+
+def _keyed_state(key: int, family: int) -> dict:
+    """Philox state with the given key, a zero counter and an empty buffer,
+    the state Philox(key=[key, family]) starts from."""
+    return {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([key, family], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def _stream(seed: int, index: int, family: int) -> np.random.Generator:
-    key = np.array([(seed ^ _mix64(index)) & _MASK64, family], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    bitgen = np.random.Philox(_FIXED_SEED)
+    bitgen.state = _keyed_state(_stream_key(seed, index), family)
+    return np.random.Generator(bitgen)
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lo_lo = x_lo * m_lo
+    hi_lo = x_hi * m_lo
+    lo_hi = x_lo * m_hi
+    carry = ((lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)) >> _SHIFT32
+    hi = x_hi * m_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + carry
+    return hi, x * m
+
+
+def _philox_uniforms(keys: np.ndarray, family: int, blocks: int) -> np.ndarray:
+    """The first 4 * blocks `Generator.random()` values of Philox(key=[k, family])
+    for every k in keys, one row per key.
+
+    numpy increments the counter before it fills its buffer, so block j is
+    Philox4x64-10 of the counter (j + 1, 0, 0, 0).  `random()` is
+    (word >> 11) * 2^-53.  The words broadcast between a column of keys and a
+    row of counters: the first two rounds mix them on the small shapes.
+    """
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    k0 = keys[:, None]
+    k1 = np.full((1, 1), family, dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = k0 + _PHILOX_W[0]
+            k1 = k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=2).reshape(keys.size, 4 * blocks)
+    words >>= np.uint64(11)
+    uniforms = words.astype(np.float64)
+    uniforms *= 1.0 / 9007199254740992.0
+    return uniforms
 
 
 @dataclass(frozen=True)
@@ -154,22 +243,54 @@ def simulate_trajectory(
     )
 
 
+def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int, stop: int):
+    """Initial states and channel bits of trajectories start..stop-1.
+
+    Returns (X0, lam), X0 of shape (stop - start, n) and lam of shape
+    (stop - start, cfg.horizon), equal bit for bit to what
+    `simulate_trajectory` draws from each trajectory's substream.  A
+    deterministic x0 leaves the whole substream to the channel bits, which are
+    computed by the lock-step Philox in chunks of about _CHUNK_BLOCKS blocks.
+    Gaussian initial states take a variable number of words (ziggurat
+    normals), so they are drawn one trajectory at a time from a single Philox
+    re-keyed per trajectory.
+    """
+    T, n = cfg.horizon, sys.n
+    count = stop - start
+    lam = np.empty((count, T), dtype=np.int8)
+    if isinstance(x0, tuple):
+        X0 = np.empty((count, n))
+        bitgen = np.random.Philox(_FIXED_SEED)
+        rng = np.random.Generator(bitgen)
+        for row, k in enumerate(range(start, stop)):
+            bitgen.state = _keyed_state(_stream_key(cfg.seed, k), _FAMILY_TRAJECTORY)
+            X0[row] = _initial_state(sys, x0, rng)
+            lam[row] = rng.random(T) >= q
+        return X0, lam
+
+    X0 = np.tile(_initial_state(sys, x0, None), (count, 1))
+    blocks = -(-T // 4)
+    per_chunk = max(1, _CHUNK_BLOCKS // blocks)
+    seed_word = np.uint64(cfg.seed & _MASK64)
+    for lo in range(0, count, per_chunk):
+        hi = min(lo + per_chunk, count)
+        index = np.arange(start + lo, start + hi, dtype=np.uint64)
+        uniforms = _philox_uniforms(seed_word ^ _mix64_array(index), _FAMILY_TRAJECTORY, blocks)
+        lam[lo:hi] = uniforms[:, :T] >= q
+    return X0, lam
+
+
 def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
     """Vectorized rollout of cfg.trajectories substreams.
 
-    Returns (costs, divergent mask, mean-square history), matching
-    simulate_trajectory bit for bit on every substream.
+    Returns (costs, divergent mask, mean-square history).  Initial states and
+    channel bits are bit-identical to simulate_trajectory's on every
+    substream; the costs agree with it to rounding, because the batched sums
+    are evaluated in another order.
     """
     K = _gain_matrix(K)
-    M, T, n = cfg.trajectories, cfg.horizon, sys.n
-    random_x0 = isinstance(x0, tuple)
-
-    lam = np.empty((M, T), dtype=np.int8)
-    X = np.empty((M, n))
-    for k in range(M):
-        rng = _stream(cfg.seed, k, _FAMILY_TRAJECTORY)
-        X[k] = _initial_state(sys, x0, rng) if random_x0 else np.asarray(x0, dtype=float).reshape(n)
-        lam[k] = rng.random(T) >= q
+    M, T = cfg.trajectories, cfg.horizon
+    X, lam = _trajectory_draws(sys, x0, q, cfg, 0, M)
 
     A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
     costs = np.zeros(M)

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from lossylqr.cli import main
+from lossylqr import st_lower_bound
+from lossylqr.cli import Emitter, load_system, main
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 EX1 = str(SPECS / "example1.json")
@@ -139,6 +140,25 @@ class TestCsvOutputs:
         assert out_csv.exists()
         script = Path(str(out_csv) + ".gp").read_text()
         assert str(out_csv) in script
+
+
+class TestThresholdCurve:
+    @pytest.mark.parametrize("spec, variant", [(EX2, "general"), (EX1, "scalar")])
+    def test_rows_equal_pointwise_bounds(self, capsys, monkeypatch, spec, variant):
+        captured = []
+        emit_csv = Emitter.emit_csv
+
+        def capture(self, columns, rows, plot=None):
+            captured.extend(rows)
+            return emit_csv(self, columns, rows, plot)
+
+        monkeypatch.setattr(Emitter, "emit_csv", capture)
+        code, _, err = run(capsys, "threshold", "--spec", spec, "--variant", variant, "--curve", "--step", "0.02")
+        assert code == 0, err
+        sys_spec = load_system(spec)
+        assert len(captured) > 10
+        for q, bound in captured:
+            assert bound == st_lower_bound(sys_spec, q, variant).bound
 
 
 class TestExitCodes:

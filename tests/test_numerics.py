@@ -4,7 +4,10 @@ import pytest
 from lossylqr import (
     InvalidInputError,
     NotPSDError,
+    SystemSpec,
+    ce_gain,
     kron,
+    lifted_matrix,
     psd_sqrt,
     spectral_radius,
     sym_eig_extremes,
@@ -128,3 +131,16 @@ class TestSpectralRadius:
     def test_rejects_non_square(self):
         with pytest.raises(InvalidInputError):
             spectral_radius(np.ones((2, 3)))
+
+    def test_power_iteration_does_not_stop_at_a_turn(self):
+        # The Rayleigh quotient of this non-normal lifted map overshoots rho
+        # and turns back; one small step at the turn is not convergence.
+        plant3 = SystemSpec(
+            A=np.diag([1.3, 1.2, 0.4]),
+            B=np.array([[1.0, 0.0], [0.0, 1.0], [0.2, 0.1]]),
+            Q=np.eye(3),
+            R=np.eye(2),
+        )
+        gain, _ = ce_gain(plant3, 0.274)
+        Phi = lifted_matrix(plant3, gain, 0.24655)
+        assert spectral_radius(Phi) == pytest.approx(0.4771610023, abs=1e-10)

@@ -1,3 +1,6 @@
+import os
+import random
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,15 @@ from lossylqr import (
     sample_channel,
     simulate_trajectory,
 )
-from lossylqr.simulator import _batched_rollout
+from lossylqr import simulator
+from lossylqr.simulator import (
+    _FAMILY_TRAJECTORY,
+    _batched_rollout,
+    _mix64_array,
+    _philox_uniforms,
+    _stream,
+    _trajectory_draws,
+)
 
 
 class TestSampleChannel:
@@ -113,6 +124,91 @@ class TestBatchedConsistency:
         for k in range(8):
             traj = simulate_trajectory(example1, gain, 0.2, np.array([1.0]), cfg, trajectory_index=k)
             assert traj.realized_cost == pytest.approx(costs[k], rel=1e-12)
+
+
+class TestTrajectoryDraws:
+    """The batched draws equal simulate_trajectory's per-trajectory streams bit for bit."""
+
+    SEEDS = (0, 1, -7, 2**63 + 5, 2**64 - 1)
+    HORIZONS = (1, 3, 4, 5, 9, 200)
+    RATES = (0.0, 0.3, 1.0)
+    GAUSSIAN = (np.zeros(2), np.diag([1.0, 4.0]))
+    FIXED = np.array([0.9325, 1.1616])
+
+    @staticmethod
+    def assert_rows_match(sys, x0, q, cfg, start, X0, lam, rows):
+        gain, _ = ce_gain(sys, 0.1633)
+        assert lam.dtype == np.int8
+        for row in rows:
+            traj = simulate_trajectory(sys, gain, q, x0, cfg, trajectory_index=start + row)
+            assert not traj.divergent
+            np.testing.assert_array_equal(X0[row], traj.states[0])
+            np.testing.assert_array_equal(lam[row], traj.drops)
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_fixed_x0_across_a_chunk_boundary(self, example2, seed, horizon):
+        per_chunk = simulator._CHUNK_BLOCKS // -(-horizon // 4)
+        start, count = 3, per_chunk + 2
+        cfg = SimConfig(seed=seed, horizon=horizon, trajectories=start + count)
+        rows = [0, 1, per_chunk - 2, per_chunk - 1, per_chunk, per_chunk + 1]
+        for q in self.RATES:
+            X0, lam = _trajectory_draws(example2, self.FIXED, q, cfg, start, start + count)
+            assert X0.shape == (count, 2) and lam.shape == (count, horizon)
+            self.assert_rows_match(example2, self.FIXED, q, cfg, start, X0, lam, rows)
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_gaussian_x0(self, example2, seed, horizon):
+        start, count = 5, 6
+        cfg = SimConfig(seed=seed, horizon=horizon, trajectories=start + count)
+        for q in self.RATES:
+            X0, lam = _trajectory_draws(example2, self.GAUSSIAN, q, cfg, start, start + count)
+            self.assert_rows_match(example2, self.GAUSSIAN, q, cfg, start, X0, lam, range(count))
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_every_row_with_small_chunks(self, example2, monkeypatch, horizon):
+        # Three blocks per chunk: many boundaries, and trajectories longer
+        # than a chunk.
+        monkeypatch.setattr(simulator, "_CHUNK_BLOCKS", 3)
+        cfg = SimConfig(seed=1, horizon=horizon, trajectories=20)
+        X0, lam = _trajectory_draws(example2, self.FIXED, 0.3, cfg, 2, 20)
+        self.assert_rows_match(example2, self.FIXED, 0.3, cfg, 2, X0, lam, range(18))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uniforms_equal_generator_random(self, seed):
+        index = np.array([0, 1, 2, 2**40 + 3, 2**64 - 1], dtype=np.uint64)
+        keys = np.uint64(seed & (2**64 - 1)) ^ _mix64_array(index)
+        uniforms = _philox_uniforms(keys, _FAMILY_TRAJECTORY, 7)
+        for row, k in enumerate(index):
+            expected = _stream(seed, int(k), _FAMILY_TRAJECTORY).random(28)
+            np.testing.assert_array_equal(uniforms[row], expected)
+
+
+class TestNoEntropyReads:
+    def test_streams_read_no_os_entropy(self, example2, monkeypatch):
+        reads = []
+
+        def counting(urandom):
+            def read(size):
+                reads.append(size)
+                return urandom(size)
+
+            return read
+
+        monkeypatch.setattr(os, "urandom", counting(os.urandom))
+        monkeypatch.setattr(random, "_urandom", counting(random._urandom))
+        np.random.SeedSequence()
+        assert reads, "an unseeded SeedSequence must register as an entropy read"
+        reads.clear()
+
+        gain, _ = ce_gain(example2, 0.1633)
+        cfg = SimConfig(seed=3, horizon=20, trajectories=50)
+        for x0 in (np.array([1.0, -1.0]), (np.zeros(2), np.eye(2))):
+            simulate_trajectory(example2, gain, 0.2, x0, cfg)
+            _batched_rollout(example2, gain, 0.2, x0, cfg)
+        sample_channel(0.2, 100, seed=3)
+        assert reads == []
 
 
 class TestMonteCarloCost:
