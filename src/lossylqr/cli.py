@@ -29,15 +29,14 @@ from .errors import (
     NumericalFailureError,
     UnstableError,
 )
-from .learning import certify_ce_controller, hoeffding_delta, min_samples
+from .learning import _complexity_curve, certify_ce_controller, hoeffding_delta, min_samples
 from .performance import gap, gap_bounds, gap_curve
 from .riccati import SystemSpec, ce_gain, critical_probability, dare_solve, mare_solve
 from .simulator import SimConfig, empirical_ms_decay, monte_carlo_cost, simulate_trajectory
 from .stability import (
-    CELL_LABELS,
     THRESHOLD_VARIANTS,
-    _check_threshold_variant,
-    _threshold_bound,
+    _qc_clamp,
+    _threshold_curve,
     exact_ms_stable,
     lyapunov_sufficient_stable,
     region_map,
@@ -109,7 +108,7 @@ def _parse_vector(text: str, n: int, label: str) -> np.ndarray:
 
 def _qc_limit(sys_spec: SystemSpec):
     cp = critical_probability(sys_spec, refine=False)
-    return cp, (cp.exact if cp.exact is not None else cp.upper)
+    return cp, _qc_clamp(cp)
 
 
 def _require_below_qc(sys_spec: SystemSpec, q: float, label: str):
@@ -268,22 +267,7 @@ def cmd_threshold(args, emit: Emitter):
             {"variant": report.variant, "bound": report.bound, "constituents": report.constituents}
         )
         return
-    # One critical probability and one standard Riccati solution per curve:
-    # the bound's clamp is the limit, and the grid starts at q = 0, where the
-    # modified Riccati equation is the standard one (`dare_solve`).
-    _check_threshold_variant(sys_spec, args.variant)
-    _, limit = _qc_limit(sys_spec)
-    q_max = args.q_max if args.q_max is not None else limit
-    rows = []
-    P0 = None
-    for q in np.arange(0.0, q_max, args.step):
-        try:
-            P = mare_solve(sys_spec, float(q)).P
-        except NoSolutionError:
-            break
-        if P0 is None:
-            P0 = P
-        rows.append((float(q), _threshold_bound(sys_spec, float(q), args.variant, P, P0, limit).bound))
+    rows = [(q, r.bound) for q, r in _threshold_curve(sys_spec, args.variant, 0.0, args.q_max, args.step)]
     emit.emit_csv(
         ["q", "bound"],
         rows,
@@ -314,17 +298,7 @@ def cmd_samples(args, emit: Emitter):
 
 def cmd_complexity_curve(args, emit: Emitter):
     sys_spec = load_system(args.spec)
-    _, limit = _qc_limit(sys_spec)
-    q_max = args.q_max if args.q_max is not None else limit
-    rows = []
-    for q in np.arange(args.q_min, q_max, args.step):
-        try:
-            report = min_samples(sys_spec, float(q), args.beta, args.variant)
-        except NoSolutionError:
-            break
-        if report.infinite:
-            continue
-        rows.append((float(q), report.bound, report.min_N))
+    rows = list(_complexity_curve(sys_spec, args.variant, args.beta, args.q_min, args.q_max, args.step))
     emit.emit_csv(
         ["q", "bound", "min_N"],
         rows,

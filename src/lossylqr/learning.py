@@ -19,10 +19,11 @@ from .errors import InvalidInputError, NumericalFailureError
 from .numerics import sym_eig_extremes, symmetrize
 from .riccati import SystemSpec, ce_gain
 from .stability import (
-    STRICT_MARGIN,
     VARIANT_GENERAL,
     VARIANT_INVERTIBLE_B,
     VARIANT_SCALAR,
+    _strict_margin,
+    _threshold_curve,
     gain_weight_matrix,
     st_lower_bound,
 )
@@ -93,12 +94,16 @@ def estimate_loss_rate(samples: ChannelSamples) -> float:
     return drops / n
 
 
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta < 1.0:
+        raise InvalidInputError(f"confidence level beta must lie in (0, 1), got {beta}")
+
+
 def hoeffding_delta(N_q: int, beta: float) -> float:
     """Confidence radius sqrt(log(2/beta) / (2 N_q)) of the empirical rate."""
     if N_q < 1:
         raise InvalidInputError(f"sample count must be >= 1, got {N_q}")
-    if not 0.0 < beta < 1.0:
-        raise InvalidInputError(f"confidence level beta must lie in (0, 1), got {beta}")
+    _check_beta(beta)
     return math.sqrt(math.log(2.0 / beta) / (2.0 * N_q))
 
 
@@ -127,27 +132,39 @@ def min_samples(
     threshold makes the requirement unbounded: the report is flagged
     infinite.
     """
-    if not 0.0 < beta < 1.0:
-        raise InvalidInputError(f"confidence level beta must lie in (0, 1), got {beta}")
+    _check_beta(beta)
     if variant not in COMPLEXITY_VARIANTS:
         raise InvalidInputError(f"unknown sample-complexity variant {variant!r}")
-    log_term = math.log(2.0 / beta)
 
     if variant == VARIANT_FROM_THRESHOLD:
         if delta_bar is None or not delta_bar > 0.0:
             raise InvalidInputError("from_threshold requires a positive delta_bar")
         delta = float(delta_bar)
-        factor = 2.0
     else:
         if sys is None or q is None:
             raise InvalidInputError(f"variant {variant!r} requires a system and a loss rate")
         delta = st_lower_bound(sys, q, variant).bound
-        factor = 2.0 if variant == VARIANT_GENERAL else 1.0
+    return _complexity_from_threshold(variant, delta, beta)
 
+
+def _complexity_from_threshold(variant: str, delta: float, beta: float) -> ComplexityReport:
+    """`min_samples`'s report from the stability threshold delta of its variant."""
     if delta <= 0.0:
         return ComplexityReport(variant=variant, bound=math.inf, min_N=0, infinite=True)
-    bound = log_term / (factor * delta * delta)
+    factor = 2.0 if variant in (VARIANT_FROM_THRESHOLD, VARIANT_GENERAL) else 1.0
+    bound = math.log(2.0 / beta) / (factor * delta * delta)
     return ComplexityReport(variant=variant, bound=bound, min_N=int(math.floor(bound)) + 1)
+
+
+def _complexity_curve(
+    sys: SystemSpec, variant: str, beta: float, q_min: float, q_max: float | None, step: float
+):
+    """Yield the finite (q, bound, min_N) of `min_samples` on the grid of `_threshold_curve`."""
+    _check_beta(beta)
+    for q, threshold in _threshold_curve(sys, variant, q_min, q_max, step):
+        report = _complexity_from_threshold(variant, threshold.bound, beta)
+        if not report.infinite:
+            yield q, report.bound, report.min_N
 
 
 def _tolerated_rate_sup(sys: SystemSpec, q_hat: float) -> float:
@@ -167,8 +184,7 @@ def _tolerated_rate_sup(sys: SystemSpec, q_hat: float) -> float:
     w0, V0 = np.linalg.eigh(C0)
     root_inv = (V0 / np.sqrt(w0)) @ V0.T
     _, lam_max = sym_eig_extremes(root_inv @ C1 @ root_inv)
-    scale = STRICT_MARGIN * (1.0 + np.linalg.norm(sys.Q))
-    if lam_max <= scale:
+    if lam_max <= _strict_margin(sys):
         return math.inf
     x_sup = 1.0 / lam_max
 

@@ -81,11 +81,6 @@ def _dense_spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def _is_square_dim(k: int) -> int | None:
-    r = math.isqrt(k)
-    return r if r * r == k else None
-
-
 class StallDetector:
     """Shortcut for iterations that cannot reach their tolerance within a cap.
 
@@ -165,7 +160,6 @@ def spectral_radius(M, cone_seed=None) -> float:
 
     rho_dense = _dense_spectral_radius(M)
 
-    seed = None
     explicit = cone_seed is not None
     if explicit:
         C = symmetrize(cone_seed)
@@ -174,12 +168,9 @@ def spectral_radius(M, cone_seed=None) -> float:
                 f"cone seed of shape {C.shape} does not match a {n}-dimensional lifted map"
             )
         seed = C.reshape(-1)
+    elif math.isqrt(n) ** 2 == n:
+        seed = np.eye(math.isqrt(n)).reshape(-1)
     else:
-        r = _is_square_dim(n)
-        if r is not None:
-            seed = np.eye(r).reshape(-1)
-
-    if seed is None:
         return rho_dense
 
     est, converged = _power_iteration(M, seed)
@@ -188,14 +179,12 @@ def spectral_radius(M, cone_seed=None) -> float:
         raise NumericalFailureError(
             f"power iteration ({est:.12e}) and dense eigenvalues ({rho_dense:.12e}) disagree"
         )
-    if not converged:
-        if explicit and not agree:
-            # The caller asserted a cone-preserving map, so the failure is real.
-            raise NumericalFailureError(
-                "power iteration on the lifted map did not converge "
-                f"(last estimate {est:.12e}, dense {rho_dense:.12e})"
-            )
-        # Without the cone assertion the matrix may simply have a complex
-        # dominant pair; the dense route is authoritative.
-        return rho_dense
+    if not converged and explicit and not agree:
+        # The caller asserted a cone-preserving map, so the failure is real.
+        # Without that assertion the matrix may simply have a complex
+        # dominant pair, and the dense route is authoritative.
+        raise NumericalFailureError(
+            "power iteration on the lifted map did not converge "
+            f"(last estimate {est:.12e}, dense {rho_dense:.12e})"
+        )
     return rho_dense

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NumericalFailureError, UnstableError
 from .numerics import sym_eig_extremes, symmetrize
-from .riccati import SystemSpec, ce_gain, mare_solve
-from .stability import RHO_MARGIN, gain_weight_matrix, lifted_matrix, spectral_radius
+from .riccati import SystemSpec, _ms_stable, ce_gain, mare_solve
+from .stability import gain_weight_matrix, lifted_matrix, spectral_radius
 
 # Required agreement between the linear-solve and series routes for S.
 SERIES_AGREE_RTOL = 1e-8
@@ -86,7 +86,7 @@ def second_moment_sum(sys: SystemSpec, K, q: float, X0) -> np.ndarray:
     """
     Phi = lifted_matrix(sys, K, q)
     rho = spectral_radius(Phi)
-    if rho >= 1.0 - RHO_MARGIN:
+    if not _ms_stable(rho):
         raise UnstableError(f"closed loop is not mean-square stable (rho = {rho:.6f})")
     n = sys.n
     X0 = initial_second_moment(X0, n)

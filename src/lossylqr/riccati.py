@@ -18,6 +18,10 @@ is mean-square stabilizing, which certifies that q is feasible, and then
 Hewer's policy iteration (IEEE TAC 1971), which converges quadratically
 from any stabilizing gain.  Close to q_c this takes far fewer steps than
 value iteration alone, whose step count grows like 1/(q_c - q).
+
+The lifted map (`_lifted_pairs`, `_lifted_at`), its verdict (`_ms_stable`)
+and the scalar iff value are kept here once; the solver, the exact oracle in
+`stability`, `performance` and every grid sweep evaluate these kernels.
 """
 
 from dataclasses import dataclass, field
@@ -157,12 +161,15 @@ class CriticalProbability:
     unstable_moduli: tuple[float, ...] = field(default=())
 
 
+def _gain_weight(sys: SystemSpec, X: np.ndarray) -> np.ndarray:
+    """A^T X B (R + B^T X B)^{-1} B^T X A, unsymmetrized."""
+    XB = X @ sys.B
+    AtXB = sys.A.T @ XB
+    return AtXB @ np.linalg.solve(sys.R + sys.B.T @ XB, AtXB.T)
+
+
 def _mare_step(X: np.ndarray, sys: SystemSpec, one_minus_q: float) -> np.ndarray:
-    A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
-    XB = X @ B
-    inner = R + B.T @ XB
-    AtXB = A.T @ XB
-    step = Q + A.T @ X @ A - one_minus_q * (AtXB @ np.linalg.solve(inner, AtXB.T))
+    step = sys.Q + sys.A.T @ X @ sys.A - one_minus_q * _gain_weight(sys, X)
     return 0.5 * (step + step.T)
 
 
@@ -172,12 +179,29 @@ def _feedback_gain(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
     return -np.linalg.solve(sys.R + sys.B.T @ PB, PB.T @ sys.A)
 
 
-def _stabilizing_lifted(sys: SystemSpec, K: np.ndarray, q: float) -> np.ndarray | None:
-    """Lifted second-moment map (1-q) M(x)M + q A(x)A of M = A + BK at rate q,
-    or None when K is not mean-square stabilizing (rho >= 1 - RHO_MARGIN)."""
-    M = sys.A + sys.B @ K
-    L = (1.0 - q) * np.kron(M, M) + q * np.kron(sys.A, sys.A)
-    return L if _dense_spectral_radius(L) < 1.0 - RHO_MARGIN else None
+def _lifted_pairs(sys: SystemSpec, gains):
+    """Yield (M(x)M, A(x)A) with M = A + BK for each gain K, building A(x)A once."""
+    kron_A = np.kron(sys.A, sys.A)
+    for K in gains:
+        M = sys.A + sys.B @ K
+        yield np.kron(M, M), kron_A
+
+
+def _lifted_at(pair: tuple[np.ndarray, np.ndarray], q: float) -> np.ndarray:
+    """Lifted second-moment map (1-q) M(x)M + q A(x)A of a pair at loss rate q."""
+    kron_M, kron_A = pair
+    return (1.0 - q) * kron_M + q * kron_A
+
+
+def _ms_stable(rho: float) -> bool:
+    """Mean-square verdict on the spectral radius of a lifted map."""
+    return rho < 1.0 - RHO_MARGIN
+
+
+def _scalar_iff_value(sys: SystemSpec, q: float, q_hat: float, k: float, p: float) -> float:
+    """n = m = 1: the design (k, p) at q_hat is mean-square stable at q iff this is positive."""
+    a, b, r = sys.A[0, 0], sys.B[0, 0], sys.R[0, 0]
+    return sys.Q[0, 0] + (1.0 - q) * r * k**2 + (q_hat - q) * a**2 * b**2 * p**2 / (r + b**2 * p)
 
 
 def _policy_due(it: int) -> bool:
@@ -202,8 +226,8 @@ def _policy_iteration(sys: SystemSpec, q: float, X: np.ndarray) -> tuple[np.ndar
     K = _feedback_gain(sys, X)
     P, steps, residual = X, 0, np.inf
     while True:
-        L = _stabilizing_lifted(sys, K, q)
-        if L is None:
+        L = _lifted_at(next(_lifted_pairs(sys, [K])), q)
+        if not _ms_stable(_dense_spectral_radius(L)):
             return None, steps, residual
         cost = sys.Q + (1.0 - q) * (K.T @ sys.R @ K)
         Pn = np.linalg.solve(eye - L.T, cost.reshape(-1)).reshape(n, n)

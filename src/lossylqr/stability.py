@@ -12,6 +12,9 @@ Three layers of certification are provided, from cheapest to sharpest:
 * the exact oracle: the closed-loop second-moment map is linear, and the
   controller stabilizes in mean square iff the spectral radius of its
   n^2 x n^2 lifting is below one.
+
+The lifted map, its verdict and the scalar iff value are the private kernels
+of `riccati`, shared with the Riccati solver.
 """
 
 import warnings
@@ -27,6 +30,11 @@ from .riccati import (
     Gain,
     SystemSpec,
     _feedback_gain,
+    _gain_weight,
+    _lifted_at,
+    _lifted_pairs,
+    _ms_stable,
+    _scalar_iff_value,
     ce_gain,
     critical_probability,
     dare_solve,
@@ -114,10 +122,7 @@ def _gain_matrix(K) -> np.ndarray:
 
 def gain_weight_matrix(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
     """A^T P B (R + B^T P B)^{-1} B^T P A, the weight on the estimation error."""
-    B = sys.B
-    PB = P @ B
-    AtPB = sys.A.T @ PB
-    W = AtPB @ np.linalg.solve(sys.R + B.T @ PB, AtPB.T)
+    W = _gain_weight(sys, P)
     return 0.5 * (W + W.T)
 
 
@@ -129,15 +134,9 @@ def condition_matrix(sys: SystemSpec, q: float, q_hat: float) -> np.ndarray:
     matrix computed from the design Riccati solution.
     """
     gain, sol = ce_gain(sys, q_hat)
-    return _condition_matrix_from(sys, gain.K, sol.P, q, q_hat)
-
-
-def _condition_matrix_from(
-    sys: SystemSpec, K: np.ndarray, P_hat: np.ndarray, q: float, q_hat: float
-) -> np.ndarray:
     if not 0.0 <= q < 1.0:
         raise InvalidInputError(f"true loss rate must lie in [0, 1), got {q}")
-    C = sys.Q + (1.0 - q) * (K.T @ sys.R @ K) - (q - q_hat) * gain_weight_matrix(sys, P_hat)
+    C = sys.Q + (1.0 - q) * (gain.K.T @ sys.R @ gain.K) - (q - q_hat) * gain_weight_matrix(sys, sol.P)
     return symmetrize(C)
 
 
@@ -165,12 +164,7 @@ def scalar_iff_stable(sys: SystemSpec, q: float, q_hat: float) -> StabilityVerdi
     if not 0.0 <= q < 1.0:
         raise InvalidInputError(f"true loss rate must lie in [0, 1), got {q}")
     gain, sol = ce_gain(sys, q_hat)
-    a = sys.A[0, 0]
-    b = sys.B[0, 0]
-    r = sys.R[0, 0]
-    p = sol.P[0, 0]
-    k = gain.K[0, 0]
-    value = sys.Q[0, 0] + (1.0 - q) * r * k**2 + (q_hat - q) * a**2 * b**2 * p**2 / (r + b**2 * p)
+    value = _scalar_iff_value(sys, q, q_hat, gain.K[0, 0], sol.P[0, 0])
     margin = _strict_margin(sys)
     return StabilityVerdict(
         criterion="scalar_iff",
@@ -183,18 +177,16 @@ def scalar_iff_stable(sys: SystemSpec, q: float, q_hat: float) -> StabilityVerdi
 def lifted_matrix(sys: SystemSpec, K, q: float) -> np.ndarray:
     """n^2 x n^2 lifting of the closed-loop second-moment recursion.
 
-    Phi = [A + (1-q) B K] (x) [A + (1-q) B K] + (q - q^2) (B K) (x) (B K),
-    so that vec(E[x_{t+1} x_{t+1}^T]) = Phi vec(E[x_t x_t^T]).  Algebraically
-    identical to (1-q) (A+BK) (x) (A+BK) + q A (x) A.
+    Phi = (1-q) (A+BK) (x) (A+BK) + q A (x) A, computed in this affine form by
+    the kernel that the Riccati solver and `region_map` also evaluate, and
+    vec(E[x_{t+1} x_{t+1}^T]) = Phi vec(E[x_t x_t^T]).
     """
     if not 0.0 <= q <= 1.0:
         raise InvalidInputError(f"loss rate must lie in [0, 1], got {q}")
     K = _gain_matrix(K)
     if K.shape != (sys.m, sys.n):
         raise DimensionError(f"gain must be {sys.m}x{sys.n}, got {K.shape}")
-    BK = sys.B @ K
-    M = sys.A + (1.0 - q) * BK
-    return np.kron(M, M) + (q - q * q) * np.kron(BK, BK)
+    return _lifted_at(next(_lifted_pairs(sys, [K])), q)
 
 
 def exact_ms_stable(sys: SystemSpec, K, q: float) -> StabilityVerdict:
@@ -203,7 +195,7 @@ def exact_ms_stable(sys: SystemSpec, K, q: float) -> StabilityVerdict:
     return StabilityVerdict(
         criterion="exact_lifted",
         certificate=rho,
-        stable=bool(rho < 1.0 - RHO_MARGIN),
+        stable=_ms_stable(rho),
         margin_note=f"spectral radius compared against 1 - {RHO_MARGIN:.0e}",
     )
 
@@ -312,6 +304,23 @@ def _threshold_bound(
     )
 
 
+def _threshold_curve(sys: SystemSpec, variant: str, q_min: float, q_max: float | None, step: float):
+    """Yield (q, st_lower_bound(sys, q, variant)) on the grid [q_min, q_max or q_c)
+    up to the first rate without a Riccati solution, solving once per row; q_c
+    and the standard solution (the q = 0 row's, if any) are found once."""
+    _check_threshold_variant(sys, variant)
+    qc = _qc_clamp(critical_probability(sys, refine=False))
+    P0 = None
+    for q in np.arange(q_min, qc if q_max is None else q_max, step).tolist():
+        try:
+            P = mare_solve(sys, q).P
+            if P0 is None:
+                P0 = P if q == 0.0 else dare_solve(sys).P
+        except NoSolutionError:
+            return
+        yield q, _threshold_bound(sys, q, variant, P, P0, qc)
+
+
 def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
     """Largest loss rate below which the controller stabilizes for every design rate.
 
@@ -388,7 +397,6 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
             pass
     kept = list(solutions)
     gains = [_feedback_gain(sys, solutions[i]) for i in kept]
-    p_hats = [solutions[i] for i in kept]
     q_hat_grid = grid[kept]
     q_grid = grid.copy()
 
@@ -404,34 +412,21 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
                 ).bound
 
     margin = _strict_margin(sys)
-    kron_A = np.kron(sys.A, sys.A)
     n_q, n_qh = len(q_grid), len(q_hat_grid)
     cells = np.full((n_q, n_qh), CELL_GRAY, dtype=np.int8)
     exact_stable = np.zeros((n_q, n_qh), dtype=bool)
 
-    for j in range(n_qh):
-        K = gains[j]
-        BK = sys.B @ K
-        M = sys.A + BK
-        kron_M = np.kron(M, M)
+    for j, pair in enumerate(_lifted_pairs(sys, gains)):
         qh = float(q_hat_grid[j])
         for i in range(n_q):
             q = float(q_grid[i])
-            rho = _dense_spectral_radius((1.0 - q) * kron_M + q * kron_A)
-            stable = rho < 1.0 - RHO_MARGIN
+            stable = _ms_stable(_dense_spectral_radius(_lifted_at(pair, q)))
             exact_stable[i, j] = stable
 
             if sufficient_variant in THRESHOLD_VARIANTS:
                 certified = qh >= q or (q - qh) < bounds[i]
             elif sufficient_variant == "scalar_iff":
-                a, b, r = sys.A[0, 0], sys.B[0, 0], sys.R[0, 0]
-                p = p_hats[j][0, 0]
-                value = (
-                    sys.Q[0, 0]
-                    + (1.0 - q) * r * K[0, 0] ** 2
-                    + (qh - q) * a**2 * b**2 * p**2 / (r + b**2 * p)
-                )
-                certified = value > margin
+                certified = _scalar_iff_value(sys, q, qh, gains[j][0, 0], solutions[kept[j]][0, 0]) > margin
             else:  # exact
                 certified = stable
 

@@ -1,9 +1,11 @@
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lossylqr import st_lower_bound
+from lossylqr import critical_probability, dare_solve, min_samples, st_lower_bound
 from lossylqr.cli import Emitter, load_system, main
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -159,6 +161,81 @@ class TestThresholdCurve:
         assert len(captured) > 10
         for q, bound in captured:
             assert bound == st_lower_bound(sys_spec, q, variant).bound
+
+
+def capture_rows(monkeypatch) -> list:
+    """Collect the rows every CSV emission receives."""
+    captured = []
+    emit_csv = Emitter.emit_csv
+
+    def capture(self, columns, rows, plot=None):
+        rows = list(rows)
+        captured.extend(rows)
+        return emit_csv(self, columns, rows, plot)
+
+    monkeypatch.setattr(Emitter, "emit_csv", capture)
+    return captured
+
+
+def count_calls(monkeypatch, func) -> list:
+    """Replace func in every lossylqr module that binds it by a wrapper that records its calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "lossylqr" or name.startswith("lossylqr."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+class TestComplexityCurve:
+    @pytest.mark.parametrize(
+        "spec, variant, q_min",
+        [(EX2, "general", 0.0), (EX1, "scalar", 0.0), (EX2, "general", 0.0123)],
+        ids=["example2-general", "example1-scalar", "example2-general-q_min"],
+    )
+    def test_rows_equal_pointwise_min_samples(self, capsys, monkeypatch, spec, variant, q_min):
+        captured = capture_rows(monkeypatch)
+        code, _, err = run(
+            capsys, "complexity-curve", "--spec", spec, "--variant", variant,
+            "--q-min", str(q_min), "--step", "0.02",
+        )
+        assert code == 0, err
+        sys_spec = load_system(spec)
+        cp = critical_probability(sys_spec, refine=False)
+        limit = cp.exact if cp.exact is not None else cp.upper
+        expected = []
+        for q in np.arange(q_min, limit, 0.02):
+            report = min_samples(sys_spec, float(q), 0.1, variant)
+            if not report.infinite:
+                expected.append((float(q), report.bound, report.min_N))
+        assert len(expected) > 10
+        assert captured == expected
+
+    @pytest.mark.parametrize("q_min", ["0", "0.01"])
+    def test_one_standard_solution_and_one_qc_per_curve(self, capsys, monkeypatch, q_min):
+        dare_calls = count_calls(monkeypatch, dare_solve)
+        qc_calls = count_calls(monkeypatch, critical_probability)
+        code, out, err = run(
+            capsys, "complexity-curve", "--spec", EX2, "--variant", "general",
+            "--q-min", q_min, "--step", "0.005",
+        )
+        assert code == 0, err
+        assert len([l for l in out.splitlines() if not l.startswith("#")]) > 80
+        assert len(dare_calls) <= 1
+        assert len(qc_calls) == 1
+
+    def test_invalid_beta_is_usage_error_without_feasible_rows(self, capsys):
+        code, _, err = run(
+            capsys, "complexity-curve", "--spec", EX2, "--variant", "general", "--q-min", "0.5", "--beta", "2",
+        )
+        assert code == 1
+        assert "beta" in err
 
 
 class TestExitCodes:

@@ -113,6 +113,24 @@ class TestLiftedMatrix:
                 err = np.linalg.norm(lifted_matrix(sys, gain, q) - alt)
                 assert err <= 1e-12 * (1.0 + np.linalg.norm(alt))
 
+    def test_same_map_as_solver_and_region_map(self):
+        # region_map and the solver's stabilizing test evaluate the affine
+        # form (1-q) M(x)M + q A(x)A; the oracle must compute the same bits.
+        from lossylqr.riccati import _lifted_at, _lifted_pairs
+
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            sys = random_stabilizable_system(rng)
+            gain, _ = ce_gain(sys, 0.05)
+            random_K = rng.normal(size=(sys.m, sys.n))
+            for K in (gain.K, random_K):
+                closed = sys.A + sys.B @ K
+                pair = next(_lifted_pairs(sys, [K]))
+                for q in (0.0, 0.3, 0.7, 1.0):
+                    affine = (1.0 - q) * np.kron(closed, closed) + q * np.kron(sys.A, sys.A)
+                    np.testing.assert_array_equal(lifted_matrix(sys, K, q), affine)
+                    np.testing.assert_array_equal(lifted_matrix(sys, K, q), _lifted_at(pair, q))
+
 
 class TestExactOracle:
     def test_deadbeat(self, example1):
