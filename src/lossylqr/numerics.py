@@ -1,11 +1,9 @@
 """Dense small-matrix primitives: symmetric eigen extremes, PSD square roots,
-spectral radii of lifted second-moment maps, and Kronecker products.
+certified spectral radii of lifted second-moment maps, and Kronecker products.
 
 All routines target small dense matrices (state dimension <= 10, lifted maps
 <= 100 x 100) and fix the numerical tolerances used across the package.
 """
-
-import math
 
 import numpy as np
 
@@ -13,10 +11,8 @@ from .errors import InvalidInputError, NotPSDError, NumericalFailureError
 
 # Relative tolerance for treating a matrix as symmetric.
 SYM_RTOL = 1e-10
-# Power iteration on lifted maps: cap and Rayleigh convergence tolerance.
-POWER_ITER_CAP = 10**5
-POWER_RTOL = 1e-12
-# Required agreement between the power-iteration and dense eigenvalue routes.
+# Half-width, relative to 1 + rho, of the bracket that certifies a lifted
+# map's dense spectral radius.
 DUAL_AGREE_RTOL = 1e-7
 
 
@@ -87,8 +83,7 @@ class StallDetector:
     Reaching a tolerance of about 1e-12 within 10^5 steps needs the per-step
     change to shrink by >= 13% per 500-step window, so two consecutive
     windows without 10% improvement (after the first 2000 steps) prove the
-    cap would be hit anyway.  Shared by the Riccati fixed-point iteration and
-    the power iteration on lifted maps.
+    cap would be hit anyway.  Used by the Riccati fixed-point iteration.
     """
 
     WINDOW = 500
@@ -111,47 +106,43 @@ class StallDetector:
         return False
 
 
-def _power_iteration(M: np.ndarray, v0: np.ndarray) -> tuple[float, bool]:
-    """Rayleigh-quotient power iteration; returns (estimate, converged).
+def _lyapunov_pd(M: np.ndarray, s: float, n: int) -> bool:
+    """Whether the solution X of X - Phi(X)/s = I is positive definite, where
+    Phi acts on n x n matrices by vec(Phi(X)) = M vec(X).  A singular system
+    has no such X."""
+    try:
+        X = np.linalg.solve(np.eye(n * n) - M / s, np.eye(n).reshape(-1)).reshape(n, n)
+        np.linalg.cholesky(0.5 * (X + X.T))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.isfinite(X)))
 
-    Converged means two consecutive steps each moved the Rayleigh quotient by
-    at most POWER_RTOL relative: on a non-normal map the quotient can overshoot
-    rho and turn back, and the single step at the turn is small while the
-    estimate is still off.  A `StallDetector` shortcuts hopeless runs
-    (oscillating Rayleigh sequences, complex dominant pairs).
-    """
-    v = v0 / np.linalg.norm(v0)
-    est = 0.0
-    small_steps = 0
-    stall = StallDetector()
-    for it in range(1, POWER_ITER_CAP + 1):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, True
-        new_est = float(v @ w)
-        delta = abs(new_est - est) / (1.0 + abs(new_est))
-        small_steps = small_steps + 1 if delta <= POWER_RTOL else 0
-        if small_steps == 2:
-            return new_est, True
-        est = new_est
-        v = w / nw
-        if stall.stalled(it, delta):
-            return est, False
-    return est, False
+
+def _brackets(M: np.ndarray, rho: float, n: int) -> bool:
+    """Whether two Lyapunov solves prove rho - tol <= rho(Phi) < rho + tol,
+    tol = DUAL_AGREE_RTOL * (1 + rho), for a Phi that preserves the PSD cone.
+    The lower side holds trivially when rho - tol <= 0."""
+    tol = DUAL_AGREE_RTOL * (1.0 + rho)
+    lower = rho - tol
+    return _lyapunov_pd(M, rho + tol, n) and (lower <= 0.0 or not _lyapunov_pd(M, lower, n))
 
 
 def spectral_radius(M, cone_seed=None) -> float:
-    """Spectral radius of a dense matrix.
+    """Spectral radius of a dense matrix, from its eigenvalues.
 
-    For matrices acting on vectorized symmetric matrices (second-moment maps,
-    which preserve the PSD cone) the dominant eigenvalue is real and
-    nonnegative, and power iteration seeded with a vectorized PSD matrix
-    converges to it.  Such maps are recognised either by an explicit
-    `cone_seed` or by a perfect-square dimension, and the power-iteration
-    estimate is cross-checked against the dense eigenvalue route; the two must
-    agree to 1e-7 relative.  Every other matrix goes through the dense route
-    alone.
+    A `cone_seed`, a symmetric n x n matrix, asserts that M is the n^2 x n^2
+    matrix of a map Phi on n x n matrices that preserves the PSD cone, as
+    every lifted second-moment map does; only its size is used.  The dense
+    value rho is then certified by the Lyapunov characterization of
+    mean-square stability (Costa, Fragoso & Marques, *Discrete-Time Markov
+    Jump Linear Systems*, 2005): for such a Phi and any s > 0, the solution
+    X of X - Phi(X)/s = I is positive definite iff rho(Phi) < s.  Two
+    n^2-sized solves, at s = rho + tol (X must be positive definite) and at
+    s = rho - tol (it must not be, or the system is singular; nothing to
+    solve when rho - tol <= 0), with tol = DUAL_AGREE_RTOL * (1 + rho), prove
+    rho - tol <= rho(Phi) < rho + tol; a failed bracket raises
+    NumericalFailureError.  Without a cone seed the matrix need not preserve
+    any cone, and the dense value is returned as is.
     """
     M = _as_matrix(M)
     n = M.shape[0]
@@ -159,32 +150,17 @@ def spectral_radius(M, cone_seed=None) -> float:
         raise InvalidInputError(f"spectral_radius needs a square matrix, got {M.shape}")
 
     rho_dense = _dense_spectral_radius(M)
-
-    explicit = cone_seed is not None
-    if explicit:
-        C = symmetrize(cone_seed)
-        if C.shape[0] ** 2 != n:
-            raise InvalidInputError(
-                f"cone seed of shape {C.shape} does not match a {n}-dimensional lifted map"
-            )
-        seed = C.reshape(-1)
-    elif math.isqrt(n) ** 2 == n:
-        seed = np.eye(math.isqrt(n)).reshape(-1)
-    else:
+    if cone_seed is None:
         return rho_dense
 
-    est, converged = _power_iteration(M, seed)
-    agree = abs(abs(est) - rho_dense) <= DUAL_AGREE_RTOL * (1.0 + rho_dense)
-    if converged and not agree:
-        raise NumericalFailureError(
-            f"power iteration ({est:.12e}) and dense eigenvalues ({rho_dense:.12e}) disagree"
+    dim = symmetrize(cone_seed).shape[0]
+    if dim**2 != n:
+        raise InvalidInputError(
+            f"cone seed of shape {(dim, dim)} does not match a {n}-dimensional lifted map"
         )
-    if not converged and explicit and not agree:
-        # The caller asserted a cone-preserving map, so the failure is real.
-        # Without that assertion the matrix may simply have a complex
-        # dominant pair, and the dense route is authoritative.
+    if not _brackets(M, rho_dense, dim):
         raise NumericalFailureError(
-            "power iteration on the lifted map did not converge "
-            f"(last estimate {est:.12e}, dense {rho_dense:.12e})"
+            f"Lyapunov solves at rho -/+ {DUAL_AGREE_RTOL:.0e} * (1 + rho) do not "
+            f"bracket the dense spectral radius {rho_dense:.12e}"
         )
     return rho_dense

@@ -85,7 +85,7 @@ def second_moment_sum(sys: SystemSpec, K, q: float, X0) -> np.ndarray:
     the two routes must agree to 1e-8 relative.
     """
     Phi = lifted_matrix(sys, K, q)
-    rho = spectral_radius(Phi)
+    rho = spectral_radius(Phi, cone_seed=np.eye(sys.n))
     if not _ms_stable(rho):
         raise UnstableError(f"closed loop is not mean-square stable (rho = {rho:.6f})")
     n = sys.n

@@ -183,15 +183,28 @@ def sample_channel(q: float, N: int, seed: int) -> ChannelSamples:
     return ChannelSamples(bits=bits)
 
 
+def _gaussian_law(sys: SystemSpec, x0) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and lower Cholesky factor of a (mean, cov) initial-state law;
+    raises numpy's LinAlgError when cov is not positive definite."""
+    mean, cov = x0
+    mean = np.asarray(mean, dtype=float).reshape(sys.n)
+    cov = np.asarray(cov, dtype=float).reshape(sys.n, sys.n)
+    return mean, np.linalg.cholesky(cov)
+
+
+def _gaussian_draw(rng: np.random.Generator, mean: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """One draw of N(mean, factor factor^T).  multivariate_normal(...,
+    method="cholesky") computes the same product after factoring the
+    covariance on every call, so the draws are equal bit for bit."""
+    return (rng.standard_normal((1, mean.size)) @ factor.T + mean).reshape(mean.size)
+
+
 def _initial_state(sys: SystemSpec, x0, rng: np.random.Generator | None) -> np.ndarray:
     """Deterministic x0, or a Gaussian draw when given as a (mean, cov) pair."""
     if isinstance(x0, tuple):
-        mean, cov = x0
-        mean = np.asarray(mean, dtype=float).reshape(sys.n)
-        cov = np.asarray(cov, dtype=float).reshape(sys.n, sys.n)
         if rng is None:
             raise InvalidInputError("random initial states need a trajectory stream")
-        return rng.multivariate_normal(mean, cov, method="cholesky")
+        return _gaussian_draw(rng, *_gaussian_law(sys, x0))
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.size != sys.n:
         raise InvalidInputError(f"initial state has length {x.size}, expected {sys.n}")
@@ -253,18 +266,19 @@ def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int,
     computed by the lock-step Philox in chunks of about _CHUNK_BLOCKS blocks.
     Gaussian initial states take a variable number of words (ziggurat
     normals), so they are drawn one trajectory at a time from a single Philox
-    re-keyed per trajectory.
+    re-keyed per trajectory, with the covariance factored once.
     """
     T, n = cfg.horizon, sys.n
     count = stop - start
     lam = np.empty((count, T), dtype=np.int8)
     if isinstance(x0, tuple):
+        mean, factor = _gaussian_law(sys, x0)
         X0 = np.empty((count, n))
         bitgen = np.random.Philox(_FIXED_SEED)
         rng = np.random.Generator(bitgen)
         for row, k in enumerate(range(start, stop)):
             bitgen.state = _keyed_state(_stream_key(cfg.seed, k), _FAMILY_TRAJECTORY)
-            X0[row] = _initial_state(sys, x0, rng)
+            X0[row] = _gaussian_draw(rng, mean, factor)
             lam[row] = rng.random(T) >= q
         return X0, lam
 
@@ -338,7 +352,7 @@ def empirical_ms_decay(sys: SystemSpec, K, q: float, x0, cfg: SimConfig) -> Deca
     if not 0.0 <= q <= 1.0:
         raise InvalidInputError(f"loss rate must lie in [0, 1], got {q}")
     _, _, msq = _batched_rollout(sys, K, q, x0, cfg, track_msq=True)
-    rho = spectral_radius(lifted_matrix(sys, K, q))
+    rho = spectral_radius(lifted_matrix(sys, K, q), cone_seed=np.eye(sys.n))
     log_rho = math.log(rho) if rho > 0.0 else -math.inf
 
     T = cfg.horizon

@@ -191,7 +191,7 @@ def lifted_matrix(sys: SystemSpec, K, q: float) -> np.ndarray:
 
 def exact_ms_stable(sys: SystemSpec, K, q: float) -> StabilityVerdict:
     """Exact oracle: mean-square stable iff rho(Phi) < 1."""
-    rho = spectral_radius(lifted_matrix(sys, K, q))
+    rho = spectral_radius(lifted_matrix(sys, K, q), cone_seed=np.eye(sys.n))
     return StabilityVerdict(
         criterion="exact_lifted",
         certificate=rho,

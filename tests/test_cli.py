@@ -145,7 +145,9 @@ class TestCsvOutputs:
 
 
 class TestThresholdCurve:
-    @pytest.mark.parametrize("spec, variant", [(EX2, "general"), (EX1, "scalar")])
+    @pytest.mark.parametrize(
+        "spec, variant", [(EX2, "general"), (EX1, "scalar")], ids=["example2-general", "example1-scalar"]
+    )
     def test_rows_equal_pointwise_bounds(self, capsys, monkeypatch, spec, variant):
         captured = []
         emit_csv = Emitter.emit_csv

@@ -4,15 +4,21 @@ import pytest
 from lossylqr import (
     InvalidInputError,
     NotPSDError,
+    NumericalFailureError,
+    SimConfig,
     SystemSpec,
     ce_gain,
+    empirical_ms_decay,
+    exact_ms_stable,
     kron,
     lifted_matrix,
     psd_sqrt,
+    second_moment_sum,
     spectral_radius,
     sym_eig_extremes,
     symmetrize,
 )
+from lossylqr import numerics
 
 
 class TestSymEigExtremes:
@@ -144,3 +150,120 @@ class TestSpectralRadius:
         gain, _ = ce_gain(plant3, 0.274)
         Phi = lifted_matrix(plant3, gain, 0.24655)
         assert spectral_radius(Phi) == pytest.approx(0.4771610023, abs=1e-10)
+
+
+def plant3() -> SystemSpec:
+    return SystemSpec(
+        A=np.diag([1.3, 1.2, 0.4]),
+        B=np.array([[1.0, 0.0], [0.0, 1.0], [0.2, 0.1]]),
+        Q=np.eye(3),
+        R=np.eye(2),
+    )
+
+
+def pair_plant() -> SystemSpec:
+    """4 states: an unstable controllable block coupled to an uncontrollable,
+    non-normal stable block with eigenvalues 0.95 and -0.95 * 0.998, shown in
+    rotated coordinates.  Every lifted map of it has the eigenvalues 0.9025
+    and -0.9025 * 0.998."""
+    A = np.zeros((4, 4))
+    A[:2, :2] = [[1.2, 0.3], [0.0, 0.4]]
+    A[2:, 2:] = [[0.95, 0.7], [0.0, -0.95 * 0.998]]
+    A[:2, 2:] = [[0.1, -0.2], [0.25, 0.05]]
+    B = np.zeros((4, 2))
+    B[:2] = np.eye(2)
+    T, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    return SystemSpec(A=T @ A @ T.T, B=T @ B, Q=np.eye(4), R=np.eye(2))
+
+
+def turn_map():
+    plant = plant3()
+    gain, _ = ce_gain(plant, 0.274)
+    return lifted_matrix(plant, gain, 0.24655), 3
+
+
+def pair_map():
+    plant = pair_plant()
+    gain, _ = ce_gain(plant, 0.1)
+    return lifted_matrix(plant, gain, 0.15), 4
+
+
+def example2_map():
+    example2 = SystemSpec(A=[[1.5, 0.1], [0.0, 1.0]], B=np.eye(2), Q=np.eye(2), R=np.eye(2))
+    gain, _ = ce_gain(example2, 0.1633)
+    return lifted_matrix(example2, gain, 0.2), 2
+
+
+LIFTED_MAPS = {"turn": turn_map, "pair": pair_map, "example2": example2_map}
+
+
+class TestLyapunovBracket:
+    """Two Lyapunov solves certify the dense spectral radius of a lifted map."""
+
+    @pytest.mark.parametrize("shift", [2e-7, -2e-7])
+    @pytest.mark.parametrize("name", sorted(LIFTED_MAPS))
+    def test_shifted_rho_fails_and_cone_seed_raises(self, monkeypatch, name, shift):
+        Phi, n = LIFTED_MAPS[name]()
+        rho = numerics._dense_spectral_radius(Phi)
+        # Below 1 the bracket's half-width 1e-7 * (1 + rho) is less than 2e-7.
+        assert rho < 1.0
+        assert numerics._brackets(Phi, rho, n)
+        assert not numerics._brackets(Phi, rho + shift, n)
+        monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda M: rho + shift)
+        with pytest.raises(NumericalFailureError, match="bracket"):
+            spectral_radius(Phi, cone_seed=np.eye(n))
+        assert spectral_radius(Phi) == rho + shift
+
+    def test_lifted_map_callers_assert_the_cone(self, monkeypatch, example2):
+        gain, _ = ce_gain(example2, 0.1633)
+        dense = numerics._dense_spectral_radius
+        monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda M: dense(M) + 2e-7)
+        cfg = SimConfig(seed=0, horizon=4, trajectories=2)
+        calls = [
+            lambda: exact_ms_stable(example2, gain, 0.2),
+            lambda: second_moment_sum(example2, gain, 0.2, np.eye(2)),
+            lambda: empirical_ms_decay(example2, gain, 0.2, np.ones(2), cfg),
+        ]
+        for call in calls:
+            with pytest.raises(NumericalFailureError, match="bracket"):
+                call()
+
+    def test_zero_and_nilpotent_maps(self):
+        assert spectral_radius(np.zeros((4, 4)), cone_seed=np.eye(2)) == 0.0
+        # A deadbeat gain on the double integrator: (A + BK)^2 = 0, so the
+        # lifted map at q = 0 is nilpotent and rho - tol <= 0.
+        plant = SystemSpec(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.0], [1.0]], Q=np.eye(2), R=np.eye(1))
+        verdict = exact_ms_stable(plant, np.array([[-1.0, -2.0]]), 0.0)
+        assert verdict.stable
+        assert verdict.certificate <= numerics.DUAL_AGREE_RTOL * (1.0 + verdict.certificate)
+
+    def test_scalar_map(self):
+        a, k, q = 1.5, -1.0868, 0.4
+        expected = (a + (1 - q) * k) ** 2 + q * (1 - q) * k**2
+        for value in (expected, 0.0, 0.25, 1.0, 3.0):
+            assert spectral_radius([[value]], cone_seed=[[1.0]]) == value
+        assert not numerics._brackets(np.array([[0.25]]), 0.25 + 2e-7, 1)
+        assert not numerics._brackets(np.array([[0.25]]), 0.25 - 2e-7, 1)
+
+    def test_near_plus_minus_pair(self):
+        Phi, n = pair_map()
+        eig = np.linalg.eigvals(Phi)
+        rho = spectral_radius(Phi, cone_seed=np.eye(n))
+        assert rho == pytest.approx(0.95**2, rel=1e-9)
+        assert np.min(eig.real) == pytest.approx(-(0.95**2) * 0.998, rel=1e-9)
+
+    def test_turn_map(self):
+        Phi, n = turn_map()
+        assert spectral_radius(Phi, cone_seed=np.eye(n)) == pytest.approx(0.4771610023, abs=1e-10)
+
+    def test_non_cone_matrix_returns_dense_value(self):
+        rng = np.random.default_rng(3)
+        unbracketed = 0
+        for n in (2, 3):
+            for _ in range(10):
+                M = rng.normal(size=(n * n, n * n))
+                rho = numerics._dense_spectral_radius(M)
+                assert spectral_radius(M) == rho
+                unbracketed += not numerics._brackets(M, rho, n)
+        # Such matrices need not preserve the cone, and the bracket fails on some.
+        assert unbracketed > 0

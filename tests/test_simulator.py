@@ -21,6 +21,7 @@ from lossylqr import simulator
 from lossylqr.simulator import (
     _FAMILY_TRAJECTORY,
     _batched_rollout,
+    _gaussian_draw,
     _mix64_array,
     _philox_uniforms,
     _stream,
@@ -183,6 +184,35 @@ class TestTrajectoryDraws:
         for row, k in enumerate(index):
             expected = _stream(seed, int(k), _FAMILY_TRAJECTORY).random(28)
             np.testing.assert_array_equal(uniforms[row], expected)
+
+
+class TestGaussianDraws:
+    """One Cholesky factor per rollout reproduces multivariate_normal bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_equal_to_multivariate_normal(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            G = rng.normal(size=(n, n))
+            cov = G @ G.T + 0.1 * np.eye(n)
+            mean = rng.normal(size=n)
+            factor = np.linalg.cholesky(cov)
+            for seed in range(40):
+                reference = np.random.Generator(np.random.Philox(seed))
+                drawn = np.random.Generator(np.random.Philox(seed))
+                expected = reference.multivariate_normal(mean, cov, method="cholesky")
+                np.testing.assert_array_equal(_gaussian_draw(drawn, mean, factor), expected)
+                # The same words were consumed: the streams continue in step.
+                np.testing.assert_array_equal(drawn.random(3), reference.random(3))
+
+    def test_non_positive_definite_covariance_raises(self, example2):
+        gain, _ = ce_gain(example2, 0.1633)
+        cfg = SimConfig(seed=0, horizon=4, trajectories=3)
+        x0 = (np.zeros(2), np.diag([1.0, -1.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            simulate_trajectory(example2, gain, 0.2, x0, cfg)
+        with pytest.raises(np.linalg.LinAlgError):
+            monte_carlo_cost(example2, gain, 0.2, x0, cfg)
 
 
 class TestNoEntropyReads:
