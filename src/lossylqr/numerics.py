@@ -5,6 +5,9 @@ All routines target small dense matrices (state dimension <= 10, lifted maps
 <= 100 x 100) and fix the numerical tolerances used across the package.
 """
 
+import math
+import warnings
+
 import numpy as np
 
 from .errors import InvalidInputError, NotPSDError, NumericalFailureError
@@ -118,31 +121,61 @@ def _lyapunov_pd(M: np.ndarray, s: float, n: int) -> bool:
     return bool(np.all(np.isfinite(X)))
 
 
-def _brackets(M: np.ndarray, rho: float, n: int) -> bool:
-    """Whether two Lyapunov solves prove rho - tol <= rho(Phi) < rho + tol,
-    tol = DUAL_AGREE_RTOL * (1 + rho), for a Phi that preserves the PSD cone.
-    The lower side holds trivially when rho - tol <= 0."""
-    tol = DUAL_AGREE_RTOL * (1.0 + rho)
-    lower = rho - tol
-    return _lyapunov_pd(M, rho + tol, n) and (lower <= 0.0 or not _lyapunov_pd(M, lower, n))
+def _lyapunov_decided(M: np.ndarray, s: float, n: int) -> bool:
+    """Whether rounding in the solve of X - Phi(X)/s = I cannot have moved X
+    across the boundary of the PSD cone: by Weyl's inequality, whether the
+    smallest eigenvalue of X exceeds in magnitude the forward error bound
+    eps * cond(I - M/s) * ||X||_2.  Near-defective maps make this system too
+    ill-conditioned at small s for its solution to say anything."""
+    system = np.eye(n * n) - M / s
+    try:
+        X = np.linalg.solve(system, np.eye(n).reshape(-1)).reshape(n, n)
+    except np.linalg.LinAlgError:  # singular to working precision: cond = inf
+        return False
+    w = np.linalg.eigvalsh(0.5 * (X + X.T))
+    error = np.finfo(float).eps * np.linalg.cond(system) * np.max(np.abs(w))
+    return bool(abs(w[0]) > error)
+
+
+def _bounded_above(M: np.ndarray, rho: float, n: int) -> bool:
+    """Whether a Lyapunov solve proves rho(Phi) < rho + tol, where
+    tol = DUAL_AGREE_RTOL * (1 + rho) and Phi preserves the PSD cone."""
+    return _lyapunov_pd(M, rho + DUAL_AGREE_RTOL * (1.0 + rho), n)
+
+
+def _bounded_below(M: np.ndarray, rho: float, n: int) -> bool:
+    """Whether a Lyapunov solve proves rho(Phi) >= rho - tol for a Phi that
+    preserves the PSD cone; this holds trivially when rho - tol <= 0."""
+    lower = rho - DUAL_AGREE_RTOL * (1.0 + rho)
+    return lower <= 0.0 or not _lyapunov_pd(M, lower, n)
 
 
 def spectral_radius(M, cone_seed=None) -> float:
     """Spectral radius of a dense matrix, from its eigenvalues.
 
-    A `cone_seed`, a symmetric n x n matrix, asserts that M is the n^2 x n^2
-    matrix of a map Phi on n x n matrices that preserves the PSD cone, as
-    every lifted second-moment map does; only its size is used.  The dense
-    value rho is then certified by the Lyapunov characterization of
-    mean-square stability (Costa, Fragoso & Marques, *Discrete-Time Markov
-    Jump Linear Systems*, 2005): for such a Phi and any s > 0, the solution
-    X of X - Phi(X)/s = I is positive definite iff rho(Phi) < s.  Two
-    n^2-sized solves, at s = rho + tol (X must be positive definite) and at
-    s = rho - tol (it must not be, or the system is singular; nothing to
-    solve when rho - tol <= 0), with tol = DUAL_AGREE_RTOL * (1 + rho), prove
-    rho - tol <= rho(Phi) < rho + tol; a failed bracket raises
-    NumericalFailureError.  Without a cone seed the matrix need not preserve
-    any cone, and the dense value is returned as is.
+    Any `cone_seed` other than None is a flag: it asserts that M is the
+    n^2 x n^2 matrix of a map Phi on n x n matrices that preserves the PSD
+    cone, as every lifted second-moment map does.  (A matrix seed must be
+    n x n; its entries are not used.)  The dense value rho is then checked
+    by the Lyapunov characterization of mean-square stability (Costa,
+    Fragoso & Marques, *Discrete-Time Markov Jump Linear Systems*, 2005):
+    for such a Phi and any s > 0, the solution X of X - Phi(X)/s = I is
+    positive definite iff rho(Phi) < s.  With tol = DUAL_AGREE_RTOL * (1 + rho):
+
+    - At s = rho + tol, X positive definite proves rho(Phi) < rho + tol.
+      Otherwise rho may understate rho(Phi), and NumericalFailureError is
+      raised, unless rounding in that solve could have flipped its outcome
+      (see `_lyapunov_decided`).
+    - At s = rho - tol, X not positive definite (or a singular system)
+      proves rho(Phi) >= rho - tol; nothing is solved when rho - tol <= 0.
+      Otherwise rho may overstate rho(Phi), the safe side for a stability
+      verdict.
+
+    Short of a decided failure above, a side fails only on near-defective
+    maps, where dense eigenvalues err by up to about eps^(1/k) for a Jordan
+    block of size k and solves near s = rho lose their digits.  There rho is
+    returned as it is, with a RuntimeWarning.  Without a cone seed the matrix
+    need not preserve any cone, and the dense value is returned unchecked.
     """
     M = _as_matrix(M)
     n = M.shape[0]
@@ -153,14 +186,28 @@ def spectral_radius(M, cone_seed=None) -> float:
     if cone_seed is None:
         return rho_dense
 
-    dim = symmetrize(cone_seed).shape[0]
-    if dim**2 != n:
+    dim = math.isqrt(n)
+    seed_shape = np.shape(cone_seed)
+    if dim**2 != n or seed_shape not in ((), (dim, dim)):
         raise InvalidInputError(
-            f"cone seed of shape {(dim, dim)} does not match a {n}-dimensional lifted map"
+            f"cone seed of shape {seed_shape} does not match a {n}-dimensional lifted map"
         )
-    if not _brackets(M, rho_dense, dim):
-        raise NumericalFailureError(
-            f"Lyapunov solves at rho -/+ {DUAL_AGREE_RTOL:.0e} * (1 + rho) do not "
-            f"bracket the dense spectral radius {rho_dense:.12e}"
-        )
+    tol = DUAL_AGREE_RTOL * (1.0 + rho_dense)
+    if not _bounded_above(M, rho_dense, dim):
+        if _lyapunov_decided(M, rho_dense + tol, dim):
+            raise NumericalFailureError(
+                f"a Lyapunov solve at rho + {DUAL_AGREE_RTOL:.0e} * (1 + rho) does not "
+                f"bound the dense spectral radius {rho_dense:.12e} from above"
+            )
+        side = "above (the solve is too ill-conditioned to tell)"
+    elif not _bounded_below(M, rho_dense, dim):
+        side = "below (it may overstate rho)"
+    else:
+        return rho_dense
+    warnings.warn(
+        f"Lyapunov solves at rho -/+ {DUAL_AGREE_RTOL:.0e} * (1 + rho) do not bound the "
+        f"dense spectral radius {rho_dense:.12e} from {side}",
+        RuntimeWarning,
+        stacklevel=2,
+    )
     return rho_dense

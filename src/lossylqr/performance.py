@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError, NumericalFailureError, UnstableError
 from .numerics import sym_eig_extremes, symmetrize
 from .riccati import SystemSpec, _ms_stable, ce_gain, mare_solve
-from .stability import gain_weight_matrix, lifted_matrix, spectral_radius
+from .stability import _lifted_rho, gain_weight_matrix
 
 # Required agreement between the linear-solve and series routes for S.
 SERIES_AGREE_RTOL = 1e-8
@@ -84,8 +84,7 @@ def second_moment_sum(sys: SystemSpec, K, q: float, X0) -> np.ndarray:
     (terms added in doubling blocks until the increment falls below 1e-12);
     the two routes must agree to 1e-8 relative.
     """
-    Phi = lifted_matrix(sys, K, q)
-    rho = spectral_radius(Phi, cone_seed=np.eye(sys.n))
+    Phi, rho = _lifted_rho(sys, K, q)
     if not _ms_stable(rho):
         raise UnstableError(f"closed loop is not mean-square stable (rho = {rho:.6f})")
     n = sys.n

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidInputError, UnstableError
 from .learning import ChannelSamples
 from .riccati import SystemSpec
-from .stability import _gain_matrix, lifted_matrix, spectral_radius
+from .stability import _gain_matrix, _lifted_rho
 
 _MASK64 = (1 << 64) - 1
 # Second Philox key word per stream family.
@@ -352,7 +352,7 @@ def empirical_ms_decay(sys: SystemSpec, K, q: float, x0, cfg: SimConfig) -> Deca
     if not 0.0 <= q <= 1.0:
         raise InvalidInputError(f"loss rate must lie in [0, 1], got {q}")
     _, _, msq = _batched_rollout(sys, K, q, x0, cfg, track_msq=True)
-    rho = spectral_radius(lifted_matrix(sys, K, q), cone_seed=np.eye(sys.n))
+    _, rho = _lifted_rho(sys, K, q)
     log_rho = math.log(rho) if rho > 0.0 else -math.inf
 
     T = cfg.horizon

@@ -189,9 +189,16 @@ def lifted_matrix(sys: SystemSpec, K, q: float) -> np.ndarray:
     return _lifted_at(next(_lifted_pairs(sys, [K])), q)
 
 
+def _lifted_rho(sys: SystemSpec, K, q: float) -> tuple[np.ndarray, float]:
+    """The lifted map of `lifted_matrix` and its spectral radius, certified as
+    that of a PSD-cone-preserving map (see `numerics.spectral_radius`)."""
+    Phi = lifted_matrix(sys, K, q)
+    return Phi, spectral_radius(Phi, cone_seed=True)
+
+
 def exact_ms_stable(sys: SystemSpec, K, q: float) -> StabilityVerdict:
     """Exact oracle: mean-square stable iff rho(Phi) < 1."""
-    rho = spectral_radius(lifted_matrix(sys, K, q), cone_seed=np.eye(sys.n))
+    _, rho = _lifted_rho(sys, K, q)
     return StabilityVerdict(
         criterion="exact_lifted",
         certificate=rho,

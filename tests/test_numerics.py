@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,27 +199,39 @@ def example2_map():
 LIFTED_MAPS = {"turn": turn_map, "pair": pair_map, "example2": example2_map}
 
 
+def brackets(M, rho, n) -> bool:
+    """Whether two Lyapunov solves prove rho - tol <= rho(Phi) < rho + tol."""
+    return numerics._bounded_above(M, rho, n) and numerics._bounded_below(M, rho, n)
+
+
 class TestLyapunovBracket:
     """Two Lyapunov solves certify the dense spectral radius of a lifted map."""
 
     @pytest.mark.parametrize("shift", [2e-7, -2e-7])
     @pytest.mark.parametrize("name", sorted(LIFTED_MAPS))
-    def test_shifted_rho_fails_and_cone_seed_raises(self, monkeypatch, name, shift):
+    def test_shifted_rho_fails_the_bracket(self, monkeypatch, name, shift):
         Phi, n = LIFTED_MAPS[name]()
         rho = numerics._dense_spectral_radius(Phi)
         # Below 1 the bracket's half-width 1e-7 * (1 + rho) is less than 2e-7.
         assert rho < 1.0
-        assert numerics._brackets(Phi, rho, n)
-        assert not numerics._brackets(Phi, rho + shift, n)
+        assert brackets(Phi, rho, n)
+        assert not brackets(Phi, rho + shift, n)
         monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda M: rho + shift)
-        with pytest.raises(NumericalFailureError, match="bracket"):
-            spectral_radius(Phi, cone_seed=np.eye(n))
+        if shift < 0:
+            # An understated rho is caught by a solve that rounding cannot decide.
+            assert numerics._lyapunov_decided(Phi, rho + shift + 1e-7 * (1 + rho + shift), n)
+            with pytest.raises(NumericalFailureError, match="from above"):
+                spectral_radius(Phi, cone_seed=np.eye(n))
+        else:
+            # An overstated rho is the safe side of every verdict: returned, with a warning.
+            with pytest.warns(RuntimeWarning, match="from below"):
+                assert spectral_radius(Phi, cone_seed=np.eye(n)) == rho + shift
         assert spectral_radius(Phi) == rho + shift
 
     def test_lifted_map_callers_assert_the_cone(self, monkeypatch, example2):
         gain, _ = ce_gain(example2, 0.1633)
         dense = numerics._dense_spectral_radius
-        monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda M: dense(M) + 2e-7)
+        monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda M: dense(M) - 2e-7)
         cfg = SimConfig(seed=0, horizon=4, trajectories=2)
         calls = [
             lambda: exact_ms_stable(example2, gain, 0.2),
@@ -225,8 +239,39 @@ class TestLyapunovBracket:
             lambda: empirical_ms_decay(example2, gain, 0.2, np.ones(2), cfg),
         ]
         for call in calls:
-            with pytest.raises(NumericalFailureError, match="bracket"):
+            with pytest.raises(NumericalFailureError, match="bound"):
                 call()
+
+    def test_cone_seed_is_a_flag(self):
+        Phi, n = turn_map()
+        rho = numerics._dense_spectral_radius(Phi)
+        assert spectral_radius(Phi, cone_seed=True) == rho
+        assert spectral_radius(Phi, cone_seed=np.arange(n * n).reshape(n, n)) == rho
+        with pytest.raises(InvalidInputError):
+            spectral_radius(np.eye(5), cone_seed=True)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rotated_defective_maps_keep_the_dense_verdict(self, n):
+        # N = Q U Q^T with U strictly upper triangular: the lifted map N (x) N
+        # of the open loop (K = 0) is nilpotent, but dense eigenvalues put its
+        # rho up to 1e-4 above 0 and the Lyapunov solves near s = rho lose
+        # every digit.  Rotated Jordan blocks at 0.5 do the same at rho = 0.25.
+        rng = np.random.default_rng(0)
+        for i in range(20):
+            U = np.triu(rng.normal(size=(n, n)), 1)
+            if i % 2:
+                U += 0.5 * np.eye(n)
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            plant = SystemSpec(A=Q @ U @ Q.T, B=np.eye(n), Q=np.eye(n), R=np.eye(n))
+            K = np.zeros((n, n))
+            dense = numerics._dense_spectral_radius(lifted_matrix(plant, K, 0.3))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                verdict = exact_ms_stable(plant, K, 0.3)
+                second_moment_sum(plant, K, 0.3, np.eye(n))
+            assert all(issubclass(w.category, RuntimeWarning) for w in caught)
+            assert verdict.certificate == dense
+            assert verdict.stable
 
     def test_zero_and_nilpotent_maps(self):
         assert spectral_radius(np.zeros((4, 4)), cone_seed=np.eye(2)) == 0.0
@@ -242,8 +287,8 @@ class TestLyapunovBracket:
         expected = (a + (1 - q) * k) ** 2 + q * (1 - q) * k**2
         for value in (expected, 0.0, 0.25, 1.0, 3.0):
             assert spectral_radius([[value]], cone_seed=[[1.0]]) == value
-        assert not numerics._brackets(np.array([[0.25]]), 0.25 + 2e-7, 1)
-        assert not numerics._brackets(np.array([[0.25]]), 0.25 - 2e-7, 1)
+        assert not brackets(np.array([[0.25]]), 0.25 + 2e-7, 1)
+        assert not brackets(np.array([[0.25]]), 0.25 - 2e-7, 1)
 
     def test_near_plus_minus_pair(self):
         Phi, n = pair_map()
@@ -264,6 +309,6 @@ class TestLyapunovBracket:
                 M = rng.normal(size=(n * n, n * n))
                 rho = numerics._dense_spectral_radius(M)
                 assert spectral_radius(M) == rho
-                unbracketed += not numerics._brackets(M, rho, n)
+                unbracketed += not brackets(M, rho, n)
         # Such matrices need not preserve the cone, and the bracket fails on some.
         assert unbracketed > 0
