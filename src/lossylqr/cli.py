@@ -34,6 +34,7 @@ from .performance import gap, gap_bounds, gap_curve
 from .riccati import SystemSpec, ce_gain, critical_probability, dare_solve, mare_solve
 from .simulator import SimConfig, empirical_ms_decay, monte_carlo_cost, simulate_trajectory
 from .stability import (
+    CELL_LABELS,
     THRESHOLD_VARIANTS,
     _qc_clamp,
     _threshold_curve,
@@ -158,11 +159,14 @@ class Emitter:
             print("note: --gnuplot applies to CSV output only", file=sys.stderr)
 
     def emit_csv(self, columns: list[str], rows, plot: str | None = None):
+        self.emit_csv_lines(columns, (",".join(_fmt(v) for v in row) for row in rows), plot)
+
+    def emit_csv_lines(self, columns: list[str], body, plot: str | None = None):
+        """`emit_csv` for rows already formatted as CSV lines."""
         manifest = self._finish_manifest()
         lines = [f"# {key}: {value}" for key, value in manifest.items()]
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines.extend(body)
         self._write("\n".join(lines) + "\n")
         if self.gnuplot:
             if not self.out:
@@ -431,7 +435,15 @@ def cmd_regions(args, emit: Emitter):
     sys_spec = load_system(args.spec)
     rm = region_map(sys_spec, step=args.step, sufficient_variant=args.variant)
     emit.manifest.update({f"cells_{k}": v for k, v in rm.counts().items()})
-    emit.emit_csv(["q", "q_hat", "class"], rm.rows(), plot=_REGION_PLOT)
+    # The text of RegionMap.rows(), formatting each grid value once.
+    q_text = [_fmt(q) for q in rm.q_grid.tolist()]
+    q_hat_text = [_fmt(q_hat) for q_hat in rm.q_hat_grid.tolist()]
+    body = (
+        f"{q},{q_hat},{CELL_LABELS[code]}"
+        for q, row in zip(q_text, rm.cells.tolist())
+        for q_hat, code in zip(q_hat_text, row)
+    )
+    emit.emit_csv_lines(["q", "q_hat", "class"], body, plot=_REGION_PLOT)
 
 
 # ---------------------------------------------------------------- wiring

@@ -76,8 +76,11 @@ def kron(M1, M2) -> np.ndarray:
     return np.kron(A, B)
 
 
-def _dense_spectral_radius(M: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
+def _dense_spectral_radius(M: np.ndarray):
+    """Largest eigenvalue modulus of a square matrix, or an array of those of
+    each matrix in a (k, d, d) stack (one batched eigvals call)."""
+    rho = np.max(np.abs(np.linalg.eigvals(M)), axis=-1)
+    return float(rho) if rho.ndim == 0 else rho
 
 
 class StallDetector:

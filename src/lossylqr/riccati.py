@@ -22,6 +22,11 @@ value iteration alone, whose step count grows like 1/(q_c - q).
 The lifted map (`_lifted_pairs`, `_lifted_at`), its verdict (`_ms_stable`)
 and the scalar iff value are kept here once; the solver, the exact oracle in
 `stability`, `performance` and every grid sweep evaluate these kernels.
+`_lifted_pairs` builds X (x) X as one broadcast product: the same single
+products as np.kron without its set-up cost, which dominates at small n and
+was paid at every policy step.  `_lifted_at`, the verdict and the scalar iff
+value also take arrays of rates, so `region_map` evaluates a whole column of
+its (q, q_hat) grid at once.
 """
 
 from dataclasses import dataclass, field
@@ -179,27 +184,34 @@ def _feedback_gain(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
     return -np.linalg.solve(sys.R + sys.B.T @ PB, PB.T @ sys.A)
 
 
+def _kron_self(X: np.ndarray) -> np.ndarray:
+    """np.kron(X, X): entry (i n + k, j n + l) is X[i, j] X[k, l]."""
+    n = X.shape[0]
+    return (X[:, None, :, None] * X[None, :, None, :]).reshape(n * n, n * n)
+
+
 def _lifted_pairs(sys: SystemSpec, gains):
     """Yield (M(x)M, A(x)A) with M = A + BK for each gain K, building A(x)A once."""
-    kron_A = np.kron(sys.A, sys.A)
+    kron_A = _kron_self(sys.A)
     for K in gains:
-        M = sys.A + sys.B @ K
-        yield np.kron(M, M), kron_A
+        yield _kron_self(sys.A + sys.B @ K), kron_A
 
 
-def _lifted_at(pair: tuple[np.ndarray, np.ndarray], q: float) -> np.ndarray:
-    """Lifted second-moment map (1-q) M(x)M + q A(x)A of a pair at loss rate q."""
+def _lifted_at(pair: tuple[np.ndarray, np.ndarray], q) -> np.ndarray:
+    """Lifted second-moment map (1-q) M(x)M + q A(x)A of a pair at loss rate q;
+    a q of shape (k, 1, 1) gives the stack of the k maps."""
     kron_M, kron_A = pair
     return (1.0 - q) * kron_M + q * kron_A
 
 
-def _ms_stable(rho: float) -> bool:
-    """Mean-square verdict on the spectral radius of a lifted map."""
+def _ms_stable(rho):
+    """Mean-square verdict on the spectral radius of a lifted map (elementwise on arrays)."""
     return rho < 1.0 - RHO_MARGIN
 
 
-def _scalar_iff_value(sys: SystemSpec, q: float, q_hat: float, k: float, p: float) -> float:
-    """n = m = 1: the design (k, p) at q_hat is mean-square stable at q iff this is positive."""
+def _scalar_iff_value(sys: SystemSpec, q, q_hat: float, k: float, p: float):
+    """n = m = 1: the design (k, p) at q_hat is mean-square stable at q iff this
+    is positive (elementwise for an array of rates q)."""
     a, b, r = sys.A[0, 0], sys.B[0, 0], sys.R[0, 0]
     return sys.Q[0, 0] + (1.0 - q) * r * k**2 + (q_hat - q) * a**2 * b**2 * p**2 / (r + b**2 * p)
 

@@ -50,6 +50,9 @@ THRESHOLD_VARIANTS = (VARIANT_GENERAL, VARIANT_SCALAR, VARIANT_INVERTIBLE_B)
 STRICT_MARGIN = 1e-9
 # Absolute tolerance of the zero-sample safe-rate bisection.
 SAFE_Q_BISECT_TOL = 1e-6
+# Matrix entries per batched eigenvalue call of `region_map`'s oracle (2 MB
+# of float64): a whole column for small n, about 26 rows of 100 x 100 maps.
+ORACLE_CHUNK_ENTRIES = 1 << 18
 
 CELL_BLUE = 0
 CELL_RED = 1
@@ -377,7 +380,9 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
     q - q_hat < st_lower_bound(q); "scalar_iff" uses the scalar test and
     "exact" the lifted oracle itself.  Non-blue cells are red when the exact
     oracle reports instability and gray otherwise.  The oracle verdict per
-    cell uses the dense eigenvalue route on the lifted map.
+    cell is the dense spectral radius of its lifted map, from batched
+    eigenvalue calls over each column's stack of maps; each column is
+    classified with array operations.
     """
     if not 0.0 < step <= 0.01:
         raise InvalidInputError(f"step must lie in (0, 0.01], got {step}")
@@ -423,24 +428,25 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
     cells = np.full((n_q, n_qh), CELL_GRAY, dtype=np.int8)
     exact_stable = np.zeros((n_q, n_qh), dtype=bool)
 
+    # A column's lifted maps are stacked along q, `chunk` rows at a time, for
+    # one batched eigvals call per stack.
+    q_stack = q_grid[:, None, None]
+    chunk = max(1, ORACLE_CHUNK_ENTRIES // sys.n**4)
     for j, pair in enumerate(_lifted_pairs(sys, gains)):
         qh = float(q_hat_grid[j])
-        for i in range(n_q):
-            q = float(q_grid[i])
-            stable = _ms_stable(_dense_spectral_radius(_lifted_at(pair, q)))
-            exact_stable[i, j] = stable
+        rho = [_dense_spectral_radius(_lifted_at(pair, q_stack[i : i + chunk])) for i in range(0, n_q, chunk)]
+        stable = _ms_stable(np.concatenate(rho))
+        exact_stable[:, j] = stable
 
-            if sufficient_variant in THRESHOLD_VARIANTS:
-                certified = qh >= q or (q - qh) < bounds[i]
-            elif sufficient_variant == "scalar_iff":
-                certified = _scalar_iff_value(sys, q, qh, gains[j][0, 0], solutions[kept[j]][0, 0]) > margin
-            else:  # exact
-                certified = stable
+        if sufficient_variant in THRESHOLD_VARIANTS:
+            certified = (qh >= q_grid) | (q_grid - qh < bounds)
+        elif sufficient_variant == "scalar_iff":
+            certified = _scalar_iff_value(sys, q_grid, qh, gains[j][0, 0], solutions[kept[j]][0, 0]) > margin
+        else:  # exact
+            certified = stable
 
-            if certified:
-                cells[i, j] = CELL_BLUE
-            elif not stable:
-                cells[i, j] = CELL_RED
+        cells[certified, j] = CELL_BLUE
+        cells[~certified & ~stable, j] = CELL_RED
     return RegionMap(
         q_grid=q_grid,
         q_hat_grid=q_hat_grid,

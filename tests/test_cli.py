@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lossylqr import critical_probability, dare_solve, min_samples, st_lower_bound
-from lossylqr.cli import Emitter, load_system, main
+import lossylqr
+from lossylqr import critical_probability, dare_solve, min_samples, region_map, st_lower_bound
+from lossylqr.cli import Emitter, _fmt, load_system, main
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 EX1 = str(SPECS / "example1.json")
@@ -142,6 +143,29 @@ class TestCsvOutputs:
         assert out_csv.exists()
         script = Path(str(out_csv) + ".gp").read_text()
         assert str(out_csv) in script
+
+
+class TestRegionsCsv:
+    @pytest.mark.parametrize(
+        "spec, variant", [(EX1, "general"), (EX2, "invertible_B")], ids=["example1-general", "example2-invertible_B"]
+    )
+    def test_rows_equal_per_row_formatting(self, capsys, spec, variant):
+        code, out, err = run(capsys, "regions", "--spec", spec, "--step", "0.01", "--variant", variant)
+        assert code == 0, err
+        rm = region_map(load_system(spec), step=0.01, sufficient_variant=variant)
+        manifest = [
+            "# command: regions",
+            f"# arguments: regions --spec {spec} --step 0.01 --variant {variant}",
+            "# seed: 0",
+            f"# version: {lossylqr.__version__}",
+            *(f"# cells_{label}: {count}" for label, count in rm.counts().items()),
+        ]
+        body = ["q,q_hat,class", *(",".join(_fmt(v) for v in row) for row in rm.rows())]
+        lines = out.splitlines()
+        assert lines[len(manifest)].startswith("# wall_time_s: ")
+        assert lines[: len(manifest)] == manifest
+        assert lines[len(manifest) + 1 :] == body
+        assert out.endswith("\n")
 
 
 class TestThresholdCurve:

@@ -3,6 +3,7 @@ import pytest
 
 from lossylqr import (
     DimensionError,
+    NoSolutionError,
     SystemSpec,
     ce_gain,
     condition_matrix,
@@ -17,7 +18,18 @@ from lossylqr import (
     st_lower_bound,
     zero_sample_safe_q,
 )
-from lossylqr.stability import CELL_BLUE, CELL_GRAY, CELL_RED
+from lossylqr import stability
+from lossylqr.riccati import _feedback_gain, _ms_stable, _scalar_iff_value
+from lossylqr.stability import (
+    CELL_BLUE,
+    CELL_GRAY,
+    CELL_RED,
+    THRESHOLD_VARIANTS,
+    _check_threshold_variant,
+    _qc_clamp,
+    _strict_margin,
+    _threshold_bound,
+)
 from conftest import feasible_rate_ceiling, random_stabilizable_system, scalar_mare_root
 
 
@@ -289,6 +301,128 @@ class TestRegionMap:
         q, q_hat, label = next(iter(coarse_map.rows()))
         assert (q, q_hat) == (0.0, 0.0)
         assert label == "blue_stabilizing"
+
+
+def per_cell_region_map(sys: SystemSpec, step: float, variant: str):
+    """Reference for `region_map`: one np.kron lifted map, one eigvals call and
+    one scalar classification per cell.  Returns (q_grid, q_hat_grid, cells,
+    exact_stable)."""
+    cp = critical_probability(sys, refine=False)
+    grid = np.arange(0.0, cp.exact if cp.exact is not None else cp.lower, step)
+    solutions = {}
+    for i, q in enumerate(grid):
+        try:
+            solutions[i] = mare_solve(sys, float(q)).P
+        except NoSolutionError:
+            pass
+    kept = list(solutions)
+    gains = [_feedback_gain(sys, solutions[i]) for i in kept]
+    bounds = np.zeros(len(grid))
+    if variant in THRESHOLD_VARIANTS and 0 in solutions:
+        for i in kept:
+            bounds[i] = _threshold_bound(
+                sys, float(grid[i]), variant, solutions[i], solutions[0], _qc_clamp(cp)
+            ).bound
+    margin = _strict_margin(sys)
+    cells = np.full((len(grid), len(kept)), CELL_GRAY, dtype=np.int8)
+    exact_stable = np.zeros(cells.shape, dtype=bool)
+    kron_A = np.kron(sys.A, sys.A)
+    for j, K in enumerate(gains):
+        M = sys.A + sys.B @ K
+        kron_M = np.kron(M, M)
+        qh = float(grid[kept[j]])
+        for i in range(len(grid)):
+            q = float(grid[i])
+            rho = float(np.max(np.abs(np.linalg.eigvals((1.0 - q) * kron_M + q * kron_A))))
+            stable = _ms_stable(rho)
+            exact_stable[i, j] = stable
+            if variant in THRESHOLD_VARIANTS:
+                certified = qh >= q or (q - qh) < bounds[i]
+            elif variant == "scalar_iff":
+                certified = _scalar_iff_value(sys, q, qh, K[0, 0], solutions[kept[j]][0, 0]) > margin
+            else:  # exact
+                certified = stable
+            if certified:
+                cells[i, j] = CELL_BLUE
+            elif not stable:
+                cells[i, j] = CELL_RED
+    return grid, grid[kept], cells, exact_stable
+
+
+def admitted_variants(sys: SystemSpec) -> list[str]:
+    variants = ["exact"] + (["scalar_iff"] if sys.is_scalar else [])
+    for variant in THRESHOLD_VARIANTS:
+        try:
+            _check_threshold_variant(sys, variant)
+        except DimensionError:
+            continue
+        variants.append(variant)
+    return variants
+
+
+@pytest.fixture(scope="module")
+def reference_plants() -> dict[str, SystemSpec]:
+    """The benchmark's plant3 and the first plants with n = 2..5 that
+    `random_stabilizable_system` draws from default_rng(42)."""
+    plants = {
+        "plant3": SystemSpec(
+            A=np.diag([1.3, 1.2, 0.4]), B=[[1.0, 0.0], [0.0, 1.0], [0.2, 0.1]], Q=np.eye(3), R=np.eye(2)
+        )
+    }
+    rng = np.random.default_rng(42)
+    while len(plants) < 5:
+        sys = random_stabilizable_system(rng, n_max=5)
+        if sys.n >= 2:
+            plants.setdefault(f"random-n{sys.n}", sys)
+    return plants
+
+
+def assert_map_equals_per_cell(sys: SystemSpec, step: float, variant: str):
+    q_grid, q_hat_grid, cells, exact_stable = per_cell_region_map(sys, step, variant)
+    rm = region_map(sys, step=step, sufficient_variant=variant)
+    np.testing.assert_array_equal(rm.q_grid, q_grid)
+    np.testing.assert_array_equal(rm.q_hat_grid, q_hat_grid)
+    np.testing.assert_array_equal(rm.cells, cells)
+    np.testing.assert_array_equal(rm.exact_stable, exact_stable)
+    return rm
+
+
+class TestBatchedOracle:
+    """`region_map`'s batched, column-wise oracle equals the per-cell reference bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["general", "scalar", "scalar_iff", "exact"])
+    def test_example1(self, example1, variant):
+        assert_map_equals_per_cell(example1, 0.005, variant)
+
+    @pytest.mark.parametrize("variant", ["general", "invertible_B", "exact"])
+    def test_example2(self, example2, variant):
+        assert_map_equals_per_cell(example2, 0.005, variant)
+
+    @pytest.mark.parametrize("name", ["plant3", "random-n2", "random-n3", "random-n4", "random-n5"])
+    def test_plant3_and_random_plants(self, reference_plants, name):
+        sys = reference_plants[name]
+        variants = admitted_variants(sys)
+        assert len(variants) >= 2
+        colours = set()
+        for variant in variants:
+            rm = assert_map_equals_per_cell(sys, 0.01, variant)
+            colours |= set(np.unique(rm.cells).tolist())
+        # the plant's maps hold more than one colour, so classification is exercised
+        assert len(colours) >= 2
+
+    @pytest.mark.parametrize("variant", ["general", "invertible_B", "exact"])
+    def test_three_row_chunks(self, example2, monkeypatch, variant):
+        # 89 grid rows: 29 full 3-row chunks per column and a last one of 2.
+        monkeypatch.setattr(stability, "ORACLE_CHUNK_ENTRIES", 3 * example2.n**4)
+        rm = assert_map_equals_per_cell(example2, 0.005, variant)
+        assert len(rm.q_grid) == 89
+
+    def test_three_row_chunks_random_plant(self, reference_plants, monkeypatch):
+        sys = reference_plants["random-n3"]
+        monkeypatch.setattr(stability, "ORACLE_CHUNK_ENTRIES", 3 * sys.n**4)
+        for variant in admitted_variants(sys):
+            rm = assert_map_equals_per_cell(sys, 0.01, variant)
+            assert len(rm.q_grid) % 3 != 0
 
 
 class TestScalarEquivalenceGrid:
