@@ -2,9 +2,10 @@
 
 Loads a plant description from JSON ({"A": [[...]], "B": [[...]],
 "Q": [[...]], "R": [[...]], "name": optional}) and exposes every analysis as
-a subcommand.  Results are emitted as JSON with a stable key order or as
-RFC-4180 CSV with a `#`-prefixed run-manifest header; `--gnuplot` adds a
-plotting script next to a CSV written with `--out`.
+a subcommand.  Results are emitted as JSON with a stable key order (a
+library result dataclass keeps its field order) or as RFC-4180 CSV with a
+`#`-prefixed run-manifest header; `--gnuplot` adds a plotting script next
+to a CSV written with `--out`.
 
 Exit codes: 0 on success, 2 when no Riccati solution exists or the closed
 loop is unstable (or a numerical cross-check fails), 1 on usage errors.
@@ -13,6 +14,7 @@ environment variable or `--seed`.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -65,8 +67,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _matrix_list(M) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(np.asarray(M, dtype=float))]
+def _jsonable(obj):
+    """`json.dumps` hook: result dataclasses become dicts, arrays nested lists."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def load_system(path: str) -> SystemSpec:
@@ -105,6 +112,13 @@ def _parse_vector(text: str, n: int, label: str) -> np.ndarray:
     if vec.size != n:
         raise CliError(f"{label} must have {n} entries, got {vec.size}")
     return vec
+
+
+def _positive_step(step: float) -> float:
+    """The grid step of a curve; the library would divide by it or return no rows."""
+    if not step > 0.0:
+        raise CliError(f"--step must be positive, got {step}")
+    return step
 
 
 def _qc_limit(sys_spec: SystemSpec):
@@ -152,9 +166,9 @@ class Emitter:
         else:
             sys.stdout.write(text)
 
-    def emit_json(self, result: dict):
+    def emit_json(self, result):
         payload = {"manifest": self._finish_manifest(), "result": result}
-        self._write(json.dumps(payload, indent=2) + "\n")
+        self._write(json.dumps(payload, indent=2, default=_jsonable) + "\n")
         if self.gnuplot:
             print("note: --gnuplot applies to CSV output only", file=sys.stderr)
 
@@ -175,54 +189,30 @@ class Emitter:
                 Path(self.out + ".gp").write_text(plot.format(csv=self.out))
 
 
-def _riccati_json(sol) -> dict:
-    return {
-        "P": _matrix_list(sol.P),
-        "q_used": sol.q_used,
-        "iterations": sol.iterations,
-        "residual": sol.residual,
-    }
-
-
 # ---------------------------------------------------------------- commands
 
 
 def cmd_solve(args, emit: Emitter):
     sys_spec = load_system(args.spec)
     if args.dare:
-        emit.emit_json(_riccati_json(dare_solve(sys_spec)))
+        emit.emit_json(dare_solve(sys_spec))
         return
     if args.q is None:
         raise CliError("solve needs --q or --dare")
     _require_below_qc(sys_spec, args.q, "q")
-    emit.emit_json(_riccati_json(mare_solve(sys_spec, args.q)))
+    emit.emit_json(mare_solve(sys_spec, args.q))
 
 
 def cmd_qc(args, emit: Emitter):
     sys_spec = load_system(args.spec)
-    cp = critical_probability(sys_spec, refine=not args.no_refine)
-    emit.emit_json(
-        {
-            "lower": cp.lower,
-            "upper": cp.upper,
-            "exact": cp.exact,
-            "method": cp.method,
-            "unstable_moduli": list(cp.unstable_moduli),
-        }
-    )
+    emit.emit_json(critical_probability(sys_spec, refine=not args.no_refine))
 
 
 def cmd_synth(args, emit: Emitter):
     sys_spec = load_system(args.spec)
     _require_below_qc(sys_spec, args.qhat, "q_hat")
     gain, sol = ce_gain(sys_spec, args.qhat)
-    emit.emit_json(
-        {
-            "K": _matrix_list(gain.K),
-            "q_design": gain.q_design,
-            "riccati": _riccati_json(sol),
-        }
-    )
+    emit.emit_json({**dataclasses.asdict(gain), "riccati": sol})
 
 
 def cmd_check(args, emit: Emitter):
@@ -235,14 +225,7 @@ def cmd_check(args, emit: Emitter):
     else:
         gain, _ = ce_gain(sys_spec, args.qhat)
         verdict = exact_ms_stable(sys_spec, gain, args.q)
-    emit.emit_json(
-        {
-            "criterion": verdict.criterion,
-            "certificate": verdict.certificate,
-            "stable": verdict.stable,
-            "margin_note": verdict.margin_note,
-        }
-    )
+    emit.emit_json(verdict)
 
 
 _CURVE_PLOT = """set datafile commentschars '#'
@@ -266,12 +249,10 @@ def cmd_threshold(args, emit: Emitter):
         return
     if args.q is not None:
         _require_below_qc(sys_spec, args.q, "q")
-        report = st_lower_bound(sys_spec, args.q, args.variant)
-        emit.emit_json(
-            {"variant": report.variant, "bound": report.bound, "constituents": report.constituents}
-        )
+        emit.emit_json(st_lower_bound(sys_spec, args.q, args.variant))
         return
-    rows = [(q, r.bound) for q, r in _threshold_curve(sys_spec, args.variant, 0.0, args.q_max, args.step)]
+    step = _positive_step(args.step)
+    rows = [(q, r.bound) for q, r in _threshold_curve(sys_spec, args.variant, 0.0, args.q_max, step)]
     emit.emit_csv(
         ["q", "bound"],
         rows,
@@ -287,6 +268,8 @@ def cmd_samples(args, emit: Emitter):
         return
     if args.q is None:
         raise CliError("samples needs --n (Hoeffding radius) or --q (complexity bound)")
+    if args.spec is None:
+        raise CliError("samples --q needs --spec")
     sys_spec = load_system(args.spec)
     _require_below_qc(sys_spec, args.q, "q")
     report = min_samples(sys_spec, args.q, args.beta, args.variant, delta_bar=args.delta_bar)
@@ -302,7 +285,8 @@ def cmd_samples(args, emit: Emitter):
 
 def cmd_complexity_curve(args, emit: Emitter):
     sys_spec = load_system(args.spec)
-    rows = list(_complexity_curve(sys_spec, args.variant, args.beta, args.q_min, args.q_max, args.step))
+    step = _positive_step(args.step)
+    rows = list(_complexity_curve(sys_spec, args.variant, args.beta, args.q_min, args.q_max, step))
     emit.emit_csv(
         ["q", "bound", "min_N"],
         rows,
@@ -313,17 +297,7 @@ def cmd_complexity_curve(args, emit: Emitter):
 def cmd_certify(args, emit: Emitter):
     sys_spec = load_system(args.spec)
     _require_below_qc(sys_spec, args.qhat, "q_hat")
-    cert = certify_ce_controller(sys_spec, args.qhat, args.n, args.beta)
-    emit.emit_json(
-        {
-            "q_hat": cert.q_hat,
-            "N_q": cert.N_q,
-            "beta": cert.beta,
-            "delta": cert.delta,
-            "q_bar": cert.q_bar,
-            "passed": cert.passed,
-        }
-    )
+    emit.emit_json(certify_ce_controller(sys_spec, args.qhat, args.n, args.beta))
 
 
 def cmd_gap(args, emit: Emitter):
@@ -332,7 +306,7 @@ def cmd_gap(args, emit: Emitter):
     x0 = _parse_vector(args.x0, sys_spec.n, "--x0")
     if args.curve:
         _, limit = _qc_limit(sys_spec)
-        grid = np.arange(0.0, limit, args.step)
+        grid = np.arange(0.0, limit, _positive_step(args.step))
         points = gap_curve(sys_spec, args.q, x0, grid)
         rows = [
             (p.q_hat, p.gap if p.stable else "unstable", int(p.stable)) for p in points
@@ -357,7 +331,7 @@ def cmd_gap(args, emit: Emitter):
             "gap": report.gap,
             "X_K_term": report.X_K_term,
             "P_diff_term": report.P_diff_term,
-            "second_moment_sum": _matrix_list(report.S),
+            "second_moment_sum": report.S,
             "upper_bound": bound,
             "upper_bound_kind": which,
         }
@@ -546,10 +520,7 @@ def main(argv=None) -> int:
             "_t0": time.perf_counter(),
         }
         args.func(args, Emitter(args, manifest))
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidInputError, DimensionError) as exc:
+    except (CliError, InvalidInputError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NoSolutionError, UnstableError, NumericalFailureError) as exc:

@@ -325,3 +325,72 @@ class TestSeedResolution:
         code, _, err = run(capsys, "qc", "--spec", EX1)
         assert code == 1
         assert "LOSSYLQR_SEED" in err
+
+
+RICCATI_KEYS = ["P", "q_used", "iterations", "residual"]
+CHECK_KEYS = ["criterion", "certificate", "stable", "margin_note"]
+
+
+class TestResultSchema:
+    """JSON results list the fields of the library's result types, in declaration order."""
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            pytest.param(["solve", "--spec", EX1, "--q", "0.2"], RICCATI_KEYS, id="solve"),
+            pytest.param(["solve", "--spec", EX2, "--dare"], RICCATI_KEYS, id="solve-dare"),
+            pytest.param(
+                ["qc", "--spec", EX2], ["lower", "upper", "exact", "method", "unstable_moduli"], id="qc"
+            ),
+            pytest.param(["synth", "--spec", EX2, "--qhat", "0.1633"], ["K", "q_design", "riccati"], id="synth"),
+            *(
+                pytest.param(
+                    ["check", "--spec", EX1, "--q", "0.2", "--qhat", "0.1", "--criterion", criterion],
+                    CHECK_KEYS,
+                    id=f"check-{criterion}",
+                )
+                for criterion in ("scalar", "sufficient", "exact")
+            ),
+            pytest.param(
+                ["threshold", "--spec", EX2, "--variant", "general", "--q", "0.2"],
+                ["variant", "bound", "constituents"],
+                id="threshold-q",
+            ),
+            pytest.param(
+                ["certify", "--spec", EX2, "--qhat", "0.1633", "--n", "300"],
+                ["q_hat", "N_q", "beta", "delta", "q_bar", "passed"],
+                id="certify",
+            ),
+        ],
+    )
+    def test_result_keys(self, capsys, argv, keys):
+        assert list(run_json(capsys, *argv)["result"]) == keys
+
+    def test_synth_riccati_keyed_like_solve(self, capsys):
+        result = run_json(capsys, "synth", "--spec", EX1, "--qhat", "0.1")["result"]
+        assert list(result["riccati"]) == RICCATI_KEYS
+        assert result["riccati"] == run_json(capsys, "solve", "--spec", EX1, "--q", "0.1")["result"]
+
+
+class TestUsageErrors:
+    def test_samples_complexity_without_spec(self, capsys):
+        code, out, err = run(capsys, "samples", "--q", "0.1")
+        assert code == 1
+        assert "--spec" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("step", ["0", "-0.01", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["threshold", "--spec", EX1, "--variant", "general", "--curve"],
+            ["complexity-curve", "--spec", EX1, "--variant", "general"],
+            ["gap", "--spec", EX1, "--q", "0.2", "--x0", "1", "--curve"],
+        ],
+        ids=["threshold-curve", "complexity-curve", "gap-curve"],
+    )
+    def test_non_positive_step(self, capsys, argv, step):
+        code, out, err = run(capsys, *argv, "--step", step)
+        assert code == 1
+        assert "step" in err
+        assert out == ""

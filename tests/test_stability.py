@@ -19,7 +19,7 @@ from lossylqr import (
     zero_sample_safe_q,
 )
 from lossylqr import stability
-from lossylqr.riccati import _feedback_gain, _ms_stable, _scalar_iff_value
+from lossylqr.riccati import RHO_MARGIN, _feedback_gain, _ms_stable, _scalar_iff_value
 from lossylqr.stability import (
     CELL_BLUE,
     CELL_GRAY,
@@ -451,3 +451,33 @@ class TestScalarEquivalenceGrid:
             gain, _ = ce_gain(example1, float(rates[j]))
             oracle = exact_ms_stable(example1, gain, float(rates[i]))
             assert oracle.certificate == pytest.approx(rho[i, j], rel=1e-8)
+
+
+class TestRegionMapMargin:
+    """The oracle reads a spectral radius inside the margin below 1 as unstable."""
+
+    def test_cell_inside_margin_is_red(self):
+        # Scalar plant A = 1.5, B = Q = 1 with R tuned (to about 0.96468569526)
+        # so that the design q_hat = 0 has rho = 1 - 5e-10 at q = 0.40.
+        q, target = 0.40, 1.0 - 5e-10
+
+        def plant(R: float) -> SystemSpec:
+            return SystemSpec(A=1.5, B=1.0, Q=1.0, R=R)
+
+        def rho(R: float) -> float:
+            gain, _ = ce_gain(plant(R), 0.0)
+            return exact_ms_stable(plant(R), gain, q).certificate
+
+        lo, hi = 0.9, 1.0
+        assert rho(lo) < target < rho(hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if rho(mid) < target else (lo, mid)
+        assert rho(hi) == pytest.approx(target, abs=1e-12)
+        assert 1.0 - RHO_MARGIN < rho(hi) < 1.0
+
+        rm = region_map(plant(hi), step=0.01, sufficient_variant="exact")
+        i = int(np.flatnonzero(rm.q_grid == q)[0])
+        assert rm.q_hat_grid[0] == 0.0
+        assert not rm.exact_stable[i, 0]
+        assert rm.cells[i, 0] == CELL_RED
