@@ -17,7 +17,6 @@ from .errors import (
     NoSolutionError,
     NotPSDError,
     NumericalFailureError,
-    SingularTransformError,
     UnstableError,
 )
 from .learning import (
@@ -81,7 +80,6 @@ __all__ = [
     "NotPSDError",
     "NumericalFailureError",
     "NoSolutionError",
-    "SingularTransformError",
     "UnstableError",
     "SystemSpec",
     "RiccatiSolution",

@@ -25,9 +25,5 @@ class NoSolutionError(LossyLqrError):
     """The modified Riccati equation has no positive definite solution (loss rate at or above critical)."""
 
 
-class SingularTransformError(LossyLqrError):
-    """A congruence transform required by a threshold formula is singular."""
-
-
 class UnstableError(LossyLqrError):
     """The closed loop is not mean-square stable, so the requested quantity is undefined."""

@@ -120,8 +120,12 @@ def second_moment_sum(sys: SystemSpec, K, q: float, X0) -> np.ndarray:
 def gap(sys: SystemSpec, q: float, q_hat: float, X0) -> GapReport:
     """Exact optimality gap of the controller designed at q_hat, run at true rate q."""
     gain, sol_hat = ce_gain(sys, q_hat)
-    sol_true = mare_solve(sys, q)
-    X0 = initial_second_moment(X0, sys.n)
+    return _gap_report(sys, q, gain, sol_hat, mare_solve(sys, q), initial_second_moment(X0, sys.n))
+
+
+def _gap_report(sys: SystemSpec, q: float, gain, sol_hat, sol_true, X0: np.ndarray) -> GapReport:
+    """`gap` from the design, the true-rate Riccati solution and the normalized X0."""
+    q_hat = gain.q_design
     S = second_moment_sum(sys, gain, q, X0)  # raises UnstableError if rho >= 1
 
     W = gain_weight_matrix(sys, sol_hat.P)
@@ -161,11 +165,14 @@ def gap_bounds(report: GapReport) -> tuple[float, str]:
 
 
 def gap_curve(sys: SystemSpec, q: float, X0, q_hat_grid) -> list[GapCurvePoint]:
-    """Gap as a function of the design rate; unstable designs are flagged, not fatal."""
+    """`gap` at each design rate, solving the true rate once; unstable designs are flagged, not fatal."""
+    sol_true = mare_solve(sys, q)
+    X0 = initial_second_moment(X0, sys.n)
     points = []
     for q_hat in np.asarray(q_hat_grid, dtype=float):
+        gain, sol_hat = ce_gain(sys, float(q_hat))
         try:
-            report = gap(sys, q, float(q_hat), X0)
+            report = _gap_report(sys, q, gain, sol_hat, sol_true, X0)
             points.append(GapCurvePoint(q_hat=float(q_hat), gap=report.gap, stable=True))
         except UnstableError:
             points.append(GapCurvePoint(q_hat=float(q_hat), gap=None, stable=False))

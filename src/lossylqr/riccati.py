@@ -269,9 +269,10 @@ def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
     residual of one Riccati step is below RESIDUAL_TOL; otherwise value
     iteration resumes where it left off, and returns once its own change is
     below STEP_TOL and its residual below RESIDUAL_TOL.
-    Iterate blow-up, a stalled iteration or the iteration cap raises
-    NoSolutionError, which signals that q is at or above the critical
-    probability (no gain is then mean-square stabilizing).
+    Iterate blow-up, a stalled iteration (the message gives the step at
+    which it stopped) or the iteration cap raises NoSolutionError, which
+    signals that q is at or above the critical probability (no gain is then
+    mean-square stabilizing).
     """
     if not 0.0 <= q < 1.0:
         raise InvalidInputError(f"loss rate must lie in [0, 1), got {q}")
@@ -299,7 +300,10 @@ def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
             if P is not None:
                 return RiccatiSolution(P=P, q_used=q, iterations=it + policy_steps, residual=residual)
         if stall.stalled(it, rel_change):
-            break
+            raise NoSolutionError(
+                f"Riccati iteration stalled at step {it} at q={q:.6g}, short of tolerance "
+                "(loss rate at or above critical, or (A, B) not stabilizable)"
+            )
     raise NoSolutionError(
         f"Riccati iteration cannot reach tolerance within {MAX_ITERATIONS} steps at q={q:.6g} "
         "(loss rate at or above critical, or (A, B) not stabilizable)"

@@ -143,7 +143,6 @@ class SimConfig:
     seed: int = 0
     horizon: int = 200
     trajectories: int = 10_000
-    truncation_note: str = "cost truncated at the horizon; bias ~ rho(Phi)^T * tr(S)"
 
     def __post_init__(self):
         if self.horizon < 1:

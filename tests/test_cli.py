@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 import lossylqr
-from lossylqr import critical_probability, dare_solve, min_samples, region_map, st_lower_bound
+from lossylqr import (
+    UnstableError,
+    critical_probability,
+    dare_solve,
+    gap,
+    mare_solve,
+    min_samples,
+    region_map,
+    st_lower_bound,
+)
 from lossylqr.cli import Emitter, _fmt, load_system, main
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -217,6 +226,23 @@ def count_calls(monkeypatch, func) -> list:
                 if value is func:
                     monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+class TestGapCurve:
+    def test_rows_equal_pointwise_gap_with_one_true_rate_solve(self, capsys, monkeypatch):
+        captured = capture_rows(monkeypatch)
+        solves = count_calls(monkeypatch, mare_solve)
+        code, _, err = run(capsys, "gap", "--spec", EX2, "--q", "0.2", "--x0", "5,5", "--curve")
+        assert code == 0, err
+        assert len(captured) == 89
+        assert len(solves) == len(captured) + 1
+        monkeypatch.undo()
+        sys_spec = load_system(EX2)
+        for q_hat, value, stable in captured:
+            try:
+                assert (value, stable) == (gap(sys_spec, 0.2, q_hat, np.array([5.0, 5.0])).gap, 1)
+            except UnstableError:
+                assert (value, stable) == ("unstable", 0)
 
 
 class TestComplexityCurve:

@@ -6,6 +6,7 @@ import pytest
 from lossylqr import (
     ChannelSamples,
     InvalidInputError,
+    NumericalFailureError,
     SystemSpec,
     certify_ce_controller,
     condition_matrix,
@@ -15,6 +16,7 @@ from lossylqr import (
     sample_channel,
     st_lower_bound,
 )
+from lossylqr import learning
 from conftest import scalar_mare_root
 
 
@@ -144,6 +146,42 @@ class TestCertify:
         cert = certify_ce_controller(example1, 0.0, 10, 0.01)
         assert cert.delta > cert.q_bar
         assert not cert.passed
+
+
+# (fixture name, q_hat, q_bar) of `test_tolerated_rate_is_boundary`'s designs.
+BOUNDARY_DESIGNS = [("example1", 0.0, 0.3988261392604885), ("example2", 0.1633, 0.4181453999749257)]
+
+
+def shift_closed_form(monkeypatch, shift: float) -> None:
+    """Move the closed-form tolerated rate 1/lambda_max by `shift`, leaving the probes' lambda_min exact."""
+    exact = learning.sym_eig_extremes
+
+    def shifted(M):
+        lmin, lmax = exact(M)
+        return lmin, lmax / (1.0 + shift * lmax)
+
+    monkeypatch.setattr(learning, "sym_eig_extremes", shifted)
+
+
+class TestToleratedRateProbes:
+    @pytest.mark.parametrize("name, q_hat, q_bar", BOUNDARY_DESIGNS, ids=["example1", "example2"])
+    def test_unshifted_certificate_is_unchanged(self, request, name, q_hat, q_bar):
+        assert certify_ce_controller(request.getfixturevalue(name), q_hat, 300, 0.01).q_bar == q_bar
+
+    @pytest.mark.parametrize("shift", [2e-6, -2e-6], ids=["above", "below"])
+    @pytest.mark.parametrize("name, q_hat, q_bar", BOUNDARY_DESIGNS, ids=["example1", "example2"])
+    def test_shift_beyond_probe_offset_raises(self, request, monkeypatch, name, q_hat, q_bar, shift):
+        sys = request.getfixturevalue(name)
+        shift_closed_form(monkeypatch, shift)
+        with pytest.raises(NumericalFailureError, match="does not change sign"):
+            certify_ce_controller(sys, q_hat, 300, 0.01)
+
+    @pytest.mark.parametrize("shift", [5e-7, -5e-7], ids=["above", "below"])
+    @pytest.mark.parametrize("name, q_hat, q_bar", BOUNDARY_DESIGNS, ids=["example1", "example2"])
+    def test_shift_within_probe_offset_passes(self, request, monkeypatch, name, q_hat, q_bar, shift):
+        sys = request.getfixturevalue(name)
+        shift_closed_form(monkeypatch, shift)
+        assert certify_ce_controller(sys, q_hat, 300, 0.01).q_bar == pytest.approx(q_bar + shift, abs=1e-12)
 
 
 class TestHoeffdingCoverage:

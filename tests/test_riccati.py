@@ -52,6 +52,17 @@ class TestMareSolve:
         with pytest.raises(NoSolutionError):
             mare_solve(example1, 0.5)
 
+    @pytest.mark.parametrize("dq, step", [(1e-3, 2500), (1e-5, 5500)])
+    def test_stall_reports_its_step(self, example1, dq, step):
+        with pytest.raises(NoSolutionError, match=f"stalled at step {step} at q=") as info:
+            mare_solve(example1, 4.0 / 9.0 + dq)
+        assert "within" not in str(info.value)
+
+    def test_non_stabilizable_pair_diverges(self):
+        sys = SystemSpec(A=2.0, B=0.0, Q=1.0, R=1.0)
+        with pytest.raises(NoSolutionError, match="diverged"):
+            mare_solve(sys, 0.0)
+
     def test_rejects_out_of_range_rate(self, example1):
         with pytest.raises(InvalidInputError):
             mare_solve(example1, 1.0)
