@@ -22,7 +22,15 @@ class NumericalFailureError(LossyLqrError):
 
 
 class NoSolutionError(LossyLqrError):
-    """The modified Riccati equation has no positive definite solution (loss rate at or above critical)."""
+    """The modified Riccati equation has no positive definite solution (loss rate at or above critical).
+
+    `reason` says why the solver gave up: "diverged", "stalled" or "cap"
+    (the step cap), or None when raised without one.
+    """
+
+    def __init__(self, message: str = "", reason: str | None = None):
+        super().__init__(message)
+        self.reason = reason
 
 
 class UnstableError(LossyLqrError):

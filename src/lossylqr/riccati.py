@@ -17,7 +17,15 @@ mean-square stabilizing at q: the lifted second-moment map
 is mean-square stabilizing, which certifies that q is feasible, and then
 Hewer's policy iteration (IEEE TAC 1971), which converges quadratically
 from any stabilizing gain.  Close to q_c this takes far fewer steps than
-value iteration alone, whose step count grows like 1/(q_c - q).
+value iteration alone, whose step count grows like 1/(q_c - q).  The first
+gain of a policy phase must pass the dense spectral-radius test; each later
+gain is certified by the Lyapunov solve that evaluates it (Costa, Fragoso &
+Marques, Discrete-Time Markov Jump Linear Systems, 2005), and the dense test
+decides only where that certificate proves nothing (`_solve_certifies`).
+
+Repeated calls with the same plant and rate return the same read-only
+solution from a four-entry memo, so the estimate, the true rate and q = 0 of
+one design are each solved once however many functions ask for them.
 
 The lifted map (`_lifted_pairs`, `_lifted_at`), its verdict (`_ms_stable`)
 and the scalar iff value are kept here once; the solver, the exact oracle in
@@ -29,6 +37,7 @@ value also take arrays of rates, so `region_map` evaluates a whole column of
 its (q, q_hat) grid at once.
 """
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +63,12 @@ UNSTABLE_MODULUS = 1.0 + 1e-9
 RANK_RTOL = 1e-10
 # Absolute tolerance of the critical-probability bisection.
 QC_BISECT_TOL = 1e-6
+
+# `mare_solve` keeps the _MEMO_SIZE solutions it returned last, evicting the
+# least recently returned: one design solves at its estimate, the true rate and 0.
+_MEMO_SIZE = 4
+_memo: dict = {}
+_memo_lock = threading.Lock()
 
 
 def _as_2d(M, name: str) -> np.ndarray:
@@ -223,15 +238,41 @@ def _policy_due(it: int) -> bool:
     return it % POLICY_CHECK_EVERY == 0
 
 
-def _policy_iteration(sys: SystemSpec, q: float, X: np.ndarray) -> tuple[np.ndarray | None, int, float]:
+def _solve_certifies(L: np.ndarray, P: np.ndarray, cost: np.ndarray, q_floor: float) -> bool:
+    """Whether the symmetric solution P of the lifted Lyapunov equation
+    (I - L^T) vec P = vec cost, cost >= Q, proves rho(L) < 1 - RHO_MARGIN.
+
+    With the residual E = P - L^T(P) - cost and c = q_floor - ||E||_F, where
+    q_floor = lambda_min(Q): L^T(P) <= P - c I <= (1 - c / lambda_max(P)) P
+    once P > 0 (Cholesky), and L^T preserves the PSD cone, so rho(L) <=
+    1 - c / lambda_max(P).  ||P||_F * RHO_MARGIN < c then gives the dense
+    test's inequality.  False means not proven, not unstable.
+    """
+    n = P.shape[0]
+    E = P - (L.T @ P.reshape(-1)).reshape(n, n) - cost
+    if not np.linalg.norm(P) * RHO_MARGIN < q_floor - np.linalg.norm(E):
+        return False
+    try:
+        np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _policy_iteration(
+    sys: SystemSpec, q: float, X: np.ndarray, q_floor: float
+) -> tuple[np.ndarray | None, int, float]:
     """Hewer's policy iteration from the gain of the value iterate X.
 
     Each step evaluates the current gain exactly, by the n^2-sized lifted
     Lyapunov equation (I - L^T) vec P = vec(Q + (1-q) K^T R K), and then
-    improves the gain.  It stops once the update is below STEP_TOL, or keeps
-    the previous P once the Riccati residual no longer falls (its rounding
-    floor).  Returns (P, steps, residual); P is None when some gain was not
-    mean-square stabilizing or P fails the residual gate of `mare_solve`.
+    improves the gain.  The first gain must pass the dense test; each later
+    one is certified by its own solve (`_solve_certifies`, q_floor =
+    lambda_min(Q)), and by the dense test only when that proves nothing.
+    It stops once the update is below STEP_TOL, or keeps the previous P once
+    the Riccati residual no longer falls (its rounding floor).  Returns
+    (P, steps, residual); P is None when some gain was not mean-square
+    stabilizing or P fails the residual gate of `mare_solve`.
     """
     n = sys.n
     eye = np.eye(n * n)
@@ -239,11 +280,16 @@ def _policy_iteration(sys: SystemSpec, q: float, X: np.ndarray) -> tuple[np.ndar
     P, steps, residual = X, 0, np.inf
     while True:
         L = _lifted_at(next(_lifted_pairs(sys, [K])), q)
-        if not _ms_stable(_dense_spectral_radius(L)):
+        if steps == 0 and not _ms_stable(_dense_spectral_radius(L)):
             return None, steps, residual
         cost = sys.Q + (1.0 - q) * (K.T @ sys.R @ K)
-        Pn = np.linalg.solve(eye - L.T, cost.reshape(-1)).reshape(n, n)
+        try:
+            Pn = np.linalg.solve(eye - L.T, cost.reshape(-1)).reshape(n, n)
+        except np.linalg.LinAlgError:  # L has eigenvalue 1: no certificate, the dense test fails
+            Pn = np.full((n, n), np.nan)
         Pn = 0.5 * (Pn + Pn.T)
+        if steps and not _solve_certifies(L, Pn, cost, q_floor) and not _ms_stable(_dense_spectral_radius(L)):
+            return None, steps, residual
         steps += 1
         norm = np.linalg.norm(Pn)
         new_residual = float(np.linalg.norm(_mare_step(Pn, sys, 1.0 - q) - Pn) / (1.0 + norm))
@@ -255,6 +301,47 @@ def _policy_iteration(sys: SystemSpec, q: float, X: np.ndarray) -> tuple[np.ndar
             break
         K = _feedback_gain(sys, P)
     return (P if residual <= RESIDUAL_TOL else None), steps, residual
+
+
+def _mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
+    if not 0.0 <= q < 1.0:
+        raise InvalidInputError(f"loss rate must lie in [0, 1), got {q}")
+    one_minus_q = 1.0 - q
+    q_floor = np.linalg.eigvalsh(0.5 * (sys.Q + sys.Q.T))[0]
+    X = sys.Q.copy()
+    stall = StallDetector()
+    policy_steps = 0
+    for it in range(1, MAX_ITERATIONS + 1):
+        Xn = _mare_step(X, sys, one_minus_q)
+        norm = np.linalg.norm(Xn)
+        if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
+            raise NoSolutionError(
+                f"Riccati iterate diverged at q={q:.6g}; no positive definite solution "
+                "(loss rate at or above critical, or (A, B) not stabilizable)",
+                reason="diverged",
+            )
+        rel_change = np.linalg.norm(Xn - X) / (1.0 + norm)
+        X = Xn
+        if rel_change <= STEP_TOL:
+            residual = np.linalg.norm(_mare_step(X, sys, one_minus_q) - X) / (1.0 + norm)
+            if residual <= RESIDUAL_TOL:
+                return RiccatiSolution(P=X, q_used=q, iterations=it + policy_steps, residual=float(residual))
+        if _policy_due(it):
+            P, steps, residual = _policy_iteration(sys, q, X, q_floor)
+            policy_steps += steps
+            if P is not None:
+                return RiccatiSolution(P=P, q_used=q, iterations=it + policy_steps, residual=residual)
+        if stall.stalled(it, rel_change):
+            raise NoSolutionError(
+                f"Riccati iteration stalled at step {it} at q={q:.6g}, short of tolerance "
+                "(loss rate at or above critical, or (A, B) not stabilizable)",
+                reason="stalled",
+            )
+    raise NoSolutionError(
+        f"Riccati iteration cannot reach tolerance within {MAX_ITERATIONS} steps at q={q:.6g} "
+        "(loss rate at or above critical, or (A, B) not stabilizable)",
+        reason="cap",
+    )
 
 
 def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
@@ -270,44 +357,26 @@ def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
     iteration resumes where it left off, and returns once its own change is
     below STEP_TOL and its residual below RESIDUAL_TOL.
     Iterate blow-up, a stalled iteration (the message gives the step at
-    which it stopped) or the iteration cap raises NoSolutionError, which
-    signals that q is at or above the critical probability (no gain is then
-    mean-square stabilizing).
+    which it stopped) or the iteration cap raises NoSolutionError, with
+    `reason` "diverged", "stalled" or "cap", which signals that q is at or
+    above the critical probability (no gain is then mean-square stabilizing).
+
+    The _MEMO_SIZE solutions returned last are kept, keyed by the bytes and
+    layout of (A, B, Q, R) and by q with its type (each can change the
+    result's bits): the same problem again returns the same object, whose P
+    is read-only.  Failures are not kept.
     """
-    if not 0.0 <= q < 1.0:
-        raise InvalidInputError(f"loss rate must lie in [0, 1), got {q}")
-    one_minus_q = 1.0 - q
-    X = sys.Q.copy()
-    stall = StallDetector()
-    policy_steps = 0
-    for it in range(1, MAX_ITERATIONS + 1):
-        Xn = _mare_step(X, sys, one_minus_q)
-        norm = np.linalg.norm(Xn)
-        if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
-            raise NoSolutionError(
-                f"Riccati iterate diverged at q={q:.6g}; no positive definite solution "
-                "(loss rate at or above critical, or (A, B) not stabilizable)"
-            )
-        rel_change = np.linalg.norm(Xn - X) / (1.0 + norm)
-        X = Xn
-        if rel_change <= STEP_TOL:
-            residual = np.linalg.norm(_mare_step(X, sys, one_minus_q) - X) / (1.0 + norm)
-            if residual <= RESIDUAL_TOL:
-                return RiccatiSolution(P=X, q_used=q, iterations=it + policy_steps, residual=float(residual))
-        if _policy_due(it):
-            P, steps, residual = _policy_iteration(sys, q, X)
-            policy_steps += steps
-            if P is not None:
-                return RiccatiSolution(P=P, q_used=q, iterations=it + policy_steps, residual=residual)
-        if stall.stalled(it, rel_change):
-            raise NoSolutionError(
-                f"Riccati iteration stalled at step {it} at q={q:.6g}, short of tolerance "
-                "(loss rate at or above critical, or (A, B) not stabilizable)"
-            )
-    raise NoSolutionError(
-        f"Riccati iteration cannot reach tolerance within {MAX_ITERATIONS} steps at q={q:.6g} "
-        "(loss rate at or above critical, or (A, B) not stabilizable)"
-    )
+    key = (type(q), float(q).hex(), *((M.shape, M.strides, M.tobytes()) for M in (sys.A, sys.B, sys.Q, sys.R)))
+    with _memo_lock:
+        sol = _memo.pop(key, None)
+    if sol is None:
+        sol = _mare_solve(sys, q)
+        sol.P.flags.writeable = False
+    with _memo_lock:
+        _memo[key] = sol
+        while len(_memo) > _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+    return sol
 
 
 def dare_solve(sys: SystemSpec) -> RiccatiSolution:

@@ -136,9 +136,9 @@ def condition_matrix(sys: SystemSpec, q: float, q_hat: float) -> np.ndarray:
     designed at q_hat and run at the true rate q.  W is the gain weight
     matrix computed from the design Riccati solution.
     """
-    gain, sol = ce_gain(sys, q_hat)
     if not 0.0 <= q < 1.0:
         raise InvalidInputError(f"true loss rate must lie in [0, 1), got {q}")
+    gain, sol = ce_gain(sys, q_hat)
     C = sys.Q + (1.0 - q) * (gain.K.T @ sys.R @ gain.K) - (q - q_hat) * gain_weight_matrix(sys, sol.P)
     return symmetrize(C)
 

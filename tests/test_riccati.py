@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,12 +10,16 @@ from lossylqr import (
     NoSolutionError,
     SystemSpec,
     ce_gain,
+    certify_ce_controller,
     critical_probability,
     dare_solve,
     exact_ms_stable,
+    gap,
     mare_solve,
+    min_samples,
     optimal_cost,
 )
+from lossylqr import riccati
 from conftest import feasible_rate_ceiling, random_stabilizable_system, scalar_mare_root
 
 
@@ -229,3 +236,176 @@ class TestOptimalCost:
     def test_rejects_indefinite_p(self):
         with pytest.raises(InvalidInputError):
             optimal_cost(np.diag([1.0, -1.0]), np.eye(2))
+
+
+class TestNoSolutionReason:
+    def test_non_stabilizable_pair_diverged(self):
+        with pytest.raises(NoSolutionError) as info:
+            mare_solve(SystemSpec(A=2.0, B=0.0, Q=1.0, R=1.0), 0.0)
+        assert info.value.reason == "diverged"
+
+    def test_above_critical_stalled(self, example1):
+        with pytest.raises(NoSolutionError) as info:
+            mare_solve(example1, 4.0 / 9.0 + 1e-3)
+        assert info.value.reason == "stalled"
+
+    def test_step_cap(self, example1, monkeypatch):
+        monkeypatch.setattr(riccati, "MAX_ITERATIONS", 5)
+        with pytest.raises(NoSolutionError, match="within 5 steps") as info:
+            mare_solve(example1, 0.45)
+        assert info.value.reason == "cap"
+
+
+@pytest.fixture
+def solve_count(monkeypatch):
+    """Start `mare_solve` with an empty memo and count the solves it really runs."""
+    monkeypatch.setattr(riccati, "_memo", {})
+    count = [0]
+    inner = riccati._mare_solve
+
+    def counted(sys, q):
+        count[0] += 1
+        return inner(sys, q)
+
+    monkeypatch.setattr(riccati, "_mare_solve", counted)
+    return count
+
+
+class TestMareMemo:
+    def test_returned_solution_is_shared_and_read_only(self, example1, solve_count):
+        sol = mare_solve(example1, 0.2)
+        assert mare_solve(example1, 0.2) is sol
+        assert solve_count[0] == 1
+        with pytest.raises(ValueError):
+            sol.P[0, 0] = 0.0
+
+    def test_in_place_change_of_plant_solves_again(self, solve_count):
+        sys = SystemSpec(A=1.5, B=1.0, Q=1.0, R=1.0)
+        before = mare_solve(sys, 0.2).P[0, 0]
+        sys.A[0, 0] = 1.2
+        after = mare_solve(sys, 0.2)
+        assert solve_count[0] == 2
+        np.testing.assert_array_equal(after.P, mare_solve(SystemSpec(A=1.2, B=1.0, Q=1.0, R=1.0), 0.2).P)
+        assert after.P[0, 0] == pytest.approx(scalar_mare_root(0.2, a=1.2), rel=1e-10)
+        assert after.P[0, 0] != before
+
+    def test_oldest_problem_is_evicted(self, example2, solve_count):
+        rates = [0.05 * i for i in range(riccati._MEMO_SIZE + 1)]
+        first = [mare_solve(example2, q) for q in rates]
+        assert solve_count[0] == riccati._MEMO_SIZE + 1
+        assert mare_solve(example2, rates[-1]) is first[-1]
+        assert solve_count[0] == riccati._MEMO_SIZE + 1
+        again = mare_solve(example2, rates[0])
+        assert solve_count[0] == riccati._MEMO_SIZE + 2
+        assert again is not first[0]
+        np.testing.assert_array_equal(again.P, first[0].P)
+
+    def test_failure_is_solved_on_every_call(self, example1, solve_count):
+        for calls in (1, 2, 3):
+            with pytest.raises(NoSolutionError):
+                mare_solve(example1, 0.5)
+            assert solve_count[0] == calls
+
+    def test_rate_type_is_part_of_the_problem(self, example1, solve_count):
+        assert type(mare_solve(example1, 0).q_used) is int
+        assert type(mare_solve(example1, 0.0).q_used) is float
+        assert solve_count[0] == 2
+
+    def test_concurrent_callers_share_the_memo(self, example1, solve_count):
+        rates = [0.02 * i for i in range(2 * riccati._MEMO_SIZE)]
+        expected = {q: riccati._mare_solve(example1, q).P.tobytes() for q in rates}
+        errors = []
+
+        def caller(offset):
+            try:
+                for i in range(60):
+                    q = rates[(i * 3 + offset) % len(rates)]
+                    if mare_solve(example1, q).P.tobytes() != expected[q]:
+                        errors.append(f"wrong solution at q={q}")
+            except Exception as exc:  # collected and reported by the main thread
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(riccati._memo) <= riccati._MEMO_SIZE
+
+    def test_design_loop_solves_each_rate_once(self, example2, solve_count, monkeypatch):
+        X0 = np.eye(2)
+        for q, q_hat, N in ((0.1, 0.12, 300), (0.2, 0.1633, 1000), (0.3, 0.28, 3000)):
+            monkeypatch.setattr(riccati, "_memo", {})
+            solve_count[0] = 0
+            gain, _ = ce_gain(example2, q_hat)
+            certify_ce_controller(example2, q_hat, N, 0.05)
+            assert exact_ms_stable(example2, gain, q).stable
+            gap(example2, q, q_hat, X0)
+            min_samples(example2, q, 0.05, "general")
+            assert solve_count[0] == 3
+
+
+class TestHewerCertificate:
+    """Later Hewer steps are certified by their own Lyapunov solve."""
+
+    @staticmethod
+    def scalar_case(rho: float, P: float | None = None) -> bool:
+        # 1x1 map L^T = rho with cost = Q = 1, solved exactly by P = 1 / (1 - rho).
+        P = 1.0 / (1.0 - rho) if P is None else P
+        return riccati._solve_certifies(np.array([[rho]]), np.array([[P]]), np.array([[1.0]]), 1.0)
+
+    def test_stable_map_is_certified(self):
+        assert self.scalar_case(0.5)
+
+    def test_radius_inside_margin_is_not_certified(self):
+        assert not self.scalar_case(1.0 - 1e-10)
+
+    def test_negative_solution_is_not_certified(self):
+        # rho = 1.5 gives P = -2 with zero residual; only P > 0 rules it out.
+        assert not self.scalar_case(1.5)
+
+    def test_large_residual_is_not_certified(self):
+        # P = 5 instead of 2: E = 5 - 2.5 - 1 = 1.5 exceeds lambda_min(Q) = 1.
+        assert not self.scalar_case(0.5, P=5.0)
+
+    @pytest.mark.parametrize(
+        "Q, certified",
+        [(np.eye(2), True), (np.diag([1.0, 1e-12]), False)],
+        ids=["bound_passes", "bound_fails"],
+    )
+    def test_dense_route_gives_the_same_solution(self, monkeypatch, Q, certified):
+        sys = SystemSpec(A=[[1.5, 0.1], [0.0, 1.0]], B=np.eye(2), Q=Q, R=np.eye(2))
+        outcomes = []
+        bound = riccati._solve_certifies
+
+        def recorded(*args):
+            outcomes.append(bound(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(riccati, "_solve_certifies", recorded)
+        solutions = [riccati._mare_solve(sys, q) for q in (0.1, 0.3, 0.44)]
+        assert outcomes and set(outcomes) == {certified}
+        monkeypatch.setattr(riccati, "_solve_certifies", lambda *args: False)
+        for q, sol in zip((0.1, 0.3, 0.44), solutions):
+            dense = riccati._mare_solve(sys, q)
+            np.testing.assert_array_equal(sol.P, dense.P)
+            assert (sol.iterations, sol.residual) == (dense.iterations, dense.residual)
+
+    @pytest.mark.parametrize(
+        "q, P, iterations, residual",
+        [
+            (0.40, 22.93599589252026, 7, 1.4842556352170354e-16),
+            (0.44, 225.44356998076535, 13, 0.0),
+            (0.444, 2250.444356687519, 21, 0.0),
+        ],
+    )
+    def test_pinned_near_critical(self, example1, q, P, iterations, residual):
+        sol = riccati._mare_solve(example1, q)
+        assert (sol.P[0, 0], sol.iterations, sol.residual) == (P, iterations, residual)

@@ -3,6 +3,7 @@ import pytest
 
 from lossylqr import (
     DimensionError,
+    InvalidInputError,
     NoSolutionError,
     SystemSpec,
     ce_gain,
@@ -481,3 +482,17 @@ class TestRegionMapMargin:
         assert rm.q_hat_grid[0] == 0.0
         assert not rm.exact_stable[i, 0]
         assert rm.cells[i, 0] == CELL_RED
+
+
+class TestRateValidationOrder:
+    """An invalid true rate is refused before the design rate is solved."""
+
+    @pytest.mark.parametrize("test", [lyapunov_sufficient_stable, scalar_iff_stable])
+    def test_invalid_rate_beats_infeasible_design(self, example1, test):
+        # q_hat = 0.9 is above q_c = 4/9, so solving it first would raise NoSolutionError.
+        with pytest.raises(InvalidInputError, match="true loss rate"):
+            test(example1, 1.5, 0.9)
+
+    def test_condition_matrix_checks_rate_first(self, example1):
+        with pytest.raises(InvalidInputError, match="true loss rate"):
+            condition_matrix(example1, -0.1, 0.9)
