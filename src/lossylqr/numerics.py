@@ -89,7 +89,8 @@ class StallDetector:
     Reaching a tolerance of about 1e-12 within 10^5 steps needs the per-step
     change to shrink by >= 13% per 500-step window, so two consecutive
     windows without 10% improvement (after the first 2000 steps) prove the
-    cap would be hit anyway.  Used by the Riccati fixed-point iteration.
+    cap would be hit anyway.  Used by the Riccati fixed-point iteration; one
+    detector can follow several runs in lock-step, given one change per run.
     """
 
     WINDOW = 500
@@ -98,18 +99,17 @@ class StallDetector:
     def __init__(self):
         self.best_prev, self.best_cur, self.stalls = np.inf, np.inf, 0
 
-    def stalled(self, it: int, delta: float) -> bool:
-        """Record the change of step `it`; True once the run has stalled."""
-        self.best_cur = min(self.best_cur, delta)
-        if it % self.WINDOW == 0:
-            if it >= self.START and self.best_cur > 0.9 * self.best_prev:
-                self.stalls += 1
-                if self.stalls >= 2:
-                    return True
-            else:
-                self.stalls = 0
-            self.best_prev, self.best_cur = self.best_cur, np.inf
-        return False
+    def stalled(self, it: int, delta):
+        """Record the change of step `it`; True once the run has stalled.  An
+        array of changes, one per run, gives an array of verdicts at the end
+        of each window."""
+        self.best_cur = np.minimum(self.best_cur, delta) if isinstance(delta, np.ndarray) else min(self.best_cur, delta)
+        if it % self.WINDOW:
+            return False
+        worse = (it >= self.START) & (self.best_cur > 0.9 * self.best_prev)
+        self.stalls = np.where(worse, self.stalls + 1, 0)
+        self.best_prev, self.best_cur = self.best_cur, np.inf
+        return self.stalls >= 2
 
 
 def _lyapunov_pd(M: np.ndarray, s: float, n: int) -> bool:

@@ -27,6 +27,22 @@ Repeated calls with the same plant and rate return the same read-only
 solution from a four-entry memo, so the estimate, the true rate and q = 0 of
 one design are each solved once however many functions ask for them.
 
+Two loops run this iteration, chosen by what the caller holds.  One rate
+(`mare_solve`, hence every design) runs the per-rate loop `_mare_solve`.  A
+list of rates runs `_mare_solve_rates`, which steps all of them in lock-step
+on one (k, n, n) stack: each step costs one set of numpy calls for the whole
+stack instead of one per rate, and a rate leaves the stack where its own
+loop would stop.  Each rate gets exactly the bits of `_mare_solve` (P,
+iteration count, residual, or the error and its reason); the step formulas
+(`_mare_step`, `_gain_weight`, `_feedback_gain`, `_lifted_at`,
+`_solve_certifies`) are shared and take one matrix or a stack.  For a single
+rate the per-rate loop is the faster one.  The grid of `region_map` and the
+probes of `zero_sample_safe_q` are solved in lock-step.  `gap_curve`
+(whose per-point `mare_solve` calls the CLI tests count), `_threshold_curve`
+(lazy, it stops at the first rate without a solution) and
+`critical_probability` (its bisection is to be replaced, ROADMAP item 1)
+solve one rate at a time.
+
 The lifted map (`_lifted_pairs`, `_lifted_at`), its verdict (`_ms_stable`)
 and the scalar iff value are kept here once; the solver, the exact oracle in
 `stability`, `performance` and every grid sweep evaluate these kernels.
@@ -63,6 +79,10 @@ UNSTABLE_MODULUS = 1.0 + 1e-9
 RANK_RTOL = 1e-10
 # Absolute tolerance of the critical-probability bisection.
 QC_BISECT_TOL = 1e-6
+
+# Lifted-map entries per lock-step stack of `_mare_solve_rates` (2 MB of
+# float64 per stacked array of lifted maps): 3236 rates at n = 3, 26 at n = 10.
+LOCKSTEP_ENTRIES = 1 << 18
 
 # `mare_solve` keeps the _MEMO_SIZE solutions it returned last, evicting the
 # least recently returned: one design solves at its estimate, the true rate and 0.
@@ -181,32 +201,48 @@ class CriticalProbability:
     unstable_moduli: tuple[float, ...] = field(default=())
 
 
+# The step formulas below take one matrix or a (k, n, n) stack, with one rate
+# per member as a (k, 1, 1) array.  Stacked matmul, solve, eigvals and
+# cholesky round each member exactly as the 2-d call does.
+
+
 def _gain_weight(sys: SystemSpec, X: np.ndarray) -> np.ndarray:
     """A^T X B (R + B^T X B)^{-1} B^T X A, unsymmetrized."""
     XB = X @ sys.B
     AtXB = sys.A.T @ XB
-    return AtXB @ np.linalg.solve(sys.R + sys.B.T @ XB, AtXB.T)
+    return AtXB @ np.linalg.solve(sys.R + sys.B.T @ XB, AtXB.mT)
 
 
-def _mare_step(X: np.ndarray, sys: SystemSpec, one_minus_q: float) -> np.ndarray:
+def _mare_step(X: np.ndarray, sys: SystemSpec, one_minus_q) -> np.ndarray:
     step = sys.Q + sys.A.T @ X @ sys.A - one_minus_q * _gain_weight(sys, X)
-    return 0.5 * (step + step.T)
+    return 0.5 * (step + step.mT)
 
 
 def _feedback_gain(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
     """K = -(R + B^T P B)^{-1} B^T P A, the optimal gain for cost-to-go P."""
     PB = P @ sys.B
-    return -np.linalg.solve(sys.R + sys.B.T @ PB, PB.T @ sys.A)
+    return -np.linalg.solve(sys.R + sys.B.T @ PB, PB.mT @ sys.A)
 
 
 def _kron_self(X: np.ndarray) -> np.ndarray:
     """np.kron(X, X): entry (i n + k, j n + l) is X[i, j] X[k, l]."""
-    n = X.shape[0]
-    return (X[:, None, :, None] * X[None, :, None, :]).reshape(n * n, n * n)
+    n = X.shape[-1]
+    return (X[..., :, None, :, None] * X[..., None, :, None, :]).reshape(X.shape[:-2] + (n * n, n * n))
+
+
+def _fro(X: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix of a (k, r, c) stack.  The
+    stack's norms are row-times-column products of the flattened matrices:
+    the same BLAS dot as np.linalg.norm, so the same bits."""
+    if X.ndim == 2:
+        return np.linalg.norm(X)
+    v = X.reshape(len(X), 1, -1)
+    return np.sqrt(v @ v.mT)[:, 0, 0]
 
 
 def _lifted_pairs(sys: SystemSpec, gains):
-    """Yield (M(x)M, A(x)A) with M = A + BK for each gain K, building A(x)A once."""
+    """Yield (M(x)M, A(x)A) with M = A + BK for each gain K (or stack of gains),
+    building A(x)A once."""
     kron_A = _kron_self(sys.A)
     for K in gains:
         yield _kron_self(sys.A + sys.B @ K), kron_A
@@ -214,7 +250,8 @@ def _lifted_pairs(sys: SystemSpec, gains):
 
 def _lifted_at(pair: tuple[np.ndarray, np.ndarray], q) -> np.ndarray:
     """Lifted second-moment map (1-q) M(x)M + q A(x)A of a pair at loss rate q;
-    a q of shape (k, 1, 1) gives the stack of the k maps."""
+    a q of shape (k, 1, 1) gives the stack of the k maps, one per rate (and per
+    gain, when the pair holds a stack of k gains)."""
     kron_M, kron_A = pair
     return (1.0 - q) * kron_M + q * kron_A
 
@@ -238,7 +275,7 @@ def _policy_due(it: int) -> bool:
     return it % POLICY_CHECK_EVERY == 0
 
 
-def _solve_certifies(L: np.ndarray, P: np.ndarray, cost: np.ndarray, q_floor: float) -> bool:
+def _solve_certifies(L: np.ndarray, P: np.ndarray, cost: np.ndarray, q_floor: float):
     """Whether the symmetric solution P of the lifted Lyapunov equation
     (I - L^T) vec P = vec cost, cost >= Q, proves rho(L) < 1 - RHO_MARGIN.
 
@@ -246,17 +283,43 @@ def _solve_certifies(L: np.ndarray, P: np.ndarray, cost: np.ndarray, q_floor: fl
     q_floor = lambda_min(Q): L^T(P) <= P - c I <= (1 - c / lambda_max(P)) P
     once P > 0 (Cholesky), and L^T preserves the PSD cone, so rho(L) <=
     1 - c / lambda_max(P).  ||P||_F * RHO_MARGIN < c then gives the dense
-    test's inequality.  False means not proven, not unstable.
+    test's inequality.  False means not proven, not unstable.  Stacks of maps,
+    solutions and costs give one verdict per member.
     """
-    n = P.shape[0]
-    E = P - (L.T @ P.reshape(-1)).reshape(n, n) - cost
-    if not np.linalg.norm(P) * RHO_MARGIN < q_floor - np.linalg.norm(E):
-        return False
+    n = P.shape[-1]
+    E = P - (L.mT @ P.reshape(P.shape[:-2] + (n * n, 1))).reshape(P.shape) - cost
+    certified = _fro(P) * RHO_MARGIN < q_floor - _fro(E)
+    if P.ndim == 2:
+        return bool(certified) and _has_cholesky(P)
+    if certified.any():
+        certified[certified] = _has_cholesky(P[certified])
+    return certified
+
+
+def _has_cholesky(P: np.ndarray):
+    """Whether P, or each matrix of a (k, n, n) stack, is positive definite.
+    numpy fails a whole stacked call for one member, so a failed stack is
+    tested again member by member."""
     try:
         np.linalg.cholesky(P)
+        return True if P.ndim == 2 else np.ones(len(P), dtype=bool)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return False if P.ndim == 2 else np.array([_has_cholesky(M) for M in P])
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over (k, d, d) and (k, d, 1) stacks; a singular member
+    gets NaN instead of failing the whole stack."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for i in range(len(a)):
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return x
 
 
 def _policy_iteration(
@@ -303,9 +366,37 @@ def _policy_iteration(
     return (P if residual <= RESIDUAL_TOL else None), steps, residual
 
 
-def _mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
+def _diverged(q) -> NoSolutionError:
+    return NoSolutionError(
+        f"Riccati iterate diverged at q={q:.6g}; no positive definite solution "
+        "(loss rate at or above critical, or (A, B) not stabilizable)",
+        reason="diverged",
+    )
+
+
+def _stalled(it: int, q) -> NoSolutionError:
+    return NoSolutionError(
+        f"Riccati iteration stalled at step {it} at q={q:.6g}, short of tolerance "
+        "(loss rate at or above critical, or (A, B) not stabilizable)",
+        reason="stalled",
+    )
+
+
+def _capped(q) -> NoSolutionError:
+    return NoSolutionError(
+        f"Riccati iteration cannot reach tolerance within {MAX_ITERATIONS} steps at q={q:.6g} "
+        "(loss rate at or above critical, or (A, B) not stabilizable)",
+        reason="cap",
+    )
+
+
+def _check_rate(q) -> None:
     if not 0.0 <= q < 1.0:
         raise InvalidInputError(f"loss rate must lie in [0, 1), got {q}")
+
+
+def _mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
+    _check_rate(q)
     one_minus_q = 1.0 - q
     q_floor = np.linalg.eigvalsh(0.5 * (sys.Q + sys.Q.T))[0]
     X = sys.Q.copy()
@@ -315,11 +406,7 @@ def _mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
         Xn = _mare_step(X, sys, one_minus_q)
         norm = np.linalg.norm(Xn)
         if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
-            raise NoSolutionError(
-                f"Riccati iterate diverged at q={q:.6g}; no positive definite solution "
-                "(loss rate at or above critical, or (A, B) not stabilizable)",
-                reason="diverged",
-            )
+            raise _diverged(q)
         rel_change = np.linalg.norm(Xn - X) / (1.0 + norm)
         X = Xn
         if rel_change <= STEP_TOL:
@@ -332,16 +419,151 @@ def _mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
             if P is not None:
                 return RiccatiSolution(P=P, q_used=q, iterations=it + policy_steps, residual=residual)
         if stall.stalled(it, rel_change):
-            raise NoSolutionError(
-                f"Riccati iteration stalled at step {it} at q={q:.6g}, short of tolerance "
-                "(loss rate at or above critical, or (A, B) not stabilizable)",
-                reason="stalled",
-            )
-    raise NoSolutionError(
-        f"Riccati iteration cannot reach tolerance within {MAX_ITERATIONS} steps at q={q:.6g} "
-        "(loss rate at or above critical, or (A, B) not stabilizable)",
-        reason="cap",
-    )
+            raise _stalled(it, q)
+    raise _capped(q)
+
+
+def _policy_iteration_rates(
+    sys: SystemSpec, q: np.ndarray, one_minus_q: np.ndarray, X: np.ndarray, q_floor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_policy_iteration` in lock-step from a (p, n, n) stack X of value
+    iterates at rates q, given with 1 - q as (p, 1, 1) arrays.  A member
+    leaves the stack where `_policy_iteration` would return.  Returns (P,
+    steps, residual, solved) with one entry per member; P[j] is the solution
+    where solved[j] holds (where `_policy_iteration` gives a P)."""
+    p, n = X.shape[:2]
+    eye = np.eye(n * n)
+    out = np.empty_like(X)
+    steps = np.zeros(p, dtype=int)
+    residual = np.full(p, np.inf)
+    solved = np.zeros(p, dtype=bool)
+    live = np.arange(p)  # member index of each row of P, K and L
+    P = X.copy()
+    K = _feedback_gain(sys, X)
+    first = True
+    while len(live):
+        L = _lifted_at(next(_lifted_pairs(sys, [K])), q[live])
+        if first:
+            keep = _ms_stable(_dense_spectral_radius(L))
+            live, P, K, L = live[keep], P[keep], K[keep], L[keep]
+            if not len(live):
+                break
+        cost = sys.Q + one_minus_q[live] * (K.mT @ sys.R @ K)
+        Pn = _solve_each(eye - L.mT, cost.reshape(len(live), n * n, 1)).reshape(len(live), n, n)
+        Pn = 0.5 * (Pn + Pn.mT)
+        if not first:
+            keep = _solve_certifies(L, Pn, cost, q_floor)
+            if not keep.all():
+                keep[~keep] = _ms_stable(_dense_spectral_radius(L[~keep]))
+                live, P, Pn = live[keep], P[keep], Pn[keep]
+                if not len(live):
+                    break
+        first = False
+        steps[live] += 1
+        norm = _fro(Pn)
+        new_residual = _fro(_mare_step(Pn, sys, one_minus_q[live]) - Pn) / (1.0 + norm)
+        better = new_residual < residual[live]
+        stop = ~better
+        if better.any():
+            change = _fro(Pn[better] - P[better]) / (1.0 + norm[better])
+            P[better] = Pn[better]
+            residual[live[better]] = new_residual[better]
+            stop[better] = change <= STEP_TOL
+        if stop.any():
+            done = live[stop]
+            out[done] = P[stop]
+            solved[done] = residual[done] <= RESIDUAL_TOL
+            live, P = live[~stop], P[~stop]
+            if not len(live):
+                break
+        K = _feedback_gain(sys, P)
+    return out, steps, residual, solved
+
+
+def _mare_solve_rates(sys: SystemSpec, qs) -> list:
+    """`_mare_solve` at every rate of qs: one entry per rate, the
+    RiccatiSolution or the NoSolutionError that `_mare_solve` gives it, with
+    the same bits (P, iterations, residual, error reason and message).
+
+    The rates run in lock-step on one (k, n, n) stack, in stacks of at most
+    LOCKSTEP_ENTRIES lifted-map entries: value iteration, the policy-test
+    schedule, Hewer's policy iteration with its certificates, the residual
+    floor, the stall detector and the step cap, with the step formulas shared
+    with `_mare_solve`.  Each rate keeps its own stop decisions and leaves the
+    stack when `_mare_solve` would return or raise, so one call pays numpy's
+    per-call overhead once per step for all rates instead of once per rate.
+    """
+    qs = list(qs)
+    for q in qs:
+        _check_rate(q)
+    size = max(1, LOCKSTEP_ENTRIES // sys.n**4)
+    return [r for i in range(0, len(qs), size) for r in _lockstep(sys, qs[i : i + size])]
+
+
+def _lockstep(sys: SystemSpec, qs: list) -> list:
+    """`_mare_solve_rates` on one stack of valid rates."""
+    results = [None] * len(qs)
+    live = np.arange(len(qs))  # rate index of each row of the stack
+    q = np.array(qs, dtype=float).reshape(-1, 1, 1)
+    one_minus_q = 1.0 - q
+    q_floor = np.linalg.eigvalsh(0.5 * (sys.Q + sys.Q.T))[0]
+    X = np.repeat(sys.Q[None], len(qs), axis=0)
+    stall = StallDetector()
+    changes = np.full(len(qs), np.inf)  # by rate index; finished rates' entries are ignored
+    policy_steps = np.zeros(len(qs), dtype=int)
+
+    def finish(j, outcome):
+        """Give the rate of stack row j its result; the row leaves at the end of this step."""
+        results[live[j]] = outcome
+        done[j] = True
+
+    def solution(j, P, residual):
+        """The solution of stack row j, found at step `it`."""
+        i = live[j]
+        return RiccatiSolution(P=P.copy(), q_used=qs[i], iterations=it + int(policy_steps[i]), residual=float(residual))
+
+    for it in range(1, MAX_ITERATIONS + 1):
+        if not len(live):
+            return results
+        Xn = _mare_step(X, sys, one_minus_q)
+        norm = _fro(Xn)
+        done = ~(norm <= DIVERGENCE_NORM)  # NaN and inf included
+        if done.any():
+            for j in np.flatnonzero(done):
+                results[live[j]] = _diverged(qs[live[j]])
+            keep = ~done
+            live, q, one_minus_q, X, Xn, norm = live[keep], q[keep], one_minus_q[keep], X[keep], Xn[keep], norm[keep]
+            done = done[keep]
+            if not len(live):
+                return results
+        rel_change = _fro(Xn - X) / (1.0 + norm)
+        X = Xn
+        small = rel_change <= STEP_TOL
+        if small.any():
+            small = np.flatnonzero(small)
+            Xs = X[small]
+            residual = _fro(_mare_step(Xs, sys, one_minus_q[small]) - Xs) / (1.0 + norm[small])
+            for j, r in zip(small, residual):
+                if r <= RESIDUAL_TOL:
+                    finish(j, solution(j, X[j], r))
+        if _policy_due(it):
+            todo = np.flatnonzero(~done)
+            if len(todo):
+                P, steps, residual, solved = _policy_iteration_rates(sys, q[todo], one_minus_q[todo], X[todo], q_floor)
+                policy_steps[live[todo]] += steps
+                for j, Pj, r in zip(todo[solved], P[solved], residual[solved]):
+                    finish(j, solution(j, Pj, r))
+        changes[live] = rel_change
+        stalled = stall.stalled(it, changes)
+        if stalled is not False:  # a window ended: one verdict per rate
+            for j in np.flatnonzero(stalled[live] & ~done):
+                finish(j, _stalled(it, qs[live[j]]))
+        if done.any():
+            keep = ~done
+            live, q, one_minus_q, X = live[keep], q[keep], one_minus_q[keep], X[keep]
+    for i in live:
+        results[i] = _capped(qs[i])
+    return results
 
 
 def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:

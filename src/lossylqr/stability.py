@@ -34,6 +34,7 @@ from .riccati import (
     _lifted_at,
     _lifted_pairs,
     _ms_stable,
+    _mare_solve_rates,
     _scalar_iff_value,
     ce_gain,
     critical_probability,
@@ -48,8 +49,10 @@ THRESHOLD_VARIANTS = (VARIANT_GENERAL, VARIANT_SCALAR, VARIANT_INVERTIBLE_B)
 
 # Strict matrix inequalities "M > 0" are decided as lambda_min > this margin.
 STRICT_MARGIN = 1e-9
-# Absolute tolerance of the zero-sample safe-rate bisection.
+# Absolute tolerance of the zero-sample safe-rate bisection, and the number
+# of its steps whose possible midpoints are solved in one lock-step call.
 SAFE_Q_BISECT_TOL = 1e-6
+SAFE_Q_LOOKAHEAD = 4
 # Matrix entries per batched eigenvalue call of `region_map`'s oracle (2 MB
 # of float64): a whole column for small n, about 26 rows of 100 x 100 maps.
 ORACLE_CHUNK_ENTRIES = 1 << 18
@@ -338,6 +341,13 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
     for q < q* the certainty-equivalence controller is stabilizing for any
     q_hat in [0, q_c), i.e. even with zero channel samples.  Returns 0 (with a
     warning) when the threshold bound sits below q already at q = 0.
+
+    The Riccati solutions at the 2^SAFE_Q_LOOKAHEAD - 1 midpoints that the
+    next SAFE_Q_LOOKAHEAD bisection steps can probe are found in one
+    lock-step call (`riccati._mare_solve_rates`, equal bit for bit to one
+    `mare_solve` per rate), and the bound is evaluated only at the midpoints
+    the bisection takes, so the result is the plain bisection's to the last
+    bit.  The standard solution is one per-rate `dare_solve`.
     """
     _check_threshold_variant(sys, variant)
     qc = _qc_clamp(critical_probability(sys, refine=False))
@@ -353,21 +363,33 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
         )
         return 0.0
 
-    def excess(q: float) -> float:
-        try:
-            P = mare_solve(sys, q).P
-        except NoSolutionError:
+    def excess(q: float, sol) -> float:
+        if isinstance(sol, NoSolutionError):
             return -np.inf
-        return _threshold_bound(sys, q, variant, P, P0, qc).bound - q
+        return _threshold_bound(sys, q, variant, sol.P, P0, qc).bound - q
 
     lo, hi = 0.0, qc
     while hi - lo > SAFE_Q_BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        probes = _bisection_midpoints(lo, hi, SAFE_Q_LOOKAHEAD)
+        solutions = dict(zip(probes, _mare_solve_rates(sys, probes)))
+        for _ in range(SAFE_Q_LOOKAHEAD):
+            if not hi - lo > SAFE_Q_BISECT_TOL:
+                break
+            mid = 0.5 * (lo + hi)
+            if excess(mid, solutions[mid]) > 0.0:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
+
+
+def _bisection_midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """Every midpoint that the next `levels` steps of the safe-rate bisection
+    on [lo, hi] can probe, computed as the bisection computes it."""
+    if levels == 0 or not hi - lo > SAFE_Q_BISECT_TOL:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_bisection_midpoints(lo, mid, levels - 1), *_bisection_midpoints(mid, hi, levels - 1)]
 
 
 def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = VARIANT_GENERAL) -> RegionMap:
@@ -382,7 +404,9 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
     oracle reports instability and gray otherwise.  The oracle verdict per
     cell is the dense spectral radius of its lifted map, from batched
     eigenvalue calls over each column's stack of maps; each column is
-    classified with array operations.
+    classified with array operations.  The Riccati solutions of all grid
+    values come from one lock-step call (`riccati._mare_solve_rates`), which
+    gives each the bits of its own `mare_solve`.
     """
     if not 0.0 < step <= 0.01:
         raise InvalidInputError(f"step must lie in (0, 0.01], got {step}")
@@ -401,12 +425,8 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
     # One Riccati solve per grid value serves both its column (design data)
     # and its row (threshold bound); grid values whose solve fails are
     # excluded as columns and get a zero bound as rows.
-    solutions = {}
-    for i, q in enumerate(grid):
-        try:
-            solutions[i] = mare_solve(sys, float(q)).P
-        except NoSolutionError:
-            pass
+    solved = _mare_solve_rates(sys, grid.tolist())
+    solutions = {i: sol.P for i, sol in enumerate(solved) if not isinstance(sol, NoSolutionError)}
     kept = list(solutions)
     gains = [_feedback_gain(sys, solutions[i]) for i in kept]
     q_hat_grid = grid[kept]

@@ -18,6 +18,8 @@ from lossylqr import (
     mare_solve,
     min_samples,
     optimal_cost,
+    region_map,
+    zero_sample_safe_q,
 )
 from lossylqr import riccati
 from conftest import feasible_rate_ceiling, random_stabilizable_system, scalar_mare_root
@@ -409,3 +411,120 @@ class TestHewerCertificate:
     def test_pinned_near_critical(self, example1, q, P, iterations, residual):
         sol = riccati._mare_solve(example1, q)
         assert (sol.P[0, 0], sol.iterations, sol.residual) == (P, iterations, residual)
+
+
+def solve_outcome(result) -> tuple:
+    """Everything a solve reports: the bytes of P, the step count, the residual
+    and the rate's repr, or the error's type, reason and message."""
+    if isinstance(result, Exception):
+        return type(result).__name__, result.reason, str(result)
+    return result.P.tobytes(), result.iterations, result.residual, repr(result.q_used)
+
+
+def solve_each_rate(sys, qs) -> list:
+    """Reference for `_mare_solve_rates`: one `_mare_solve` per rate."""
+    outcomes = []
+    for q in qs:
+        try:
+            outcomes.append(riccati._mare_solve(sys, q))
+        except NoSolutionError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def lockstep_test_rates(sys) -> list[float]:
+    """0 up to 0.9995 of the feasible ceiling, and two rates above the upper end
+    of the q_c bracket when it lies below 1."""
+    ceiling = feasible_rate_ceiling(sys)
+    rates = [f * ceiling for f in (0.0, 0.2, 0.5, 0.8, 0.95, 0.99, 0.999, 0.9995)]
+    upper = critical_probability(sys, refine=False).upper
+    return rates + [upper + f * (1.0 - upper) for f in (1e-3, 0.3) if upper < 1.0]
+
+
+class TestLockstepSolve:
+    """`_mare_solve_rates` gives every rate the bits of its own `_mare_solve`."""
+
+    def assert_same_as_each_rate(self, sys, qs):
+        solved = riccati._mare_solve_rates(sys, qs)
+        assert len(solved) == len(qs)
+        for q, expected, got in zip(qs, solve_each_rate(sys, qs), solved):
+            assert solve_outcome(got) == solve_outcome(expected), q
+        return solved
+
+    def test_paper_plants_and_random_plants(self, example1, example2, plant3):
+        rng = np.random.default_rng(11)
+        plants = [example1, example2, plant3] + [random_stabilizable_system(rng, 5) for _ in range(40)]
+        reasons = set()
+        for sys in plants:
+            solved = self.assert_same_as_each_rate(sys, lockstep_test_rates(sys))
+            reasons.update(r.reason for r in solved if isinstance(r, NoSolutionError))
+        assert {"diverged", "stalled"} <= reasons
+
+    def test_grid_of_a_fine_region_map(self, example1):
+        self.assert_same_as_each_rate(example1, np.arange(0.0, 4.0 / 9.0, 0.001).tolist())
+
+    def test_one_rate_and_no_rate(self, example2):
+        self.assert_same_as_each_rate(example2, [0.3])
+        self.assert_same_as_each_rate(example2, [0])
+        assert riccati._mare_solve_rates(example2, []) == []
+
+    def test_step_cap(self, example1, monkeypatch):
+        monkeypatch.setattr(riccati, "MAX_ITERATIONS", 5)
+        solved = self.assert_same_as_each_rate(example1, [0.1, 0.45, 0.2, 0.5])
+        assert [getattr(r, "reason", None) for r in solved] == [None, "cap", None, "cap"]
+
+    def test_several_stacks(self, example2, monkeypatch):
+        # Two rates per stack at n = 2.
+        monkeypatch.setattr(riccati, "LOCKSTEP_ENTRIES", 2 * 2**4)
+        self.assert_same_as_each_rate(example2, [0.05 * i for i in range(9)] + [0.7])
+
+    def test_rates_are_validated(self, example1):
+        with pytest.raises(InvalidInputError):
+            riccati._mare_solve_rates(example1, [0.1, 1.0])
+
+
+class TestStackMemberFailure:
+    """numpy fails a whole stacked solve or Cholesky factorization for one
+    failing member; every other member must keep its own result."""
+
+    def test_non_positive_definite_member(self):
+        # 1x1 maps L^T = rho with cost = Q = 1, solved exactly by P = 1 / (1 - rho);
+        # rho = 1.5 gives P = -2 with zero residual, which only Cholesky rejects.
+        rho = np.array([0.5, 1.5, 0.25, 1.0 - 1e-10])
+        P = 1.0 / (1.0 - rho)
+        L, Ps, cost = rho.reshape(-1, 1, 1), P.reshape(-1, 1, 1), np.ones((4, 1, 1))
+        stacked = riccati._solve_certifies(L, Ps, cost, 1.0)
+        alone = [riccati._solve_certifies(L[i], Ps[i], cost[i], 1.0) for i in range(4)]
+        assert stacked.tolist() == alone == [True, False, True, False]
+
+    def test_singular_member(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, 4, 4)) + 4.0 * np.eye(4)
+        a[1, :, 0] = 0.0
+        b = rng.normal(size=(3, 4, 1))
+        x = riccati._solve_each(a, b)
+        assert np.isnan(x[1]).all()
+        for i in (0, 2):
+            assert x[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
+
+
+class TestLockstepCallers:
+    """The grid of `region_map` and the probes of `zero_sample_safe_q` are
+    solved in lock-step; only the standard Riccati solution is solved alone."""
+
+    def test_region_map_solves_no_rate_alone(self, example2, solve_count):
+        rm = region_map(example2, 0.01, "invertible_B")
+        assert len(rm.q_hat_grid) == len(rm.q_grid) > 1
+        assert solve_count[0] == 0
+
+    def test_safe_rate_solves_only_the_dare_alone(self, example2, solve_count, monkeypatch):
+        rates = []
+        counted = riccati._mare_solve
+
+        def recorded(sys, q):
+            rates.append(q)
+            return counted(sys, q)
+
+        monkeypatch.setattr(riccati, "_mare_solve", recorded)
+        assert 0.0 < zero_sample_safe_q(example2, "invertible_B") < 1.0
+        assert rates == [0.0] and solve_count[0] == 1

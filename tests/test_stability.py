@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -496,3 +498,63 @@ class TestRateValidationOrder:
     def test_condition_matrix_checks_rate_first(self, example1):
         with pytest.raises(InvalidInputError, match="true loss rate"):
             condition_matrix(example1, -0.1, 0.9)
+
+
+def plain_safe_rate(sys: SystemSpec, variant: str) -> float:
+    """Reference for `zero_sample_safe_q`: the plain bisection, with one
+    `mare_solve` per probe."""
+    qc = _qc_clamp(critical_probability(sys, refine=False))
+    try:
+        P0 = dare_solve(sys).P
+    except NoSolutionError:
+        return 0.0
+    if _threshold_bound(sys, 0.0, variant, P0, P0, qc).bound <= 0.0:
+        return 0.0
+
+    def excess(q: float) -> float:
+        try:
+            P = mare_solve(sys, q).P
+        except NoSolutionError:
+            return -np.inf
+        return _threshold_bound(sys, q, variant, P, P0, qc).bound - q
+
+    lo, hi = 0.0, qc
+    while hi - lo > stability.SAFE_Q_BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestSafeRateBisection:
+    """`zero_sample_safe_q` solves its probes in lock-step and returns the plain bisection's float."""
+
+    @staticmethod
+    def assert_same_as_plain(sys: SystemSpec, variant: str) -> float:
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            q_star = zero_sample_safe_q(sys, variant)
+        assert float(q_star).hex() == float(plain_safe_rate(sys, variant)).hex()
+        return q_star
+
+    @pytest.mark.parametrize(
+        "plant, variant",
+        [("example1", "general"), ("example1", "scalar"), ("example2", "general"), ("example2", "invertible_B")],
+    )
+    def test_paper_cases(self, request, plant, variant):
+        assert self.assert_same_as_plain(request.getfixturevalue(plant), variant) > 0.0
+
+    def test_random_plants(self):
+        rng = np.random.default_rng(31)
+        safe = []
+        for _ in range(10):
+            sys = random_stabilizable_system(rng, n_max=4)
+            for variant in THRESHOLD_VARIANTS:
+                try:
+                    _check_threshold_variant(sys, variant)
+                except DimensionError:
+                    continue
+                safe.append(self.assert_same_as_plain(sys, variant))
+        assert len(safe) > 10 and any(q > 0.0 for q in safe)
