@@ -456,7 +456,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=float, help="evaluate the bound at this loss rate")
     p.add_argument("--fixed-point", action="store_true", help="zero-sample safe loss rate")
     p.add_argument("--curve", action="store_true", help="emit the bound over a q grid as CSV")
-    p.add_argument("--q-max", type=float, help="curve upper end (default: critical probability)")
+    p.add_argument("--q-max", type=float, help="curve upper end, at most the critical probability (the default)")
     p.add_argument("--step", type=float, default=0.005)
 
     p = add("samples", cmd_samples, "Hoeffding radius / sample-complexity bounds")

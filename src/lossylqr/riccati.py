@@ -27,21 +27,20 @@ Repeated calls with the same plant and rate return the same read-only
 solution from a four-entry memo, so the estimate, the true rate and q = 0 of
 one design are each solved once however many functions ask for them.
 
-Two loops run this iteration, chosen by what the caller holds.  One rate
-(`mare_solve`, hence every design) runs the per-rate loop `_mare_solve`.  A
-list of rates runs `_mare_solve_rates`, which steps all of them in lock-step
-on one (k, n, n) stack: each step costs one set of numpy calls for the whole
-stack instead of one per rate, and a rate leaves the stack where its own
-loop would stop.  Each rate gets exactly the bits of `_mare_solve` (P,
-iteration count, residual, or the error and its reason); the step formulas
-(`_mare_step`, `_gain_weight`, `_feedback_gain`, `_lifted_at`,
+Two loops run this iteration, and one rule picks between them: one rate
+goes to the per-rate loop `_mare_solve` (through `mare_solve`, hence every
+design), a list of rates to `_mare_solve_rates`, which steps all of them in
+lock-step on one (k, n, n) stack: each step costs one set of numpy calls for
+the whole stack instead of one per rate, and a rate leaves the stack where
+its own loop would stop.  Each rate gets exactly the bits of `_mare_solve`
+(P, iteration count, residual, or the error and its reason); the step
+formulas (`_mare_step`, `_gain_weight`, `_feedback_gain`, `_lifted_at`,
 `_solve_certifies`) are shared and take one matrix or a stack.  For a single
-rate the per-rate loop is the faster one.  The grid of `region_map` and the
-probes of `zero_sample_safe_q` are solved in lock-step.  `gap_curve`
-(whose per-point `mare_solve` calls the CLI tests count), `_threshold_curve`
-(lazy, it stops at the first rate without a solution) and
-`critical_probability` (its bisection is to be replaced, ROADMAP item 1)
-solve one rate at a time.
+rate the per-rate loop is the faster one.  The grid of `region_map` and of
+the threshold curve, and the probes of both bisections (`_bisect_rates`:
+the q_c refinement of `critical_probability` and `zero_sample_safe_q`), are
+solved in lock-step.  The one exception is `gap_curve`, whose per-point
+`mare_solve` calls the CLI tests count.
 
 The lifted map (`_lifted_pairs`, `_lifted_at`), its verdict (`_ms_stable`)
 and the scalar iff value are kept here once; the solver, the exact oracle in
@@ -77,8 +76,10 @@ POLICY_CHECK_EVERY = 256
 UNSTABLE_MODULUS = 1.0 + 1e-9
 # Relative singular-value threshold for rank decisions on B.
 RANK_RTOL = 1e-10
-# Absolute tolerance of the critical-probability bisection.
+# Absolute tolerance of the critical-probability bisection, and the number
+# of bisection steps whose possible midpoints are solved in one lock-step call.
 QC_BISECT_TOL = 1e-6
+BISECT_LOOKAHEAD = 4
 
 # Lifted-map entries per lock-step stack of `_mare_solve_rates` (2 MB of
 # float64 per stacked array of lifted maps): 3236 rates at n = 3, 26 at n = 10.
@@ -188,10 +189,11 @@ class CriticalProbability:
     `exact` is set when a closed form applies (invertible or rank-one B) or
     when A is Schur stable (then q_c imposes no constraint and is reported
     as 1 by convention).  Otherwise `lower`/`upper` bracket q_c; `bisection`
-    narrows the bracket to QC_BISECT_TOL using `mare_solve` as the
+    narrows the bracket to QC_BISECT_TOL using the Riccati solver as the
     feasibility test: a rate is feasible when the solver returns, which near
     q_c it does once it has found a mean-square stabilizing gain, and
-    infeasible when it diverges, stalls or hits its cap.
+    infeasible when it diverges, stalls or hits its cap.  One `mare_solve`
+    tests the lower end; `_bisect_rates` solves the probes in lock-step.
     """
 
     lower: float
@@ -606,12 +608,33 @@ def dare_solve(sys: SystemSpec) -> RiccatiSolution:
     return mare_solve(sys, 0.0)
 
 
-def _mare_feasible(sys: SystemSpec, q: float) -> bool:
-    try:
-        mare_solve(sys, q)
-        return True
-    except NoSolutionError:
-        return False
+def _bisect_rates(sys: SystemSpec, lo: float, hi: float, tol: float, keeps_lo) -> tuple[float, float]:
+    """Bisect [lo, hi] to width tol; a midpoint q becomes lo where keeps_lo(q,
+    outcome) holds, outcome being q's RiccatiSolution or NoSolutionError, and
+    hi otherwise.  The outcomes at every midpoint that the next
+    BISECT_LOOKAHEAD steps can probe come from one `_mare_solve_rates` call
+    (the bits of one `mare_solve` per rate) and keeps_lo runs only at the
+    midpoints taken, so (lo, hi) is the plain bisection's to the last bit."""
+    outcomes = {}
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid not in outcomes:
+            probes = _bisection_midpoints(lo, hi, tol, BISECT_LOOKAHEAD)
+            outcomes = dict(zip(probes, _mare_solve_rates(sys, probes)))
+        if keeps_lo(mid, outcomes[mid]):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _bisection_midpoints(lo: float, hi: float, tol: float, levels: int) -> list[float]:
+    """Every midpoint that the next `levels` steps of `_bisect_rates` on
+    [lo, hi] can probe, computed as the bisection computes it."""
+    if levels == 0 or not hi - lo > tol:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_bisection_midpoints(lo, mid, tol, levels - 1), *_bisection_midpoints(mid, hi, tol, levels - 1)]
 
 
 def critical_probability(sys: SystemSpec, refine: bool = True) -> CriticalProbability:
@@ -621,7 +644,8 @@ def critical_probability(sys: SystemSpec, refine: bool = True) -> CriticalProbab
     rank-one B, where lam_u ranges over eigenvalues of A with modulus above 1.
     Otherwise the product/max expressions bracket q_c; with refine=True the
     bracket is narrowed by bisection on solver feasibility (see
-    `CriticalProbability`).
+    `CriticalProbability`), whose probes, a list of rates, are solved in
+    lock-step by `_bisect_rates`; the lower end alone is one `mare_solve`.
     """
     eigs = np.linalg.eigvals(sys.A)
     unstable = np.abs(eigs[np.abs(eigs) > UNSTABLE_MODULUS])
@@ -649,16 +673,12 @@ def critical_probability(sys: SystemSpec, refine: bool = True) -> CriticalProbab
     if not refine or upper - lower <= QC_BISECT_TOL:
         return CriticalProbability(lower, upper, None, "bracket_only", unstable_t)
 
-    lo, hi = lower, upper
-    if not _mare_feasible(sys, lo):
+    try:
+        mare_solve(sys, lower)
+    except NoSolutionError:
         # q_c sits at the bracket's lower end (within solver accuracy).
-        return CriticalProbability(lo, lo, None, "bisection", unstable_t)
-    while hi - lo > QC_BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if _mare_feasible(sys, mid):
-            lo = mid
-        else:
-            hi = mid
+        return CriticalProbability(lower, lower, None, "bisection", unstable_t)
+    lo, hi = _bisect_rates(sys, lower, upper, QC_BISECT_TOL, lambda q, sol: isinstance(sol, RiccatiSolution))
     return CriticalProbability(lo, hi, None, "bisection", unstable_t)
 
 

@@ -29,6 +29,7 @@ from .riccati import (
     CriticalProbability,
     Gain,
     SystemSpec,
+    _bisect_rates,
     _feedback_gain,
     _gain_weight,
     _lifted_at,
@@ -49,10 +50,8 @@ THRESHOLD_VARIANTS = (VARIANT_GENERAL, VARIANT_SCALAR, VARIANT_INVERTIBLE_B)
 
 # Strict matrix inequalities "M > 0" are decided as lambda_min > this margin.
 STRICT_MARGIN = 1e-9
-# Absolute tolerance of the zero-sample safe-rate bisection, and the number
-# of its steps whose possible midpoints are solved in one lock-step call.
+# Absolute tolerance of the zero-sample safe-rate bisection.
 SAFE_Q_BISECT_TOL = 1e-6
-SAFE_Q_LOOKAHEAD = 4
 # Matrix entries per batched eigenvalue call of `region_map`'s oracle (2 MB
 # of float64): a whole column for small n, about 26 rows of 100 x 100 maps.
 ORACLE_CHUNK_ENTRIES = 1 << 18
@@ -318,20 +317,22 @@ def _threshold_bound(
 
 
 def _threshold_curve(sys: SystemSpec, variant: str, q_min: float, q_max: float | None, step: float):
-    """Yield (q, st_lower_bound(sys, q, variant)) on the grid [q_min, q_max or q_c)
-    up to the first rate without a Riccati solution, solving once per row; q_c
-    and the standard solution (the q = 0 row's, if any) are found once."""
+    """Yield (q, st_lower_bound(sys, q, variant)) on the grid [q_min, min(q_max, q_c))
+    up to the first rate without a Riccati solution.  The grid is solved in
+    one lock-step call (`riccati._mare_solve_rates`, equal bit for bit to one
+    `mare_solve` per rate); no rate at or above q_c has a solution, so the
+    clamp drops no row.  q_c and the standard solution (the q = 0 row's, if
+    any) are found once."""
     _check_threshold_variant(sys, variant)
     qc = _qc_clamp(critical_probability(sys, refine=False))
+    grid = np.arange(q_min, qc if q_max is None else min(q_max, qc), step).tolist()
     P0 = None
-    for q in np.arange(q_min, qc if q_max is None else q_max, step).tolist():
-        try:
-            P = mare_solve(sys, q).P
-            if P0 is None:
-                P0 = P if q == 0.0 else dare_solve(sys).P
-        except NoSolutionError:
+    for q, sol in zip(grid, _mare_solve_rates(sys, grid)):
+        if isinstance(sol, NoSolutionError):
             return
-        yield q, _threshold_bound(sys, q, variant, P, P0, qc)
+        if P0 is None:
+            P0 = sol.P if q == 0.0 else dare_solve(sys).P
+        yield q, _threshold_bound(sys, q, variant, sol.P, P0, qc)
 
 
 def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
@@ -342,12 +343,10 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
     q_hat in [0, q_c), i.e. even with zero channel samples.  Returns 0 (with a
     warning) when the threshold bound sits below q already at q = 0.
 
-    The Riccati solutions at the 2^SAFE_Q_LOOKAHEAD - 1 midpoints that the
-    next SAFE_Q_LOOKAHEAD bisection steps can probe are found in one
-    lock-step call (`riccati._mare_solve_rates`, equal bit for bit to one
-    `mare_solve` per rate), and the bound is evaluated only at the midpoints
-    the bisection takes, so the result is the plain bisection's to the last
-    bit.  The standard solution is one per-rate `dare_solve`.
+    The bisection is `riccati._bisect_rates`, which solves the midpoints that
+    its next steps can probe in one lock-step call and evaluates the bound
+    only at the midpoints it takes, so the result is the plain bisection's to
+    the last bit.  The standard solution is one per-rate `dare_solve`.
     """
     _check_threshold_variant(sys, variant)
     qc = _qc_clamp(critical_probability(sys, refine=False))
@@ -363,33 +362,11 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
         )
         return 0.0
 
-    def excess(q: float, sol) -> float:
-        if isinstance(sol, NoSolutionError):
-            return -np.inf
-        return _threshold_bound(sys, q, variant, sol.P, P0, qc).bound - q
+    def keeps_lo(q: float, sol) -> bool:
+        return not isinstance(sol, NoSolutionError) and _threshold_bound(sys, q, variant, sol.P, P0, qc).bound > q
 
-    lo, hi = 0.0, qc
-    while hi - lo > SAFE_Q_BISECT_TOL:
-        probes = _bisection_midpoints(lo, hi, SAFE_Q_LOOKAHEAD)
-        solutions = dict(zip(probes, _mare_solve_rates(sys, probes)))
-        for _ in range(SAFE_Q_LOOKAHEAD):
-            if not hi - lo > SAFE_Q_BISECT_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            if excess(mid, solutions[mid]) > 0.0:
-                lo = mid
-            else:
-                hi = mid
+    lo, hi = _bisect_rates(sys, 0.0, qc, SAFE_Q_BISECT_TOL, keeps_lo)
     return 0.5 * (lo + hi)
-
-
-def _bisection_midpoints(lo: float, hi: float, levels: int) -> list[float]:
-    """Every midpoint that the next `levels` steps of the safe-rate bisection
-    on [lo, hi] can probe, computed as the bisection computes it."""
-    if levels == 0 or not hi - lo > SAFE_Q_BISECT_TOL:
-        return []
-    mid = 0.5 * (lo + hi)
-    return [mid, *_bisection_midpoints(lo, mid, levels - 1), *_bisection_midpoints(mid, hi, levels - 1)]
 
 
 def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = VARIANT_GENERAL) -> RegionMap:

@@ -197,6 +197,26 @@ class TestThresholdCurve:
         for q, bound in captured:
             assert bound == st_lower_bound(sys_spec, q, variant).bound
 
+    def test_upper_end_clamped_at_qc_for_schur_stable_plant(self, capsys, monkeypatch, tmp_path):
+        # q_c = 1: without the clamp the grid would reach the invalid rate 1.
+        spec = tmp_path / "schur.json"
+        spec.write_text(json.dumps({"A": [[0.5]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}))
+        captured = capture_rows(monkeypatch)
+        code, _, err = run(capsys, "threshold", "--spec", str(spec), "--variant", "general", "--curve", "--q-max", "1.5")
+        assert code == 0, err
+        assert len(captured) == 200 and captured[-1][0] == 0.995
+
+    def test_upper_end_above_qc_keeps_rows_below_qc(self, capsys, monkeypatch):
+        captured = capture_rows(monkeypatch)
+        code, _, err = run(capsys, "threshold", "--spec", EX1, "--variant", "general", "--curve", "--q-max", "1.5")
+        assert code == 0, err
+        assert len(captured) == 89
+
+    def test_negative_lower_end_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "complexity-curve", "--spec", EX1, "--variant", "general", "--q-min", "-0.1")
+        assert code == 1
+        assert "got -0.1" in err
+
 
 def capture_rows(monkeypatch) -> list:
     """Collect the rows every CSV emission receives."""

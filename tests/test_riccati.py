@@ -22,6 +22,8 @@ from lossylqr import (
     zero_sample_safe_q,
 )
 from lossylqr import riccati
+from lossylqr.riccati import CriticalProbability
+from lossylqr.stability import _threshold_curve
 from conftest import feasible_rate_ceiling, random_stabilizable_system, scalar_mare_root
 
 
@@ -203,6 +205,60 @@ class TestNearCritical:
                 checked += 1
                 mare_solve(sys, q2)
         assert checked >= 10
+
+
+def plain_critical_probability(sys: SystemSpec) -> CriticalProbability:
+    """Reference for `critical_probability` on a bracketed q_c: the plain
+    bisection, with one `mare_solve` per probe."""
+    bracket = critical_probability(sys, refine=False)
+    assert bracket.method == "bracket_only" and bracket.upper - bracket.lower > riccati.QC_BISECT_TOL
+
+    def feasible(q: float) -> bool:
+        try:
+            mare_solve(sys, q)
+            return True
+        except NoSolutionError:
+            return False
+
+    lo, hi = bracket.lower, bracket.upper
+    if not feasible(lo):
+        return CriticalProbability(lo, lo, None, "bisection", bracket.unstable_moduli)
+    while hi - lo > riccati.QC_BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return CriticalProbability(lo, hi, None, "bisection", bracket.unstable_moduli)
+
+
+def qc_bits(cp: CriticalProbability) -> tuple:
+    return cp.lower.hex(), cp.upper.hex(), cp.exact, cp.method, cp.unstable_moduli
+
+
+class TestCriticalProbabilityBisection:
+    """`critical_probability` solves its probes in lock-step and returns the plain bisection's bracket."""
+
+    def test_plant3(self, plant3):
+        assert qc_bits(critical_probability(plant3)) == qc_bits(plain_critical_probability(plant3))
+
+    def test_infeasible_lower_end(self):
+        # Both unstable modes are driven by the same input, so q_c is the
+        # bracket's lower end, where the solver gives up.
+        sys = SystemSpec(
+            A=np.diag([1.2, 1.1, 0.0]), B=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), Q=np.eye(3), R=np.eye(2)
+        )
+        cp = critical_probability(sys)
+        assert cp.lower == cp.upper == critical_probability(sys, refine=False).lower
+        assert qc_bits(cp) == qc_bits(plain_critical_probability(sys))
+
+    def test_random_plants(self):
+        # The bracketed plants among the first 19 draws (2 has an infeasible
+        # lower end), but for draw 14, whose probes stall for over a second.
+        rng = np.random.default_rng(7)
+        plants = [random_stabilizable_system(rng, 5) for _ in range(19)]
+        for i in (2, 13, 18):
+            assert qc_bits(critical_probability(plants[i])) == qc_bits(plain_critical_probability(plants[i])), i
 
 
 class TestCeGain:
@@ -509,8 +565,9 @@ class TestStackMemberFailure:
 
 
 class TestLockstepCallers:
-    """The grid of `region_map` and the probes of `zero_sample_safe_q` are
-    solved in lock-step; only the standard Riccati solution is solved alone."""
+    """The grids of `region_map` and `_threshold_curve` and the probes of both
+    bisections are solved in lock-step; only the standard Riccati solution
+    and the lower end of the q_c bracket are solved alone."""
 
     def test_region_map_solves_no_rate_alone(self, example2, solve_count):
         rm = region_map(example2, 0.01, "invertible_B")
@@ -528,3 +585,12 @@ class TestLockstepCallers:
         monkeypatch.setattr(riccati, "_mare_solve", recorded)
         assert 0.0 < zero_sample_safe_q(example2, "invertible_B") < 1.0
         assert rates == [0.0] and solve_count[0] == 1
+
+    def test_qc_bisection_solves_only_the_lower_end_alone(self, plant3, solve_count):
+        assert critical_probability(plant3).method == "bisection"
+        assert solve_count[0] == 1
+
+    def test_threshold_curve_from_zero_solves_no_rate_alone(self, example2, solve_count):
+        rows = list(_threshold_curve(example2, "general", 0.0, None, 0.01))
+        assert len(rows) > 10
+        assert solve_count[0] == 0
