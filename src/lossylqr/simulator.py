@@ -10,8 +10,11 @@ states and channel bits.
 
 Philox4x64-10 is a pure function of (counter, key) (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11), so the batched rollout evaluates
-it directly on numpy uint64 arrays, every trajectory's key in lock-step,
-instead of building one Generator per trajectory.  `_stream` stays the
+it directly on numpy uint64 arrays, every trajectory's key in lock-step and
+most rounds in place, instead of building one Generator per trajectory.  A
+channel bit is 1 when `Generator.random()` of its word is at least q; the
+batched draws decide that on the word itself, against the integer threshold
+of `_delivery_threshold`, without forming the float.  `_stream` stays the
 reference those draws are tested against.
 """
 
@@ -42,9 +45,10 @@ _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_PHILOX_M_HALVES = tuple((m & _LOW32, m >> _SHIFT32) for m in _PHILOX_M)
 # Philox blocks (4 words each) evaluated at once by the batched draws; bounds
 # their working memory independently of the trajectory count.
-_CHUNK_BLOCKS = 4096
+_CHUNK_BLOCKS = 6144
 # Seeds the Philox that `_stream` then re-keys.  Philox(key=...) alone would
 # read OS entropy for a SeedSequence it then discards.
 _FIXED_SEED = np.random.SeedSequence(0)
@@ -70,6 +74,12 @@ def _stream_key(seed: int, index: int) -> int:
     return (seed ^ _mix64(index)) & _MASK64
 
 
+def _trajectory_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """`_stream_key(seed, k)` for k in start..stop-1, as uint64."""
+    index = np.arange(start, stop, dtype=np.uint64)
+    return np.uint64(seed & _MASK64) ^ _mix64_array(index)
+
+
 def _keyed_state(key: int, family: int) -> dict:
     """Philox state with the given key, a zero counter and an empty buffer,
     the state Philox(key=[key, family]) starts from."""
@@ -92,43 +102,80 @@ def _stream(seed: int, index: int, family: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, from 32-bit halves."""
-    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    lo_lo = x_lo * m_lo
-    hi_lo = x_hi * m_lo
-    lo_hi = x_lo * m_hi
-    carry = ((lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)) >> _SHIFT32
-    hi = x_hi * m_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + carry
-    return hi, x * m
+def _mulhilo(i: int, x: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """Philox multiply by _PHILOX_M[i], in place: the high words of the 128-bit
+    products go to `hi` and `x` keeps the low words; a, b and c are work
+    buffers of x's shape.  The high word comes from 32-bit halves: with the
+    partial products lo_lo, hi_lo, lo_hi of (x_lo, x_hi) and (m_lo, m_hi),
+    t = hi_lo + (lo_lo >> 32) and u = lo_hi + (t & LOW), it is
+    x_hi * m_hi + (t >> 32) + (u >> 32), and no sum overflows 64 bits."""
+    m_lo, m_hi = _PHILOX_M_HALVES[i]
+    np.bitwise_and(x, _LOW32, out=a)  # x_lo
+    np.right_shift(x, _SHIFT32, out=hi)  # x_hi
+    np.multiply(a, m_lo, out=b)  # lo_lo
+    np.multiply(hi, m_lo, out=c)  # hi_lo
+    a *= m_hi  # lo_hi
+    b >>= _SHIFT32
+    c += b  # t
+    np.bitwise_and(c, _LOW32, out=b)
+    a += b  # u
+    hi *= m_hi
+    c >>= _SHIFT32
+    hi += c
+    a >>= _SHIFT32
+    hi += a
+    x *= _PHILOX_M[i]
 
 
-def _philox_uniforms(keys: np.ndarray, family: int, blocks: int) -> np.ndarray:
-    """The first 4 * blocks `Generator.random()` values of Philox(key=[k, family])
-    for every k in keys, one row per key.
+def _philox_words(keys: np.ndarray, family: int, blocks: int) -> list[np.ndarray]:
+    """The first 4 * blocks words of Philox(key=[k, family]).random_raw() for
+    every k in keys, as four (keys.size, blocks) arrays: word w of block j of
+    key row r is words[w][r, j].
 
     numpy increments the counter before it fills its buffer, so block j is
-    Philox4x64-10 of the counter (j + 1, 0, 0, 0).  `random()` is
-    (word >> 11) * 2^-53.  The words broadcast between a column of keys and a
-    row of counters: the first two rounds mix them on the small shapes.
+    Philox4x64-10 of the counter (j + 1, 0, 0, 0).  The first two rounds
+    broadcast a column of keys against a row of counters and mix them on the
+    small shapes; the last eight run in place on full-size buffers.
     """
     c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
-    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
-    k0 = keys[:, None]
-    k1 = np.full((1, 1), family, dtype=np.uint64)
-    for r in range(_PHILOX_ROUNDS):
+    c1, c2, c3 = (np.zeros((1, 1), dtype=np.uint64) for _ in range(3))
+    k0, k1 = keys[:, None], np.full((1, 1), family, dtype=np.uint64)
+    for r in range(2):
         if r:
-            k0 = k0 + _PHILOX_W[0]
-            k1 = k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack([c0, c1, c2, c3], axis=2).reshape(keys.size, 4 * blocks)
-    words >>= np.uint64(11)
-    uniforms = words.astype(np.float64)
-    uniforms *= 1.0 / 9007199254740992.0
-    return uniforms
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, hi1 = np.empty_like(c0), np.empty_like(c2)
+        _mulhilo(0, c0, hi0, *(np.empty_like(c0) for _ in range(3)))
+        _mulhilo(1, c2, hi1, *(np.empty_like(c2) for _ in range(3)))
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, c2, hi0 ^ c3 ^ k1, c0
+
+    shape = c0.shape
+    hi, *work = (np.empty(shape, dtype=np.uint64) for _ in range(4))
+    for r in range(2, _PHILOX_ROUNDS):
+        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0 = hi
+        _mulhilo(0, c0, hi0, *work)
+        hi0 ^= c3
+        hi0 ^= k1
+        # c1 and c3 are full-size from the fourth round on; once consumed,
+        # their buffers take the next high words.
+        hi1 = c3 if c3.shape == shape else np.empty(shape, dtype=np.uint64)
+        _mulhilo(1, c2, hi1, *work)
+        hi1 ^= c1
+        hi1 ^= k0
+        hi = c1 if c1.shape == shape else np.empty(shape, dtype=np.uint64)
+        c0, c1, c2, c3 = hi1, c2, hi0, c0
+    return [c0, c1, c2, c3]
+
+
+def _delivery_threshold(q: float) -> int:
+    """Least 64-bit word w with (w >> 11) * 2^-53 >= q.
+
+    `Generator.random()` turns a word w into (w >> 11) * 2^-53, and
+    (w >> 11) >= ceil(q * 2^53) exactly when w >= ceil(q * 2^53) << 11, so a
+    channel bit is 1 exactly when its word reaches this threshold.  At q = 1
+    it is 2^64, which no word reaches.
+    """
+    return math.ceil(q * 2.0**53) << 11
 
 
 @dataclass(frozen=True)
@@ -261,36 +308,67 @@ def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int,
     Returns (X0, lam), X0 of shape (stop - start, n) and lam of shape
     (stop - start, cfg.horizon), equal bit for bit to what
     `simulate_trajectory` draws from each trajectory's substream.  A
-    deterministic x0 leaves the whole substream to the channel bits, which are
-    computed by the lock-step Philox in chunks of about _CHUNK_BLOCKS blocks.
-    Gaussian initial states take a variable number of words (ziggurat
-    normals), so they are drawn one trajectory at a time from a single Philox
-    re-keyed per trajectory, with the covariance factored once.
+    deterministic x0 leaves the whole substream to the channel bits.  The
+    lock-step Philox computes its words in chunks of about _CHUNK_BLOCKS
+    blocks, and each word is compared with the integer `_delivery_threshold`
+    instead of being turned into a float.  Gaussian initial states take a
+    variable number of words (ziggurat normals), so they are drawn one
+    trajectory at a time from a single Philox whose key is rewritten per
+    trajectory; the covariance is factored once and all initial states are
+    formed by one stacked product.
     """
     T, n = cfg.horizon, sys.n
     count = stop - start
-    lam = np.empty((count, T), dtype=np.int8)
     if isinstance(x0, tuple):
         mean, factor = _gaussian_law(sys, x0)
-        X0 = np.empty((count, n))
+        Z = np.empty((count, 1, n))
+        lam = np.empty((count, T), dtype=np.int8)
+        delivered = lam.view(np.bool_)  # the same bytes; comparisons write it without a cast
         bitgen = np.random.Philox(_FIXED_SEED)
         rng = np.random.Generator(bitgen)
-        for row, k in enumerate(range(start, stop)):
-            bitgen.state = _keyed_state(_stream_key(cfg.seed, k), _FAMILY_TRAJECTORY)
-            X0[row] = _gaussian_draw(rng, mean, factor)
-            lam[row] = rng.random(T) >= q
-        return X0, lam
+        state = _keyed_state(0, _FAMILY_TRAJECTORY)
+        for row, key in enumerate(_trajectory_keys(cfg.seed, start, stop)):
+            state["state"]["key"][0] = key
+            bitgen.state = state
+            rng.standard_normal(out=Z[row, 0])
+            np.greater_equal(rng.random(T), q, out=delivered[row])
+        return (Z @ factor.T + mean).reshape(count, n), lam
 
     X0 = np.tile(_initial_state(sys, x0, None), (count, 1))
     blocks = -(-T // 4)
+    # Word w of block j is column 4 j + w; the columns past T are never read.
+    bits = np.empty((count, blocks, 4), dtype=np.int8)
+    lam = bits.reshape(count, 4 * blocks)[:, :T]
+    threshold = _delivery_threshold(q)
+    if threshold > _MASK64:
+        lam[:] = 0
+        return X0, lam
+    threshold = np.uint64(threshold)
+    delivered = bits.view(np.bool_)
     per_chunk = max(1, _CHUNK_BLOCKS // blocks)
-    seed_word = np.uint64(cfg.seed & _MASK64)
     for lo in range(0, count, per_chunk):
         hi = min(lo + per_chunk, count)
-        index = np.arange(start + lo, start + hi, dtype=np.uint64)
-        uniforms = _philox_uniforms(seed_word ^ _mix64_array(index), _FAMILY_TRAJECTORY, blocks)
-        lam[lo:hi] = uniforms[:, :T] >= q
+        words = _philox_words(_trajectory_keys(cfg.seed, start + lo, start + hi), _FAMILY_TRAJECTORY, blocks)
+        for w in range(4):
+            np.greater_equal(words[w], threshold, out=delivered[lo:hi, :, w])
+        del words  # before the next chunk allocates its own buffers
     return X0, lam
+
+
+def _quadratic_form(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """x^T W x for every row x of X, as einsum("ij,jk,ik->i", X, W, X) sums it
+    on a batch of rows: from zero, term by term, j outer and k inner, each term
+    rounded as (x_j * W[j, k]) * x_k.  (On one or two rows of width 2, numpy
+    2.4's einsum adds the k terms of each j first, which can differ in the
+    last bit.)"""
+    out = np.zeros(len(X))
+    term = np.empty(len(X))
+    for j in range(W.shape[0]):
+        for k in range(W.shape[0]):
+            np.multiply(X[:, j], W[j, k], out=term)
+            term *= X[:, k]
+            out += term
+    return out
 
 
 def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
@@ -313,9 +391,7 @@ def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
         msq[0] = np.mean(np.sum(X * X, axis=1))
     for t in range(T):
         U = X @ K.T
-        step_cost = np.einsum("ij,jk,ik->i", X, Q, X) + lam[:, t] * np.einsum(
-            "ij,jk,ik->i", U, R, U
-        )
+        step_cost = _quadratic_form(X, Q) + lam[:, t] * _quadratic_form(U, R)
         costs += np.where(active, step_cost, 0.0)
         X = X @ A.T + lam[:, t, None] * (U @ B.T)
         overflow = np.einsum("ij,ij->i", X, X) > DIVERGENCE_NORM**2
@@ -346,16 +422,21 @@ def empirical_ms_decay(sys: SystemSpec, K, q: float, x0, cfg: SimConfig) -> Deca
 
     The fitted slope of log E||x_t||^2 over t in [T/2, T] is compared with
     log rho(Phi), the asymptotic rate predicted by the lifted map.  States
-    numerically at zero floor the fit; the slope is then -inf (stable).
+    numerically at zero floor the fit; the slope is then -inf (stable).  A
+    trajectory that passes DIVERGENCE_NORM is truncated to zero by the
+    rollout, which would make the mean square fall; so if any trajectory
+    diverged, the verdict is unstable with slope +inf and no fit is made.
     """
     if not 0.0 <= q <= 1.0:
         raise InvalidInputError(f"loss rate must lie in [0, 1], got {q}")
-    _, _, msq = _batched_rollout(sys, K, q, x0, cfg, track_msq=True)
+    _, divergent, msq = _batched_rollout(sys, K, q, x0, cfg, track_msq=True)
     _, rho = _lifted_rho(sys, K, q)
     log_rho = math.log(rho) if rho > 0.0 else -math.inf
 
     T = cfg.horizon
     lo = T // 2
+    if divergent.any():
+        return DecayVerdict(stable=False, slope=math.inf, log_rho=log_rho, window=(lo, T))
     window = msq[lo : T + 1]
     if np.max(window) < 1e-280:
         return DecayVerdict(stable=True, slope=-math.inf, log_rho=log_rho, window=(lo, T))

@@ -130,6 +130,16 @@ class TestCsvOutputs:
         assert body[0] == "t,x1,x2,lambda"
         assert len(body) == 12  # header + states 0..10
 
+    def test_decay_of_divergent_loop_is_unstable(self, capsys):
+        # All 100 trajectories pass DIVERGENCE_NORM by step 1367; the zeroed
+        # states must not read as a decaying mean square.
+        doc = run_json(
+            capsys, "simulate", "--spec", EX1, "--q", "0.9", "--qhat", "0", "--x0", "1",
+            "--mode", "decay", "--traj", "100", "--horizon", "3000",
+        )
+        assert doc["result"]["stable"] is False
+        assert doc["result"]["slope"] == float("inf")
+
     def test_complexity_curve(self, capsys):
         code, out, _ = run(
             capsys, "complexity-curve", "--spec", EX1, "--variant", "scalar",

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 
@@ -20,13 +21,33 @@ from lossylqr import (
 from lossylqr import simulator
 from lossylqr.simulator import (
     _FAMILY_TRAJECTORY,
+    DIVERGENCE_NORM,
     _batched_rollout,
     _gaussian_draw,
     _mix64_array,
-    _philox_uniforms,
+    _philox_words,
+    _quadratic_form,
     _stream,
+    _stream_key,
     _trajectory_draws,
 )
+
+PLANT3 = SystemSpec(
+    A=np.diag([1.3, 1.2, 0.4]), B=[[1.0, 0.0], [0.0, 1.0], [0.2, 0.1]], Q=np.eye(3), R=np.eye(2)
+)
+PLANT5 = SystemSpec(
+    A=np.diag([1.2, 0.9, 0.5, 1.1, 0.3]) + np.diag([0.1, 0.2, 0.0, 0.1], k=1),
+    B=[[1.0, 0.0], [0.0, 1.0], [0.3, 0.0], [0.0, 0.5], [0.1, 0.1]],
+    Q=np.eye(5),
+    R=np.eye(2),
+)
+
+
+def gaussian_law(n: int):
+    """A fixed (mean, covariance) pair of size n with a dense covariance."""
+    rng = np.random.default_rng(100 + n)
+    G = rng.normal(size=(n, n))
+    return rng.normal(size=n), G @ G.T + 0.1 * np.eye(n)
 
 
 class TestSampleChannel:
@@ -160,12 +181,16 @@ class TestTrajectoryDraws:
 
     @pytest.mark.parametrize("horizon", HORIZONS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_gaussian_x0(self, example2, seed, horizon):
+    @pytest.mark.parametrize("plant", ["example1", "example2", "plant3", "plant5"])
+    def test_gaussian_x0(self, request, plant, seed, horizon):
+        sys = {"plant3": PLANT3, "plant5": PLANT5}.get(plant) or request.getfixturevalue(plant)
+        x0 = self.GAUSSIAN if sys.n == 2 else gaussian_law(sys.n)
         start, count = 5, 6
         cfg = SimConfig(seed=seed, horizon=horizon, trajectories=start + count)
         for q in self.RATES:
-            X0, lam = _trajectory_draws(example2, self.GAUSSIAN, q, cfg, start, start + count)
-            self.assert_rows_match(example2, self.GAUSSIAN, q, cfg, start, X0, lam, range(count))
+            X0, lam = _trajectory_draws(sys, x0, q, cfg, start, start + count)
+            assert X0.shape == (count, sys.n)
+            self.assert_rows_match(sys, x0, q, cfg, start, X0, lam, range(count))
 
     @pytest.mark.parametrize("horizon", HORIZONS)
     def test_every_row_with_small_chunks(self, example2, monkeypatch, horizon):
@@ -177,13 +202,100 @@ class TestTrajectoryDraws:
         self.assert_rows_match(example2, self.FIXED, 0.3, cfg, 2, X0, lam, range(18))
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_uniforms_equal_generator_random(self, seed):
+    def test_words_equal_random_raw(self, seed):
         index = np.array([0, 1, 2, 2**40 + 3, 2**64 - 1], dtype=np.uint64)
         keys = np.uint64(seed & (2**64 - 1)) ^ _mix64_array(index)
-        uniforms = _philox_uniforms(keys, _FAMILY_TRAJECTORY, 7)
-        for row, k in enumerate(index):
-            expected = _stream(seed, int(k), _FAMILY_TRAJECTORY).random(28)
-            np.testing.assert_array_equal(uniforms[row], expected)
+        for blocks, rows in itertools.product(range(1, 8), (1, index.size)):
+            words = np.stack(_philox_words(keys[:rows], _FAMILY_TRAJECTORY, blocks), axis=2).reshape(rows, -1)
+            for row, k in enumerate(index[:rows]):
+                key = np.array([_stream_key(seed, int(k)), _FAMILY_TRAJECTORY], dtype=np.uint64)
+                np.testing.assert_array_equal(words[row], np.random.Philox(key=key).random_raw(4 * blocks))
+                # The same words are the uniforms of the trajectory's stream.
+                uniforms = (words[row] >> np.uint64(11)) * 2.0**-53
+                expected = _stream(seed, int(k), _FAMILY_TRAJECTORY).random(4 * blocks)
+                np.testing.assert_array_equal(uniforms, expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_integer_threshold_equals_random_compare(self, example1, seed):
+        # At q equal to a drawn uniform, and one ulp to either side of it, the
+        # channel bit flips exactly where Generator.random(T) >= q does.
+        T, count = 28, 3
+        cfg = SimConfig(seed=seed, horizon=T, trajectories=count)
+        uniforms = [_stream(seed, k, _FAMILY_TRAJECTORY).random(T) for k in range(count)]
+        drawn = np.concatenate(uniforms)
+        rates = np.concatenate(
+            [[0.0, 1.0, 5e-324, 2.0**-53, np.nextafter(1.0, 0.0)], drawn,
+             np.nextafter(drawn, 2.0), np.nextafter(drawn, -1.0)]
+        )
+        for q in rates:
+            q = float(min(max(q, 0.0), 1.0))
+            _, lam = _trajectory_draws(example1, np.array([1.0]), q, cfg, 0, count)
+            for k in range(count):
+                np.testing.assert_array_equal(lam[k], uniforms[k] >= q, err_msg=f"q = {q!r}")
+
+
+class TestQuadraticForm:
+    """The column sum equals the three-operand einsum it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equal_to_einsum(self, n):
+        rng = np.random.default_rng(n)
+        G = rng.normal(size=(n, n))
+        W = G @ G.T + 0.1 * np.eye(n)
+        X = rng.normal(size=(400, n)) * np.exp(rng.normal(size=(400, 1)) * 5.0)
+        X[:20] = 0.0
+        X[20:40, 0] = -0.0
+        # Rows of norm just below and just above DIVERGENCE_NORM (forms near
+        # 1e300), and rows whose forms overflow to inf.
+        direction = rng.normal(size=(60, n))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        X[40:60] = direction[:20] * np.nextafter(DIVERGENCE_NORM, 0.0)
+        X[60:80] = direction[20:40] * DIVERGENCE_NORM * 1.01
+        X[80:100] = direction[40:] * 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.einsum("ij,jk,ik->i", X, W, X)
+            np.testing.assert_array_equal(_quadratic_form(X, W), expected)
+        assert np.signbit(expected[:40]).sum() == 0
+
+
+class TestPinnedOutputs:
+    """Monte Carlo outputs, pinned as float.hex, unchanged since they were recorded
+    (numpy 2.4.6, OpenBLAS, x86-64).  Fixed and Gaussian x0, horizons 8 to 200,
+    plants with one, two and three states."""
+
+    DENSE3 = SystemSpec(
+        A=[[1.1, 0.2, 0.0], [0.0, 0.9, 0.3], [0.1, 0.0, 1.05]],
+        B=[[1.0, 0.0], [0.5, 1.0], [0.0, 0.3]],
+        Q=[[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]],
+        R=[[1.0, 0.2], [0.2, 0.7]],
+    )
+    G2 = ((0.0, 0.0), ((1.0, 0.0), (0.0, 4.0)))
+    G3 = ((1.0, -1.0, 0.5), ((2.0, 0.5, 0.1), (0.5, 1.0, 0.3), (0.1, 0.3, 0.8)))
+    # kind, plant, q_hat, q, x0, seed, horizon, trajectories, expected
+    CASES = [
+        ("cost", "example1", 0.0, 0.2, (1.0,), 11, 200, 500, ("0x1.2f8cf0ff27668p+2", "0x1.0d31eef8bce83p-2")),
+        ("cost", "example2", 0.1633, 0.2, G2, 12, 50, 300, ("0x1.c6a629ddd9c33p+3", "0x1.97a95a695860ap+0")),
+        ("decay", "example2", 0.1633, 0.2, (0.9325, 1.1616), 13, 8, 3000, (True, "-0x1.c8a8cd1529e1bp-1")),
+        ("decay", "example1", 0.0, 0.4, (1.0,), 14, 10, 3000, (True, "-0x1.0d9100f089c8bp-5")),
+        ("cost", "dense3", 0.1, 0.1, G3, 15, 10, 400, ("0x1.ca0039a5675cdp+4", "0x1.6f88099e5f5b7p+0")),
+        ("decay", "dense3", 0.1, 0.1, (1.0, -2.0, 0.5), 16, 50, 400, (True, "-0x1.d5e84fbfa928ap-3")),
+        ("decay", "example2", 0.1633, 0.2, G2, 17, 200, 200, (True, "-0x1.9b979595c2b77p+0")),
+        ("cost", "dense3", 0.1, 0.15, (0.3, 0.2, -1.0), 18, 8, 700, ("0x1.f39f5bb4bfeedp+2", "0x1.5f715c7078165p-6")),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}-T{c[6]}-seed{c[5]}")
+    def test_outputs(self, request, case):
+        kind, plant, q_hat, q, x0, seed, horizon, trajectories, expected = case
+        sys = self.DENSE3 if plant == "dense3" else request.getfixturevalue(plant)
+        gain, _ = ce_gain(sys, q_hat)
+        x0 = (np.array(x0[0]), np.array(x0[1])) if isinstance(x0[0], tuple) else np.array(x0)
+        cfg = SimConfig(seed=seed, horizon=horizon, trajectories=trajectories)
+        if kind == "cost":
+            mean, std_err = monte_carlo_cost(sys, gain, q, x0, cfg)
+            assert (mean.hex(), std_err.hex()) == expected
+        else:
+            verdict = empirical_ms_decay(sys, gain, q, x0, cfg)
+            assert (verdict.stable, verdict.slope.hex()) == expected
 
 
 class TestGaussianDraws:
@@ -298,6 +410,35 @@ class TestEmpiricalDecay:
         verdict = empirical_ms_decay(example1, gain, 0.4, np.array([1.0]), cfg)
         assert verdict.log_rho == pytest.approx(np.log(1.00244), abs=1e-4)
         assert not verdict.stable
+
+    @pytest.mark.parametrize("horizon", [1000, 3000])
+    def test_divergent_open_loop_is_unstable(self, example1, horizon):
+        # Open loop, rho = 2.25: every state passes DIVERGENCE_NORM at step 852
+        # and is zeroed, so the mean square over the tail window falls.
+        cfg = SimConfig(seed=0, horizon=horizon, trajectories=50)
+        verdict = empirical_ms_decay(example1, np.zeros((1, 1)), 0.0, np.array([1.0]), cfg)
+        assert not verdict.stable
+        assert verdict.slope == np.inf
+        assert verdict.log_rho == pytest.approx(np.log(2.25))
+        assert verdict.window == (horizon // 2, horizon)
+
+    def test_growth_before_divergence_is_fitted(self, example1):
+        cfg = SimConfig(seed=0, horizon=400, trajectories=50)
+        verdict = empirical_ms_decay(example1, np.zeros((1, 1)), 0.0, np.array([1.0]), cfg)
+        assert not verdict.stable
+        assert verdict.slope == pytest.approx(np.log(2.25), rel=1e-12)
+
+    def test_one_divergent_trajectory_makes_it_unstable(self, example1):
+        # Deadbeat gain: a delivered packet zeroes the state.  Initial states
+        # of scale 1e150 leave DIVERGENCE_NORM on a lost first packet, so
+        # some trajectories diverge while the others floor at zero.
+        x0 = (np.zeros(1), np.array([[1e300]]))
+        cfg = SimConfig(seed=2, horizon=20, trajectories=40)
+        _, divergent, _ = _batched_rollout(example1, np.array([[-1.5]]), 0.5, x0, cfg)
+        assert 0 < divergent.sum() < cfg.trajectories
+        verdict = empirical_ms_decay(example1, np.array([[-1.5]]), 0.5, x0, cfg)
+        assert not verdict.stable
+        assert verdict.slope == np.inf
 
     def test_deadbeat_floors_at_zero(self, example1):
         cfg = SimConfig(seed=0, horizon=50, trajectories=100)
