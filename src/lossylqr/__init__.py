@@ -28,7 +28,7 @@ from .learning import (
     hoeffding_delta,
     min_samples,
 )
-from .numerics import kron, psd_sqrt, spectral_radius, sym_eig_extremes, symmetrize
+from .numerics import psd_sqrt, spectral_radius, sym_eig_extremes, symmetrize
 from .performance import (
     GapCurvePoint,
     GapReport,
@@ -126,5 +126,4 @@ __all__ = [
     "sym_eig_extremes",
     "psd_sqrt",
     "spectral_radius",
-    "kron",
 ]

@@ -1,5 +1,6 @@
 """Dense small-matrix primitives: symmetric eigen extremes, PSD square roots,
-certified spectral radii of lifted second-moment maps, and Kronecker products.
+certified spectral radii of lifted second-moment maps, a positive-definiteness
+test and the stall detector of the Riccati iteration.
 
 All routines target small dense matrices (state dimension <= 10, lifted maps
 <= 100 x 100) and fix the numerical tolerances used across the package.
@@ -67,15 +68,6 @@ def psd_sqrt(M) -> np.ndarray:
     return 0.5 * (root + root.T)
 
 
-def kron(M1, M2) -> np.ndarray:
-    """Kronecker product with block layout (M1)_ij * M2."""
-    A = np.asarray(M1, dtype=float)
-    B = np.asarray(M2, dtype=float)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise InvalidInputError("kron inputs must be finite")
-    return np.kron(A, B)
-
-
 def _dense_spectral_radius(M: np.ndarray):
     """Largest eigenvalue modulus of a square matrix, or an array of those of
     each matrix in a (k, d, d) stack (one batched eigvals call)."""
@@ -112,63 +104,47 @@ class StallDetector:
         return self.stalls >= 2
 
 
-def _lyapunov_pd(M: np.ndarray, s: float, n: int) -> bool:
-    """Whether the solution X of X - Phi(X)/s = I is positive definite, where
-    Phi acts on n x n matrices by vec(Phi(X)) = M vec(X).  A singular system
-    has no such X."""
+def _positive_definite(X: np.ndarray):
+    """Whether X, or each matrix of a (k, n, n) stack, is finite and has a
+    Cholesky factor.  numpy fails a whole stacked call for one member, so a
+    failed stack is tested again member by member."""
     try:
-        X = np.linalg.solve(np.eye(n * n) - M / s, np.eye(n).reshape(-1)).reshape(n, n)
-        np.linalg.cholesky(0.5 * (X + X.T))
+        np.linalg.cholesky(X)
     except np.linalg.LinAlgError:
-        return False
-    return bool(np.all(np.isfinite(X)))
+        return False if X.ndim == 2 else np.array([_positive_definite(M) for M in X])
+    finite = np.isfinite(X).all(axis=(-2, -1))
+    return bool(finite) if X.ndim == 2 else finite
 
 
-def _lyapunov_decided(M: np.ndarray, s: float, n: int) -> bool:
-    """Whether rounding in the solve of X - Phi(X)/s = I cannot have moved X
-    across the boundary of the PSD cone: by Weyl's inequality, whether the
-    smallest eigenvalue of X exceeds in magnitude the forward error bound
-    eps * cond(I - M/s) * ||X||_2.  Near-defective maps make this system too
-    ill-conditioned at small s for its solution to say anything."""
+def _lyapunov_solve(M: np.ndarray, s: float, n: int):
+    """The system I - M/s of X - Phi(X)/s = I, where Phi acts on n x n
+    matrices by vec(Phi(X)) = M vec(X), and its solution X symmetrized; None
+    when the system is singular."""
     system = np.eye(n * n) - M / s
     try:
         X = np.linalg.solve(system, np.eye(n).reshape(-1)).reshape(n, n)
-    except np.linalg.LinAlgError:  # singular to working precision: cond = inf
-        return False
-    w = np.linalg.eigvalsh(0.5 * (X + X.T))
-    error = np.finfo(float).eps * np.linalg.cond(system) * np.max(np.abs(w))
-    return bool(abs(w[0]) > error)
+    except np.linalg.LinAlgError:
+        return None
+    return system, 0.5 * (X + X.T)
 
 
-def _bounded_above(M: np.ndarray, rho: float, n: int) -> bool:
-    """Whether a Lyapunov solve proves rho(Phi) < rho + tol, where
-    tol = DUAL_AGREE_RTOL * (1 + rho) and Phi preserves the PSD cone."""
-    return _lyapunov_pd(M, rho + DUAL_AGREE_RTOL * (1.0 + rho), n)
-
-
-def _bounded_below(M: np.ndarray, rho: float, n: int) -> bool:
-    """Whether a Lyapunov solve proves rho(Phi) >= rho - tol for a Phi that
-    preserves the PSD cone; this holds trivially when rho - tol <= 0."""
-    lower = rho - DUAL_AGREE_RTOL * (1.0 + rho)
-    return lower <= 0.0 or not _lyapunov_pd(M, lower, n)
-
-
-def spectral_radius(M, cone_seed=None) -> float:
+def spectral_radius(M, *, cone: bool = False) -> float:
     """Spectral radius of a dense matrix, from its eigenvalues.
 
-    Any `cone_seed` other than None is a flag: it asserts that M is the
-    n^2 x n^2 matrix of a map Phi on n x n matrices that preserves the PSD
-    cone, as every lifted second-moment map does.  (A matrix seed must be
-    n x n; its entries are not used.)  The dense value rho is then checked
-    by the Lyapunov characterization of mean-square stability (Costa,
-    Fragoso & Marques, *Discrete-Time Markov Jump Linear Systems*, 2005):
-    for such a Phi and any s > 0, the solution X of X - Phi(X)/s = I is
-    positive definite iff rho(Phi) < s.  With tol = DUAL_AGREE_RTOL * (1 + rho):
+    `cone=True` asserts that M is the n^2 x n^2 matrix of a map Phi on n x n
+    matrices that preserves the PSD cone, as every lifted second-moment map
+    does.  The dense value rho is then checked by the Lyapunov
+    characterization of mean-square stability (Costa, Fragoso & Marques,
+    *Discrete-Time Markov Jump Linear Systems*, 2005): for such a Phi and any
+    s > 0, the solution X of X - Phi(X)/s = I is positive definite iff
+    rho(Phi) < s.  With tol = DUAL_AGREE_RTOL * (1 + rho):
 
     - At s = rho + tol, X positive definite proves rho(Phi) < rho + tol.
       Otherwise rho may understate rho(Phi), and NumericalFailureError is
-      raised, unless rounding in that solve could have flipped its outcome
-      (see `_lyapunov_decided`).
+      raised, unless rounding in that solve could have flipped its outcome:
+      by Weyl's inequality it cannot when the smallest eigenvalue of X
+      exceeds in magnitude the forward error bound
+      eps * cond(I - M/s) * ||X||_2.
     - At s = rho - tol, X not positive definite (or a singular system)
       proves rho(Phi) >= rho - tol; nothing is solved when rho - tol <= 0.
       Otherwise rho may overstate rho(Phi), the safe side for a stability
@@ -177,7 +153,7 @@ def spectral_radius(M, cone_seed=None) -> float:
     Short of a decided failure above, a side fails only on near-defective
     maps, where dense eigenvalues err by up to about eps^(1/k) for a Jordan
     block of size k and solves near s = rho lose their digits.  There rho is
-    returned as it is, with a RuntimeWarning.  Without a cone seed the matrix
+    returned as it is, with a RuntimeWarning.  Without `cone` the matrix
     need not preserve any cone, and the dense value is returned unchecked.
     """
     M = _as_matrix(M)
@@ -186,27 +162,30 @@ def spectral_radius(M, cone_seed=None) -> float:
         raise InvalidInputError(f"spectral_radius needs a square matrix, got {M.shape}")
 
     rho_dense = _dense_spectral_radius(M)
-    if cone_seed is None:
+    if not cone:
         return rho_dense
 
     dim = math.isqrt(n)
-    seed_shape = np.shape(cone_seed)
-    if dim**2 != n or seed_shape not in ((), (dim, dim)):
-        raise InvalidInputError(
-            f"cone seed of shape {seed_shape} does not match a {n}-dimensional lifted map"
-        )
+    if dim**2 != n:
+        raise InvalidInputError(f"a {n}-dimensional matrix is not a lifted map of square matrices")
     tol = DUAL_AGREE_RTOL * (1.0 + rho_dense)
-    if not _bounded_above(M, rho_dense, dim):
-        if _lyapunov_decided(M, rho_dense + tol, dim):
-            raise NumericalFailureError(
-                f"a Lyapunov solve at rho + {DUAL_AGREE_RTOL:.0e} * (1 + rho) does not "
-                f"bound the dense spectral radius {rho_dense:.12e} from above"
-            )
+    upper = _lyapunov_solve(M, rho_dense + tol, dim)
+    if upper is None or not _positive_definite(upper[1]):
+        if upper is not None:
+            system, X = upper
+            w = np.linalg.eigvalsh(X)
+            if abs(w[0]) > np.finfo(float).eps * np.linalg.cond(system) * np.max(np.abs(w)):
+                raise NumericalFailureError(
+                    f"a Lyapunov solve at rho + {DUAL_AGREE_RTOL:.0e} * (1 + rho) does not "
+                    f"bound the dense spectral radius {rho_dense:.12e} from above"
+                )
         side = "above (the solve is too ill-conditioned to tell)"
-    elif not _bounded_below(M, rho_dense, dim):
-        side = "below (it may overstate rho)"
     else:
-        return rho_dense
+        lower = rho_dense - tol
+        solved = None if lower <= 0.0 else _lyapunov_solve(M, lower, dim)
+        if solved is None or not _positive_definite(solved[1]):
+            return rho_dense
+        side = "below (it may overstate rho)"
     warnings.warn(
         f"Lyapunov solves at rho -/+ {DUAL_AGREE_RTOL:.0e} * (1 + rho) do not bound the "
         f"dense spectral radius {rho_dense:.12e} from {side}",

@@ -34,7 +34,7 @@ lock-step on one (k, n, n) stack: each step costs one set of numpy calls for
 the whole stack instead of one per rate, and a rate leaves the stack where
 its own loop would stop.  Each rate gets exactly the bits of `_mare_solve`
 (P, iteration count, residual, or the error and its reason); the step
-formulas (`_mare_step`, `_gain_weight`, `_feedback_gain`, `_lifted_at`,
+formulas (`_mare_step`, `_gain_weight`, `_feedback_gain`, `_lifted_map`,
 `_solve_certifies`) are shared and take one matrix or a stack.  For a single
 rate the per-rate loop is the faster one.  The grid of `region_map` and of
 the threshold curve, and the probes of both bisections (`_bisect_rates`:
@@ -42,14 +42,14 @@ the q_c refinement of `critical_probability` and `zero_sample_safe_q`), are
 solved in lock-step.  The one exception is `gap_curve`, whose per-point
 `mare_solve` calls the CLI tests count.
 
-The lifted map (`_lifted_pairs`, `_lifted_at`), its verdict (`_ms_stable`)
-and the scalar iff value are kept here once; the solver, the exact oracle in
-`stability`, `performance` and every grid sweep evaluate these kernels.
-`_lifted_pairs` builds X (x) X as one broadcast product: the same single
-products as np.kron without its set-up cost, which dominates at small n and
-was paid at every policy step.  `_lifted_at`, the verdict and the scalar iff
-value also take arrays of rates, so `region_map` evaluates a whole column of
-its (q, q_hat) grid at once.
+The lifted map (`_lifted_map`), its verdict (`_ms_stable`), the scalar iff
+value, the gain check (`_gain`) and the invertibility test of B
+(`_invertible_B`) are kept here once; the solver, the exact oracle in
+`stability`, `performance`, the simulator and every grid sweep use them.
+`_kron_self` forms X (x) X as one broadcast product, with the single
+products of np.kron.  The lifted map, the verdict and the scalar iff value
+also take arrays of rates, so `region_map` evaluates a whole column of its
+(q, q_hat) grid at once.
 """
 
 import threading
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NoSolutionError
-from .numerics import StallDetector, _dense_spectral_radius, sym_eig_extremes, symmetrize
+from .numerics import StallDetector, _dense_spectral_radius, _positive_definite, sym_eig_extremes, symmetrize
 
 # Fixed-point iteration controls for the (modified) Riccati equation.
 MAX_ITERATIONS = 10**5
@@ -226,6 +226,29 @@ def _feedback_gain(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
     return -np.linalg.solve(sys.R + sys.B.T @ PB, PB.mT @ sys.A)
 
 
+def _gain(sys: SystemSpec, K) -> np.ndarray:
+    """The m x n matrix of a Gain or of an array K; raises DimensionError on
+    another shape and InvalidInputError on a non-finite entry."""
+    K = np.asarray(K.K if isinstance(K, Gain) else K, dtype=float)
+    if K.ndim == 0:
+        K = K.reshape(1, 1)
+    if K.shape != (sys.m, sys.n):
+        raise DimensionError(f"gain must be {sys.m}x{sys.n}, got {K.shape}")
+    if not np.all(np.isfinite(K)):
+        raise InvalidInputError("gain has non-finite entries")
+    return K
+
+
+def _invertible_B(sys: SystemSpec) -> bool:
+    """Whether B is square with its smallest singular value above RANK_RTOL
+    times its largest: the condition of the closed form for q_c and of the
+    invertible-B threshold variant."""
+    if sys.m != sys.n:
+        return False
+    sv = np.linalg.svd(sys.B, compute_uv=False)
+    return bool(sv[-1] > RANK_RTOL * sv[0])
+
+
 def _kron_self(X: np.ndarray) -> np.ndarray:
     """np.kron(X, X): entry (i n + k, j n + l) is X[i, j] X[k, l]."""
     n = X.shape[-1]
@@ -242,20 +265,11 @@ def _fro(X: np.ndarray):
     return np.sqrt(v @ v.mT)[:, 0, 0]
 
 
-def _lifted_pairs(sys: SystemSpec, gains):
-    """Yield (M(x)M, A(x)A) with M = A + BK for each gain K (or stack of gains),
-    building A(x)A once."""
-    kron_A = _kron_self(sys.A)
-    for K in gains:
-        yield _kron_self(sys.A + sys.B @ K), kron_A
-
-
-def _lifted_at(pair: tuple[np.ndarray, np.ndarray], q) -> np.ndarray:
-    """Lifted second-moment map (1-q) M(x)M + q A(x)A of a pair at loss rate q;
-    a q of shape (k, 1, 1) gives the stack of the k maps, one per rate (and per
-    gain, when the pair holds a stack of k gains)."""
-    kron_M, kron_A = pair
-    return (1.0 - q) * kron_M + q * kron_A
+def _lifted_map(sys: SystemSpec, K: np.ndarray, q) -> np.ndarray:
+    """Lifted second-moment map (1-q) (A+BK)(x)(A+BK) + q A(x)A of the gain K
+    at loss rate q.  A (k, m, n) stack of gains or a (k, 1, 1) array of rates
+    gives the stack of the k maps."""
+    return (1.0 - q) * _kron_self(sys.A + sys.B @ K) + q * _kron_self(sys.A)
 
 
 def _ms_stable(rho):
@@ -292,21 +306,10 @@ def _solve_certifies(L: np.ndarray, P: np.ndarray, cost: np.ndarray, q_floor: fl
     E = P - (L.mT @ P.reshape(P.shape[:-2] + (n * n, 1))).reshape(P.shape) - cost
     certified = _fro(P) * RHO_MARGIN < q_floor - _fro(E)
     if P.ndim == 2:
-        return bool(certified) and _has_cholesky(P)
+        return bool(certified) and _positive_definite(P)
     if certified.any():
-        certified[certified] = _has_cholesky(P[certified])
+        certified[certified] = _positive_definite(P[certified])
     return certified
-
-
-def _has_cholesky(P: np.ndarray):
-    """Whether P, or each matrix of a (k, n, n) stack, is positive definite.
-    numpy fails a whole stacked call for one member, so a failed stack is
-    tested again member by member."""
-    try:
-        np.linalg.cholesky(P)
-        return True if P.ndim == 2 else np.ones(len(P), dtype=bool)
-    except np.linalg.LinAlgError:
-        return False if P.ndim == 2 else np.array([_has_cholesky(M) for M in P])
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -344,7 +347,7 @@ def _policy_iteration(
     K = _feedback_gain(sys, X)
     P, steps, residual = X, 0, np.inf
     while True:
-        L = _lifted_at(next(_lifted_pairs(sys, [K])), q)
+        L = _lifted_map(sys, K, q)
         if steps == 0 and not _ms_stable(_dense_spectral_radius(L)):
             return None, steps, residual
         cost = sys.Q + (1.0 - q) * (K.T @ sys.R @ K)
@@ -444,7 +447,7 @@ def _policy_iteration_rates(
     K = _feedback_gain(sys, X)
     first = True
     while len(live):
-        L = _lifted_at(next(_lifted_pairs(sys, [K])), q[live])
+        L = _lifted_map(sys, K, q[live])
         if first:
             keep = _ms_stable(_dense_spectral_radius(L))
             live, P, K, L = live[keep], P[keep], K[keep], L[keep]
@@ -660,13 +663,10 @@ def critical_probability(sys: SystemSpec, refine: bool = True) -> CriticalProbab
     lower = min(1.0, 1.0 / prod_sq)
     upper = min(1.0, 1.0 / max_sq)
 
-    sv = np.linalg.svd(sys.B, compute_uv=False)
-    b_invertible = sys.B.shape[0] == sys.B.shape[1] and sv[-1] > RANK_RTOL * sv[0]
-    b_rank = int(np.sum(sv > RANK_RTOL * sv[0]))
-
-    if b_invertible:
+    if _invertible_B(sys):
         return CriticalProbability(upper, upper, upper, "invertible_B", unstable_t)
-    if b_rank == 1:
+    sv = np.linalg.svd(sys.B, compute_uv=False)
+    if np.sum(sv > RANK_RTOL * sv[0]) == 1:
         return CriticalProbability(lower, lower, lower, "rank_one_B", unstable_t)
     if unstable.size == 0:
         return CriticalProbability(1.0, 1.0, 1.0, "bracket_only", unstable_t)

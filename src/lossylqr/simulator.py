@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import InvalidInputError, UnstableError
 from .learning import ChannelSamples
-from .riccati import SystemSpec
-from .stability import _gain_matrix, _lifted_rho
+from .riccati import SystemSpec, _gain
+from .stability import _lifted_rho
 
 _MASK64 = (1 << 64) - 1
 # Second Philox key word per stream family.
@@ -229,12 +229,23 @@ def sample_channel(q: float, N: int, seed: int) -> ChannelSamples:
     return ChannelSamples(bits=bits)
 
 
+def _finite_vector(x, size: int, name: str) -> np.ndarray:
+    """The entries of x as a flat float array; raises InvalidInputError unless
+    there are `size` of them, all finite."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != size:
+        raise InvalidInputError(f"{name} has length {x.size}, expected {size}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError(f"{name} has non-finite entries")
+    return x
+
+
 def _gaussian_law(sys: SystemSpec, x0) -> tuple[np.ndarray, np.ndarray]:
     """Mean and lower Cholesky factor of a (mean, cov) initial-state law;
     raises numpy's LinAlgError when cov is not positive definite."""
     mean, cov = x0
-    mean = np.asarray(mean, dtype=float).reshape(sys.n)
-    cov = np.asarray(cov, dtype=float).reshape(sys.n, sys.n)
+    mean = _finite_vector(mean, sys.n, "initial-state mean")
+    cov = _finite_vector(cov, sys.n**2, "initial-state covariance").reshape(sys.n, sys.n)
     return mean, np.linalg.cholesky(cov)
 
 
@@ -251,10 +262,7 @@ def _initial_state(sys: SystemSpec, x0, rng: np.random.Generator | None) -> np.n
         if rng is None:
             raise InvalidInputError("random initial states need a trajectory stream")
         return _gaussian_draw(rng, *_gaussian_law(sys, x0))
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.size != sys.n:
-        raise InvalidInputError(f"initial state has length {x.size}, expected {sys.n}")
-    return x
+    return _finite_vector(x0, sys.n, "initial state")
 
 
 def simulate_trajectory(
@@ -273,7 +281,7 @@ def simulate_trajectory(
     """
     if not 0.0 <= q <= 1.0:
         raise InvalidInputError(f"loss rate must lie in [0, 1], got {q}")
-    K = _gain_matrix(K)
+    K = _gain(sys, K)
     rng = _stream(cfg.seed, trajectory_index, _FAMILY_TRAJECTORY)
     x = _initial_state(sys, x0, rng)
     T = cfg.horizon
@@ -379,7 +387,7 @@ def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
     substream; the costs agree with it to rounding, because the batched sums
     are evaluated in another order.
     """
-    K = _gain_matrix(K)
+    K = _gain(sys, K)
     M, T = cfg.trajectories, cfg.horizon
     X, lam = _trajectory_draws(sys, x0, q, cfg, 0, M)
 

@@ -27,13 +27,13 @@ from .numerics import _dense_spectral_radius, psd_sqrt, spectral_radius, sym_eig
 from .riccati import (
     RHO_MARGIN,
     CriticalProbability,
-    Gain,
     SystemSpec,
     _bisect_rates,
     _feedback_gain,
+    _gain,
     _gain_weight,
-    _lifted_at,
-    _lifted_pairs,
+    _invertible_B,
+    _lifted_map,
     _ms_stable,
     _mare_solve_rates,
     _scalar_iff_value,
@@ -116,15 +116,6 @@ def _strict_margin(sys: SystemSpec) -> float:
     return float(STRICT_MARGIN * (1.0 + np.linalg.norm(sys.Q)))
 
 
-def _gain_matrix(K) -> np.ndarray:
-    if isinstance(K, Gain):
-        return K.K
-    K = np.asarray(K, dtype=float)
-    if K.ndim == 0:
-        K = K.reshape(1, 1)
-    return K
-
-
 def gain_weight_matrix(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
     """A^T P B (R + B^T P B)^{-1} B^T P A, the weight on the estimation error."""
     W = _gain_weight(sys, P)
@@ -188,17 +179,14 @@ def lifted_matrix(sys: SystemSpec, K, q: float) -> np.ndarray:
     """
     if not 0.0 <= q <= 1.0:
         raise InvalidInputError(f"loss rate must lie in [0, 1], got {q}")
-    K = _gain_matrix(K)
-    if K.shape != (sys.m, sys.n):
-        raise DimensionError(f"gain must be {sys.m}x{sys.n}, got {K.shape}")
-    return _lifted_at(next(_lifted_pairs(sys, [K])), q)
+    return _lifted_map(sys, _gain(sys, K), q)
 
 
 def _lifted_rho(sys: SystemSpec, K, q: float) -> tuple[np.ndarray, float]:
     """The lifted map of `lifted_matrix` and its spectral radius, certified as
     that of a PSD-cone-preserving map (see `numerics.spectral_radius`)."""
     Phi = lifted_matrix(sys, K, q)
-    return Phi, spectral_radius(Phi, cone_seed=True)
+    return Phi, spectral_radius(Phi, cone=True)
 
 
 def exact_ms_stable(sys: SystemSpec, K, q: float) -> StabilityVerdict:
@@ -260,8 +248,7 @@ def _check_threshold_variant(sys: SystemSpec, variant: str) -> None:
     if variant == VARIANT_INVERTIBLE_B:
         if sys.B.shape[0] != sys.B.shape[1]:
             raise DimensionError("the invertible-B threshold variant requires a square B")
-        sv = np.linalg.svd(sys.B, compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:
+        if not _invertible_B(sys):
             raise DimensionError("the invertible-B threshold variant requires a well-conditioned B")
 
 
@@ -429,9 +416,9 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
     # one batched eigvals call per stack.
     q_stack = q_grid[:, None, None]
     chunk = max(1, ORACLE_CHUNK_ENTRIES // sys.n**4)
-    for j, pair in enumerate(_lifted_pairs(sys, gains)):
+    for j, K in enumerate(gains):
         qh = float(q_hat_grid[j])
-        rho = [_dense_spectral_radius(_lifted_at(pair, q_stack[i : i + chunk])) for i in range(0, n_q, chunk)]
+        rho = [_dense_spectral_radius(_lifted_map(sys, K, q_stack[i : i + chunk])) for i in range(0, n_q, chunk)]
         stable = _ms_stable(np.concatenate(rho))
         exact_stable[:, j] = stable
 

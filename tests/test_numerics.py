@@ -12,7 +12,6 @@ from lossylqr import (
     ce_gain,
     empirical_ms_decay,
     exact_ms_stable,
-    kron,
     lifted_matrix,
     psd_sqrt,
     second_moment_sum,
@@ -90,17 +89,17 @@ class TestPsdSqrt:
         assert S[1, 1] == 0.0
 
 
-class TestKron:
-    def test_identities(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-        np.testing.assert_array_equal(kron([[2.0]], [[3.0]]), [[6.0]])
-
-    def test_block_layout(self):
-        P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = kron(np.diag([1.0, 2.0]), P)
-        np.testing.assert_array_equal(out[:2, :2], P)
-        np.testing.assert_array_equal(out[2:, 2:], 2.0 * P)
-        np.testing.assert_array_equal(out[:2, 2:], np.zeros((2, 2)))
+class TestPositiveDefinite:
+    def test_matrix_and_stack(self):
+        # Cholesky reads the lower triangle only, so this NaN passes it.
+        upper_nan = np.array([[1.0, np.nan], [0.0, 1.0]])
+        members = [np.eye(2), np.diag([1.0, -1.0]), upper_nan, 2.0 * np.eye(2)]
+        expected = [True, False, False, True]
+        assert [numerics._positive_definite(M) for M in members] == expected
+        # A failed stacked call is retried member by member.
+        np.testing.assert_array_equal(numerics._positive_definite(np.stack(members)), expected)
+        np.testing.assert_array_equal(numerics._positive_definite(np.stack([np.eye(2), upper_nan])), [True, False])
+        np.testing.assert_array_equal(numerics._positive_definite(np.stack([np.eye(2), 2.0 * np.eye(2)])), [True, True])
 
 
 class TestSpectralRadius:
@@ -123,26 +122,23 @@ class TestSpectralRadius:
             for _ in range(10):
                 M = rng.normal(size=(n, n))
                 rho = spectral_radius(M)
-                rho_lifted = spectral_radius(kron(M, M))
+                rho_lifted = spectral_radius(np.kron(M, M))
                 assert rho_lifted == pytest.approx(rho**2, rel=1e-7, abs=1e-12)
 
     def test_cone_seed_path(self):
         M = np.array([[0.9, 0.2], [0.0, 0.5]])
-        lifted = kron(M, M)
-        rho = spectral_radius(lifted, cone_seed=np.diag([1.0, 2.0]))
+        lifted = np.kron(M, M)
+        rho = spectral_radius(lifted, cone=True)
         assert rho == pytest.approx(0.81, rel=1e-9)
-
-    def test_rejects_mismatched_cone_seed(self):
-        with pytest.raises(InvalidInputError):
-            spectral_radius(np.eye(4), cone_seed=np.eye(3))
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidInputError):
             spectral_radius(np.ones((2, 3)))
 
-    def test_power_iteration_does_not_stop_at_a_turn(self):
-        # The Rayleigh quotient of this non-normal lifted map overshoots rho
-        # and turns back; one small step at the turn is not convergence.
+    def test_non_normal_map_with_a_rayleigh_turn(self):
+        # In a power iteration on this non-normal lifted map, the Rayleigh
+        # quotient overshoots rho and turns back, so a test for small steps
+        # can stop about 2e-7 from rho.  The dense eigenvalues do not iterate.
         plant3 = SystemSpec(
             A=np.diag([1.3, 1.2, 0.4]),
             B=np.array([[1.0, 0.0], [0.0, 1.0], [0.2, 0.1]]),
@@ -199,9 +195,83 @@ def example2_map():
 LIFTED_MAPS = {"turn": turn_map, "pair": pair_map, "example2": example2_map}
 
 
+def proves_below(M, s, n) -> bool:
+    """Whether the Lyapunov solve at s proves rho(Phi) < s."""
+    solved = numerics._lyapunov_solve(M, s, n)
+    return solved is not None and numerics._positive_definite(solved[1])
+
+
 def brackets(M, rho, n) -> bool:
     """Whether two Lyapunov solves prove rho - tol <= rho(Phi) < rho + tol."""
-    return numerics._bounded_above(M, rho, n) and numerics._bounded_below(M, rho, n)
+    tol = numerics.DUAL_AGREE_RTOL * (1.0 + rho)
+    return proves_below(M, rho + tol, n) and (rho - tol <= 0.0 or not proves_below(M, rho - tol, n))
+
+
+def rounding_decides(M, s, n) -> bool:
+    """Whether rounding in the solve at s cannot have moved X across the
+    boundary of the PSD cone (Weyl: |lambda_min(X)| > eps cond ||X||_2)."""
+    system, X = numerics._lyapunov_solve(M, s, n)
+    w = np.linalg.eigvalsh(X)
+    return bool(abs(w[0]) > np.finfo(float).eps * np.linalg.cond(system) * np.max(np.abs(w)))
+
+
+def two_solve_bracket(M, rho, n):
+    """The certification of `spectral_radius(M, cone=True)` as an independent
+    route: one solve for each positive-definiteness test and another for the
+    rounding test.  Returns ("value", rho), ("warn", rho, message) or
+    ("raise", message), with rho as float.hex."""
+    rtol = numerics.DUAL_AGREE_RTOL
+    tol = rtol * (1.0 + rho)
+
+    def positive_definite(s):
+        try:
+            X = np.linalg.solve(np.eye(n * n) - M / s, np.eye(n).reshape(-1)).reshape(n, n)
+            np.linalg.cholesky(0.5 * (X + X.T))
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.all(np.isfinite(X)))
+
+    def decided(s):
+        system = np.eye(n * n) - M / s
+        try:
+            X = np.linalg.solve(system, np.eye(n).reshape(-1)).reshape(n, n)
+        except np.linalg.LinAlgError:
+            return False
+        w = np.linalg.eigvalsh(0.5 * (X + X.T))
+        return bool(abs(w[0]) > np.finfo(float).eps * np.linalg.cond(system) * np.max(np.abs(w)))
+
+    if not positive_definite(rho + tol):
+        if decided(rho + tol):
+            return (
+                "raise",
+                f"a Lyapunov solve at rho + {rtol:.0e} * (1 + rho) does not "
+                f"bound the dense spectral radius {rho:.12e} from above",
+            )
+        side = "above (the solve is too ill-conditioned to tell)"
+    elif rho - tol > 0.0 and positive_definite(rho - tol):
+        side = "below (it may overstate rho)"
+    else:
+        return ("value", rho.hex())
+    return (
+        "warn",
+        rho.hex(),
+        f"Lyapunov solves at rho -/+ {rtol:.0e} * (1 + rho) do not bound the dense spectral radius {rho:.12e} from {side}",
+    )
+
+
+def cone_outcome(M):
+    """`spectral_radius(M, cone=True)` in the form of `two_solve_bracket`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rho = spectral_radius(M, cone=True)
+        except NumericalFailureError as exc:
+            return ("raise", str(exc))
+    if not caught:
+        return ("value", rho.hex())
+    (warning,) = caught
+    assert warning.category is RuntimeWarning
+    return ("warn", rho.hex(), str(warning.message))
 
 
 class TestLyapunovBracket:
@@ -219,13 +289,13 @@ class TestLyapunovBracket:
         monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda M: rho + shift)
         if shift < 0:
             # An understated rho is caught by a solve that rounding cannot decide.
-            assert numerics._lyapunov_decided(Phi, rho + shift + 1e-7 * (1 + rho + shift), n)
+            assert rounding_decides(Phi, rho + shift + 1e-7 * (1 + rho + shift), n)
             with pytest.raises(NumericalFailureError, match="from above"):
-                spectral_radius(Phi, cone_seed=np.eye(n))
+                spectral_radius(Phi, cone=True)
         else:
             # An overstated rho is the safe side of every verdict: returned, with a warning.
             with pytest.warns(RuntimeWarning, match="from below"):
-                assert spectral_radius(Phi, cone_seed=np.eye(n)) == rho + shift
+                assert spectral_radius(Phi, cone=True) == rho + shift
         assert spectral_radius(Phi) == rho + shift
 
     def test_lifted_map_callers_assert_the_cone(self, monkeypatch, example2):
@@ -242,13 +312,51 @@ class TestLyapunovBracket:
             with pytest.raises(NumericalFailureError, match="bound"):
                 call()
 
+    def test_one_solve_per_side_matches_the_two_solve_route(self, monkeypatch):
+        # Random lifted maps, n <= 4, among them rotated Jordan blocks and
+        # nilpotent maps, with the dense rho shifted to either side of both
+        # bracket edges: the same value bits, warnings and errors as solving
+        # each side's system again for the rounding test.
+        rng = np.random.default_rng(2024)
+        dense = numerics._dense_spectral_radius
+        kinds = []
+        for t in range(400):
+            n = int(rng.integers(1, 5))
+            if t % 4 == 0:
+                A = 0.6 * rng.normal(size=(n, n))
+            elif t % 4 == 1:
+                U = np.triu(rng.normal(size=(n, n)), 1) + 0.5 * np.eye(n) * (t % 8 == 1)
+                Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                A = Q @ U @ Q.T
+            elif t % 4 == 2:
+                A = rng.normal(size=(n, n))
+            else:
+                Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                A = Q @ np.diag(rng.uniform(-1.0, 1.0, size=n)) @ Q.T
+            B = rng.normal(size=(n, n))
+            K = 0.3 * rng.normal(size=(n, n))
+            q = float(rng.uniform())
+            closed = A + B @ K
+            M = (1.0 - q) * np.kron(closed, closed) + q * np.kron(A, A)
+            rho = dense(M)
+            for shift in (0.0, 5e-8, -5e-8, 2e-7, -2e-7):
+                monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda X: rho + shift)
+                expected = two_solve_bracket(M, rho + shift, n)
+                assert cone_outcome(M) == expected
+                kinds.append(expected[0])
+        monkeypatch.undo()
+        # Every outcome is exercised (1552, 224 and 224 of the 2000 with numpy 2.4.6).
+        assert min(kinds.count(kind) for kind in ("value", "warn", "raise")) >= 100
+
     def test_cone_seed_is_a_flag(self):
         Phi, n = turn_map()
         rho = numerics._dense_spectral_radius(Phi)
-        assert spectral_radius(Phi, cone_seed=True) == rho
-        assert spectral_radius(Phi, cone_seed=np.arange(n * n).reshape(n, n)) == rho
+        assert spectral_radius(Phi, cone=True) == rho
         with pytest.raises(InvalidInputError):
-            spectral_radius(np.eye(5), cone_seed=True)
+            spectral_radius(np.eye(5), cone=True)
+        # The flag is keyword-only: a seed matrix passed by position fails loudly.
+        with pytest.raises(TypeError):
+            spectral_radius(Phi, np.eye(n))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_rotated_defective_maps_keep_the_dense_verdict(self, n):
@@ -274,7 +382,7 @@ class TestLyapunovBracket:
             assert verdict.stable
 
     def test_zero_and_nilpotent_maps(self):
-        assert spectral_radius(np.zeros((4, 4)), cone_seed=np.eye(2)) == 0.0
+        assert spectral_radius(np.zeros((4, 4)), cone=True) == 0.0
         # A deadbeat gain on the double integrator: (A + BK)^2 = 0, so the
         # lifted map at q = 0 is nilpotent and rho - tol <= 0.
         plant = SystemSpec(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.0], [1.0]], Q=np.eye(2), R=np.eye(1))
@@ -286,20 +394,20 @@ class TestLyapunovBracket:
         a, k, q = 1.5, -1.0868, 0.4
         expected = (a + (1 - q) * k) ** 2 + q * (1 - q) * k**2
         for value in (expected, 0.0, 0.25, 1.0, 3.0):
-            assert spectral_radius([[value]], cone_seed=[[1.0]]) == value
+            assert spectral_radius([[value]], cone=True) == value
         assert not brackets(np.array([[0.25]]), 0.25 + 2e-7, 1)
         assert not brackets(np.array([[0.25]]), 0.25 - 2e-7, 1)
 
     def test_near_plus_minus_pair(self):
         Phi, n = pair_map()
         eig = np.linalg.eigvals(Phi)
-        rho = spectral_radius(Phi, cone_seed=np.eye(n))
+        rho = spectral_radius(Phi, cone=True)
         assert rho == pytest.approx(0.95**2, rel=1e-9)
         assert np.min(eig.real) == pytest.approx(-(0.95**2) * 0.998, rel=1e-9)
 
     def test_turn_map(self):
         Phi, n = turn_map()
-        assert spectral_radius(Phi, cone_seed=np.eye(n)) == pytest.approx(0.4771610023, abs=1e-10)
+        assert spectral_radius(Phi, cone=True) == pytest.approx(0.4771610023, abs=1e-10)
 
     def test_non_cone_matrix_returns_dense_value(self):
         rng = np.random.default_rng(3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lossylqr import (
+    DimensionError,
     InvalidInputError,
     SimConfig,
     SystemSpec,
@@ -325,6 +326,62 @@ class TestGaussianDraws:
             simulate_trajectory(example2, gain, 0.2, x0, cfg)
         with pytest.raises(np.linalg.LinAlgError):
             monte_carlo_cost(example2, gain, 0.2, x0, cfg)
+
+
+class TestInputChecks:
+    """Gains, initial states and Gaussian laws are checked before any draw."""
+
+    CFG = SimConfig(seed=0, horizon=6, trajectories=4)
+
+    @staticmethod
+    def runs(sys, K, x0):
+        cfg = TestInputChecks.CFG
+        return [
+            lambda: simulate_trajectory(sys, K, 0.2, x0, cfg),
+            lambda: monte_carlo_cost(sys, K, 0.2, x0, cfg),
+            lambda: empirical_ms_decay(sys, K, 0.2, x0, cfg),
+        ]
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 3), (2,), (4,)])
+    def test_gain_of_wrong_shape(self, example2, shape):
+        for run in self.runs(example2, np.ones(shape), np.ones(2)):
+            with pytest.raises(DimensionError, match="gain must be 2x2"):
+                run()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gain(self, example2, bad):
+        gain, _ = ce_gain(example2, 0.1633)
+        K = gain.K.copy()
+        K[0, 1] = bad
+        for run in self.runs(example2, K, np.ones(2)):
+            with pytest.raises(InvalidInputError, match="gain has non-finite entries"):
+                run()
+
+    @pytest.mark.parametrize(
+        "x0, message",
+        [
+            (np.array([1.0, np.nan]), "initial state has non-finite"),
+            (np.array([np.inf, 1.0]), "initial state has non-finite"),
+            (np.ones(3), "initial state has length 3"),
+            ((np.array([np.nan, 0.0]), np.eye(2)), "initial-state mean has non-finite"),
+            ((np.zeros(3), np.eye(2)), "initial-state mean has length 3"),
+            ((np.zeros(2), np.diag([1.0, np.nan])), "initial-state covariance has non-finite"),
+            ((np.zeros(2), np.eye(3)), "initial-state covariance has length 9"),
+        ],
+    )
+    def test_bad_initial_state(self, example2, x0, message):
+        gain, _ = ce_gain(example2, 0.1633)
+        for run in self.runs(example2, gain, x0):
+            with pytest.raises(InvalidInputError, match=message):
+                run()
+
+    def test_scalar_plant_takes_scalar_gain_and_state(self, example1):
+        gain, _ = ce_gain(example1, 0.1)
+        cfg = self.CFG
+        k = float(gain.K[0, 0])
+        assert monte_carlo_cost(example1, k, 0.2, 1.0, cfg) == monte_carlo_cost(example1, gain, 0.2, [1.0], cfg)
+        law = (0.0, 1.0)
+        assert monte_carlo_cost(example1, k, 0.2, law, cfg) == monte_carlo_cost(example1, gain, 0.2, law, cfg)
 
 
 class TestNoEntropyReads:

@@ -128,10 +128,24 @@ class TestLiftedMatrix:
                 err = np.linalg.norm(lifted_matrix(sys, gain, q) - alt)
                 assert err <= 1e-12 * (1.0 + np.linalg.norm(alt))
 
+    def test_gain_is_checked(self, example2):
+        gain, _ = ce_gain(example2, 0.1)
+        for K in (np.ones((1, 2)), np.ones((2, 3)), np.ones(4)):
+            with pytest.raises(DimensionError):
+                lifted_matrix(example2, K, 0.2)
+        for bad in (np.nan, np.inf):
+            K = gain.K.copy()
+            K[1, 0] = bad
+            with pytest.raises(InvalidInputError, match="gain has non-finite entries"):
+                lifted_matrix(example2, K, 0.2)
+            with pytest.raises(InvalidInputError, match="gain has non-finite entries"):
+                exact_ms_stable(example2, K, 0.2)
+        np.testing.assert_array_equal(lifted_matrix(example2, gain, 0.2), lifted_matrix(example2, gain.K, 0.2))
+
     def test_same_map_as_solver_and_region_map(self):
         # region_map and the solver's stabilizing test evaluate the affine
         # form (1-q) M(x)M + q A(x)A; the oracle must compute the same bits.
-        from lossylqr.riccati import _lifted_at, _lifted_pairs
+        from lossylqr.riccati import _lifted_map
 
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -140,11 +154,10 @@ class TestLiftedMatrix:
             random_K = rng.normal(size=(sys.m, sys.n))
             for K in (gain.K, random_K):
                 closed = sys.A + sys.B @ K
-                pair = next(_lifted_pairs(sys, [K]))
                 for q in (0.0, 0.3, 0.7, 1.0):
                     affine = (1.0 - q) * np.kron(closed, closed) + q * np.kron(sys.A, sys.A)
                     np.testing.assert_array_equal(lifted_matrix(sys, K, q), affine)
-                    np.testing.assert_array_equal(lifted_matrix(sys, K, q), _lifted_at(pair, q))
+                    np.testing.assert_array_equal(lifted_matrix(sys, K, q), _lifted_map(sys, K, q))
 
 
 class TestExactOracle:
@@ -223,6 +236,20 @@ class TestThresholdBounds:
         wide = SystemSpec(A=np.diag([1.2, 0.5]), B=np.array([[1.0, 0.0, 0.1], [0.0, 1.0, 0.0]]), Q=np.eye(2), R=np.eye(3))
         with pytest.raises(DimensionError):
             st_lower_bound(wide, 0.1, "invertible_B")
+
+    def test_invertible_b_variant_iff_closed_form_for_qc(self):
+        # One test decides both: the closed form q_c = 1 / max|lambda_u|^2 and
+        # the admissibility of the invertible-B variant, on either side of
+        # the relative singular-value threshold 1e-10.
+        for smallest in (1e-10 * (1 - 2e-16), 1e-10, 1e-10 * (1 + 2e-16), 1e-9, 0.0):
+            sys = SystemSpec(A=np.diag([1.2, 1.1]), B=np.diag([1.0, smallest]), Q=np.eye(2), R=np.eye(2))
+            closed_form = critical_probability(sys, refine=False).method == "invertible_B"
+            try:
+                _check_threshold_variant(sys, "invertible_B")
+                admissible = True
+            except DimensionError:
+                admissible = False
+            assert closed_form == admissible == (smallest > 1e-10)
 
     def test_singular_state_matrix_clamps(self):
         sys = SystemSpec(A=np.zeros((2, 2)), B=np.eye(2), Q=np.eye(2), R=np.eye(2))
