@@ -31,13 +31,25 @@ def _as_matrix(M) -> np.ndarray:
     return M
 
 
+def _fro(X: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix of a (k, r, c) stack.  One
+    matrix takes the BLAS dot of its entries in memory order, and a stack the
+    row-times-column product of each flattened matrix: what np.linalg.norm
+    computes, so the same bits, without its per-call overhead."""
+    if X.ndim == 2:
+        v = X.ravel(order="K")
+        return math.sqrt(v.dot(v))
+    v = X.reshape(len(X), 1, -1)
+    return np.sqrt(v @ v.mT)[:, 0, 0]
+
+
 def symmetrize(M, rtol: float = SYM_RTOL) -> np.ndarray:
     """Return (M + M^T)/2, refusing inputs whose asymmetry exceeds rtol * (1 + ||M||)."""
     M = _as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"cannot symmetrize a {M.shape} matrix")
-    norm = np.linalg.norm(M)
-    skew = np.linalg.norm(M - M.T)
+    norm = _fro(M)
+    skew = _fro(M - M.T)
     if skew > rtol * (1.0 + norm) * 2.0:
         raise InvalidInputError(
             f"matrix is not symmetric: asymmetry {skew:.3e} exceeds tolerance"

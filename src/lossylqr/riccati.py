@@ -24,8 +24,12 @@ Marques, Discrete-Time Markov Jump Linear Systems, 2005), and the dense test
 decides only where that certificate proves nothing (`_solve_certifies`).
 
 Repeated calls with the same plant and rate return the same read-only
-solution from a four-entry memo, so the estimate, the true rate and q = 0 of
-one design are each solved once however many functions ask for them.
+solution from a memo of two tiers: the four problems at rates other than 0
+returned last, and the standard (q = 0) solutions of the last eight plants.
+The estimate, the true rate and q = 0 of one design are each solved once
+however many functions ask for them, and a plant's standard solution, which
+the sample-complexity bound of each of its designs asks for, outlives the
+other rates of designs in between.
 
 Two loops run this iteration, and one rule picks between them: one rate
 goes to the per-rate loop `_mare_solve` (through `mare_solve`, hence every
@@ -34,12 +38,15 @@ lock-step on one (k, n, n) stack: each step costs one set of numpy calls for
 the whole stack instead of one per rate, and a rate leaves the stack where
 its own loop would stop.  Each rate gets exactly the bits of `_mare_solve`
 (P, iteration count, residual, or the error and its reason); the step
-formulas (`_mare_step`, `_gain_weight`, `_feedback_gain`, `_lifted_map`,
-`_solve_certifies`) are shared and take one matrix or a stack.  For a single
-rate the per-rate loop is the faster one.  The grid of `region_map` and of
-the threshold curve, and the probes of both bisections (`_bisect_rates`:
-the q_c refinement of `critical_probability` and `zero_sample_safe_q`), are
-solved in lock-step.  The one exception is `gap_curve`, whose per-point
+formulas (`_gain_solve` with `_mare_step`, `_mare_step_gain`, `_gain_weight`
+and `_feedback_gain`, then `_lifted_map` and `_solve_certifies`) are shared
+and take one matrix or a stack.  One solve S = (R + B^T X B)^{-1} (A^T X B)^T
+serves a whole step: the gain weight is (A^T X B) S and the gain of X is -S,
+so a Hewer step solves with R + B^T P B once for its residual and its next
+gain.  For a single rate the per-rate loop is the faster one.  The grid of
+`region_map` and of the threshold curve, and the probes of both bisections
+(`_bisect_rates`: the q_c refinement of `critical_probability` and
+`zero_sample_safe_q`), are solved in lock-step.  The one exception is `gap_curve`, whose per-point
 `mare_solve` calls the CLI tests count.
 
 The lifted map (`_lifted_map`), its verdict (`_ms_stable`), the scalar iff
@@ -58,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NoSolutionError
-from .numerics import StallDetector, _dense_spectral_radius, _positive_definite, sym_eig_extremes, symmetrize
+from .numerics import StallDetector, _dense_spectral_radius, _fro, _positive_definite, sym_eig_extremes, symmetrize
 
 # Fixed-point iteration controls for the (modified) Riccati equation.
 MAX_ITERATIONS = 10**5
@@ -85,9 +92,13 @@ BISECT_LOOKAHEAD = 4
 # float64 per stacked array of lifted maps): 3236 rates at n = 3, 26 at n = 10.
 LOCKSTEP_ENTRIES = 1 << 18
 
-# `mare_solve` keeps the _MEMO_SIZE solutions it returned last, evicting the
-# least recently returned: one design solves at its estimate, the true rate and 0.
+# `mare_solve` keeps the _MEMO_SIZE solutions at rates other than 0 that it
+# returned last, and apart from those the _STANDARD_MEMO_SIZE solutions at
+# q = 0, evicting the least recently returned of each tier.  One design solves
+# at its estimate, the true rate and 0, and the standard solution of a plant
+# comes back in each of its designs.  Keys start with the tier (q == 0).
 _MEMO_SIZE = 4
+_STANDARD_MEMO_SIZE = 8
 _memo: dict = {}
 _memo_lock = threading.Lock()
 
@@ -208,22 +219,34 @@ class CriticalProbability:
 # cholesky round each member exactly as the 2-d call does.
 
 
-def _gain_weight(sys: SystemSpec, X: np.ndarray) -> np.ndarray:
-    """A^T X B (R + B^T X B)^{-1} B^T X A, unsymmetrized."""
+def _gain_solve(sys: SystemSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A^T X B, S) with S = (R + B^T X B)^{-1} (A^T X B)^T: the one solve
+    behind the gain weight (A^T X B) S and the feedback gain -S of X."""
     XB = X @ sys.B
     AtXB = sys.A.T @ XB
-    return AtXB @ np.linalg.solve(sys.R + sys.B.T @ XB, AtXB.mT)
+    return AtXB, np.linalg.solve(sys.R + sys.B.T @ XB, AtXB.mT)
+
+
+def _gain_weight(sys: SystemSpec, X: np.ndarray) -> np.ndarray:
+    """A^T X B (R + B^T X B)^{-1} B^T X A, unsymmetrized."""
+    AtXB, S = _gain_solve(sys, X)
+    return AtXB @ S
+
+
+def _mare_step_gain(X: np.ndarray, sys: SystemSpec, one_minus_q) -> tuple[np.ndarray, np.ndarray]:
+    """One Riccati step from X and the feedback gain of X, from one solve."""
+    AtXB, S = _gain_solve(sys, X)
+    step = sys.Q + sys.A.T @ X @ sys.A - one_minus_q * (AtXB @ S)
+    return 0.5 * (step + step.mT), -S
 
 
 def _mare_step(X: np.ndarray, sys: SystemSpec, one_minus_q) -> np.ndarray:
-    step = sys.Q + sys.A.T @ X @ sys.A - one_minus_q * _gain_weight(sys, X)
-    return 0.5 * (step + step.mT)
+    return _mare_step_gain(X, sys, one_minus_q)[0]
 
 
 def _feedback_gain(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
     """K = -(R + B^T P B)^{-1} B^T P A, the optimal gain for cost-to-go P."""
-    PB = P @ sys.B
-    return -np.linalg.solve(sys.R + sys.B.T @ PB, PB.mT @ sys.A)
+    return -_gain_solve(sys, P)[1]
 
 
 def _gain(sys: SystemSpec, K) -> np.ndarray:
@@ -255,21 +278,14 @@ def _kron_self(X: np.ndarray) -> np.ndarray:
     return (X[..., :, None, :, None] * X[..., None, :, None, :]).reshape(X.shape[:-2] + (n * n, n * n))
 
 
-def _fro(X: np.ndarray):
-    """Frobenius norm of a matrix, or of each matrix of a (k, r, c) stack.  The
-    stack's norms are row-times-column products of the flattened matrices:
-    the same BLAS dot as np.linalg.norm, so the same bits."""
-    if X.ndim == 2:
-        return np.linalg.norm(X)
-    v = X.reshape(len(X), 1, -1)
-    return np.sqrt(v @ v.mT)[:, 0, 0]
-
-
-def _lifted_map(sys: SystemSpec, K: np.ndarray, q) -> np.ndarray:
+def _lifted_map(sys: SystemSpec, K: np.ndarray, q, q_AA=None) -> np.ndarray:
     """Lifted second-moment map (1-q) (A+BK)(x)(A+BK) + q A(x)A of the gain K
     at loss rate q.  A (k, m, n) stack of gains or a (k, 1, 1) array of rates
-    gives the stack of the k maps."""
-    return (1.0 - q) * _kron_self(sys.A + sys.B @ K) + q * _kron_self(sys.A)
+    gives the stack of the k maps.  A loop over gains at fixed rates passes
+    q_AA = q * _kron_self(A), formed once."""
+    if q_AA is None:
+        q_AA = q * _kron_self(sys.A)
+    return (1.0 - q) * _kron_self(sys.A + sys.B @ K) + q_AA
 
 
 def _ms_stable(rho):
@@ -334,7 +350,9 @@ def _policy_iteration(
 
     Each step evaluates the current gain exactly, by the n^2-sized lifted
     Lyapunov equation (I - L^T) vec P = vec(Q + (1-q) K^T R K), and then
-    improves the gain.  The first gain must pass the dense test; each later
+    improves the gain; the Riccati step that gives the residual of P and the
+    next gain share one solve (`_mare_step_gain`), and q A(x)A is formed once
+    per call.  The first gain must pass the dense test; each later
     one is certified by its own solve (`_solve_certifies`, q_floor =
     lambda_min(Q)), and by the dense test only when that proves nothing.
     It stops once the update is below STEP_TOL, or keeps the previous P once
@@ -344,13 +362,15 @@ def _policy_iteration(
     """
     n = sys.n
     eye = np.eye(n * n)
+    one_minus_q = 1.0 - q
+    q_AA = q * _kron_self(sys.A)
     K = _feedback_gain(sys, X)
     P, steps, residual = X, 0, np.inf
     while True:
-        L = _lifted_map(sys, K, q)
+        L = _lifted_map(sys, K, q, q_AA)
         if steps == 0 and not _ms_stable(_dense_spectral_radius(L)):
             return None, steps, residual
-        cost = sys.Q + (1.0 - q) * (K.T @ sys.R @ K)
+        cost = sys.Q + one_minus_q * (K.T @ sys.R @ K)
         try:
             Pn = np.linalg.solve(eye - L.T, cost.reshape(-1)).reshape(n, n)
         except np.linalg.LinAlgError:  # L has eigenvalue 1: no certificate, the dense test fails
@@ -359,15 +379,15 @@ def _policy_iteration(
         if steps and not _solve_certifies(L, Pn, cost, q_floor) and not _ms_stable(_dense_spectral_radius(L)):
             return None, steps, residual
         steps += 1
-        norm = np.linalg.norm(Pn)
-        new_residual = float(np.linalg.norm(_mare_step(Pn, sys, 1.0 - q) - Pn) / (1.0 + norm))
+        norm = _fro(Pn)
+        step, Kn = _mare_step_gain(Pn, sys, one_minus_q)
+        new_residual = _fro(step - Pn) / (1.0 + norm)
         if not new_residual < residual:
             break
-        change = np.linalg.norm(Pn - P) / (1.0 + norm)
-        P, residual = Pn, new_residual
+        change = _fro(Pn - P) / (1.0 + norm)
+        P, K, residual = Pn, Kn, new_residual
         if change <= STEP_TOL:
             break
-        K = _feedback_gain(sys, P)
     return (P if residual <= RESIDUAL_TOL else None), steps, residual
 
 
@@ -409,15 +429,15 @@ def _mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
     policy_steps = 0
     for it in range(1, MAX_ITERATIONS + 1):
         Xn = _mare_step(X, sys, one_minus_q)
-        norm = np.linalg.norm(Xn)
-        if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
+        norm = _fro(Xn)
+        if not norm <= DIVERGENCE_NORM:  # NaN and inf included
             raise _diverged(q)
-        rel_change = np.linalg.norm(Xn - X) / (1.0 + norm)
+        rel_change = _fro(Xn - X) / (1.0 + norm)
         X = Xn
         if rel_change <= STEP_TOL:
-            residual = np.linalg.norm(_mare_step(X, sys, one_minus_q) - X) / (1.0 + norm)
+            residual = _fro(_mare_step(X, sys, one_minus_q) - X) / (1.0 + norm)
             if residual <= RESIDUAL_TOL:
-                return RiccatiSolution(P=X, q_used=q, iterations=it + policy_steps, residual=float(residual))
+                return RiccatiSolution(P=X, q_used=q, iterations=it + policy_steps, residual=residual)
         if _policy_due(it):
             P, steps, residual = _policy_iteration(sys, q, X, q_floor)
             policy_steps += steps
@@ -442,15 +462,16 @@ def _policy_iteration_rates(
     steps = np.zeros(p, dtype=int)
     residual = np.full(p, np.inf)
     solved = np.zeros(p, dtype=bool)
-    live = np.arange(p)  # member index of each row of P, K and L
+    live = np.arange(p)  # member index of each row of P, K, L and q_AA
     P = X.copy()
     K = _feedback_gain(sys, X)
+    q_AA = q * _kron_self(sys.A)
     first = True
     while len(live):
-        L = _lifted_map(sys, K, q[live])
+        L = _lifted_map(sys, K, q[live], q_AA)
         if first:
             keep = _ms_stable(_dense_spectral_radius(L))
-            live, P, K, L = live[keep], P[keep], K[keep], L[keep]
+            live, P, K, L, q_AA = live[keep], P[keep], K[keep], L[keep], q_AA[keep]
             if not len(live):
                 break
         cost = sys.Q + one_minus_q[live] * (K.mT @ sys.R @ K)
@@ -460,13 +481,14 @@ def _policy_iteration_rates(
             keep = _solve_certifies(L, Pn, cost, q_floor)
             if not keep.all():
                 keep[~keep] = _ms_stable(_dense_spectral_radius(L[~keep]))
-                live, P, Pn = live[keep], P[keep], Pn[keep]
+                live, P, Pn, q_AA = live[keep], P[keep], Pn[keep], q_AA[keep]
                 if not len(live):
                     break
         first = False
         steps[live] += 1
         norm = _fro(Pn)
-        new_residual = _fro(_mare_step(Pn, sys, one_minus_q[live]) - Pn) / (1.0 + norm)
+        step, K = _mare_step_gain(Pn, sys, one_minus_q[live])
+        new_residual = _fro(step - Pn) / (1.0 + norm)
         better = new_residual < residual[live]
         stop = ~better
         if better.any():
@@ -478,10 +500,9 @@ def _policy_iteration_rates(
             done = live[stop]
             out[done] = P[stop]
             solved[done] = residual[done] <= RESIDUAL_TOL
-            live, P = live[~stop], P[~stop]
+            live, P, K, q_AA = live[~stop], P[~stop], K[~stop], q_AA[~stop]
             if not len(live):
                 break
-        K = _feedback_gain(sys, P)
     return out, steps, residual, solved
 
 
@@ -588,12 +609,17 @@ def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
     `reason` "diverged", "stalled" or "cap", which signals that q is at or
     above the critical probability (no gain is then mean-square stabilizing).
 
-    The _MEMO_SIZE solutions returned last are kept, keyed by the bytes and
-    layout of (A, B, Q, R) and by q with its type (each can change the
-    result's bits): the same problem again returns the same object, whose P
-    is read-only.  Failures are not kept.
+    The _MEMO_SIZE solutions at rates other than 0 returned last are kept,
+    and apart from those the standard (q = 0) solutions of the last
+    _STANDARD_MEMO_SIZE plants, which the sample-complexity bounds of each
+    design ask for again.  Keys are the bytes and layout of (A, B, Q, R) and
+    q with its type (each can change the result's bits): the same problem
+    again returns the same object, whose P is read-only.  Failures are not
+    kept.
     """
-    key = (type(q), float(q).hex(), *((M.shape, M.strides, M.tobytes()) for M in (sys.A, sys.B, sys.Q, sys.R)))
+    standard = float(q) == 0.0
+    plant = ((M.shape, M.strides, M.tobytes()) for M in (sys.A, sys.B, sys.Q, sys.R))
+    key = (standard, type(q), float(q).hex(), *plant)
     with _memo_lock:
         sol = _memo.pop(key, None)
     if sol is None:
@@ -601,8 +627,9 @@ def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
         sol.P.flags.writeable = False
     with _memo_lock:
         _memo[key] = sol
-        while len(_memo) > _MEMO_SIZE:
-            del _memo[next(iter(_memo))]
+        tier = [k for k in _memo if k[0] == standard]
+        for k in tier[: max(0, len(tier) - (_STANDARD_MEMO_SIZE if standard else _MEMO_SIZE))]:
+            del _memo[k]
     return sol
 
 

@@ -1,5 +1,7 @@
+import json
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,7 +350,7 @@ class TestMareMemo:
         assert after.P[0, 0] != before
 
     def test_oldest_problem_is_evicted(self, example2, solve_count):
-        rates = [0.05 * i for i in range(riccati._MEMO_SIZE + 1)]
+        rates = [0.05 * (i + 1) for i in range(riccati._MEMO_SIZE + 1)]
         first = [mare_solve(example2, q) for q in rates]
         assert solve_count[0] == riccati._MEMO_SIZE + 1
         assert mare_solve(example2, rates[-1]) is first[-1]
@@ -357,6 +359,48 @@ class TestMareMemo:
         assert solve_count[0] == riccati._MEMO_SIZE + 2
         assert again is not first[0]
         np.testing.assert_array_equal(again.P, first[0].P)
+
+    def test_standard_solution_outlives_other_rates(self, example2, solve_count):
+        standard = dare_solve(example2)
+        for i in range(2 * riccati._MEMO_SIZE):
+            mare_solve(example2, 0.02 * (i + 1))
+        assert solve_count[0] == 2 * riccati._MEMO_SIZE + 1
+        assert dare_solve(example2) is standard
+        assert mare_solve(example2, 0.0) is standard
+        assert solve_count[0] == 2 * riccati._MEMO_SIZE + 1
+
+    def test_oldest_standard_solution_is_evicted(self, solve_count):
+        plants = [SystemSpec(A=1.5 + 0.01 * i, B=1.0, Q=1.0, R=1.0) for i in range(riccati._STANDARD_MEMO_SIZE + 1)]
+        first = [dare_solve(sys) for sys in plants]
+        assert solve_count[0] == len(plants)
+        assert dare_solve(plants[-1]) is first[-1]
+        assert dare_solve(plants[1]) is first[1]
+        assert solve_count[0] == len(plants)
+        again = dare_solve(plants[0])
+        assert solve_count[0] == len(plants) + 1
+        assert again is not first[0]
+        np.testing.assert_array_equal(again.P, first[0].P)
+
+    def test_two_lru_tiers(self, solve_count):
+        # A random call sequence against a model: one least-recently-returned
+        # list per tier, of _MEMO_SIZE rates other than 0 and
+        # _STANDARD_MEMO_SIZE standard solutions.
+        rng = np.random.default_rng(3)
+        plants = [SystemSpec(A=1.2 + 0.05 * i, B=1.0, Q=1.0, R=1.0) for i in range(12)]
+        tiers = {True: [], False: []}
+        limits = {True: riccati._STANDARD_MEMO_SIZE, False: riccati._MEMO_SIZE}
+        solves = 0
+        for _ in range(400):
+            problem = (int(rng.integers(len(plants))), float(rng.choice([0.0, 0.0, 0.1, 0.2, 0.3])))
+            tier = tiers[problem[1] == 0.0]
+            if problem in tier:
+                tier.remove(problem)
+            else:
+                solves += 1
+            tier.append(problem)
+            del tier[: -limits[problem[1] == 0.0]]
+            mare_solve(plants[problem[0]], problem[1])
+            assert solve_count[0] == solves
 
     def test_failure_is_solved_on_every_call(self, example1, solve_count):
         for calls in (1, 2, 3):
@@ -370,16 +414,20 @@ class TestMareMemo:
         assert solve_count[0] == 2
 
     def test_concurrent_callers_share_the_memo(self, example1, solve_count):
-        rates = [0.02 * i for i in range(2 * riccati._MEMO_SIZE)]
-        expected = {q: riccati._mare_solve(example1, q).P.tobytes() for q in rates}
+        # Rates other than 0 of one plant, and the standard solutions of more
+        # plants than either tier holds.
+        plants = [SystemSpec(A=1.5 + 0.01 * i, B=1.0, Q=1.0, R=1.0) for i in range(riccati._STANDARD_MEMO_SIZE + 2)]
+        problems = [(example1, 0.02 * i) for i in range(2 * riccati._MEMO_SIZE)] + [(p, 0.0) for p in plants]
+        expected = [riccati._mare_solve(p, q).P.tobytes() for p, q in problems]
         errors = []
 
         def caller(offset):
             try:
                 for i in range(60):
-                    q = rates[(i * 3 + offset) % len(rates)]
-                    if mare_solve(example1, q).P.tobytes() != expected[q]:
-                        errors.append(f"wrong solution at q={q}")
+                    k = (i * 3 + offset) % len(problems)
+                    p, q = problems[k]
+                    if mare_solve(p, q).P.tobytes() != expected[k]:
+                        errors.append(f"wrong solution of problem {k} at q={q}")
             except Exception as exc:  # collected and reported by the main thread
                 errors.append(repr(exc))
 
@@ -395,7 +443,9 @@ class TestMareMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(riccati._memo) <= riccati._MEMO_SIZE
+        standard = sum(sol.q_used == 0 for sol in riccati._memo.values())
+        assert standard <= riccati._STANDARD_MEMO_SIZE
+        assert len(riccati._memo) - standard <= riccati._MEMO_SIZE
 
     def test_design_loop_solves_each_rate_once(self, example2, solve_count, monkeypatch):
         X0 = np.eye(2)
@@ -594,3 +644,77 @@ class TestLockstepCallers:
         rows = list(_threshold_curve(example2, "general", 0.0, None, 0.01))
         assert len(rows) > 10
         assert solve_count[0] == 0
+
+
+PINNED_GENERAL_B = Path(__file__).parent / "data" / "pinned_general_b.json"
+
+
+def general_b_plants() -> list[SystemSpec]:
+    """Three plants with a tall B of rank above one (q_c only bracketed), n = 3, 4, 5."""
+    rng = np.random.default_rng(1515)
+    plants = []
+    for n, m in ((3, 2), (4, 2), (5, 3)):
+        A = rng.normal(size=(n, n))
+        A *= 1.2 / np.max(np.abs(np.linalg.eigvals(A)))
+        B = rng.normal(size=(n, m))
+        GQ, GR = rng.normal(size=(n, n)), rng.normal(size=(m, m))
+        plants.append(SystemSpec(A=A, B=B, Q=GQ @ GQ.T + 0.5 * np.eye(n), R=GR @ GR.T + 0.5 * np.eye(m)))
+    return plants
+
+
+def pinned_rates(sys) -> list[float]:
+    ceiling = feasible_rate_ceiling(sys)
+    return [0.0, 0.5 * ceiling, 0.95 * ceiling]
+
+
+class TestPinnedGeneralB:
+    """`_mare_solve` and `ce_gain` on general-B plants, pinned to the last bit
+    (float.hex of every entry of P and K, the step count and the residual)."""
+
+    def test_solutions_and_gains(self):
+        pinned = json.loads(PINNED_GENERAL_B.read_text())
+        cases = [(sys, q) for sys in general_b_plants() for q in pinned_rates(sys)]
+        assert len(cases) == len(pinned) == 9
+        for (sys, q), want in zip(cases, pinned):
+            assert (sys.n, sys.m, float(q).hex()) == (want["n"], want["m"], want["q"])
+            sol = riccati._mare_solve(sys, q)
+            gain, _ = ce_gain(sys, q)
+            assert [x.hex() for x in sol.P.ravel().tolist()] == want["P"]
+            assert (sol.iterations, float(sol.residual).hex()) == (want["iterations"], want["residual"])
+            assert [x.hex() for x in gain.K.ravel().tolist()] == want["K"]
+
+
+def reference_mare_step(X, sys, one_minus_q):
+    """One Riccati step, written as two separate solves with (PB)^T A."""
+    XB = X @ sys.B
+    AtXB = sys.A.T @ XB
+    step = sys.Q + sys.A.T @ X @ sys.A - one_minus_q * (AtXB @ np.linalg.solve(sys.R + sys.B.T @ XB, AtXB.mT))
+    return 0.5 * (step + step.mT)
+
+
+def reference_feedback_gain(sys, P):
+    PB = P @ sys.B
+    return -np.linalg.solve(sys.R + sys.B.T @ PB, PB.mT @ sys.A)
+
+
+class TestFusedStepAndGain:
+    """One solve of R + B^T X B gives both the Riccati step and the gain of X,
+    with the bits of the two-solve formulas."""
+
+    def test_matrix_and_stack(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            sys = random_stabilizable_system(rng, 6)
+            k, n = int(rng.integers(1, 6)), sys.n
+            G = rng.normal(size=(k, n, n))
+            X = G @ G.mT + 0.1 * np.eye(n)
+            one_minus_q = rng.uniform(0.2, 1.0, size=(k, 1, 1))
+            stacked = riccati._mare_step_gain(X, sys, one_minus_q)
+            assert stacked[0].tobytes() == reference_mare_step(X, sys, one_minus_q).tobytes()
+            assert stacked[1].tobytes() == reference_feedback_gain(sys, X).tobytes()
+            assert riccati._feedback_gain(sys, X).tobytes() == stacked[1].tobytes()
+            for i in range(k):
+                step, K = riccati._mare_step_gain(X[i], sys, float(one_minus_q[i, 0, 0]))
+                assert step.tobytes() == reference_mare_step(X[i], sys, float(one_minus_q[i, 0, 0])).tobytes()
+                assert K.tobytes() == reference_feedback_gain(sys, X[i]).tobytes() == stacked[1][i].tobytes()
+                assert riccati._mare_step(X[i], sys, float(one_minus_q[i, 0, 0])).tobytes() == step.tobytes()
