@@ -56,7 +56,9 @@ value, the gain check (`_gain`) and the invertibility test of B
 `_kron_self` forms X (x) X as one broadcast product, with the single
 products of np.kron.  The lifted map, the verdict and the scalar iff value
 also take arrays of rates, so `region_map` evaluates a whole column of its
-(q, q_hat) grid at once.
+(q, q_hat) grid at once; where it needs only some cells of a column, it
+repeats the lifted map's elementwise formula on the Kronecker squares it
+formed once, for the same bits.
 """
 
 import threading

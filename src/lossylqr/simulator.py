@@ -385,22 +385,24 @@ def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
     Returns (costs, divergent mask, mean-square history).  Initial states and
     channel bits are bit-identical to simulate_trajectory's on every
     substream; the costs agree with it to rounding, because the batched sums
-    are evaluated in another order.
+    are evaluated in another order.  A run that tracks the mean square is a
+    decay run, which reads no costs: they are not computed and come back None.
     """
     K = _gain(sys, K)
     M, T = cfg.trajectories, cfg.horizon
     X, lam = _trajectory_draws(sys, x0, q, cfg, 0, M)
 
     A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
-    costs = np.zeros(M)
+    costs = None if track_msq else np.zeros(M)
     active = np.ones(M, dtype=bool)
     msq = np.empty(T + 1) if track_msq else None
     if track_msq:
         msq[0] = np.mean(np.sum(X * X, axis=1))
     for t in range(T):
         U = X @ K.T
-        step_cost = _quadratic_form(X, Q) + lam[:, t] * _quadratic_form(U, R)
-        costs += np.where(active, step_cost, 0.0)
+        if costs is not None:
+            step_cost = _quadratic_form(X, Q) + lam[:, t] * _quadratic_form(U, R)
+            costs += np.where(active, step_cost, 0.0)
         X = X @ A.T + lam[:, t, None] * (U @ B.T)
         overflow = np.einsum("ij,ij->i", X, X) > DIVERGENCE_NORM**2
         if overflow.any():

@@ -17,6 +17,7 @@ The lifted map, its verdict and the scalar iff value are the private kernels
 of `riccati`, shared with the Riccati solver.
 """
 
+import bisect
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ from .riccati import (
     _gain,
     _gain_weight,
     _invertible_B,
+    _kron_self,
     _lifted_map,
     _ms_stable,
     _mare_solve_rates,
@@ -52,9 +54,15 @@ THRESHOLD_VARIANTS = (VARIANT_GENERAL, VARIANT_SCALAR, VARIANT_INVERTIBLE_B)
 STRICT_MARGIN = 1e-9
 # Absolute tolerance of the zero-sample safe-rate bisection.
 SAFE_Q_BISECT_TOL = 1e-6
-# Matrix entries per batched eigenvalue call of `region_map`'s oracle (2 MB
-# of float64): a whole column for small n, about 26 rows of 100 x 100 maps.
+# Matrix entries per batched solve or eigenvalue call of `region_map`'s oracle
+# (2 MB of float64): about 26 maps of 100 x 100 per call, thousands for n <= 3.
 ORACLE_CHUNK_ENTRIES = 1 << 18
+# An eigenvalue mu of `region_map`'s pencil gives the candidate rate 1/Re(mu)
+# when |Im mu| is below this fraction of |mu|.  A real eigenvalue comes out of
+# LAPACK real unless it is (nearly) multiple, where it may split into a pair
+# with |Im mu| / |mu| near eps^(1/k) for a block of size k; a spare candidate
+# costs two dense radii, a missed one a dense column.
+CANDIDATE_IMAG_RTOL = 1e-3
 
 CELL_BLUE = 0
 CELL_RED = 1
@@ -252,12 +260,30 @@ def _check_threshold_variant(sys: SystemSpec, variant: str) -> None:
             raise DimensionError("the invertible-B threshold variant requires a well-conditioned B")
 
 
+def _threshold_constants(sys: SystemSpec, variant: str, P0: np.ndarray | None):
+    """The rate-independent parts of `_threshold_bound`, from the standard
+    Riccati solution P0; a grid or bisection over rates forms them once."""
+    A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
+    if variant == VARIANT_GENERAL:
+        _, lmax_bbt = sym_eig_extremes(B @ B.T)
+        lmin_rp0, _ = sym_eig_extremes(R + B.T @ P0 @ B)
+        return lmax_bbt / lmin_rp0, psd_sqrt(Q)
+    if variant == VARIANT_INVERTIBLE_B:
+        lmin_r, _ = sym_eig_extremes(R)
+        lmin_bbt, _ = sym_eig_extremes(B @ B.T)
+        return lmin_r * lmin_bbt, symmetrize(A.T @ P0 @ P0 @ A)
+    return None
+
+
 def _threshold_bound(
-    sys: SystemSpec, q: float, variant: str, P: np.ndarray, P0: np.ndarray | None, qc: float
+    sys: SystemSpec, q: float, variant: str, P: np.ndarray, P0: np.ndarray | None, qc: float, constants=None
 ) -> ThresholdReport:
     """`st_lower_bound` from the modified Riccati solution P at q, the standard
-    one P0 (unused by the scalar variant) and the clamp qc."""
+    one P0 (unused by the scalar variant) and the clamp qc.  `constants` are
+    `_threshold_constants(sys, variant, P0)`, formed here when not given."""
     A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
+    if constants is None:
+        constants = _threshold_constants(sys, variant, P0)
 
     if variant == VARIANT_SCALAR:
         a, b, qq, r, p = A[0, 0], B[0, 0], Q[0, 0], R[0, 0], P[0, 0]
@@ -272,11 +298,9 @@ def _threshold_bound(
         )
 
     if variant == VARIANT_GENERAL:
-        _, lmax_bbt = sym_eig_extremes(B @ B.T)
-        lmin_rp0, _ = sym_eig_extremes(R + B.T @ P0 @ B)
-        c1 = lmax_bbt / lmin_rp0
+        c1, Q_root = constants
         M = symmetrize(A.T @ P @ P @ A)
-        lam = _congruence_max_eig(psd_sqrt(Q), M)
+        lam = _congruence_max_eig(Q_root, M)
         if lam <= 0.0:
             return ThresholdReport(variant, qc, {"c1": float(c1), "clamped_to_qc": 1.0})
         lam_min_term = 1.0 / lam
@@ -288,11 +312,10 @@ def _threshold_bound(
         )
 
     # invertible_B
-    lmin_r, _ = sym_eig_extremes(R)
-    lmin_bbt, _ = sym_eig_extremes(B @ B.T)
+    lmin_r_bbt, AP0P0A = constants
     _, lmax_rpb = sym_eig_extremes(R + B.T @ P @ B)
-    c2 = lmin_r * lmin_bbt / lmax_rpb**2
-    Xi = psd_sqrt(Q + (1.0 - q) * c2 * symmetrize(A.T @ P0 @ P0 @ A))
+    c2 = lmin_r_bbt / lmax_rpb**2
+    Xi = psd_sqrt(Q + (1.0 - q) * c2 * AP0P0A)
     M = symmetrize(A.T @ P @ A)
     lam = _congruence_max_eig(Xi, M)
     if lam <= 0.0:
@@ -319,7 +342,8 @@ def _threshold_curve(sys: SystemSpec, variant: str, q_min: float, q_max: float |
             return
         if P0 is None:
             P0 = sol.P if q == 0.0 else dare_solve(sys).P
-        yield q, _threshold_bound(sys, q, variant, sol.P, P0, qc)
+            constants = _threshold_constants(sys, variant, P0)
+        yield q, _threshold_bound(sys, q, variant, sol.P, P0, qc, constants)
 
 
 def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
@@ -342,7 +366,8 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
         P0 = dare_solve(sys).P
     except NoSolutionError:
         P0 = None
-    if P0 is None or _threshold_bound(sys, 0.0, variant, P0, P0, qc).bound <= 0.0:
+    constants = None if P0 is None else _threshold_constants(sys, variant, P0)
+    if P0 is None or _threshold_bound(sys, 0.0, variant, P0, P0, qc, constants).bound <= 0.0:
         warnings.warn(
             "threshold bound does not exceed the loss rate anywhere; no zero-sample safe range",
             stacklevel=2,
@@ -350,10 +375,93 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
         return 0.0
 
     def keeps_lo(q: float, sol) -> bool:
-        return not isinstance(sol, NoSolutionError) and _threshold_bound(sys, q, variant, sol.P, P0, qc).bound > q
+        return not isinstance(sol, NoSolutionError) and _threshold_bound(sys, q, variant, sol.P, P0, qc, constants).bound > q
 
     lo, hi = _bisect_rates(sys, 0.0, qc, SAFE_Q_BISECT_TOL, keeps_lo)
     return 0.5 * (lo + hi)
+
+
+def _dense_verdicts(sys: SystemSpec, K: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
+    """The oracle verdict at each rate of q_grid on the gain K: the dense
+    spectral radius of each lifted map, from batched eigenvalue calls of at
+    most ORACLE_CHUNK_ENTRIES entries."""
+    chunk = max(1, ORACLE_CHUNK_ENTRIES // sys.n**4)
+    q_stack = q_grid[:, None, None]
+    rho = [_dense_spectral_radius(_lifted_map(sys, K, q_stack[i : i + chunk])) for i in range(0, len(q_grid), chunk)]
+    return _ms_stable(np.concatenate(rho))
+
+
+def _pencil_matrices(S: np.ndarray, D: np.ndarray) -> list:
+    """S^{-1} D for each pair of matrices of the stacks, None where S is
+    singular.  numpy fails a whole stacked solve for one member, so a failed
+    stack is solved again member by member."""
+    try:
+        return list(np.linalg.solve(S, D))
+    except np.linalg.LinAlgError:
+        solved = []
+        for S_j, D_j in zip(S, D):
+            try:
+                solved.append(np.linalg.solve(S_j, D_j))
+            except np.linalg.LinAlgError:
+                solved.append(None)
+        return solved
+
+
+def _oracle_verdicts(sys: SystemSpec, gains: list, q_grid: np.ndarray) -> np.ndarray:
+    """exact_stable[i, j]: the oracle verdict on gains[j] at q_grid[i], with the
+    bits of `_dense_verdicts` but dense spectral radii only where a verdict can
+    change (see `region_map`).  Columns go `chunk` at a time through one
+    batched solve and one batched eigvals call for their pencils."""
+    n_q = len(q_grid)
+    exact_stable = np.zeros((n_q, len(gains)), dtype=bool)
+    s = 1.0 - RHO_MARGIN
+    N = sys.n**2
+    chunk = max(1, ORACLE_CHUNK_ENTRIES // N**2)
+    AA = _kron_self(sys.A)
+    rates = q_grid.tolist()
+    for start in range(0, len(gains), chunk):
+        MM = _kron_self(np.stack([sys.A + sys.B @ K for K in gains[start : start + chunk]]))
+        G = _pencil_matrices(s * np.eye(N) - MM, AA - MM)
+        usable = [j for j, G_j in enumerate(G) if G_j is not None and np.isfinite(G_j).all()]
+
+        # The rows checked in each usable column: both ends and the two
+        # rows around each candidate rate inside the grid.
+        checked = []
+        if usable:
+            mu = np.linalg.eigvals(np.stack([G[j] for j in usable]))
+            # Rates lie in (0, 1], so only mu with Re(mu) >= 1 can give one.
+            real = (np.abs(mu.imag) < CANDIDATE_IMAG_RTOL * np.abs(mu)) & (mu.real >= 1.0)
+            for candidates in (1.0 / np.where(real, mu.real, np.inf)).tolist():
+                rows = {0, n_q - 1}
+                for q in candidates:
+                    if rates[0] < q <= rates[-1]:
+                        i = bisect.bisect_left(rates, q)
+                        rows.update((i - 1, i))
+                checked.append(sorted(rows))
+
+        # Their dense verdicts, `chunk` maps per eigvals call.
+        cell_rows = [i for rows in checked for i in rows]
+        cell_cols = [j for j, rows in zip(usable, checked) for _ in rows]
+        stable = []
+        for c in range(0, len(cell_rows), chunk):
+            q = q_grid[cell_rows[c : c + chunk], None, None]
+            stable += _ms_stable(_dense_spectral_radius((1.0 - q) * MM[cell_cols[c : c + chunk]] + q * AA)).tolist()
+
+        # Unchecked cells take the common verdict of the checked ones around them.
+        filled, offset = set(), 0
+        for j, rows in zip(usable, checked):
+            v = stable[offset : offset + len(rows)]
+            offset += len(rows)
+            spans = list(zip(rows, rows[1:], v, v[1:]))
+            if all(b == a + 1 or va == vb for a, b, va, vb in spans):
+                for a, b, va, _ in spans:
+                    exact_stable[a:b, start + j] = va
+                exact_stable[n_q - 1, start + j] = v[-1]
+                filled.add(j)
+        for j in range(len(MM)):
+            if j not in filled:
+                exact_stable[:, start + j] = _dense_verdicts(sys, gains[start + j], q_grid)
+    return exact_stable
 
 
 def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = VARIANT_GENERAL) -> RegionMap:
@@ -365,12 +473,24 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
     certifies it: for the threshold variants that is q_hat >= q or
     q - q_hat < st_lower_bound(q); "scalar_iff" uses the scalar test and
     "exact" the lifted oracle itself.  Non-blue cells are red when the exact
-    oracle reports instability and gray otherwise.  The oracle verdict per
-    cell is the dense spectral radius of its lifted map, from batched
-    eigenvalue calls over each column's stack of maps; each column is
-    classified with array operations.  The Riccati solutions of all grid
-    values come from one lock-step call (`riccati._mare_solve_rates`), which
-    gives each the bits of its own `mare_solve`.
+    oracle reports instability and gray otherwise.  The Riccati solutions of
+    all grid values come from one lock-step call
+    (`riccati._mare_solve_rates`), which gives each the bits of its own
+    `mare_solve`.
+
+    The oracle verdict of a cell is rho(Phi(q)) < s = 1 - RHO_MARGIN, with
+    rho the dense spectral radius of the lifted map
+    Phi(q) = M(x)M + q (A(x)A - M(x)M), M = A + BK.  Phi(q) preserves the PSD
+    cone, so rho(Phi(q)) is an eigenvalue of it (Krein-Rutman; Costa, Fragoso
+    & Marques, 2005) and continuous in q: a column's verdict can change only
+    where 1/q is an eigenvalue mu of G = (sI - M(x)M)^{-1} (A(x)A - M(x)M).
+    One batched solve and one batched eigvals call give every column's mu;
+    dense radii are taken at both ends of the column and at the two grid
+    rates around each candidate 1/Re(mu) (|Im mu| < CANDIDATE_IMAG_RTOL |mu|),
+    and the cells between two checked ones take their common verdict.  A
+    column falls back to one dense radius per cell when sI - M(x)M is
+    singular, G is not finite, or two checked cells with unchecked ones
+    between them disagree.  Every verdict has the per-cell route's bits.
     """
     if not 0.0 < step <= 0.01:
         raise InvalidInputError(f"step must lie in (0, 0.01], got {step}")
@@ -402,25 +522,20 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
         # rate is feasible and every bound stays zero.
         bounds = np.zeros(len(q_grid))
         if 0 in solutions:
+            P0 = solutions[0]
+            constants = _threshold_constants(sys, sufficient_variant, P0)
             for i in kept:
                 bounds[i] = _threshold_bound(
-                    sys, float(q_grid[i]), sufficient_variant, solutions[i], solutions[0], _qc_clamp(cp)
+                    sys, float(q_grid[i]), sufficient_variant, solutions[i], P0, _qc_clamp(cp), constants
                 ).bound
 
     margin = _strict_margin(sys)
     n_q, n_qh = len(q_grid), len(q_hat_grid)
     cells = np.full((n_q, n_qh), CELL_GRAY, dtype=np.int8)
-    exact_stable = np.zeros((n_q, n_qh), dtype=bool)
-
-    # A column's lifted maps are stacked along q, `chunk` rows at a time, for
-    # one batched eigvals call per stack.
-    q_stack = q_grid[:, None, None]
-    chunk = max(1, ORACLE_CHUNK_ENTRIES // sys.n**4)
-    for j, K in enumerate(gains):
+    exact_stable = _oracle_verdicts(sys, gains, q_grid)
+    for j in range(n_qh):
         qh = float(q_hat_grid[j])
-        rho = [_dense_spectral_radius(_lifted_map(sys, K, q_stack[i : i + chunk])) for i in range(0, n_q, chunk)]
-        stable = _ms_stable(np.concatenate(rho))
-        exact_stable[:, j] = stable
+        stable = exact_stable[:, j]
 
         if sufficient_variant in THRESHOLD_VARIANTS:
             certified = (qh >= q_grid) | (q_grid - qh < bounds)

@@ -493,6 +493,10 @@ class TestEmpiricalDecay:
         cfg = SimConfig(seed=2, horizon=20, trajectories=40)
         _, divergent, _ = _batched_rollout(example1, np.array([[-1.5]]), 0.5, x0, cfg)
         assert 0 < divergent.sum() < cfg.trajectories
+        # A decay run computes no costs and marks the same trajectories.
+        costs, tracked, _ = _batched_rollout(example1, np.array([[-1.5]]), 0.5, x0, cfg, track_msq=True)
+        assert costs is None
+        np.testing.assert_array_equal(tracked, divergent)
         verdict = empirical_ms_decay(example1, np.array([[-1.5]]), 0.5, x0, cfg)
         assert not verdict.stable
         assert verdict.slope == np.inf

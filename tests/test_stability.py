@@ -333,6 +333,19 @@ class TestRegionMap:
         assert label == "blue_stabilizing"
 
 
+def per_cell_verdicts(sys: SystemSpec, gains, grid: np.ndarray) -> np.ndarray:
+    """Reference oracle: stable[i, j] from one np.kron lifted map and one
+    eigvals call per (grid[i], gains[j]) cell."""
+    kron_A = np.kron(sys.A, sys.A)
+    stable = np.zeros((len(grid), len(gains)), dtype=bool)
+    for j, K in enumerate(gains):
+        M = sys.A + sys.B @ K
+        kron_M = np.kron(M, M)
+        for i, q in enumerate(grid.tolist()):
+            stable[i, j] = _ms_stable(float(np.max(np.abs(np.linalg.eigvals((1.0 - q) * kron_M + q * kron_A)))))
+    return stable
+
+
 def per_cell_region_map(sys: SystemSpec, step: float, variant: str):
     """Reference for `region_map`: one np.kron lifted map, one eigvals call and
     one scalar classification per cell.  Returns (q_grid, q_hat_grid, cells,
@@ -355,17 +368,12 @@ def per_cell_region_map(sys: SystemSpec, step: float, variant: str):
             ).bound
     margin = _strict_margin(sys)
     cells = np.full((len(grid), len(kept)), CELL_GRAY, dtype=np.int8)
-    exact_stable = np.zeros(cells.shape, dtype=bool)
-    kron_A = np.kron(sys.A, sys.A)
+    exact_stable = per_cell_verdicts(sys, gains, grid)
     for j, K in enumerate(gains):
-        M = sys.A + sys.B @ K
-        kron_M = np.kron(M, M)
         qh = float(grid[kept[j]])
         for i in range(len(grid)):
             q = float(grid[i])
-            rho = float(np.max(np.abs(np.linalg.eigvals((1.0 - q) * kron_M + q * kron_A))))
-            stable = _ms_stable(rho)
-            exact_stable[i, j] = stable
+            stable = exact_stable[i, j]
             if variant in THRESHOLD_VARIANTS:
                 certified = qh >= q or (q - qh) < bounds[i]
             elif variant == "scalar_iff":
@@ -442,10 +450,18 @@ class TestBatchedOracle:
 
     @pytest.mark.parametrize("variant", ["general", "invertible_B", "exact"])
     def test_three_row_chunks(self, example2, monkeypatch, variant):
-        # 89 grid rows: 29 full 3-row chunks per column and a last one of 2.
+        # 89 grid rows and 3 maps per call: the pencil of 3 columns at a time,
+        # and their checked cells (at least 6) split across eigvals calls.
         monkeypatch.setattr(stability, "ORACLE_CHUNK_ENTRIES", 3 * example2.n**4)
+        sizes = []
+        dense = stability._dense_spectral_radius
+        monkeypatch.setattr(stability, "_dense_spectral_radius", lambda M: sizes.append(len(M)) or dense(M))
+        monkeypatch.setattr(stability, "_dense_verdicts", None)  # no column falls back
         rm = assert_map_equals_per_cell(example2, 0.005, variant)
         assert len(rm.q_grid) == 89
+        blocks = -(-len(rm.q_hat_grid) // 3)
+        assert max(sizes) == 3 and len(sizes) > 2 * blocks
+        assert sum(sizes) < rm.cells.size // 10
 
     def test_three_row_chunks_random_plant(self, reference_plants, monkeypatch):
         sys = reference_plants["random-n3"]
@@ -453,6 +469,82 @@ class TestBatchedOracle:
         for variant in admitted_variants(sys):
             rm = assert_map_equals_per_cell(sys, 0.01, variant)
             assert len(rm.q_grid) % 3 != 0
+
+
+FLIP_GRID = np.arange(0.0, 1.0, 0.01)
+
+
+def flipping_plants(count: int):
+    """The first `count` 2 x 2 plants with arbitrary 2 x 2 gains, drawn as (A, B, K)
+    from default_rng(3), whose reference verdict on FLIP_GRID changes at least
+    twice; found in the first 39 draws."""
+    rng = np.random.default_rng(3)
+    found = []
+    while len(found) < count:
+        A, B, K = (rng.normal(size=(2, 2)) for _ in range(3))
+        sys = SystemSpec(A=A, B=B, Q=np.eye(2), R=np.eye(2))
+        stable = per_cell_verdicts(sys, [K], FLIP_GRID)[:, 0]
+        if np.sum(stable[1:] != stable[:-1]) >= 2:
+            found.append((sys, K, stable))
+    return found
+
+
+class TestPencilOracle:
+    """`_oracle_verdicts` computes dense radii only next to the pencil's candidate
+    rates, and falls back to a dense column where that cannot be trusted; either
+    way each verdict equals the per-cell reference."""
+
+    @staticmethod
+    def count_fallbacks(monkeypatch) -> list:
+        columns = []
+        dense = stability._dense_verdicts
+        monkeypatch.setattr(
+            stability, "_dense_verdicts", lambda sys, K, q_grid: columns.append(K) or dense(sys, K, q_grid)
+        )
+        return columns
+
+    def test_verdict_flipping_twice(self, monkeypatch):
+        fallbacks = self.count_fallbacks(monkeypatch)
+        for sys, K, stable in flipping_plants(2):
+            np.testing.assert_array_equal(stability._oracle_verdicts(sys, [K], FLIP_GRID)[:, 0], stable)
+        assert fallbacks == []
+
+    def test_singular_pencil_falls_back(self, monkeypatch):
+        # No double x has fl(x * x) = 1 - RHO_MARGIN, but the closed-loop modes
+        # 1 and s = 1 - RHO_MARGIN multiply to s exactly, so s I - M(x)M has a
+        # zero on its diagonal and the batched solve raises for the stack.
+        s = 1.0 - RHO_MARGIN
+        sys = SystemSpec(A=0.5 * np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2))
+        singular, regular = np.diag([0.5, s - 0.5]), np.diag([-0.2, 0.4])
+        M = sys.A + sys.B @ singular
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(s * np.eye(4) - np.kron(M, M), np.eye(4))
+        fallbacks = self.count_fallbacks(monkeypatch)
+        gains = [regular, singular, regular]
+        stable = per_cell_verdicts(sys, gains, FLIP_GRID)
+        np.testing.assert_array_equal(stability._oracle_verdicts(sys, gains, FLIP_GRID), stable)
+        assert len(fallbacks) == 1 and fallbacks[0] is singular
+        assert not stable[0, 1] and stable[1:, 1].all()
+
+    def test_non_finite_pencil_falls_back(self, example2, monkeypatch):
+        monkeypatch.setattr(stability, "_pencil_matrices", lambda S, D: [np.full(S.shape[1:], np.inf)] * len(S))
+        fallbacks = self.count_fallbacks(monkeypatch)
+        gains = [ce_gain(example2, q_hat)[0].K for q_hat in (0.0, 0.1, 0.3)]
+        grid = np.arange(0.0, 0.44, 0.01)
+        np.testing.assert_array_equal(stability._oracle_verdicts(example2, gains, grid), per_cell_verdicts(example2, gains, grid))
+        assert len(fallbacks) == 3
+
+    def test_missed_crossing_falls_back(self, example2, monkeypatch):
+        # Without candidate rates only both ends are checked: a column whose
+        # ends disagree falls back, one whose verdict never changes is filled.
+        monkeypatch.setattr(stability, "CANDIDATE_IMAG_RTOL", 0.0)
+        fallbacks = self.count_fallbacks(monkeypatch)
+        gains = [ce_gain(example2, q_hat)[0].K for q_hat in (0.0, 0.1, 0.4)]
+        grid = np.arange(0.0, 0.44, 0.01)
+        stable = per_cell_verdicts(example2, gains, grid)
+        np.testing.assert_array_equal(stability._oracle_verdicts(example2, gains, grid), stable)
+        flips = np.sum(stable[1:] != stable[:-1], axis=0)
+        assert flips.tolist() == [1, 1, 0] and len(fallbacks) == 2
 
 
 class TestScalarEquivalenceGrid:
