@@ -38,16 +38,16 @@ lock-step on one (k, n, n) stack: each step costs one set of numpy calls for
 the whole stack instead of one per rate, and a rate leaves the stack where
 its own loop would stop.  Each rate gets exactly the bits of `_mare_solve`
 (P, iteration count, residual, or the error and its reason); the step
-formulas (`_gain_solve` with `_mare_step`, `_mare_step_gain`, `_gain_weight`
-and `_feedback_gain`, then `_lifted_map` and `_solve_certifies`) are shared
-and take one matrix or a stack.  One solve S = (R + B^T X B)^{-1} (A^T X B)^T
+formulas (`_gain_solve` with `_mare_step`, `_mare_step_gain` and
+`_feedback_gain`, then `_lifted_map` and `_solve_certifies`) are shared and
+take one matrix or a stack.  One solve S = (R + B^T X B)^{-1} (A^T X B)^T
 serves a whole step: the gain weight is (A^T X B) S and the gain of X is -S,
 so a Hewer step solves with R + B^T P B once for its residual and its next
 gain.  For a single rate the per-rate loop is the faster one.  The grid of
 `region_map` and of the threshold curve, and the probes of both bisections
 (`_bisect_rates`: the q_c refinement of `critical_probability` and
-`zero_sample_safe_q`), are solved in lock-step.  The one exception is `gap_curve`, whose per-point
-`mare_solve` calls the CLI tests count.
+`zero_sample_safe_q`), are solved in lock-step.  The one exception is
+`gap_curve`, whose per-point `mare_solve` calls the CLI tests count.
 
 The lifted map (`_lifted_map`), its verdict (`_ms_stable`), the scalar iff
 value, the gain check (`_gain`) and the invertibility test of B
@@ -229,12 +229,6 @@ def _gain_solve(sys: SystemSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return AtXB, np.linalg.solve(sys.R + sys.B.T @ XB, AtXB.mT)
 
 
-def _gain_weight(sys: SystemSpec, X: np.ndarray) -> np.ndarray:
-    """A^T X B (R + B^T X B)^{-1} B^T X A, unsymmetrized."""
-    AtXB, S = _gain_solve(sys, X)
-    return AtXB @ S
-
-
 def _mare_step_gain(X: np.ndarray, sys: SystemSpec, one_minus_q) -> tuple[np.ndarray, np.ndarray]:
     """One Riccati step from X and the feedback gain of X, from one solve."""
     AtXB, S = _gain_solve(sys, X)
@@ -331,8 +325,9 @@ def _solve_certifies(L: np.ndarray, P: np.ndarray, cost: np.ndarray, q_floor: fl
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve over (k, d, d) and (k, d, 1) stacks; a singular member
-    gets NaN instead of failing the whole stack."""
+    """np.linalg.solve over a (k, d, d) stack and a (k, d, 1) or (k, d, d)
+    stack of right-hand sides; a singular member gets NaN instead of failing
+    the whole stack."""
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:

@@ -32,13 +32,14 @@ from .riccati import (
     _bisect_rates,
     _feedback_gain,
     _gain,
-    _gain_weight,
+    _gain_solve,
     _invertible_B,
     _kron_self,
     _lifted_map,
     _ms_stable,
     _mare_solve_rates,
     _scalar_iff_value,
+    _solve_each,
     ce_gain,
     critical_probability,
     dare_solve,
@@ -126,7 +127,8 @@ def _strict_margin(sys: SystemSpec) -> float:
 
 def gain_weight_matrix(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
     """A^T P B (R + B^T P B)^{-1} B^T P A, the weight on the estimation error."""
-    W = _gain_weight(sys, P)
+    AtPB, S = _gain_solve(sys, P)
+    W = AtPB @ S
     return 0.5 * (W + W.T)
 
 
@@ -245,7 +247,7 @@ def st_lower_bound(sys: SystemSpec, q: float, variant: str) -> ThresholdReport:
     P = mare_solve(sys, q).P
     qc = _qc_clamp(critical_probability(sys, refine=False))
     P0 = None if variant == VARIANT_SCALAR else dare_solve(sys).P
-    return _threshold_bound(sys, q, variant, P, P0, qc)
+    return _threshold_bounds(sys, variant, P0, qc)(q, P)
 
 
 def _check_threshold_variant(sys: SystemSpec, variant: str) -> None:
@@ -260,70 +262,57 @@ def _check_threshold_variant(sys: SystemSpec, variant: str) -> None:
             raise DimensionError("the invertible-B threshold variant requires a well-conditioned B")
 
 
-def _threshold_constants(sys: SystemSpec, variant: str, P0: np.ndarray | None):
-    """The rate-independent parts of `_threshold_bound`, from the standard
-    Riccati solution P0; a grid or bisection over rates forms them once."""
+def _threshold_bounds(sys: SystemSpec, variant: str, P0: np.ndarray | None, qc: float):
+    """`st_lower_bound` as bound(q, P) -> ThresholdReport, from the modified
+    Riccati solution P at q, given the standard one P0 (unused by the scalar
+    variant) and the clamp qc.  The rate-independent parts are formed here
+    once, so every rate of a grid or bisection shares them."""
     A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
-    if variant == VARIANT_GENERAL:
-        _, lmax_bbt = sym_eig_extremes(B @ B.T)
-        lmin_rp0, _ = sym_eig_extremes(R + B.T @ P0 @ B)
-        return lmax_bbt / lmin_rp0, psd_sqrt(Q)
-    if variant == VARIANT_INVERTIBLE_B:
-        lmin_r, _ = sym_eig_extremes(R)
-        lmin_bbt, _ = sym_eig_extremes(B @ B.T)
-        return lmin_r * lmin_bbt, symmetrize(A.T @ P0 @ P0 @ A)
-    return None
-
-
-def _threshold_bound(
-    sys: SystemSpec, q: float, variant: str, P: np.ndarray, P0: np.ndarray | None, qc: float, constants=None
-) -> ThresholdReport:
-    """`st_lower_bound` from the modified Riccati solution P at q, the standard
-    one P0 (unused by the scalar variant) and the clamp qc.  `constants` are
-    `_threshold_constants(sys, variant, P0)`, formed here when not given."""
-    A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
-    if constants is None:
-        constants = _threshold_constants(sys, variant, P0)
 
     if variant == VARIANT_SCALAR:
-        a, b, qq, r, p = A[0, 0], B[0, 0], Q[0, 0], R[0, 0], P[0, 0]
-        denom = a**2 * b**2 * p**2
-        if denom <= 0.0:
-            return ThresholdReport(variant, qc, {"clamped_to_qc": 1.0})
-        first = qq * (r + b**2 * p) / denom
-        second = (1.0 - q) * r / (r + b**2 * p)
-        bound = min(first + second, qc)
-        return ThresholdReport(
-            variant, float(bound), {"first_term": float(first), "second_term": float(second)}
-        )
+        a, b, qq, r = A[0, 0], B[0, 0], Q[0, 0], R[0, 0]
 
-    if variant == VARIANT_GENERAL:
-        c1, Q_root = constants
-        M = symmetrize(A.T @ P @ P @ A)
-        lam = _congruence_max_eig(Q_root, M)
-        if lam <= 0.0:
-            return ThresholdReport(variant, qc, {"c1": float(c1), "clamped_to_qc": 1.0})
-        lam_min_term = 1.0 / lam
-        bound = min(lam_min_term / c1, qc)
-        return ThresholdReport(
-            variant,
-            float(bound),
-            {"c1": float(c1), "lambda_min_term": float(lam_min_term)},
-        )
+        def bound(q: float, P: np.ndarray) -> ThresholdReport:
+            p = P[0, 0]
+            denom = a**2 * b**2 * p**2
+            if denom <= 0.0:
+                return ThresholdReport(variant, qc, {"clamped_to_qc": 1.0})
+            first = qq * (r + b**2 * p) / denom
+            second = (1.0 - q) * r / (r + b**2 * p)
+            return ThresholdReport(
+                variant, float(min(first + second, qc)), {"first_term": float(first), "second_term": float(second)}
+            )
 
-    # invertible_B
-    lmin_r_bbt, AP0P0A = constants
-    _, lmax_rpb = sym_eig_extremes(R + B.T @ P @ B)
-    c2 = lmin_r_bbt / lmax_rpb**2
-    Xi = psd_sqrt(Q + (1.0 - q) * c2 * AP0P0A)
-    M = symmetrize(A.T @ P @ A)
-    lam = _congruence_max_eig(Xi, M)
-    if lam <= 0.0:
-        return ThresholdReport(variant, qc, {"c2": float(c2), "clamped_to_qc": 1.0})
-    bound = min(1.0 / lam, qc)
-    return ThresholdReport(
-        variant, float(bound), {"c2": float(c2), "lambda_min_term": float(1.0 / lam)}
-    )
+    elif variant == VARIANT_GENERAL:
+        _, lmax_bbt = sym_eig_extremes(B @ B.T)
+        lmin_rp0, _ = sym_eig_extremes(R + B.T @ P0 @ B)
+        c1, Q_root = lmax_bbt / lmin_rp0, psd_sqrt(Q)
+
+        def bound(q: float, P: np.ndarray) -> ThresholdReport:
+            lam = _congruence_max_eig(Q_root, symmetrize(A.T @ P @ P @ A))
+            if lam <= 0.0:
+                return ThresholdReport(variant, qc, {"c1": float(c1), "clamped_to_qc": 1.0})
+            lam_min_term = 1.0 / lam
+            return ThresholdReport(
+                variant, float(min(lam_min_term / c1, qc)), {"c1": float(c1), "lambda_min_term": float(lam_min_term)}
+            )
+
+    else:  # invertible_B
+        lmin_r, _ = sym_eig_extremes(R)
+        lmin_bbt, _ = sym_eig_extremes(B @ B.T)
+        lmin_r_bbt, AP0P0A = lmin_r * lmin_bbt, symmetrize(A.T @ P0 @ P0 @ A)
+
+        def bound(q: float, P: np.ndarray) -> ThresholdReport:
+            _, lmax_rpb = sym_eig_extremes(R + B.T @ P @ B)
+            c2 = lmin_r_bbt / lmax_rpb**2
+            lam = _congruence_max_eig(psd_sqrt(Q + (1.0 - q) * c2 * AP0P0A), symmetrize(A.T @ P @ A))
+            if lam <= 0.0:
+                return ThresholdReport(variant, qc, {"c2": float(c2), "clamped_to_qc": 1.0})
+            return ThresholdReport(
+                variant, float(min(1.0 / lam, qc)), {"c2": float(c2), "lambda_min_term": float(1.0 / lam)}
+            )
+
+    return bound
 
 
 def _threshold_curve(sys: SystemSpec, variant: str, q_min: float, q_max: float | None, step: float):
@@ -336,14 +325,13 @@ def _threshold_curve(sys: SystemSpec, variant: str, q_min: float, q_max: float |
     _check_threshold_variant(sys, variant)
     qc = _qc_clamp(critical_probability(sys, refine=False))
     grid = np.arange(q_min, qc if q_max is None else min(q_max, qc), step).tolist()
-    P0 = None
+    bound = None
     for q, sol in zip(grid, _mare_solve_rates(sys, grid)):
         if isinstance(sol, NoSolutionError):
             return
-        if P0 is None:
-            P0 = sol.P if q == 0.0 else dare_solve(sys).P
-            constants = _threshold_constants(sys, variant, P0)
-        yield q, _threshold_bound(sys, q, variant, sol.P, P0, qc, constants)
+        if bound is None:
+            bound = _threshold_bounds(sys, variant, sol.P if q == 0.0 else dare_solve(sys).P, qc)
+        yield q, bound(q, sol.P)
 
 
 def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
@@ -364,10 +352,11 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
     try:
         # The standard Riccati solution is also the one at q = 0.
         P0 = dare_solve(sys).P
+        bound = _threshold_bounds(sys, variant, P0, qc)
+        safe_at_zero = bound(0.0, P0).bound > 0.0
     except NoSolutionError:
-        P0 = None
-    constants = None if P0 is None else _threshold_constants(sys, variant, P0)
-    if P0 is None or _threshold_bound(sys, 0.0, variant, P0, P0, qc, constants).bound <= 0.0:
+        safe_at_zero = False
+    if not safe_at_zero:
         warnings.warn(
             "threshold bound does not exceed the loss rate anywhere; no zero-sample safe range",
             stacklevel=2,
@@ -375,7 +364,7 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
         return 0.0
 
     def keeps_lo(q: float, sol) -> bool:
-        return not isinstance(sol, NoSolutionError) and _threshold_bound(sys, q, variant, sol.P, P0, qc, constants).bound > q
+        return not isinstance(sol, NoSolutionError) and bound(q, sol.P).bound > q
 
     lo, hi = _bisect_rates(sys, 0.0, qc, SAFE_Q_BISECT_TOL, keeps_lo)
     return 0.5 * (lo + hi)
@@ -389,22 +378,6 @@ def _dense_verdicts(sys: SystemSpec, K: np.ndarray, q_grid: np.ndarray) -> np.nd
     q_stack = q_grid[:, None, None]
     rho = [_dense_spectral_radius(_lifted_map(sys, K, q_stack[i : i + chunk])) for i in range(0, len(q_grid), chunk)]
     return _ms_stable(np.concatenate(rho))
-
-
-def _pencil_matrices(S: np.ndarray, D: np.ndarray) -> list:
-    """S^{-1} D for each pair of matrices of the stacks, None where S is
-    singular.  numpy fails a whole stacked solve for one member, so a failed
-    stack is solved again member by member."""
-    try:
-        return list(np.linalg.solve(S, D))
-    except np.linalg.LinAlgError:
-        solved = []
-        for S_j, D_j in zip(S, D):
-            try:
-                solved.append(np.linalg.solve(S_j, D_j))
-            except np.linalg.LinAlgError:
-                solved.append(None)
-        return solved
 
 
 def _oracle_verdicts(sys: SystemSpec, gains: list, q_grid: np.ndarray) -> np.ndarray:
@@ -421,14 +394,15 @@ def _oracle_verdicts(sys: SystemSpec, gains: list, q_grid: np.ndarray) -> np.nda
     rates = q_grid.tolist()
     for start in range(0, len(gains), chunk):
         MM = _kron_self(np.stack([sys.A + sys.B @ K for K in gains[start : start + chunk]]))
-        G = _pencil_matrices(s * np.eye(N) - MM, AA - MM)
-        usable = [j for j, G_j in enumerate(G) if G_j is not None and np.isfinite(G_j).all()]
+        # NaN marks a singular s I - M(x)M; such a column is not usable.
+        G = _solve_each(s * np.eye(N) - MM, AA - MM)
+        usable = np.flatnonzero(np.isfinite(G).all(axis=(1, 2))).tolist()
 
         # The rows checked in each usable column: both ends and the two
         # rows around each candidate rate inside the grid.
         checked = []
         if usable:
-            mu = np.linalg.eigvals(np.stack([G[j] for j in usable]))
+            mu = np.linalg.eigvals(G[usable])
             # Rates lie in (0, 1], so only mu with Re(mu) >= 1 can give one.
             real = (np.abs(mu.imag) < CANDIDATE_IMAG_RTOL * np.abs(mu)) & (mu.real >= 1.0)
             for candidates in (1.0 / np.where(real, mu.real, np.inf)).tolist():
@@ -522,12 +496,9 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
         # rate is feasible and every bound stays zero.
         bounds = np.zeros(len(q_grid))
         if 0 in solutions:
-            P0 = solutions[0]
-            constants = _threshold_constants(sys, sufficient_variant, P0)
+            bound = _threshold_bounds(sys, sufficient_variant, solutions[0], _qc_clamp(cp))
             for i in kept:
-                bounds[i] = _threshold_bound(
-                    sys, float(q_grid[i]), sufficient_variant, solutions[i], P0, _qc_clamp(cp), constants
-                ).bound
+                bounds[i] = bound(float(q_grid[i]), solutions[i]).bound
 
     margin = _strict_margin(sys)
     n_q, n_qh = len(q_grid), len(q_hat_grid)

@@ -22,6 +22,18 @@ def example2() -> SystemSpec:
     )
 
 
+@pytest.fixture(scope="session")
+def plant3() -> SystemSpec:
+    """B of rank 2 on three states; q_c = 1/1.3^2 since each unstable mode has its own input."""
+    return SystemSpec(
+        A=np.diag([1.3, 1.2, 0.4]),
+        B=np.array([[1.0, 0.0], [0.0, 1.0], [0.2, 0.1]]),
+        Q=np.eye(3),
+        R=np.eye(2),
+        name="plant3",
+    )
+
+
 def scalar_mare_root(q: float, a: float = 1.5) -> float:
     """Independent oracle for the scalar modified Riccati equation with B=Q=R=1.
 

@@ -161,17 +161,6 @@ class TestCriticalProbability:
             mare_solve(sys, min(refined.upper + 1e-2, 0.999))
 
 
-@pytest.fixture(scope="module")
-def plant3() -> SystemSpec:
-    """B of rank 2 on three states; q_c = 1/1.3^2 since each unstable mode has its own input."""
-    return SystemSpec(
-        A=np.diag([1.3, 1.2, 0.4]),
-        B=np.array([[1.0, 0.0], [0.0, 1.0], [0.2, 0.1]]),
-        Q=np.eye(3),
-        R=np.eye(2),
-    )
-
-
 class TestNearCritical:
     @pytest.mark.parametrize("q", [0.5916, 0.5917])
     def test_feasible_rate_just_below_critical_is_solved(self, plant3, q):
@@ -607,11 +596,12 @@ class TestStackMemberFailure:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(3, 4, 4)) + 4.0 * np.eye(4)
         a[1, :, 0] = 0.0
-        b = rng.normal(size=(3, 4, 1))
-        x = riccati._solve_each(a, b)
-        assert np.isnan(x[1]).all()
-        for i in (0, 2):
-            assert x[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
+        # Column right-hand sides (the Hewer step) and square ones (region_map's pencil).
+        for b in (rng.normal(size=(3, 4, 1)), rng.normal(size=(3, 4, 4))):
+            x = riccati._solve_each(a, b)
+            assert np.isnan(x[1]).all()
+            for i in (0, 2):
+                assert x[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
 
 
 class TestLockstepCallers:

@@ -11,7 +11,6 @@ from lossylqr import (
     ce_gain,
     condition_matrix,
     critical_probability,
-    dare_solve,
     exact_ms_stable,
     lifted_matrix,
     lyapunov_sufficient_stable,
@@ -31,7 +30,7 @@ from lossylqr.stability import (
     _check_threshold_variant,
     _qc_clamp,
     _strict_margin,
-    _threshold_bound,
+    _threshold_curve,
 )
 from conftest import feasible_rate_ceiling, random_stabilizable_system, scalar_mare_root
 
@@ -258,6 +257,35 @@ class TestThresholdBounds:
         assert "clamped_to_qc" in report.constituents
 
 
+def report_bits(report) -> tuple:
+    return report.variant, report.bound.hex(), {k: v.hex() for k, v in report.constituents.items()}
+
+
+class TestThresholdCurveRows:
+    """Each `_threshold_curve` row is the report `st_lower_bound` gives at its
+    rate, bound and constituents to the last bit, from q = 0 (whose row's
+    solution is the standard one) and from above it."""
+
+    @pytest.mark.parametrize(
+        "plant, variant",
+        [
+            ("example1", "general"),
+            ("example1", "scalar"),
+            ("example1", "invertible_B"),
+            ("example2", "general"),
+            ("example2", "invertible_B"),
+            ("plant3", "general"),
+        ],
+    )
+    @pytest.mark.parametrize("q_min", [0.0, 0.005])
+    def test_rows_equal_pointwise_reports(self, request, plant, variant, q_min):
+        sys = request.getfixturevalue(plant)
+        rows = list(_threshold_curve(sys, variant, q_min, None, 0.01))
+        assert len(rows) > 30
+        for q, report in rows:
+            assert report_bits(report) == report_bits(st_lower_bound(sys, q, variant))
+
+
 class TestZeroSampleSafeQ:
     def test_example1(self, example1):
         assert zero_sample_safe_q(example1, "general") == pytest.approx(0.128, abs=2e-3)
@@ -363,9 +391,7 @@ def per_cell_region_map(sys: SystemSpec, step: float, variant: str):
     bounds = np.zeros(len(grid))
     if variant in THRESHOLD_VARIANTS and 0 in solutions:
         for i in kept:
-            bounds[i] = _threshold_bound(
-                sys, float(grid[i]), variant, solutions[i], solutions[0], _qc_clamp(cp)
-            ).bound
+            bounds[i] = st_lower_bound(sys, float(grid[i]), variant).bound
     margin = _strict_margin(sys)
     cells = np.full((len(grid), len(kept)), CELL_GRAY, dtype=np.int8)
     exact_stable = per_cell_verdicts(sys, gains, grid)
@@ -527,7 +553,7 @@ class TestPencilOracle:
         assert not stable[0, 1] and stable[1:, 1].all()
 
     def test_non_finite_pencil_falls_back(self, example2, monkeypatch):
-        monkeypatch.setattr(stability, "_pencil_matrices", lambda S, D: [np.full(S.shape[1:], np.inf)] * len(S))
+        monkeypatch.setattr(stability, "_solve_each", lambda a, b: np.full(b.shape, np.inf))
         fallbacks = self.count_fallbacks(monkeypatch)
         gains = [ce_gain(example2, q_hat)[0].K for q_hat in (0.0, 0.1, 0.3)]
         grid = np.arange(0.0, 0.44, 0.01)
@@ -621,23 +647,17 @@ class TestRateValidationOrder:
 
 def plain_safe_rate(sys: SystemSpec, variant: str) -> float:
     """Reference for `zero_sample_safe_q`: the plain bisection, with one
-    `mare_solve` per probe."""
-    qc = _qc_clamp(critical_probability(sys, refine=False))
-    try:
-        P0 = dare_solve(sys).P
-    except NoSolutionError:
-        return 0.0
-    if _threshold_bound(sys, 0.0, variant, P0, P0, qc).bound <= 0.0:
-        return 0.0
+    `st_lower_bound` per probe."""
 
     def excess(q: float) -> float:
         try:
-            P = mare_solve(sys, q).P
+            return st_lower_bound(sys, q, variant).bound - q
         except NoSolutionError:
             return -np.inf
-        return _threshold_bound(sys, q, variant, P, P0, qc).bound - q
 
-    lo, hi = 0.0, qc
+    if excess(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, _qc_clamp(critical_probability(sys, refine=False))
     while hi - lo > stability.SAFE_Q_BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0.0:
