@@ -90,8 +90,9 @@ RANK_RTOL = 1e-10
 QC_BISECT_TOL = 1e-6
 BISECT_LOOKAHEAD = 4
 
-# Lifted-map entries per lock-step stack of `_mare_solve_rates` (2 MB of
-# float64 per stacked array of lifted maps): 3236 rates at n = 3, 26 at n = 10.
+# Lifted-map entries per stacked array (2 MB of float64), in the lock-step
+# stacks of `_mare_solve_rates` and the batched calls of `region_map`'s
+# oracle: 3236 maps at n = 3, 26 at n = 10.
 LOCKSTEP_ENTRIES = 1 << 18
 
 # `mare_solve` keeps the _MEMO_SIZE solutions at rates other than 0 that it
@@ -289,9 +290,10 @@ def _ms_stable(rho):
     return rho < 1.0 - RHO_MARGIN
 
 
-def _scalar_iff_value(sys: SystemSpec, q, q_hat: float, k: float, p: float):
+def _scalar_iff_value(sys: SystemSpec, q, q_hat, k, p):
     """n = m = 1: the design (k, p) at q_hat is mean-square stable at q iff this
-    is positive (elementwise for an array of rates q)."""
+    is positive.  Each argument is a float or an array; arrays broadcast, so a
+    column of rates q against a row of designs (q_hat, k, p) gives a grid."""
     a, b, r = sys.A[0, 0], sys.B[0, 0], sys.R[0, 0]
     return sys.Q[0, 0] + (1.0 - q) * r * k**2 + (q_hat - q) * a**2 * b**2 * p**2 / (r + b**2 * p)
 

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError, NoSolutionError
 from .numerics import _dense_spectral_radius, psd_sqrt, spectral_radius, sym_eig_extremes, symmetrize
 from .riccati import (
+    LOCKSTEP_ENTRIES,
     RHO_MARGIN,
     CriticalProbability,
     SystemSpec,
@@ -55,9 +56,6 @@ THRESHOLD_VARIANTS = (VARIANT_GENERAL, VARIANT_SCALAR, VARIANT_INVERTIBLE_B)
 STRICT_MARGIN = 1e-9
 # Absolute tolerance of the zero-sample safe-rate bisection.
 SAFE_Q_BISECT_TOL = 1e-6
-# Matrix entries per batched solve or eigenvalue call of `region_map`'s oracle
-# (2 MB of float64): about 26 maps of 100 x 100 per call, thousands for n <= 3.
-ORACLE_CHUNK_ENTRIES = 1 << 18
 # An eigenvalue mu of `region_map`'s pencil gives the candidate rate 1/Re(mu)
 # when |Im mu| is below this fraction of |mu|.  A real eigenvalue comes out of
 # LAPACK real unless it is (nearly) multiple, where it may split into a pair
@@ -370,71 +368,73 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
     return 0.5 * (lo + hi)
 
 
-def _dense_verdicts(sys: SystemSpec, K: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
-    """The oracle verdict at each rate of q_grid on the gain K: the dense
-    spectral radius of each lifted map, from batched eigenvalue calls of at
-    most ORACLE_CHUNK_ENTRIES entries."""
-    chunk = max(1, ORACLE_CHUNK_ENTRIES // sys.n**4)
-    q_stack = q_grid[:, None, None]
-    rho = [_dense_spectral_radius(_lifted_map(sys, K, q_stack[i : i + chunk])) for i in range(0, len(q_grid), chunk)]
-    return _ms_stable(np.concatenate(rho))
+def _dense_cells(MM: np.ndarray, AA: np.ndarray, q_grid: np.ndarray, checked: dict) -> list:
+    """The oracle verdicts at rows checked[j] of each column j, in that order:
+    the dense spectral radius of (1-q) MM[j] + q AA at q = q_grid[row], with
+    MM a stack of M(x)M and AA = A(x)A, from batched eigvals calls of at most
+    LOCKSTEP_ENTRIES entries (each member is computed alone, so the batching
+    keeps its bits)."""
+    rows = [i for col_rows in checked.values() for i in col_rows]
+    cols = [j for j, col_rows in checked.items() for _ in col_rows]
+    chunk = max(1, LOCKSTEP_ENTRIES // AA.size)
+    stable = []
+    for c in range(0, len(rows), chunk):
+        q = q_grid[rows[c : c + chunk], None, None]
+        stable += _ms_stable(_dense_spectral_radius((1.0 - q) * MM[cols[c : c + chunk]] + q * AA)).tolist()
+    return stable
 
 
 def _oracle_verdicts(sys: SystemSpec, gains: list, q_grid: np.ndarray) -> np.ndarray:
     """exact_stable[i, j]: the oracle verdict on gains[j] at q_grid[i], with the
-    bits of `_dense_verdicts` but dense spectral radii only where a verdict can
+    bits of a dense radius per cell but dense radii only where a verdict can
     change (see `region_map`).  Columns go `chunk` at a time through one
     batched solve and one batched eigvals call for their pencils."""
     n_q = len(q_grid)
     exact_stable = np.zeros((n_q, len(gains)), dtype=bool)
     s = 1.0 - RHO_MARGIN
     N = sys.n**2
-    chunk = max(1, ORACLE_CHUNK_ENTRIES // N**2)
+    chunk = max(1, LOCKSTEP_ENTRIES // N**2)
     AA = _kron_self(sys.A)
     rates = q_grid.tolist()
+    every_row = list(range(n_q))
     for start in range(0, len(gains), chunk):
         MM = _kron_self(np.stack([sys.A + sys.B @ K for K in gains[start : start + chunk]]))
-        # NaN marks a singular s I - M(x)M; such a column is not usable.
+        # NaN marks a singular s I - M(x)M; such a column is checked at every row.
         G = _solve_each(s * np.eye(N) - MM, AA - MM)
         usable = np.flatnonzero(np.isfinite(G).all(axis=(1, 2))).tolist()
+        checked = {j: every_row for j in range(len(MM))}
 
-        # The rows checked in each usable column: both ends and the two
-        # rows around each candidate rate inside the grid.
-        checked = []
+        # A usable column is checked at both ends and at the two rows around
+        # each candidate rate inside the grid.
         if usable:
             mu = np.linalg.eigvals(G[usable])
             # Rates lie in (0, 1], so only mu with Re(mu) >= 1 can give one.
             real = (np.abs(mu.imag) < CANDIDATE_IMAG_RTOL * np.abs(mu)) & (mu.real >= 1.0)
-            for candidates in (1.0 / np.where(real, mu.real, np.inf)).tolist():
+            for j, candidates in zip(usable, (1.0 / np.where(real, mu.real, np.inf)).tolist()):
                 rows = {0, n_q - 1}
                 for q in candidates:
                     if rates[0] < q <= rates[-1]:
                         i = bisect.bisect_left(rates, q)
                         rows.update((i - 1, i))
-                checked.append(sorted(rows))
+                checked[j] = sorted(rows)
 
-        # Their dense verdicts, `chunk` maps per eigvals call.
-        cell_rows = [i for rows in checked for i in rows]
-        cell_cols = [j for j, rows in zip(usable, checked) for _ in rows]
-        stable = []
-        for c in range(0, len(cell_rows), chunk):
-            q = q_grid[cell_rows[c : c + chunk], None, None]
-            stable += _ms_stable(_dense_spectral_radius((1.0 - q) * MM[cell_cols[c : c + chunk]] + q * AA)).tolist()
-
-        # Unchecked cells take the common verdict of the checked ones around them.
-        filled, offset = set(), 0
-        for j, rows in zip(usable, checked):
-            v = stable[offset : offset + len(rows)]
-            offset += len(rows)
-            spans = list(zip(rows, rows[1:], v, v[1:]))
-            if all(b == a + 1 or va == vb for a, b, va, vb in spans):
-                for a, b, va, _ in spans:
-                    exact_stable[a:b, start + j] = va
-                exact_stable[n_q - 1, start + j] = v[-1]
-                filled.add(j)
-        for j in range(len(MM)):
-            if j not in filled:
-                exact_stable[:, start + j] = _dense_verdicts(sys, gains[start + j], q_grid)
+        # Unchecked cells take the common verdict of the checked ones around
+        # them; a column whose checked cells disagree across unchecked ones is
+        # checked again at every row, which always fills it.
+        while checked:
+            stable = _dense_cells(MM, AA, q_grid, checked)
+            again, offset = {}, 0
+            for j, rows in checked.items():
+                v = stable[offset : offset + len(rows)]
+                offset += len(rows)
+                spans = list(zip(rows, rows[1:], v, v[1:]))
+                if all(b == a + 1 or va == vb for a, b, va, vb in spans):
+                    for a, b, va, _ in spans:
+                        exact_stable[a:b, start + j] = va
+                    exact_stable[n_q - 1, start + j] = v[-1]
+                else:
+                    again[j] = every_row
+            checked = again
     return exact_stable
 
 
@@ -462,61 +462,51 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
     dense radii are taken at both ends of the column and at the two grid
     rates around each candidate 1/Re(mu) (|Im mu| < CANDIDATE_IMAG_RTOL |mu|),
     and the cells between two checked ones take their common verdict.  A
-    column falls back to one dense radius per cell when sI - M(x)M is
-    singular, G is not finite, or two checked cells with unchecked ones
-    between them disagree.  Every verdict has the per-cell route's bits.
+    column is checked at every row instead when sI - M(x)M is singular or G
+    is not finite, and again at every row when two checked cells with
+    unchecked ones between them disagree; all checked cells go through the
+    same batched dense step.  Every verdict has the per-cell route's bits.
     """
     if not 0.0 < step <= 0.01:
         raise InvalidInputError(f"step must lie in (0, 0.01], got {step}")
-    allowed = THRESHOLD_VARIANTS + ("scalar_iff", "exact")
-    if sufficient_variant not in allowed:
+    if sufficient_variant not in THRESHOLD_VARIANTS + ("scalar_iff", "exact"):
         raise InvalidInputError(f"unknown sufficient variant {sufficient_variant!r}")
-    if sufficient_variant in (VARIANT_SCALAR, "scalar_iff") and not sys.is_scalar:
-        raise DimensionError(f"variant {sufficient_variant!r} requires a scalar system")
+    if sufficient_variant == "scalar_iff" and not sys.is_scalar:
+        raise DimensionError("variant 'scalar_iff' requires a scalar system")
     if sufficient_variant in THRESHOLD_VARIANTS:
         _check_threshold_variant(sys, sufficient_variant)
 
     cp = critical_probability(sys, refine=False)
     qc = cp.exact if cp.exact is not None else cp.lower
-    grid = np.arange(0.0, qc, step)
+    q_grid = np.arange(0.0, qc, step)
 
     # One Riccati solve per grid value serves both its column (design data)
     # and its row (threshold bound); grid values whose solve fails are
     # excluded as columns and get a zero bound as rows.
-    solved = _mare_solve_rates(sys, grid.tolist())
+    solved = _mare_solve_rates(sys, q_grid.tolist())
     solutions = {i: sol.P for i, sol in enumerate(solved) if not isinstance(sol, NoSolutionError)}
     kept = list(solutions)
     gains = [_feedback_gain(sys, solutions[i]) for i in kept]
-    q_hat_grid = grid[kept]
-    q_grid = grid.copy()
+    q_hat_grid = q_grid[kept]
 
-    bounds = None
+    exact_stable = _oracle_verdicts(sys, gains, q_grid)
+    q, q_hat = q_grid[:, None], q_hat_grid[None, :]
     if sufficient_variant in THRESHOLD_VARIANTS:
-        # grid[0] = 0, so its solution is the standard one; without it no
+        # q_grid[0] = 0, so its solution is the standard one; without it no
         # rate is feasible and every bound stays zero.
         bounds = np.zeros(len(q_grid))
         if 0 in solutions:
             bound = _threshold_bounds(sys, sufficient_variant, solutions[0], _qc_clamp(cp))
             for i in kept:
                 bounds[i] = bound(float(q_grid[i]), solutions[i]).bound
-
-    margin = _strict_margin(sys)
-    n_q, n_qh = len(q_grid), len(q_hat_grid)
-    cells = np.full((n_q, n_qh), CELL_GRAY, dtype=np.int8)
-    exact_stable = _oracle_verdicts(sys, gains, q_grid)
-    for j in range(n_qh):
-        qh = float(q_hat_grid[j])
-        stable = exact_stable[:, j]
-
-        if sufficient_variant in THRESHOLD_VARIANTS:
-            certified = (qh >= q_grid) | (q_grid - qh < bounds)
-        elif sufficient_variant == "scalar_iff":
-            certified = _scalar_iff_value(sys, q_grid, qh, gains[j][0, 0], solutions[kept[j]][0, 0]) > margin
-        else:  # exact
-            certified = stable
-
-        cells[certified, j] = CELL_BLUE
-        cells[~certified & ~stable, j] = CELL_RED
+        certified = (q_hat >= q) | (q - q_hat < bounds[:, None])
+    elif sufficient_variant == "scalar_iff":
+        k = np.array([K[0, 0] for K in gains])
+        p = np.array([solutions[i][0, 0] for i in kept])
+        certified = _scalar_iff_value(sys, q, q_hat, k, p) > _strict_margin(sys)
+    else:  # exact
+        certified = exact_stable
+    cells = np.where(certified, CELL_BLUE, np.where(exact_stable, CELL_GRAY, CELL_RED)).astype(np.int8)
     return RegionMap(
         q_grid=q_grid,
         q_hat_grid=q_hat_grid,

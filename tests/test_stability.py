@@ -20,7 +20,7 @@ from lossylqr import (
     st_lower_bound,
     zero_sample_safe_q,
 )
-from lossylqr import stability
+from lossylqr import riccati, stability
 from lossylqr.riccati import RHO_MARGIN, _feedback_gain, _ms_stable, _scalar_iff_value
 from lossylqr.stability import (
     CELL_BLUE,
@@ -451,6 +451,21 @@ def assert_map_equals_per_cell(sys: SystemSpec, step: float, variant: str):
     return rm
 
 
+def count_fallbacks(monkeypatch) -> list:
+    """Record the index, within its stack of columns, of each column that
+    `_oracle_verdicts` checks at every row (a pencil it cannot use, or checked
+    cells that disagree across unchecked ones)."""
+    columns = []
+    dense = stability._dense_cells
+
+    def spy(MM, AA, q_grid, checked):
+        columns.extend(j for j, rows in checked.items() if len(rows) == len(q_grid))
+        return dense(MM, AA, q_grid, checked)
+
+    monkeypatch.setattr(stability, "_dense_cells", spy)
+    return columns
+
+
 class TestBatchedOracle:
     """`region_map`'s batched, column-wise oracle equals the per-cell reference bit for bit."""
 
@@ -478,12 +493,13 @@ class TestBatchedOracle:
     def test_three_row_chunks(self, example2, monkeypatch, variant):
         # 89 grid rows and 3 maps per call: the pencil of 3 columns at a time,
         # and their checked cells (at least 6) split across eigvals calls.
-        monkeypatch.setattr(stability, "ORACLE_CHUNK_ENTRIES", 3 * example2.n**4)
+        monkeypatch.setattr(stability, "LOCKSTEP_ENTRIES", 3 * example2.n**4)
         sizes = []
         dense = stability._dense_spectral_radius
         monkeypatch.setattr(stability, "_dense_spectral_radius", lambda M: sizes.append(len(M)) or dense(M))
-        monkeypatch.setattr(stability, "_dense_verdicts", None)  # no column falls back
+        fallbacks = count_fallbacks(monkeypatch)
         rm = assert_map_equals_per_cell(example2, 0.005, variant)
+        assert fallbacks == []  # no column is checked at every row
         assert len(rm.q_grid) == 89
         blocks = -(-len(rm.q_hat_grid) // 3)
         assert max(sizes) == 3 and len(sizes) > 2 * blocks
@@ -491,10 +507,21 @@ class TestBatchedOracle:
 
     def test_three_row_chunks_random_plant(self, reference_plants, monkeypatch):
         sys = reference_plants["random-n3"]
-        monkeypatch.setattr(stability, "ORACLE_CHUNK_ENTRIES", 3 * sys.n**4)
+        monkeypatch.setattr(stability, "LOCKSTEP_ENTRIES", 3 * sys.n**4)
         for variant in admitted_variants(sys):
             rm = assert_map_equals_per_cell(sys, 0.01, variant)
             assert len(rm.q_grid) % 3 != 0
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_grid_rates_without_a_solution(self, request, monkeypatch, name):
+        # With a one-step cap the 5 grid rates from 0.40 up get no Riccati
+        # solution: they are left out as columns and get a zero bound as rows.
+        sys = request.getfixturevalue(name)
+        monkeypatch.setattr(riccati, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(riccati, "_memo", {})
+        for variant in admitted_variants(sys):
+            rm = assert_map_equals_per_cell(sys, 0.01, variant)
+            assert len(rm.q_grid) == 45 and len(rm.q_hat_grid) == 40
 
 
 FLIP_GRID = np.arange(0.0, 1.0, 0.01)
@@ -517,20 +544,11 @@ def flipping_plants(count: int):
 
 class TestPencilOracle:
     """`_oracle_verdicts` computes dense radii only next to the pencil's candidate
-    rates, and falls back to a dense column where that cannot be trusted; either
+    rates, and checks a column at every row where that cannot be trusted; either
     way each verdict equals the per-cell reference."""
 
-    @staticmethod
-    def count_fallbacks(monkeypatch) -> list:
-        columns = []
-        dense = stability._dense_verdicts
-        monkeypatch.setattr(
-            stability, "_dense_verdicts", lambda sys, K, q_grid: columns.append(K) or dense(sys, K, q_grid)
-        )
-        return columns
-
     def test_verdict_flipping_twice(self, monkeypatch):
-        fallbacks = self.count_fallbacks(monkeypatch)
+        fallbacks = count_fallbacks(monkeypatch)
         for sys, K, stable in flipping_plants(2):
             np.testing.assert_array_equal(stability._oracle_verdicts(sys, [K], FLIP_GRID)[:, 0], stable)
         assert fallbacks == []
@@ -545,16 +563,16 @@ class TestPencilOracle:
         M = sys.A + sys.B @ singular
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(s * np.eye(4) - np.kron(M, M), np.eye(4))
-        fallbacks = self.count_fallbacks(monkeypatch)
+        fallbacks = count_fallbacks(monkeypatch)
         gains = [regular, singular, regular]
         stable = per_cell_verdicts(sys, gains, FLIP_GRID)
         np.testing.assert_array_equal(stability._oracle_verdicts(sys, gains, FLIP_GRID), stable)
-        assert len(fallbacks) == 1 and fallbacks[0] is singular
+        assert len(fallbacks) == 1 and gains[fallbacks[0]] is singular
         assert not stable[0, 1] and stable[1:, 1].all()
 
     def test_non_finite_pencil_falls_back(self, example2, monkeypatch):
         monkeypatch.setattr(stability, "_solve_each", lambda a, b: np.full(b.shape, np.inf))
-        fallbacks = self.count_fallbacks(monkeypatch)
+        fallbacks = count_fallbacks(monkeypatch)
         gains = [ce_gain(example2, q_hat)[0].K for q_hat in (0.0, 0.1, 0.3)]
         grid = np.arange(0.0, 0.44, 0.01)
         np.testing.assert_array_equal(stability._oracle_verdicts(example2, gains, grid), per_cell_verdicts(example2, gains, grid))
@@ -564,7 +582,7 @@ class TestPencilOracle:
         # Without candidate rates only both ends are checked: a column whose
         # ends disagree falls back, one whose verdict never changes is filled.
         monkeypatch.setattr(stability, "CANDIDATE_IMAG_RTOL", 0.0)
-        fallbacks = self.count_fallbacks(monkeypatch)
+        fallbacks = count_fallbacks(monkeypatch)
         gains = [ce_gain(example2, q_hat)[0].K for q_hat in (0.0, 0.1, 0.4)]
         grid = np.arange(0.0, 0.44, 0.01)
         stable = per_cell_verdicts(example2, gains, grid)
