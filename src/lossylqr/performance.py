@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, NumericalFailureError, UnstableError
+from .errors import DimensionError, InvalidInputError, NoSolutionError, NumericalFailureError, UnstableError
 from .numerics import sym_eig_extremes, symmetrize
-from .riccati import SystemSpec, _ms_stable, ce_gain, mare_solve
+from .riccati import Gain, SystemSpec, _feedback_gain, _mare_solve_rates, _ms_stable, ce_gain, mare_solve
 from .stability import _lifted_rho, gain_weight_matrix
 
 # Required agreement between the linear-solve and series routes for S.
@@ -165,15 +165,20 @@ def gap_bounds(report: GapReport) -> tuple[float, str]:
 
 
 def gap_curve(sys: SystemSpec, q: float, X0, q_hat_grid) -> list[GapCurvePoint]:
-    """`gap` at each design rate, solving the true rate once; unstable designs are flagged, not fatal."""
+    """`gap` at each design rate, solving the true rate once and the grid in
+    lock-step; unstable designs are flagged, and the first rate without a
+    Riccati solution raises the NoSolutionError of `ce_gain`."""
     sol_true = mare_solve(sys, q)
     X0 = initial_second_moment(X0, sys.n)
+    q_hats = np.asarray(q_hat_grid, dtype=float).tolist()
     points = []
-    for q_hat in np.asarray(q_hat_grid, dtype=float):
-        gain, sol_hat = ce_gain(sys, float(q_hat))
+    for q_hat, sol_hat in zip(q_hats, _mare_solve_rates(sys, q_hats)):
+        if isinstance(sol_hat, NoSolutionError):
+            raise sol_hat
+        gain = Gain(K=_feedback_gain(sys, sol_hat.P), q_design=q_hat)
         try:
             report = _gap_report(sys, q, gain, sol_hat, sol_true, X0)
-            points.append(GapCurvePoint(q_hat=float(q_hat), gap=report.gap, stable=True))
+            points.append(GapCurvePoint(q_hat=q_hat, gap=report.gap, stable=True))
         except UnstableError:
-            points.append(GapCurvePoint(q_hat=float(q_hat), gap=None, stable=False))
+            points.append(GapCurvePoint(q_hat=q_hat, gap=None, stable=False))
     return points

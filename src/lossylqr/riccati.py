@@ -44,10 +44,9 @@ take one matrix or a stack.  One solve S = (R + B^T X B)^{-1} (A^T X B)^T
 serves a whole step: the gain weight is (A^T X B) S and the gain of X is -S,
 so a Hewer step solves with R + B^T P B once for its residual and its next
 gain.  For a single rate the per-rate loop is the faster one.  The grid of
-`region_map` and of the threshold curve, and the probes of both bisections
-(`_bisect_rates`: the q_c refinement of `critical_probability` and
-`zero_sample_safe_q`), are solved in lock-step.  The one exception is
-`gap_curve`, whose per-point `mare_solve` calls the CLI tests count.
+`region_map`, of the threshold curve and of `gap_curve`, and the probes of
+both bisections (`_bisect_rates`: the q_c refinement of
+`critical_probability` and `zero_sample_safe_q`), are solved in lock-step.
 
 The lifted map (`_lifted_map`), its verdict (`_ms_stable`), the scalar iff
 value, the gain check (`_gain`) and the invertibility test of B
@@ -451,39 +450,30 @@ def _policy_iteration_rates(
     sys: SystemSpec, q: np.ndarray, one_minus_q: np.ndarray, X: np.ndarray, q_floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`_policy_iteration` in lock-step from a (p, n, n) stack X of value
-    iterates at rates q, given with 1 - q as (p, 1, 1) arrays.  A member
-    leaves the stack where `_policy_iteration` would return.  Returns (P,
-    steps, residual, solved) with one entry per member; P[j] is the solution
-    where solved[j] holds (where `_policy_iteration` gives a P)."""
+    iterates at rates q, given with 1 - q as (p, 1, 1) arrays.  A member whose
+    first gain fails the dense test leaves before the loop, and one that stops
+    or whose next gain (evaluated at the end of the step) is not certified
+    leaves at the end of the step.  Returns (P, steps, residual, solved) with
+    one entry per member; P[j] is the solution where solved[j] holds."""
     p, n = X.shape[:2]
     eye = np.eye(n * n)
     out = np.empty_like(X)
     steps = np.zeros(p, dtype=int)
     residual = np.full(p, np.inf)
     solved = np.zeros(p, dtype=bool)
-    live = np.arange(p)  # member index of each row of P, K, L and q_AA
-    P = X.copy()
+
+    def evaluate(K, L, one_minus_q):  # cost Q + (1-q) K^T R K and solution P of each gain
+        cost = sys.Q + one_minus_q * (K.mT @ sys.R @ K)
+        Pn = _solve_each(eye - L.mT, cost.reshape(len(L), n * n, 1)).reshape(len(L), n, n)
+        return cost, 0.5 * (Pn + Pn.mT)
+
     K = _feedback_gain(sys, X)
     q_AA = q * _kron_self(sys.A)
-    first = True
+    L = _lifted_map(sys, K, q, q_AA)
+    live = np.flatnonzero(_ms_stable(_dense_spectral_radius(L)))  # member index of each row of P, Pn and q_AA
+    P, q_AA = X[live], q_AA[live]
+    Pn = evaluate(K[live], L[live], one_minus_q[live])[1]
     while len(live):
-        L = _lifted_map(sys, K, q[live], q_AA)
-        if first:
-            keep = _ms_stable(_dense_spectral_radius(L))
-            live, P, K, L, q_AA = live[keep], P[keep], K[keep], L[keep], q_AA[keep]
-            if not len(live):
-                break
-        cost = sys.Q + one_minus_q[live] * (K.mT @ sys.R @ K)
-        Pn = _solve_each(eye - L.mT, cost.reshape(len(live), n * n, 1)).reshape(len(live), n, n)
-        Pn = 0.5 * (Pn + Pn.mT)
-        if not first:
-            keep = _solve_certifies(L, Pn, cost, q_floor)
-            if not keep.all():
-                keep[~keep] = _ms_stable(_dense_spectral_radius(L[~keep]))
-                live, P, Pn, q_AA = live[keep], P[keep], Pn[keep], q_AA[keep]
-                if not len(live):
-                    break
-        first = False
         steps[live] += 1
         norm = _fro(Pn)
         step, K = _mare_step_gain(Pn, sys, one_minus_q[live])
@@ -495,13 +485,22 @@ def _policy_iteration_rates(
             P[better] = Pn[better]
             residual[live[better]] = new_residual[better]
             stop[better] = change <= STEP_TOL
-        if stop.any():
+        leave, leaving = stop, stop.any()
+        if not leaving or not stop.all():  # some rows go on: evaluate their next gains (stopped rows ride along)
+            L = _lifted_map(sys, K, q[live], q_AA)
+            cost, Pn = evaluate(K, L, one_minus_q[live])
+            certified = _solve_certifies(L, Pn, cost, q_floor)
+            if not certified.all():
+                unproven = ~stop & ~certified
+                certified[unproven] = _ms_stable(_dense_spectral_radius(L[unproven]))
+                leave = stop | ~certified
+                leaving = leave.any()
+        if leaving:
             done = live[stop]
             out[done] = P[stop]
             solved[done] = residual[done] <= RESIDUAL_TOL
-            live, P, K, q_AA = live[~stop], P[~stop], K[~stop], q_AA[~stop]
-            if not len(live):
-                break
+            keep = ~leave
+            live, P, Pn, q_AA = live[keep], P[keep], Pn[keep], q_AA[keep]
     return out, steps, residual, solved
 
 
@@ -526,7 +525,9 @@ def _mare_solve_rates(sys: SystemSpec, qs) -> list:
 
 
 def _lockstep(sys: SystemSpec, qs: list) -> list:
-    """`_mare_solve_rates` on one stack of valid rates."""
+    """`_mare_solve_rates` on one stack of valid rates.  Every exit of
+    `_mare_solve` but the cap goes through `finish`, and the rows it marks
+    leave together at the end of the step."""
     results = [None] * len(qs)
     live = np.arange(len(qs))  # rate index of each row of the stack
     q = np.array(qs, dtype=float).reshape(-1, 1, 1)
@@ -555,15 +556,10 @@ def _lockstep(sys: SystemSpec, qs: list) -> list:
         done = ~(norm <= DIVERGENCE_NORM)  # NaN and inf included
         if done.any():
             for j in np.flatnonzero(done):
-                results[live[j]] = _diverged(qs[live[j]])
-            keep = ~done
-            live, q, one_minus_q, X, Xn, norm = live[keep], q[keep], one_minus_q[keep], X[keep], Xn[keep], norm[keep]
-            done = done[keep]
-            if not len(live):
-                return results
+                finish(j, _diverged(qs[live[j]]))
         rel_change = _fro(Xn - X) / (1.0 + norm)
         X = Xn
-        small = rel_change <= STEP_TOL
+        small = (rel_change <= STEP_TOL) & ~done
         if small.any():
             small = np.flatnonzero(small)
             Xs = X[small]

@@ -256,11 +256,9 @@ def _gaussian_draw(rng: np.random.Generator, mean: np.ndarray, factor: np.ndarra
     return (rng.standard_normal((1, mean.size)) @ factor.T + mean).reshape(mean.size)
 
 
-def _initial_state(sys: SystemSpec, x0, rng: np.random.Generator | None) -> np.ndarray:
-    """Deterministic x0, or a Gaussian draw when given as a (mean, cov) pair."""
+def _initial_state(sys: SystemSpec, x0, rng: np.random.Generator) -> np.ndarray:
+    """Deterministic x0, or a Gaussian draw from rng when given as a (mean, cov) pair."""
     if isinstance(x0, tuple):
-        if rng is None:
-            raise InvalidInputError("random initial states need a trajectory stream")
         return _gaussian_draw(rng, *_gaussian_law(sys, x0))
     return _finite_vector(x0, sys.n, "initial state")
 
@@ -342,7 +340,7 @@ def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int,
             np.greater_equal(rng.random(T), q, out=delivered[row])
         return (Z @ factor.T + mean).reshape(count, n), lam
 
-    X0 = np.tile(_initial_state(sys, x0, None), (count, 1))
+    X0 = np.tile(_finite_vector(x0, n, "initial state"), (count, 1))
     blocks = -(-T // 4)
     # Word w of block j is column 4 j + w; the columns past T are never read.
     bits = np.empty((count, blocks, 4), dtype=np.int8)

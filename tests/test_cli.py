@@ -16,6 +16,7 @@ from lossylqr import (
     region_map,
     st_lower_bound,
 )
+from lossylqr import riccati
 from lossylqr.cli import Emitter, _fmt, load_system, main
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -262,10 +263,12 @@ class TestGapCurve:
     def test_rows_equal_pointwise_gap_with_one_true_rate_solve(self, capsys, monkeypatch):
         captured = capture_rows(monkeypatch)
         solves = count_calls(monkeypatch, mare_solve)
+        grid_solves = count_calls(monkeypatch, riccati._mare_solve_rates)
         code, _, err = run(capsys, "gap", "--spec", EX2, "--q", "0.2", "--x0", "5,5", "--curve")
         assert code == 0, err
         assert len(captured) == 89
-        assert len(solves) == len(captured) + 1
+        assert [args[1] for args in solves] == [0.2]
+        assert len(grid_solves) == 1 and len(grid_solves[0][1]) == len(captured)
         monkeypatch.undo()
         sys_spec = load_system(EX2)
         for q_hat, value, stable in captured:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lossylqr import (
+    NoSolutionError,
     SimConfig,
     UnstableError,
     ce_gain,
@@ -160,6 +161,15 @@ class TestGapCurve:
         _, points = curve
         by_rate = {round(p.q_hat, 3): p for p in points}
         assert by_rate[0.4].gap > by_rate[0.0].gap
+
+    def test_grid_past_qc_raises_the_error_of_ce_gain(self, example2):
+        # q_c = 1/1.5^2 for invertible B; 0.45 is the first rate of the grid above it.
+        with pytest.raises(NoSolutionError) as curve_error:
+            gap_curve(example2, 0.2, np.array([5.0, 5.0]), np.arange(0.0, 0.6, 0.05))
+        with pytest.raises(NoSolutionError) as design_error:
+            ce_gain(example2, 0.45)
+        assert "q=0.45;" in str(curve_error.value)
+        assert (curve_error.value.reason, str(curve_error.value)) == (design_error.value.reason, str(design_error.value))
 
     def test_continuity_toward_true_rate(self, example2):
         near = gap(example2, 0.2, 0.199, np.array([5.0, 5.0])).gap

@@ -17,6 +17,7 @@ from lossylqr import (
     dare_solve,
     exact_ms_stable,
     gap,
+    gap_curve,
     mare_solve,
     min_samples,
     optimal_cost,
@@ -568,6 +569,27 @@ class TestLockstepSolve:
         solved = self.assert_same_as_each_rate(example1, [0.1, 0.45, 0.2, 0.5])
         assert [getattr(r, "reason", None) for r in solved] == [None, "cap", None, "cap"]
 
+    @pytest.mark.parametrize("bound", [4.4, 5.0])
+    def test_divergence_beside_other_exits(self, example1, monkeypatch, bound):
+        # Solution norms 3.3, 7.3, 22.9, 225 and 2250: policy phases solve the
+        # first three rates before their iterates pass the bound, and the last
+        # two diverge.  Under 4.4 both diverge at step 2, the step whose policy
+        # phase solves 0.4.
+        monkeypatch.setattr(riccati, "DIVERGENCE_NORM", bound)
+        solved = self.assert_same_as_each_rate(example1, [0.1, 0.3, 0.4, 0.44, 0.444])
+        assert [getattr(r, "reason", None) for r in solved] == [None, None, None, "diverged", "diverged"]
+
+    def test_later_gains_refused(self, example2, plant3, monkeypatch):
+        # No solve certifies a gain, and the dense test also refuses every map
+        # with rho < 0.6.  Each policy phase's gains have falling rho, so at
+        # q = 0.2 on example2 and q = 0.3 on plant3 the first gain passes and
+        # the second is refused, while other rates solve or fail at once.
+        dense = riccati._dense_spectral_radius
+        monkeypatch.setattr(riccati, "_solve_certifies", lambda L, P, cost, q_floor: np.zeros(P.shape[:-2], dtype=bool))
+        monkeypatch.setattr(riccati, "_dense_spectral_radius", lambda M: np.where(dense(M) < 0.6, 2.0, dense(M)))
+        for sys in (example2, plant3):
+            self.assert_same_as_each_rate(sys, [0.0, 0.1, 0.2, 0.3, 0.4, 0.44])
+
     def test_several_stacks(self, example2, monkeypatch):
         # Two rates per stack at n = 2.
         monkeypatch.setattr(riccati, "LOCKSTEP_ENTRIES", 2 * 2**4)
@@ -604,27 +626,39 @@ class TestStackMemberFailure:
                 assert x[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
 
 
+@pytest.fixture
+def solved_alone(solve_count, monkeypatch):
+    """The rates that `mare_solve` solves alone, starting from an empty memo."""
+    rates = []
+    counted = riccati._mare_solve
+
+    def recorded(sys, q):
+        rates.append(q)
+        return counted(sys, q)
+
+    monkeypatch.setattr(riccati, "_mare_solve", recorded)
+    return rates
+
+
 class TestLockstepCallers:
-    """The grids of `region_map` and `_threshold_curve` and the probes of both
-    bisections are solved in lock-step; only the standard Riccati solution
-    and the lower end of the q_c bracket are solved alone."""
+    """The grids of `region_map`, `_threshold_curve` and `gap_curve` and the
+    probes of both bisections are solved in lock-step; only the standard
+    Riccati solution, the true rate of a gap curve and the lower end of the
+    q_c bracket are solved alone."""
 
     def test_region_map_solves_no_rate_alone(self, example2, solve_count):
         rm = region_map(example2, 0.01, "invertible_B")
         assert len(rm.q_hat_grid) == len(rm.q_grid) > 1
         assert solve_count[0] == 0
 
-    def test_safe_rate_solves_only_the_dare_alone(self, example2, solve_count, monkeypatch):
-        rates = []
-        counted = riccati._mare_solve
-
-        def recorded(sys, q):
-            rates.append(q)
-            return counted(sys, q)
-
-        monkeypatch.setattr(riccati, "_mare_solve", recorded)
+    def test_safe_rate_solves_only_the_dare_alone(self, example2, solved_alone):
         assert 0.0 < zero_sample_safe_q(example2, "invertible_B") < 1.0
-        assert rates == [0.0] and solve_count[0] == 1
+        assert solved_alone == [0.0]
+
+    def test_gap_curve_solves_only_the_true_rate_alone(self, example2, solved_alone):
+        points = gap_curve(example2, 0.2, np.array([5.0, 5.0]), np.arange(0.0, 0.44, 0.01))
+        assert len(points) == 44
+        assert solved_alone == [0.2]
 
     def test_qc_bisection_solves_only_the_lower_end_alone(self, plant3, solve_count):
         assert critical_probability(plant3).method == "bisection"
