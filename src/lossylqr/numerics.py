@@ -20,11 +20,13 @@ SYM_RTOL = 1e-10
 DUAL_AGREE_RTOL = 1e-7
 
 
-def _as_matrix(M) -> np.ndarray:
+def _as_matrix(M, stack: bool = False) -> np.ndarray:
+    """M as a finite float matrix; with stack=True a (k, r, c) stack of them is
+    accepted as well."""
     M = np.asarray(M, dtype=float)
     if M.ndim == 0:
         M = M.reshape(1, 1)
-    if M.ndim != 2:
+    if M.ndim != 2 and not (stack and M.ndim == 3):
         raise InvalidInputError(f"expected a 2-d matrix, got ndim={M.ndim}")
     if not np.all(np.isfinite(M)):
         raise InvalidInputError("matrix has non-finite entries")
@@ -34,50 +36,59 @@ def _as_matrix(M) -> np.ndarray:
 def _fro(X: np.ndarray):
     """Frobenius norm of a matrix, or of each matrix of a (k, r, c) stack.  One
     matrix takes the BLAS dot of its entries in memory order, and a stack the
-    row-times-column product of each flattened matrix: what np.linalg.norm
+    same dot of each flattened matrix (np.vecdot): what np.linalg.norm
     computes, so the same bits, without its per-call overhead."""
     if X.ndim == 2:
         v = X.ravel(order="K")
         return math.sqrt(v.dot(v))
-    v = X.reshape(len(X), 1, -1)
-    return np.sqrt(v @ v.mT)[:, 0, 0]
+    v = X.reshape(len(X), X.shape[1] * X.shape[2])
+    return np.sqrt(np.vecdot(v, v))
 
 
 def symmetrize(M, rtol: float = SYM_RTOL) -> np.ndarray:
-    """Return (M + M^T)/2, refusing inputs whose asymmetry exceeds rtol * (1 + ||M||)."""
-    M = _as_matrix(M)
-    if M.shape[0] != M.shape[1]:
+    """Return (M + M^T)/2, refusing inputs whose asymmetry exceeds rtol * (1 + ||M||).
+    A (k, n, n) stack is symmetrized member by member, and refused when one
+    member is (the message names the first)."""
+    M = _as_matrix(M, stack=True)
+    if M.shape[-2] != M.shape[-1]:
         raise InvalidInputError(f"cannot symmetrize a {M.shape} matrix")
-    norm = _fro(M)
-    skew = _fro(M - M.T)
-    if skew > rtol * (1.0 + norm) * 2.0:
+    skew = _fro(M - M.mT)
+    asymmetric = skew > 2.0 * rtol * (1.0 + _fro(M))
+    if asymmetric if M.ndim == 2 else np.count_nonzero(asymmetric):
+        skew = skew if M.ndim == 2 else skew[asymmetric][0]
         raise InvalidInputError(
             f"matrix is not symmetric: asymmetry {skew:.3e} exceeds tolerance"
         )
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.mT)
 
 
-def sym_eig_extremes(M) -> tuple[float, float]:
-    """Extreme eigenvalues (lambda_min, lambda_max) of a symmetric matrix."""
+def sym_eig_extremes(M):
+    """Extreme eigenvalues (lambda_min, lambda_max) of a symmetric matrix, or
+    two arrays of those of each member of a (k, n, n) stack."""
     S = symmetrize(M)
     w = np.linalg.eigvalsh(S)
-    return float(w[0]), float(w[-1])
+    if S.ndim == 2:
+        return float(w[0]), float(w[-1])
+    return w[:, 0], w[:, -1]
 
 
 def psd_sqrt(M) -> np.ndarray:
-    """Symmetric PSD square root of a PSD matrix.
+    """Symmetric PSD square root of a PSD matrix, or of each member of a
+    (k, n, n) stack.
 
     Eigenvalues in [-1e-10 * ||M||, 0) are clamped to zero; anything more
-    negative raises NotPSDError.
+    negative raises NotPSDError (for a stack, naming the first such member).
     """
     S = symmetrize(M)
     w, V = np.linalg.eigh(S)
-    scale = max(abs(float(w[0])), abs(float(w[-1])), 0.0)
-    if w[0] < -1e-10 * scale:
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below the PSD tolerance")
+    lowest = w[..., 0]
+    # w ascends, so max |w| = max(|w[0]|, |w[-1]|).
+    below = lowest < -1e-10 * np.abs(w).max(axis=-1)
+    if np.count_nonzero(below):
+        raise NotPSDError(f"matrix has eigenvalue {lowest[below].flat[0]:.3e} below the PSD tolerance")
     w = np.clip(w, 0.0, None)
-    root = (V * np.sqrt(w)) @ V.T
-    return 0.5 * (root + root.T)
+    root = (V * np.sqrt(w)[..., None, :]) @ V.mT
+    return 0.5 * (root + root.mT)
 
 
 def _dense_spectral_radius(M: np.ndarray):

@@ -47,6 +47,11 @@ gain.  For a single rate the per-rate loop is the faster one.  The grid of
 `region_map`, of the threshold curve and of `gap_curve`, and the probes of
 both bisections (`_bisect_rates`: the q_c refinement of
 `critical_probability` and `zero_sample_safe_q`), are solved in lock-step.
+A bisection solves its midpoints in batches ahead of the steps that take
+them: the q_c refinement, whose verdict is feasible or not, a tree of the
+next four steps per batch; the safe rate, whose score bound(q) - q is
+graded, the path predicted by interpolating its scores, which on a smooth
+bound takes two batches.
 
 The lifted map (`_lifted_map`), its verdict (`_ms_stable`), the scalar iff
 value, the gain check (`_gain`) and the invertibility test of B
@@ -60,12 +65,13 @@ repeats the lifted map's elementwise formula on the Kronecker squares it
 formed once, for the same bits.
 """
 
+import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, NoSolutionError
+from .errors import DimensionError, InvalidInputError, LossyLqrError, NoSolutionError
 from .numerics import StallDetector, _dense_spectral_radius, _fro, _positive_definite, sym_eig_extremes, symmetrize
 
 # Fixed-point iteration controls for the (modified) Riccati equation.
@@ -88,6 +94,9 @@ RANK_RTOL = 1e-10
 # of bisection steps whose possible midpoints are solved in one lock-step call.
 QC_BISECT_TOL = 1e-6
 BISECT_LOOKAHEAD = 4
+# A bisection with graded scores solves next every midpoint that it can probe
+# while its root lies within BISECT_BAND * tol of the interpolated root.
+BISECT_BAND = 4
 
 # Lifted-map entries per stacked array (2 MB of float64), in the lock-step
 # stacks of `_mare_solve_rates` and the batched calls of `region_map`'s
@@ -471,6 +480,8 @@ def _policy_iteration_rates(
     q_AA = q * _kron_self(sys.A)
     L = _lifted_map(sys, K, q, q_AA)
     live = np.flatnonzero(_ms_stable(_dense_spectral_radius(L)))  # member index of each row of P, Pn and q_AA
+    if not len(live):
+        return out, steps, residual, solved
     P, q_AA = X[live], q_AA[live]
     Pn = evaluate(K[live], L[live], one_minus_q[live])[1]
     while len(live):
@@ -633,33 +644,88 @@ def dare_solve(sys: SystemSpec) -> RiccatiSolution:
     return mare_solve(sys, 0.0)
 
 
-def _bisect_rates(sys: SystemSpec, lo: float, hi: float, tol: float, keeps_lo) -> tuple[float, float]:
-    """Bisect [lo, hi] to width tol; a midpoint q becomes lo where keeps_lo(q,
-    outcome) holds, outcome being q's RiccatiSolution or NoSolutionError, and
-    hi otherwise.  The outcomes at every midpoint that the next
-    BISECT_LOOKAHEAD steps can probe come from one `_mare_solve_rates` call
-    (the bits of one `mare_solve` per rate) and keeps_lo runs only at the
-    midpoints taken, so (lo, hi) is the plain bisection's to the last bit."""
-    outcomes = {}
+def _bisect_rates(sys: SystemSpec, lo: float, hi: float, tol: float, score, graded=None) -> tuple[float, float]:
+    """Bisect [lo, hi] to width tol.  score(qs, outcomes) gives one score per
+    rate of the list qs from its outcome, its RiccatiSolution or
+    NoSolutionError; a midpoint becomes lo where its score is positive and hi
+    otherwise.
+
+    Midpoints are solved in batches ahead of the steps that take them, one
+    `_mare_solve_rates` call per batch (the bits of one `mare_solve` per
+    rate), and each batch is scored in one call.  Should that call raise,
+    each midpoint taken is scored alone, so only a midpoint taken can raise.
+    Every decision is taken from its own midpoint's outcome and score, so
+    (lo, hi) is the plain bisection's to the last bit; the batches decide
+    only how many lock-step calls that takes.
+
+    A batch holds every midpoint that the next BISECT_LOOKAHEAD steps can
+    probe.  When the scores are graded (one root, positive below it), the
+    caller passes `graded`, a dict of scores known in advance by rate, which
+    gains each batch's finite scores.  Where the quadratic through the three
+    of them nearest [lo, hi] has its one zero r in [lo, hi] (interpolation
+    guiding a bisection, as in Brent, *Algorithms for Minimization without
+    Derivatives*, 1973), the next batch holds instead every midpoint that
+    the bisection can probe, all the way to width tol, while the root lies
+    within BISECT_BAND * tol of r.
+    """
+    known = None if graded is None else dict(graded)
+    outcomes, scores = {}, {}
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid not in outcomes:
-            probes = _bisection_midpoints(lo, hi, tol, BISECT_LOOKAHEAD)
+            r = None if known is None else _interpolated_root(known, lo, hi)
+            if r is None:
+                probes = _bisection_midpoints(lo, hi, tol, BISECT_LOOKAHEAD)
+            else:
+                w = BISECT_BAND * tol
+                probes = _bisection_midpoints(lo, hi, tol, math.inf, (r - w, r + w))
             outcomes = dict(zip(probes, _mare_solve_rates(sys, probes)))
-        if keeps_lo(mid, outcomes[mid]):
+            try:
+                scores = dict(zip(probes, score(probes, list(outcomes.values()))))
+            except (LossyLqrError, np.linalg.LinAlgError):
+                scores = {}
+            if known is not None:
+                known.update((q, v) for q, v in scores.items() if math.isfinite(v))
+        s = scores[mid] if mid in scores else score([mid], [outcomes[mid]])[0]
+        if s > 0:
             lo = mid
         else:
             hi = mid
     return lo, hi
 
 
-def _bisection_midpoints(lo: float, hi: float, tol: float, levels: int) -> list[float]:
+def _interpolated_root(known: dict, lo: float, hi: float) -> float | None:
+    """The zero in [lo, hi] of the quadratic through the three (rate, score)
+    points of `known` nearest [lo, hi], if it has exactly one there."""
+    if len(known) < 3:
+        return None
+    (x0, y0), (x1, y1), (x2, y2) = sorted(known.items(), key=lambda item: max(lo - item[0], item[0] - hi))[:3]
+    d01 = (y1 - y0) / (x1 - x0)
+    a = ((y2 - y1) / (x2 - x1) - d01) / (x2 - x0)
+    # y0 + d01 (x - x0) + a (x - x0) (x - x1) = a t^2 + b t + y0 with t = x - x0
+    b = d01 - a * (x1 - x0)
+    disc = b * b - 4.0 * a * y0
+    if a == 0.0:
+        ts = [-y0 / b] if b != 0.0 else []
+    elif disc < 0.0:
+        ts = []
+    else:  # the two roots without cancellation
+        half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        ts = [half / a, y0 / half] if half != 0.0 else [0.0]
+    inside = [x0 + t for t in ts if lo <= x0 + t <= hi]
+    return inside[0] if len(inside) == 1 else None
+
+
+def _bisection_midpoints(lo: float, hi: float, tol: float, levels, band=(-math.inf, math.inf)) -> list[float]:
     """Every midpoint that the next `levels` steps of `_bisect_rates` on
-    [lo, hi] can probe, computed as the bisection computes it."""
+    [lo, hi] can probe while the root lies in `band` (a midpoint becomes lo
+    only below the root), computed as the bisection computes it."""
     if levels == 0 or not hi - lo > tol:
         return []
     mid = 0.5 * (lo + hi)
-    return [mid, *_bisection_midpoints(lo, mid, tol, levels - 1), *_bisection_midpoints(mid, hi, tol, levels - 1)]
+    below = _bisection_midpoints(lo, mid, tol, levels - 1, band) if mid >= band[0] else []
+    above = _bisection_midpoints(mid, hi, tol, levels - 1, band) if mid < band[1] else []
+    return [mid, *below, *above]
 
 
 def critical_probability(sys: SystemSpec, refine: bool = True) -> CriticalProbability:
@@ -700,7 +766,11 @@ def critical_probability(sys: SystemSpec, refine: bool = True) -> CriticalProbab
     except NoSolutionError:
         # q_c sits at the bracket's lower end (within solver accuracy).
         return CriticalProbability(lower, lower, None, "bisection", unstable_t)
-    lo, hi = _bisect_rates(sys, lower, upper, QC_BISECT_TOL, lambda q, sol: isinstance(sol, RiccatiSolution))
+
+    def feasible(qs: list, outcomes: list) -> list[float]:
+        return [1.0 if isinstance(sol, RiccatiSolution) else -1.0 for sol in outcomes]
+
+    lo, hi = _bisect_rates(sys, lower, upper, QC_BISECT_TOL, feasible)
     return CriticalProbability(lo, hi, None, "bisection", unstable_t)
 
 

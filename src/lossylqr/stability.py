@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, NoSolutionError
+from .errors import DimensionError, InvalidInputError, NoSolutionError, NotPSDError
 from .numerics import _dense_spectral_radius, psd_sqrt, spectral_radius, sym_eig_extremes, symmetrize
 from .riccati import (
     LOCKSTEP_ENTRIES,
@@ -212,12 +212,12 @@ def _qc_clamp(cp: CriticalProbability) -> float:
     return cp.exact if cp.exact is not None else cp.upper
 
 
-def _congruence_max_eig(S_root: np.ndarray, M: np.ndarray) -> float:
-    """lambda_max of S_root^{-1} M S_root^{-1} for symmetric PD S_root."""
+def _congruence_max_eig(S_root: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """lambda_max of S_root^{-1} M S_root^{-1} for symmetric PD S_root, for
+    each member of a (k, n, n) stack M (and of S_root, if it is one too)."""
     half = np.linalg.solve(S_root, M)
-    T = np.linalg.solve(S_root, half.T).T
-    _, lmax = sym_eig_extremes(0.5 * (T + T.T))
-    return lmax
+    T = np.linalg.solve(S_root, half.mT).mT
+    return sym_eig_extremes(0.5 * (T + T.mT))[1]
 
 
 def st_lower_bound(sys: SystemSpec, q: float, variant: str) -> ThresholdReport:
@@ -239,13 +239,15 @@ def st_lower_bound(sys: SystemSpec, q: float, variant: str) -> ThresholdReport:
     inverses exist and remains defined when A is singular; a vanishing
     transformed matrix means the formula imposes no constraint and the bound
     is clamped at the critical probability.  Reported bounds are capped at
-    the critical probability, the width of the admissible square.
+    the critical probability, the width of the admissible square.  The
+    formulas are those of `_threshold_bounds`, here on a stack of one.
     """
     _check_threshold_variant(sys, variant)
     P = mare_solve(sys, q).P
     qc = _qc_clamp(critical_probability(sys, refine=False))
     P0 = None if variant == VARIANT_SCALAR else dare_solve(sys).P
-    return _threshold_bounds(sys, variant, P0, qc)(q, P)
+    bound, constituents = _threshold_bounds(sys, variant, P0, qc)(np.array([q], dtype=float), P[None])
+    return ThresholdReport(variant, bound.item(), constituents[0])
 
 
 def _check_threshold_variant(sys: SystemSpec, variant: str) -> None:
@@ -261,75 +263,102 @@ def _check_threshold_variant(sys: SystemSpec, variant: str) -> None:
 
 
 def _threshold_bounds(sys: SystemSpec, variant: str, P0: np.ndarray | None, qc: float):
-    """`st_lower_bound` as bound(q, P) -> ThresholdReport, from the modified
-    Riccati solution P at q, given the standard one P0 (unused by the scalar
+    """`st_lower_bound` over stacks, as bounds(q, P) -> (bound, constituents):
+    from a (k,) array of rates q and the (k, n, n) stack P of their modified
+    Riccati solutions, the (k,) array of bounds and the list of each row's
+    constituents, given the standard solution P0 (unused by the scalar
     variant) and the clamp qc.  The rate-independent parts are formed here
-    once, so every rate of a grid or bisection shares them."""
+    once, so every rate of a grid or bisection shares them.
+
+    Each row gets the bits of the formula evaluated on its own.  The matrix
+    steps run on the whole stack (stacked matmul, solve and eigh round each
+    member as the 2-d call does), and the scalar steps per row in Python
+    floats, where a square is `**` (libm pow; an array's `**2` multiplies,
+    which rounds differently on about 1 double in 1000).  Every check of the
+    formulas (symmetry, the PSD tolerance of the square root, the clamp at a
+    vanishing transformed matrix) runs on each member.  When a check fails,
+    the rows are evaluated one at a time, so the first failing row raises.
+    """
     A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
 
     if variant == VARIANT_SCALAR:
-        a, b, qq, r = A[0, 0], B[0, 0], Q[0, 0], R[0, 0]
+        a, b, qq, r = (float(M[0, 0]) for M in (A, B, Q, R))
 
-        def bound(q: float, P: np.ndarray) -> ThresholdReport:
-            p = P[0, 0]
-            denom = a**2 * b**2 * p**2
-            if denom <= 0.0:
-                return ThresholdReport(variant, qc, {"clamped_to_qc": 1.0})
-            first = qq * (r + b**2 * p) / denom
-            second = (1.0 - q) * r / (r + b**2 * p)
-            return ThresholdReport(
-                variant, float(min(first + second, qc)), {"first_term": float(first), "second_term": float(second)}
-            )
+        def evaluate(q, P):
+            bound, constituents = [], []
+            for q_i, p in zip(q.tolist(), P[:, 0, 0].tolist()):
+                denom = a**2 * b**2 * p**2
+                if denom <= 0.0:
+                    bound.append(qc)
+                    constituents.append({"clamped_to_qc": 1.0})
+                    continue
+                first = qq * (r + b**2 * p) / denom
+                second = (1.0 - q_i) * r / (r + b**2 * p)
+                bound.append(min(first + second, qc))
+                constituents.append({"first_term": first, "second_term": second})
+            return np.array(bound), constituents
 
     elif variant == VARIANT_GENERAL:
         _, lmax_bbt = sym_eig_extremes(B @ B.T)
         lmin_rp0, _ = sym_eig_extremes(R + B.T @ P0 @ B)
         c1, Q_root = lmax_bbt / lmin_rp0, psd_sqrt(Q)
 
-        def bound(q: float, P: np.ndarray) -> ThresholdReport:
-            lam = _congruence_max_eig(Q_root, symmetrize(A.T @ P @ P @ A))
-            if lam <= 0.0:
-                return ThresholdReport(variant, qc, {"c1": float(c1), "clamped_to_qc": 1.0})
-            lam_min_term = 1.0 / lam
-            return ThresholdReport(
-                variant, float(min(lam_min_term / c1, qc)), {"c1": float(c1), "lambda_min_term": float(lam_min_term)}
-            )
+        def evaluate(q, P):
+            lam = _congruence_max_eig(Q_root, symmetrize(A.T @ P @ P @ A)).tolist()
+            bound = [qc if x <= 0.0 else min(1.0 / x / c1, qc) for x in lam]
+            constituents = [
+                {"c1": c1, "clamped_to_qc": 1.0} if x <= 0.0 else {"c1": c1, "lambda_min_term": 1.0 / x} for x in lam
+            ]
+            return np.array(bound), constituents
 
     else:  # invertible_B
         lmin_r, _ = sym_eig_extremes(R)
         lmin_bbt, _ = sym_eig_extremes(B @ B.T)
         lmin_r_bbt, AP0P0A = lmin_r * lmin_bbt, symmetrize(A.T @ P0 @ P0 @ A)
 
-        def bound(q: float, P: np.ndarray) -> ThresholdReport:
+        def evaluate(q, P):
             _, lmax_rpb = sym_eig_extremes(R + B.T @ P @ B)
-            c2 = lmin_r_bbt / lmax_rpb**2
-            lam = _congruence_max_eig(psd_sqrt(Q + (1.0 - q) * c2 * AP0P0A), symmetrize(A.T @ P @ A))
-            if lam <= 0.0:
-                return ThresholdReport(variant, qc, {"c2": float(c2), "clamped_to_qc": 1.0})
-            return ThresholdReport(
-                variant, float(min(1.0 / lam, qc)), {"c2": float(c2), "lambda_min_term": float(1.0 / lam)}
-            )
+            c2 = [lmin_r_bbt / x**2 for x in lmax_rpb.tolist()]
+            Xi = psd_sqrt(Q + ((1.0 - q) * c2)[:, None, None] * AP0P0A)
+            lam = _congruence_max_eig(Xi, symmetrize(A.T @ P @ A)).tolist()
+            bound = [qc if x <= 0.0 else min(1.0 / x, qc) for x in lam]
+            constituents = [
+                {"c2": c, "clamped_to_qc": 1.0} if x <= 0.0 else {"c2": c, "lambda_min_term": 1.0 / x}
+                for c, x in zip(c2, lam)
+            ]
+            return np.array(bound), constituents
 
-    return bound
+    def bounds(q: np.ndarray, P: np.ndarray):
+        try:
+            return evaluate(q, P)
+        except (InvalidInputError, NotPSDError, np.linalg.LinAlgError):
+            for i in range(len(q)):
+                evaluate(q[i : i + 1], P[i : i + 1])
+            raise
+
+    return bounds
 
 
 def _threshold_curve(sys: SystemSpec, variant: str, q_min: float, q_max: float | None, step: float):
     """Yield (q, st_lower_bound(sys, q, variant)) on the grid [q_min, min(q_max, q_c))
     up to the first rate without a Riccati solution.  The grid is solved in
     one lock-step call (`riccati._mare_solve_rates`, equal bit for bit to one
-    `mare_solve` per rate); no rate at or above q_c has a solution, so the
+    `mare_solve` per rate) and its bounds come from one stacked
+    `_threshold_bounds` call; no rate at or above q_c has a solution, so the
     clamp drops no row.  q_c and the standard solution (the q = 0 row's, if
     any) are found once."""
     _check_threshold_variant(sys, variant)
     qc = _qc_clamp(critical_probability(sys, refine=False))
     grid = np.arange(q_min, qc if q_max is None else min(q_max, qc), step).tolist()
-    bound = None
-    for q, sol in zip(grid, _mare_solve_rates(sys, grid)):
-        if isinstance(sol, NoSolutionError):
-            return
-        if bound is None:
-            bound = _threshold_bounds(sys, variant, sol.P if q == 0.0 else dare_solve(sys).P, qc)
-        yield q, bound(q, sol.P)
+    solved = _mare_solve_rates(sys, grid)
+    rows = next((i for i, sol in enumerate(solved) if isinstance(sol, NoSolutionError)), len(grid))
+    if not rows:
+        return
+    P = np.array([sol.P for sol in solved[:rows]])
+    bounds = _threshold_bounds(sys, variant, P[0] if grid[0] == 0.0 else dare_solve(sys).P, qc)
+    bound, constituents = bounds(np.array(grid[:rows]), P)
+    for q, b, c in zip(grid, bound.tolist(), constituents):
+        yield q, ThresholdReport(variant, b, c)
 
 
 def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
@@ -340,18 +369,22 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
     q_hat in [0, q_c), i.e. even with zero channel samples.  Returns 0 (with a
     warning) when the threshold bound sits below q already at q = 0.
 
-    The bisection is `riccati._bisect_rates`, which solves the midpoints that
-    its next steps can probe in one lock-step call and evaluates the bound
-    only at the midpoints it takes, so the result is the plain bisection's to
-    the last bit.  The standard solution is one per-rate `dare_solve`.
+    The bisection is `riccati._bisect_rates`, scored by bound(q) - q, which
+    one stacked `_threshold_bounds` call gives for every solved probe of a
+    batch.  From those scores and the one at q = 0 it predicts the rest of
+    its path, so on a smooth bound the path takes two lock-step batches, and
+    it still decides one midpoint at a time from that midpoint's own score,
+    so the result is the plain bisection's to the last bit.  The standard
+    solution is one per-rate `dare_solve`.
     """
     _check_threshold_variant(sys, variant)
     qc = _qc_clamp(critical_probability(sys, refine=False))
     try:
         # The standard Riccati solution is also the one at q = 0.
         P0 = dare_solve(sys).P
-        bound = _threshold_bounds(sys, variant, P0, qc)
-        safe_at_zero = bound(0.0, P0).bound > 0.0
+        bounds = _threshold_bounds(sys, variant, P0, qc)
+        at_zero = bounds(np.zeros(1), P0[None])[0].item()
+        safe_at_zero = at_zero > 0.0
     except NoSolutionError:
         safe_at_zero = False
     if not safe_at_zero:
@@ -361,10 +394,16 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
         )
         return 0.0
 
-    def keeps_lo(q: float, sol) -> bool:
-        return not isinstance(sol, NoSolutionError) and bound(q, sol.P).bound > q
+    def excess(qs: list, outcomes: list) -> np.ndarray:
+        """bound(q) - q at each rate of qs, and -inf where it has no solution."""
+        q = np.array(qs)
+        solved = [i for i, sol in enumerate(outcomes) if not isinstance(sol, NoSolutionError)]
+        P = np.array([outcomes[i].P for i in solved]).reshape(-1, sys.n, sys.n)
+        scores = np.full(len(q), -np.inf)
+        scores[solved] = bounds(q[solved], P)[0] - q[solved]
+        return scores
 
-    lo, hi = _bisect_rates(sys, 0.0, qc, SAFE_Q_BISECT_TOL, keeps_lo)
+    lo, hi = _bisect_rates(sys, 0.0, qc, SAFE_Q_BISECT_TOL, excess, {0.0: at_zero})
     return 0.5 * (lo + hi)
 
 
@@ -384,11 +423,12 @@ def _dense_cells(MM: np.ndarray, AA: np.ndarray, q_grid: np.ndarray, checked: di
     return stable
 
 
-def _oracle_verdicts(sys: SystemSpec, gains: list, q_grid: np.ndarray) -> np.ndarray:
-    """exact_stable[i, j]: the oracle verdict on gains[j] at q_grid[i], with the
-    bits of a dense radius per cell but dense radii only where a verdict can
-    change (see `region_map`).  Columns go `chunk` at a time through one
-    batched solve and one batched eigvals call for their pencils."""
+def _oracle_verdicts(sys: SystemSpec, gains, q_grid: np.ndarray) -> np.ndarray:
+    """exact_stable[i, j]: the oracle verdict on gains[j] (a list or a
+    (k, m, n) stack of gains) at q_grid[i], with the bits of a dense radius
+    per cell but dense radii only where a verdict can change (see
+    `region_map`).  Columns go `chunk` at a time through one batched solve
+    and one batched eigvals call for their pencils."""
     n_q = len(q_grid)
     exact_stable = np.zeros((n_q, len(gains)), dtype=bool)
     s = 1.0 - RHO_MARGIN
@@ -450,7 +490,9 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
     oracle reports instability and gray otherwise.  The Riccati solutions of
     all grid values come from one lock-step call
     (`riccati._mare_solve_rates`), which gives each the bits of its own
-    `mare_solve`.
+    `mare_solve`; the column gains from one stacked `_feedback_gain` call and
+    the threshold bounds of the rows from one stacked `_threshold_bounds`
+    call, each row and column with the bits of its own 2-d evaluation.
 
     The oracle verdict of a cell is rho(Phi(q)) < s = 1 - RHO_MARGIN, with
     rho the dense spectral radius of the lifted map
@@ -484,9 +526,9 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
     # and its row (threshold bound); grid values whose solve fails are
     # excluded as columns and get a zero bound as rows.
     solved = _mare_solve_rates(sys, q_grid.tolist())
-    solutions = {i: sol.P for i, sol in enumerate(solved) if not isinstance(sol, NoSolutionError)}
-    kept = list(solutions)
-    gains = [_feedback_gain(sys, solutions[i]) for i in kept]
+    kept = [i for i, sol in enumerate(solved) if not isinstance(sol, NoSolutionError)]
+    P = np.array([solved[i].P for i in kept]).reshape(-1, sys.n, sys.n)
+    gains = _feedback_gain(sys, P)
     q_hat_grid = q_grid[kept]
 
     exact_stable = _oracle_verdicts(sys, gains, q_grid)
@@ -495,15 +537,11 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
         # q_grid[0] = 0, so its solution is the standard one; without it no
         # rate is feasible and every bound stays zero.
         bounds = np.zeros(len(q_grid))
-        if 0 in solutions:
-            bound = _threshold_bounds(sys, sufficient_variant, solutions[0], _qc_clamp(cp))
-            for i in kept:
-                bounds[i] = bound(float(q_grid[i]), solutions[i]).bound
+        if kept and kept[0] == 0:
+            bounds[kept] = _threshold_bounds(sys, sufficient_variant, P[0], _qc_clamp(cp))(q_hat_grid, P)[0]
         certified = (q_hat >= q) | (q - q_hat < bounds[:, None])
     elif sufficient_variant == "scalar_iff":
-        k = np.array([K[0, 0] for K in gains])
-        p = np.array([solutions[i][0, 0] for i in kept])
-        certified = _scalar_iff_value(sys, q, q_hat, k, p) > _strict_margin(sys)
+        certified = _scalar_iff_value(sys, q, q_hat, gains[:, 0, 0], P[:, 0, 0]) > _strict_margin(sys)
     else:  # exact
         certified = exact_stable
     cells = np.where(certified, CELL_BLUE, np.where(exact_stable, CELL_GRAY, CELL_RED)).astype(np.int8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lossylqr import NoSolutionError, SystemSpec, critical_probability, dare_solve
+from lossylqr import NoSolutionError, SystemSpec, critical_probability, dare_solve, riccati
 
 
 @pytest.fixture(scope="session")
@@ -75,3 +75,12 @@ def feasible_rate_ceiling(sys: SystemSpec) -> float:
     """A loss rate strictly below the critical probability for any B."""
     cp = critical_probability(sys, refine=False)
     return cp.exact if cp.exact is not None else cp.lower
+
+
+@pytest.fixture
+def batches(monkeypatch) -> list:
+    """The number of rates of each lock-step `_mare_solve_rates` call, in order."""
+    sizes = []
+    solve = riccati._mare_solve_rates
+    monkeypatch.setattr(riccati, "_mare_solve_rates", lambda sys, qs: sizes.append(len(qs)) or solve(sys, qs))
+    return sizes

@@ -102,6 +102,61 @@ class TestPositiveDefinite:
         np.testing.assert_array_equal(numerics._positive_definite(np.stack([np.eye(2), 2.0 * np.eye(2)])), [True, True])
 
 
+def psd_stack(k: int = 6, n: int = 3) -> np.ndarray:
+    """k random PSD n x n matrices, each with an asymmetry of 1e-14 (within tolerance)."""
+    G = np.random.default_rng(19).normal(size=(k, n, n))
+    M = G @ G.mT
+    M[:, 0, 1] += 1e-14
+    return M
+
+
+class TestStacks:
+    """symmetrize, sym_eig_extremes and psd_sqrt give each member of a (k, n, n)
+    stack the bits of the 2-d call, and run every check on every member."""
+
+    def test_members_equal_2d_calls(self):
+        M = psd_stack()
+        for f in (symmetrize, psd_sqrt):
+            stacked = f(M)
+            assert [S.tobytes() for S in stacked] == [f(m).tobytes() for m in M]
+        lmin, lmax = sym_eig_extremes(M)
+        assert list(zip(lmin.tolist(), lmax.tolist())) == [sym_eig_extremes(m) for m in M]
+
+    def test_every_member_is_checked(self):
+        M = psd_stack()
+        asymmetric, nan, indefinite = M.copy(), M.copy(), M.copy()
+        asymmetric[4, 0, 1] += 1.0
+        nan[2, 1, 1] = np.nan
+        indefinite[3], indefinite[5] = np.diag([1.0, -0.5, 1.0]), np.diag([1.0, -0.25, 1.0])
+        for f in (symmetrize, sym_eig_extremes, psd_sqrt):
+            with pytest.raises(InvalidInputError, match="not symmetric"):
+                f(asymmetric)
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                f(nan)
+        # The message names the first member below the tolerance.
+        with pytest.raises(NotPSDError, match="-5.000e-01"):
+            psd_sqrt(indefinite)
+
+    def test_tiny_negative_eigenvalue_clipped_per_member(self):
+        M = psd_stack()
+        M[5] = np.diag([1.0, -1e-14, 4.0])
+        S = psd_sqrt(M)
+        assert S[5, 1, 1] == 0.0 and S[5].tobytes() == psd_sqrt(M[5]).tobytes()
+
+    def test_empty_stack(self):
+        empty = np.empty((0, 2, 2))
+        assert numerics._fro(empty).shape == (0,)
+        assert symmetrize(empty).shape == psd_sqrt(empty).shape == (0, 2, 2)
+        assert [v.shape for v in sym_eig_extremes(empty)] == [(0,), (0,)]
+
+    def test_other_ranks_refused(self):
+        for M in (np.ones(3), np.ones((2, 2, 2, 2))):
+            with pytest.raises(InvalidInputError):
+                symmetrize(M)
+        with pytest.raises(InvalidInputError):
+            spectral_radius(np.ones((2, 2, 2)))
+
+
 class TestSpectralRadius:
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((3, 3))) == 0.0

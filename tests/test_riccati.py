@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import threading
 from pathlib import Path
@@ -251,6 +252,64 @@ class TestCriticalProbabilityBisection:
         plants = [random_stabilizable_system(rng, 5) for _ in range(19)]
         for i in (2, 13, 18):
             assert qc_bits(critical_probability(plants[i])) == qc_bits(plain_critical_probability(plants[i])), i
+
+
+def plain_bisection(lo: float, hi: float, tol: float, root: float) -> tuple[list[float], tuple[float, float]]:
+    """The midpoints that the plain bisection of [lo, hi] to width tol probes
+    when the root is `root` (a midpoint below it becomes lo), and its bracket."""
+    path = []
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        lo, hi = (mid, hi) if mid < root else (lo, mid)
+    return path, (lo, hi)
+
+
+class TestBisectionLookahead:
+    """`_bisect_rates` batches: the look-ahead tree for a binary verdict, and the
+    path predicted from graded scores; either way the plain bisection's bracket."""
+
+    def test_qc_refinement_keeps_the_tree(self, plant3, batches):
+        # 18 steps from the bracket [0.4109, 0.5917] to width 1e-6: four trees of
+        # 4 steps and one of 2, as without graded scores.
+        assert critical_probability(plant3).method == "bisection"
+        assert batches == [15, 15, 15, 15, 3]
+
+    def test_band_batch_holds_every_path(self):
+        lo, hi, tol, r = 0.1, 0.2, 1e-6, 0.1234567
+        w = riccati.BISECT_BAND * tol
+        probes = set(riccati._bisection_midpoints(lo, hi, tol, math.inf, (r - w, r + w)))
+        for root in np.linspace(r - w, r + w, 101).tolist() + [r - w, r + w]:
+            assert set(plain_bisection(lo, hi, tol, root)[0]) <= probes
+        assert len(probes) < 40
+
+    def test_lying_scores_still_give_the_plain_bracket(self, example1, batches):
+        # The signs are true but the grades mislead the interpolation.
+        root = 0.2345678
+
+        def lying(qs, outcomes):
+            return [(1.0 if q < root else -1.0) * (1.0 + 50.0 * abs(q - 0.3)) for q in qs]
+
+        bracket = riccati._bisect_rates(example1, 0.0, 0.4, 1e-6, lying, {})
+        assert [x.hex() for x in bracket] == [x.hex() for x in plain_bisection(0.0, 0.4, 1e-6, root)[1]]
+        assert len(batches) > 2
+
+    def test_linear_scores_take_two_batches(self, example1, batches):
+        root = 0.2345678
+        bracket = riccati._bisect_rates(example1, 0.0, 0.4, 1e-6, lambda qs, outcomes: [root - q for q in qs], {})
+        assert [x.hex() for x in bracket] == [x.hex() for x in plain_bisection(0.0, 0.4, 1e-6, root)[1]]
+        assert len(batches) == 2 and batches[0] == 15
+
+
+class TestPolicyPhaseWithoutMembers:
+    def test_no_first_gain_passes(self, example1, monkeypatch):
+        # From X = Q = 1 the gain is -0.75, and rho = 0.5625 (1 - q) + 2.25 q > 1 at each rate.
+        solves = []
+        monkeypatch.setattr(riccati, "_solve_each", lambda a, b: solves.append(len(a)))
+        q = np.array([0.3, 0.4, 0.44]).reshape(-1, 1, 1)
+        _, steps, residual, solved = riccati._policy_iteration_rates(example1, q, 1.0 - q, np.ones((3, 1, 1)), 1.0)
+        assert solves == []
+        assert steps.tolist() == [0, 0, 0] and np.isinf(residual).all() and not solved.any()
 
 
 class TestCeGain:

@@ -7,6 +7,7 @@ from lossylqr import (
     DimensionError,
     InvalidInputError,
     NoSolutionError,
+    NotPSDError,
     SystemSpec,
     ce_gain,
     condition_matrix,
@@ -15,9 +16,12 @@ from lossylqr import (
     lifted_matrix,
     lyapunov_sufficient_stable,
     mare_solve,
+    psd_sqrt,
     region_map,
     scalar_iff_stable,
     st_lower_bound,
+    sym_eig_extremes,
+    symmetrize,
     zero_sample_safe_q,
 )
 from lossylqr import riccati, stability
@@ -27,6 +31,7 @@ from lossylqr.stability import (
     CELL_GRAY,
     CELL_RED,
     THRESHOLD_VARIANTS,
+    ThresholdReport,
     _check_threshold_variant,
     _qc_clamp,
     _strict_margin,
@@ -715,3 +720,187 @@ class TestSafeRateBisection:
                     continue
                 safe.append(self.assert_same_as_plain(sys, variant))
         assert len(safe) > 10 and any(q > 0.0 for q in safe)
+
+
+def per_row_congruence_max_eig(S_root: np.ndarray, M: np.ndarray) -> float:
+    half = np.linalg.solve(S_root, M)
+    T = np.linalg.solve(S_root, half.T).T
+    _, lmax = sym_eig_extremes(0.5 * (T + T.T))
+    return lmax
+
+
+def per_row_threshold_bound(sys: SystemSpec, variant: str, P0, qc: float):
+    """Reference for `stability._threshold_bounds`: bound(q, P) -> ThresholdReport
+    for one rate and one 2-d solution, as the threshold bounds were evaluated
+    one row at a time."""
+    A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
+
+    if variant == "scalar":
+        a, b, qq, r = A[0, 0], B[0, 0], Q[0, 0], R[0, 0]
+
+        def bound(q: float, P: np.ndarray) -> ThresholdReport:
+            p = P[0, 0]
+            denom = a**2 * b**2 * p**2
+            if denom <= 0.0:
+                return ThresholdReport(variant, qc, {"clamped_to_qc": 1.0})
+            first = qq * (r + b**2 * p) / denom
+            second = (1.0 - q) * r / (r + b**2 * p)
+            return ThresholdReport(
+                variant, float(min(first + second, qc)), {"first_term": float(first), "second_term": float(second)}
+            )
+
+    elif variant == "general":
+        _, lmax_bbt = sym_eig_extremes(B @ B.T)
+        lmin_rp0, _ = sym_eig_extremes(R + B.T @ P0 @ B)
+        c1, Q_root = lmax_bbt / lmin_rp0, psd_sqrt(Q)
+
+        def bound(q: float, P: np.ndarray) -> ThresholdReport:
+            lam = per_row_congruence_max_eig(Q_root, symmetrize(A.T @ P @ P @ A))
+            if lam <= 0.0:
+                return ThresholdReport(variant, qc, {"c1": float(c1), "clamped_to_qc": 1.0})
+            lam_min_term = 1.0 / lam
+            return ThresholdReport(
+                variant, float(min(lam_min_term / c1, qc)), {"c1": float(c1), "lambda_min_term": float(lam_min_term)}
+            )
+
+    else:  # invertible_B
+        lmin_r, _ = sym_eig_extremes(R)
+        lmin_bbt, _ = sym_eig_extremes(B @ B.T)
+        lmin_r_bbt, AP0P0A = lmin_r * lmin_bbt, symmetrize(A.T @ P0 @ P0 @ A)
+
+        def bound(q: float, P: np.ndarray) -> ThresholdReport:
+            _, lmax_rpb = sym_eig_extremes(R + B.T @ P @ B)
+            c2 = lmin_r_bbt / lmax_rpb**2
+            lam = per_row_congruence_max_eig(psd_sqrt(Q + (1.0 - q) * c2 * AP0P0A), symmetrize(A.T @ P @ A))
+            if lam <= 0.0:
+                return ThresholdReport(variant, qc, {"c2": float(c2), "clamped_to_qc": 1.0})
+            return ThresholdReport(
+                variant, float(min(1.0 / lam, qc)), {"c2": float(c2), "lambda_min_term": float(1.0 / lam)}
+            )
+
+    return bound
+
+
+def threshold_cases() -> list:
+    """(plant, variant, rows) for random plants in every admitted threshold
+    variant and for the paper's plants, A = 0 and a rank-deficient A.  The
+    variants that square one float per row (scalar, invertible_B) get most
+    of the rows: a slip from Python's `**` (libm pow) to an array's x * x
+    changes about 1 square in 1000."""
+    rng = np.random.default_rng(2020)
+    plants = [
+        SystemSpec(A=1.5, B=1.0, Q=1.0, R=1.0),
+        SystemSpec(A=0.0, B=1.0, Q=1.0, R=1.0),
+        SystemSpec(A=np.array([[1.5, 0.1], [0.0, 1.0]]), B=np.eye(2), Q=np.eye(2), R=np.eye(2)),
+        SystemSpec(A=np.zeros((2, 2)), B=np.eye(2), Q=np.eye(2), R=np.eye(2)),
+        SystemSpec(A=np.array([[1.2, 1.0], [0.0, 0.0]]), B=np.eye(2), Q=np.eye(2), R=np.eye(2)),
+        SystemSpec(A=np.diag([1.3, 1.2, 0.4]), B=[[1.0, 0.0], [0.0, 1.0], [0.2, 0.1]], Q=np.eye(3), R=np.eye(2)),
+    ]
+    while sum(sys.is_scalar for sys in plants) < 5 or len(plants) < 16:
+        sys = random_stabilizable_system(rng, n_max=4)
+        if sys.is_scalar or len(plants) < 16:
+            plants.append(sys)
+    rows = {"general": 150, "scalar": 1500, "invertible_B": 600}
+    return [(sys, variant, rows[variant]) for sys in plants for variant in admitted_variants(sys) if variant in rows]
+
+
+class TestStackedThresholdBounds:
+    """The stacked `_threshold_bounds` gives each row the bits, bound and
+    constituents, of the per-row formulas, and raises where they raise."""
+
+    def test_rows_equal_per_row_reference(self):
+        rng = np.random.default_rng(7)
+        compared, clamped, variants = 0, 0, set()
+        for sys, variant, k in threshold_cases():
+            n = sys.n
+            qc = _qc_clamp(critical_probability(sys, refine=False))
+            P0 = riccati.dare_solve(sys).P
+            G = rng.normal(size=(k, n, n))
+            P = (G @ G.mT + 0.1 * np.eye(n)) * 10.0 ** rng.uniform(-1.0, 3.0, size=(k, 1, 1))
+            q = rng.uniform(0.0, qc, size=k)
+            q[0] = 0.0
+            bound, constituents = stability._threshold_bounds(sys, variant, P0, qc)(q, P)
+            reference = per_row_threshold_bound(sys, variant, P0, qc)
+            for i in range(k):
+                expected = reference(float(q[i]), P[i])
+                assert report_bits(ThresholdReport(variant, bound[i].item(), constituents[i])) == report_bits(expected)
+                clamped += "clamped_to_qc" in expected.constituents
+            compared += k
+            variants.add(variant)
+        assert compared >= 10_000 and clamped > 0 and variants == set(THRESHOLD_VARIANTS)
+
+    def test_empty_stack(self, example2):
+        P0 = riccati.dare_solve(example2).P
+        for variant in ("general", "invertible_B"):
+            bound, constituents = stability._threshold_bounds(example2, variant, P0, 0.44)(np.empty(0), np.empty((0, 2, 2)))
+            assert bound.shape == (0,) and constituents == []
+
+    def test_first_failing_row_raises(self, example2):
+        # Row 0 fails the PSD test of its square root (a rate far above 1 makes
+        # Q + (1 - q) c2 A^T P0^2 A indefinite); row 1 fails the earlier
+        # finiteness test of R + B^T P B.  Row by row, row 0 raises first.
+        P0 = riccati.dare_solve(example2).P
+        bounds = stability._threshold_bounds(example2, "invertible_B", P0, 0.44)
+        P = np.stack([P0, np.full((2, 2), np.nan)])
+        with pytest.raises(NotPSDError):
+            bounds(np.array([50.0, 0.1]), P)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            bounds(np.array([0.1, 50.0]), P[::-1])
+
+
+def failing_bounds(monkeypatch, above: float):
+    """Make every threshold-bound evaluation raise NotPSDError on a stack that
+    holds a rate above `above`."""
+    real = stability._threshold_bounds
+
+    def patched(*args):
+        bounds = real(*args)
+
+        def checked(q, P):
+            if (q > above).any():
+                raise NotPSDError("test failure")
+            return bounds(q, P)
+
+        return checked
+
+    monkeypatch.setattr(stability, "_threshold_bounds", patched)
+
+
+BENCH_SAFE_CASES = [("example1", "general"), ("example1", "scalar"), ("example2", "general"), ("example2", "invertible_B")]
+
+
+class TestSafeRateLookahead:
+    """The safe-rate bisection predicts its path from the scores of its first
+    batch and of q = 0; a wrong prediction costs batches, never bits."""
+
+    @pytest.mark.parametrize("plant, variant", BENCH_SAFE_CASES)
+    def test_two_batches(self, request, batches, plant, variant):
+        sys = request.getfixturevalue(plant)
+        expected = plain_safe_rate(sys, variant)
+        assert zero_sample_safe_q(sys, variant).hex() == expected.hex()
+        assert len(batches) <= 2
+
+    @pytest.mark.parametrize("plant", ["example1", "example2"])
+    def test_forced_miss(self, request, monkeypatch, batches, plant):
+        # With no band the predicted path is a single one, which the
+        # interpolated root misses for the general variant on both plants.
+        sys = request.getfixturevalue(plant)
+        expected = plain_safe_rate(sys, "general")
+        monkeypatch.setattr(riccati, "BISECT_BAND", 0)
+        assert zero_sample_safe_q(sys, "general").hex() == expected.hex()
+        assert len(batches) > 2
+
+    def test_failure_at_a_probe_never_taken(self, example1, monkeypatch):
+        # The first batch holds 0.4167, which the path to 0.128 never takes.
+        expected = plain_safe_rate(example1, "general")
+        failing_bounds(monkeypatch, 0.4)
+        assert plain_safe_rate(example1, "general").hex() == expected.hex()
+        assert zero_sample_safe_q(example1, "general").hex() == expected.hex()
+
+    def test_failure_at_a_midpoint_taken(self, example1, monkeypatch):
+        # The first midpoint, 0.2222, is taken by every path.
+        failing_bounds(monkeypatch, 0.2)
+        with pytest.raises(NotPSDError):
+            plain_safe_rate(example1, "general")
+        with pytest.raises(NotPSDError):
+            zero_sample_safe_q(example1, "general")
