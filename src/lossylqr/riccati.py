@@ -598,6 +598,13 @@ def _lockstep(sys: SystemSpec, qs: list) -> list:
     return results
 
 
+def _plant_key(sys: SystemSpec) -> tuple:
+    """The bytes and layout of (A, B, Q, R), which key the memos of per-plant
+    results: each can change a result's bits, and an in-place change of the
+    plant gives a new key."""
+    return tuple((M.shape, M.strides, M.tobytes()) for M in (sys.A, sys.B, sys.Q, sys.R))
+
+
 def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
     """Solve the modified Riccati equation for loss rate q.
 
@@ -624,8 +631,7 @@ def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
     kept.
     """
     standard = float(q) == 0.0
-    plant = ((M.shape, M.strides, M.tobytes()) for M in (sys.A, sys.B, sys.Q, sys.R))
-    key = (standard, type(q), float(q).hex(), *plant)
+    key = (standard, type(q), float(q).hex(), *_plant_key(sys))
     with _memo_lock:
         sol = _memo.pop(key, None)
     if sol is None:

@@ -8,14 +8,27 @@ Per-trajectory substreams make results bit-reproducible and independent of
 evaluation order: batched and one-at-a-time rollouts draw identical initial
 states and channel bits.
 
-Philox4x64-10 is a pure function of (counter, key) (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11), so the batched rollout evaluates
-it directly on numpy uint64 arrays, every trajectory's key in lock-step and
-most rounds in place, instead of building one Generator per trajectory.  A
-channel bit is 1 when `Generator.random()` of its word is at least q; the
-batched draws decide that on the word itself, against the integer threshold
-of `_delivery_threshold`, without forming the float.  `_stream` stays the
+The batched rollout never builds one Generator per trajectory.  Its draws
+take one of two routes, both equal bit for bit to the trajectory's stream:
+
+* Philox4x64-10 is a pure function of (counter, key) (Salmon et al.,
+  "Parallel random numbers: as easy as 1, 2, 3", SC'11).  For a
+  deterministic x0 and a horizon below _REKEYED_HORIZON words, it is
+  evaluated directly on numpy uint64 arrays, every trajectory's key in
+  lock-step and most rounds in place.
+* Otherwise one C Philox is re-keyed per trajectory and yields the
+  trajectory's Gaussian initial state, if any, and then its raw words.  Its
+  cost per word is about a fifth of the lock-step one, which wins only while
+  the fixed cost of re-keying (about 2.5 us) dominates.
+
+A channel bit is 1 when `Generator.random()` of its word is at least q; both
+routes decide that on the word itself, against the integer threshold of
+`_delivery_threshold`, without forming the float.  `_stream` stays the
 reference those draws are tested against.
+
+The rollout forms its products X @ W.T with BLAS, except where the inner
+dimension is 1 (K or A when n = 1, B when m = 1): those are outer products,
+formed as plain multiplies with the matmul's bits (`_times_transpose`).
 """
 
 import math
@@ -49,6 +62,13 @@ _PHILOX_M_HALVES = tuple((m & _LOW32, m >> _SHIFT32) for m in _PHILOX_M)
 # Philox blocks (4 words each) evaluated at once by the batched draws; bounds
 # their working memory independently of the trajectory count.
 _CHUNK_BLOCKS = 6144
+# Horizon from which a deterministic x0's channel bits come from the re-keyed
+# C Philox instead of the lock-step one.  Per trajectory, in runs of 4000
+# (x86-64, 2 cores, numpy 2.4.6), the lock-step route costs about 25 ns per
+# word; the re-keyed one costs about 2.5 us (rewriting the key, one
+# `random_raw` and one compare) plus 5 ns per word.  They meet between 100
+# and 112 words; at 200 words they take about 5.3 and 3.3 us.
+_REKEYED_HORIZON = 108
 # Seeds the Philox that `_stream` then re-keys.  Philox(key=...) alone would
 # read OS entropy for a SeedSequence it then discards.
 _FIXED_SEED = np.random.SeedSequence(0)
@@ -313,52 +333,74 @@ def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int,
 
     Returns (X0, lam), X0 of shape (stop - start, n) and lam of shape
     (stop - start, cfg.horizon), equal bit for bit to what
-    `simulate_trajectory` draws from each trajectory's substream.  A
-    deterministic x0 leaves the whole substream to the channel bits.  The
-    lock-step Philox computes its words in chunks of about _CHUNK_BLOCKS
-    blocks, and each word is compared with the integer `_delivery_threshold`
-    instead of being turned into a float.  Gaussian initial states take a
-    variable number of words (ziggurat normals), so they are drawn one
-    trajectory at a time from a single Philox whose key is rewritten per
-    trajectory; the covariance is factored once and all initial states are
-    formed by one stacked product.
+    `simulate_trajectory` draws from each trajectory's substream.  Each word
+    is compared with the integer `_delivery_threshold` instead of being
+    turned into a float.  The words come by one of two routes:
+
+    * a deterministic x0 with a horizon below _REKEYED_HORIZON leaves the
+      whole substream to the channel bits, and the lock-step Philox computes
+      them for all keys at once, in chunks of about _CHUNK_BLOCKS blocks;
+    * every other trajectory is drawn alone, from a single C Philox whose key
+      is rewritten per trajectory: first the initial state of a Gaussian x0
+      (ziggurat normals take a variable number of words), then its horizon
+      of raw words.  The covariance is factored once and all initial states
+      are formed by one stacked product.
+
+    The lock-step route costs about 25 ns per word; the re-keyed one about
+    2.5 us per trajectory plus 5 ns per word, so it wins from about 108
+    words on (measurements at `_REKEYED_HORIZON`).
     """
     T, n = cfg.horizon, sys.n
     count = stop - start
-    if isinstance(x0, tuple):
+    threshold = _delivery_threshold(q)
+    gaussian = isinstance(x0, tuple)
+    if gaussian:
         mean, factor = _gaussian_law(sys, x0)
         Z = np.empty((count, 1, n))
-        lam = np.empty((count, T), dtype=np.int8)
-        delivered = lam.view(np.bool_)  # the same bytes; comparisons write it without a cast
-        bitgen = np.random.Philox(_FIXED_SEED)
-        rng = np.random.Generator(bitgen)
-        state = _keyed_state(0, _FAMILY_TRAJECTORY)
-        for row, key in enumerate(_trajectory_keys(cfg.seed, start, stop)):
-            state["state"]["key"][0] = key
-            bitgen.state = state
-            rng.standard_normal(out=Z[row, 0])
-            np.greater_equal(rng.random(T), q, out=delivered[row])
-        return (Z @ factor.T + mean).reshape(count, n), lam
+    else:
+        X0 = np.tile(_finite_vector(x0, n, "initial state"), (count, 1))
+        if threshold > _MASK64:
+            return X0, np.zeros((count, T), dtype=np.int8)
+        if T < _REKEYED_HORIZON:
+            return X0, _lockstep_bits(cfg.seed, start, stop, T, np.uint64(threshold))
 
-    X0 = np.tile(_finite_vector(x0, n, "initial state"), (count, 1))
+    lam = np.zeros((count, T), dtype=np.int8)
+    delivered = lam.view(np.bool_)  # the same bytes; comparisons write it without a cast
+    bitgen = np.random.Philox(_FIXED_SEED)
+    normal = np.random.Generator(bitgen).standard_normal
+    state = _keyed_state(0, _FAMILY_TRAJECTORY)
+    key = state["state"]["key"]
+    # At q = 1 no word reaches the threshold; the bits stay 0 and are not drawn.
+    draw_bits = threshold <= _MASK64
+    threshold = np.uint64(min(threshold, _MASK64))
+    for row, k in enumerate(_trajectory_keys(cfg.seed, start, stop)):
+        key[0] = k
+        bitgen.state = state
+        if gaussian:
+            normal(out=Z[row, 0])
+        if draw_bits:
+            np.greater_equal(bitgen.random_raw(T), threshold, out=delivered[row])
+    if gaussian:
+        return (Z @ factor.T + mean).reshape(count, n), lam
+    return X0, lam
+
+
+def _lockstep_bits(seed: int, start: int, stop: int, T: int, threshold: np.uint64) -> np.ndarray:
+    """The (stop - start, T) channel bits of trajectories start..stop-1 for a
+    deterministic x0, from the lock-step Philox."""
+    count = stop - start
     blocks = -(-T // 4)
     # Word w of block j is column 4 j + w; the columns past T are never read.
     bits = np.empty((count, blocks, 4), dtype=np.int8)
-    lam = bits.reshape(count, 4 * blocks)[:, :T]
-    threshold = _delivery_threshold(q)
-    if threshold > _MASK64:
-        lam[:] = 0
-        return X0, lam
-    threshold = np.uint64(threshold)
     delivered = bits.view(np.bool_)
     per_chunk = max(1, _CHUNK_BLOCKS // blocks)
     for lo in range(0, count, per_chunk):
         hi = min(lo + per_chunk, count)
-        words = _philox_words(_trajectory_keys(cfg.seed, start + lo, start + hi), _FAMILY_TRAJECTORY, blocks)
+        words = _philox_words(_trajectory_keys(seed, start + lo, start + hi), _FAMILY_TRAJECTORY, blocks)
         for w in range(4):
             np.greater_equal(words[w], threshold, out=delivered[lo:hi, :, w])
         del words  # before the next chunk allocates its own buffers
-    return X0, lam
+    return bits.reshape(count, 4 * blocks)[:, :T]
 
 
 def _quadratic_form(X: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -375,6 +417,22 @@ def _quadratic_form(X: np.ndarray, W: np.ndarray) -> np.ndarray:
             term *= X[:, k]
             out += term
     return out
+
+
+def _times_transpose(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """X @ W.T for a batch of rows X.  With an inner dimension of 1 it is an
+    outer product, formed without BLAS: one multiply of X's column per column
+    of the result (a broadcast multiply runs slower than BLAS once the result
+    has two columns).  Adding 0.0 turns -0.0 into +0.0, as the matmul's sum
+    from zero does, and leaves every other product's bits."""
+    if W.shape[1] != 1:
+        return X @ W.T
+    P = np.empty((len(X), len(W)))
+    x = X[:, 0]
+    for j, w in enumerate(W[:, 0].tolist()):
+        np.multiply(x, w, out=P[:, j])
+    P += 0.0
+    return P
 
 
 def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
@@ -397,11 +455,11 @@ def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
     if track_msq:
         msq[0] = np.mean(np.sum(X * X, axis=1))
     for t in range(T):
-        U = X @ K.T
+        U = _times_transpose(X, K)
         if costs is not None:
             step_cost = _quadratic_form(X, Q) + lam[:, t] * _quadratic_form(U, R)
             costs += np.where(active, step_cost, 0.0)
-        X = X @ A.T + lam[:, t, None] * (U @ B.T)
+        X = _times_transpose(X, A) + lam[:, t, None] * _times_transpose(U, B)
         overflow = np.einsum("ij,ij->i", X, X) > DIVERGENCE_NORM**2
         if overflow.any():
             X[overflow] = 0.0

@@ -18,6 +18,7 @@ of `riccati`, shared with the Riccati solver.
 """
 
 import bisect
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError, NoSolutionError, NotPSDError
 from .numerics import _dense_spectral_radius, psd_sqrt, spectral_radius, sym_eig_extremes, symmetrize
 from .riccati import (
+    _STANDARD_MEMO_SIZE,
     LOCKSTEP_ENTRIES,
     RHO_MARGIN,
     CriticalProbability,
@@ -39,6 +41,7 @@ from .riccati import (
     _lifted_map,
     _ms_stable,
     _mare_solve_rates,
+    _plant_key,
     _scalar_iff_value,
     _solve_each,
     ce_gain,
@@ -51,6 +54,10 @@ VARIANT_GENERAL = "general"
 VARIANT_SCALAR = "scalar"
 VARIANT_INVERTIBLE_B = "invertible_B"
 THRESHOLD_VARIANTS = (VARIANT_GENERAL, VARIANT_SCALAR, VARIANT_INVERTIBLE_B)
+
+# See `_plant_bounds`.
+_bounds_memo: dict = {}
+_bounds_memo_lock = threading.Lock()
 
 # Strict matrix inequalities "M > 0" are decided as lambda_min > this margin.
 STRICT_MARGIN = 1e-9
@@ -244,10 +251,27 @@ def st_lower_bound(sys: SystemSpec, q: float, variant: str) -> ThresholdReport:
     """
     _check_threshold_variant(sys, variant)
     P = mare_solve(sys, q).P
-    qc = _qc_clamp(critical_probability(sys, refine=False))
-    P0 = None if variant == VARIANT_SCALAR else dare_solve(sys).P
-    bound, constituents = _threshold_bounds(sys, variant, P0, qc)(np.array([q], dtype=float), P[None])
+    bound, constituents = _plant_bounds(sys, variant)(np.array([q], dtype=float), P[None])
     return ThresholdReport(variant, bound.item(), constituents[0])
+
+
+def _plant_bounds(sys: SystemSpec, variant: str):
+    """`_threshold_bounds` of the plant and variant, with the clamped q_c and
+    the standard solution P0, kept for the last _STANDARD_MEMO_SIZE (variant,
+    plant) pairs.  Keys are those of `mare_solve`'s memo; an entry is used
+    only with the P0 object it was built on, so it lasts no longer than the
+    standard solution that `mare_solve` keeps."""
+    P0 = None if variant == VARIANT_SCALAR else dare_solve(sys).P
+    key = (variant, *_plant_key(sys))
+    with _bounds_memo_lock:
+        entry = _bounds_memo.pop(key, None)
+    if entry is None or entry[0] is not P0:
+        entry = P0, _threshold_bounds(sys, variant, P0, _qc_clamp(critical_probability(sys, refine=False)))
+    with _bounds_memo_lock:
+        _bounds_memo[key] = entry
+        for k in list(_bounds_memo)[:-_STANDARD_MEMO_SIZE]:
+            del _bounds_memo[k]
+    return entry[1]
 
 
 def _check_threshold_variant(sys: SystemSpec, variant: str) -> None:

@@ -153,7 +153,9 @@ class TestTrajectoryDraws:
     """The batched draws equal simulate_trajectory's per-trajectory streams bit for bit."""
 
     SEEDS = (0, 1, -7, 2**63 + 5, 2**64 - 1)
-    HORIZONS = (1, 3, 4, 5, 9, 200)
+    # The last three horizons straddle the switch from the lock-step route of
+    # a deterministic x0 to the re-keyed one.
+    HORIZONS = (1, 3, 4, 5, 9, 200) + tuple(simulator._REKEYED_HORIZON + d for d in (-1, 0, 1))
     RATES = (0.0, 0.3, 1.0)
     GAUSSIAN = (np.zeros(2), np.diag([1.0, 4.0]))
     FIXED = np.array([0.9325, 1.1616])
@@ -202,6 +204,18 @@ class TestTrajectoryDraws:
         X0, lam = _trajectory_draws(example2, self.FIXED, 0.3, cfg, 2, 20)
         self.assert_rows_match(example2, self.FIXED, 0.3, cfg, 2, X0, lam, range(18))
 
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    def test_lockstep_route_at_every_horizon(self, example2, monkeypatch, seed, horizon):
+        # With the switch moved past every horizon, long horizons take the
+        # lock-step route too, in chunks of three blocks.
+        monkeypatch.setattr(simulator, "_REKEYED_HORIZON", 10**9)
+        monkeypatch.setattr(simulator, "_CHUNK_BLOCKS", 3)
+        cfg = SimConfig(seed=seed, horizon=horizon, trajectories=8)
+        for q in self.RATES:
+            X0, lam = _trajectory_draws(example2, self.FIXED, q, cfg, 1, 8)
+            self.assert_rows_match(example2, self.FIXED, q, cfg, 1, X0, lam, range(7))
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_words_equal_random_raw(self, seed):
         index = np.array([0, 1, 2, 2**40 + 3, 2**64 - 1], dtype=np.uint64)
@@ -235,6 +249,31 @@ class TestTrajectoryDraws:
                 np.testing.assert_array_equal(lam[k], uniforms[k] >= q, err_msg=f"q = {q!r}")
 
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_integer_threshold_on_the_rekeyed_route(self, example1, seed):
+        # As above, on the re-keyed route: a deterministic x0 at the first
+        # horizon that takes it, and a Gaussian x0, whose words follow its
+        # normals.
+        T, count = simulator._REKEYED_HORIZON, 2
+        cfg = SimConfig(seed=seed, horizon=T, trajectories=count)
+        for x0 in (np.array([1.0]), (np.zeros(1), np.eye(1))):
+            uniforms = []
+            for k in range(count):
+                rng = _stream(seed, k, _FAMILY_TRAJECTORY)
+                if isinstance(x0, tuple):
+                    rng.standard_normal((1, 1))
+                uniforms.append(rng.random(T))
+            drawn = np.concatenate(uniforms)
+            rates = np.concatenate(
+                [[0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0)], drawn, np.nextafter(drawn, 2.0), np.nextafter(drawn, -1.0)]
+            )
+            for q in rates:
+                q = float(min(max(q, 0.0), 1.0))
+                _, lam = _trajectory_draws(example1, x0, q, cfg, 0, count)
+                for k in range(count):
+                    np.testing.assert_array_equal(lam[k], uniforms[k] >= q, err_msg=f"q = {q!r}")
+
+
 class TestQuadraticForm:
     """The column sum equals the three-operand einsum it replaces, bit for bit."""
 
@@ -257,6 +296,67 @@ class TestQuadraticForm:
             expected = np.einsum("ij,jk,ik->i", X, W, X)
             np.testing.assert_array_equal(_quadratic_form(X, W), expected)
         assert np.signbit(expected[:40]).sum() == 0
+
+
+class TestOuterProducts:
+    """Where a product of the rollout has an inner dimension of 1, the rollout
+    forms it without BLAS; every output keeps the matmul's bits."""
+
+    RANK_ONE_B = SystemSpec(A=[[1.1, 0.2], [0.0, 0.9]], B=[[1.0], [0.0]], Q=np.eye(2), R=[[1.0]])
+
+    @staticmethod
+    def initial_states(n: int, count: int) -> np.ndarray:
+        """Rows of +0.0 and -0.0 (also mixed), subnormal rows, large rows and
+        rows that pass DIVERGENCE_NORM within a few steps."""
+        rng = np.random.default_rng(n)
+        X0 = rng.normal(size=(count, n)) * np.exp(rng.normal(size=(count, 1)) * 3.0)
+        X0[:10] = 0.0
+        X0[10:20] = -0.0
+        X0[20:25, 0] = -0.0
+        X0[25:30] = 5e-324 * rng.integers(-3, 4, size=(5, n))
+        X0[30:40] *= 1e300 / np.abs(X0[30:40]).max()
+        X0[40:50] = DIVERGENCE_NORM * rng.uniform(0.6, 0.99, size=(10, n))
+        return X0
+
+    @pytest.mark.parametrize(
+        "plant, K",
+        [
+            ("example1", [[0.0]]),
+            ("example1", [[-0.0]]),
+            ("example1", [[-1.2]]),
+            ("example1", [[0.3]]),
+            ("rank_one_B", [[-0.5, 0.0]]),
+            ("rank_one_B", [[0.0, -0.0]]),
+            ("rank_one_B", [[0.7, -1e-300]]),
+        ],
+    )
+    @pytest.mark.parametrize("q", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("track_msq", [False, True])
+    def test_rollout_equals_matmul_rollout(self, request, monkeypatch, plant, K, q, track_msq):
+        sys = self.RANK_ONE_B if plant == "rank_one_B" else request.getfixturevalue(plant)
+        cfg = SimConfig(seed=9, horizon=30, trajectories=200)
+        X0 = self.initial_states(sys.n, cfg.trajectories)
+        draws = simulator._trajectory_draws
+        monkeypatch.setattr(simulator, "_trajectory_draws", lambda *args: (X0.copy(), draws(*args)[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            outer = _batched_rollout(sys, np.array(K), q, np.zeros(sys.n), cfg, track_msq)
+            monkeypatch.setattr(simulator, "_times_transpose", lambda X, W: X @ W.T)
+            reference = _batched_rollout(sys, np.array(K), q, np.zeros(sys.n), cfg, track_msq)
+        assert 0 < reference[1].sum() < cfg.trajectories
+        for got, expected in zip(outer, reference):
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows, columns", [(1, 1), (7, 1), (400, 1), (400, 2), (400, 3)])
+    def test_product_equals_matmul(self, rows, columns):
+        rng = np.random.default_rng(rows * columns)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e-300, 1.0]
+        X = rng.choice(special + list(rng.normal(size=9)), size=(rows, 1))
+        W = rng.choice(special + list(rng.normal(size=9)), size=(columns, 1))
+        with np.errstate(over="ignore"):
+            assert simulator._times_transpose(X, W).tobytes() == (X @ W.T).tobytes()
+        assert not np.signbit(simulator._times_transpose(np.array([[-0.0]]), np.array([[1.0]]))).any()
 
 
 class TestPinnedOutputs:

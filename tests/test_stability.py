@@ -266,6 +266,78 @@ def report_bits(report) -> tuple:
     return report.variant, report.bound.hex(), {k: v.hex() for k, v in report.constituents.items()}
 
 
+class TestThresholdBoundMemo:
+    """`st_lower_bound` keeps each (variant, plant)'s q_c and bound evaluator,
+    and gives the bits of a call that builds them afresh."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Start with empty memos and count the evaluators really built."""
+        monkeypatch.setattr(stability, "_bounds_memo", {})
+        monkeypatch.setattr(riccati, "_memo", {})
+        count = [0]
+        inner = stability._threshold_bounds
+
+        def counted(*args):
+            count[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(stability, "_threshold_bounds", counted)
+        return count
+
+    @staticmethod
+    def fresh(sys, q, variant):
+        """The report of a call with no memo entry for the plant."""
+        saved = dict(stability._bounds_memo)
+        stability._bounds_memo.clear()
+        try:
+            return st_lower_bound(sys, q, variant)
+        finally:
+            stability._bounds_memo.clear()
+            stability._bounds_memo.update(saved)
+
+    @pytest.mark.parametrize(
+        "plant, variants",
+        [("example1", ("general", "scalar", "invertible_B")), ("example2", ("general", "invertible_B"))],
+    )
+    def test_repeated_calls_build_once_with_the_same_bits(self, request, builds, plant, variants):
+        sys = request.getfixturevalue(plant)
+        for variant in variants:
+            expected = [self.fresh(sys, q, variant) for q in (0.0, 0.1, 0.3)]
+            before = builds[0]
+            got = [st_lower_bound(sys, q, variant) for q in (0.0, 0.1, 0.3)]
+            assert builds[0] == before + 1
+            for a, b in zip(got, expected):
+                assert a.bound.hex() == b.bound.hex()
+                assert {k: v.hex() for k, v in a.constituents.items()} == {k: v.hex() for k, v in b.constituents.items()}
+
+    def test_in_place_change_of_plant_builds_again(self, builds):
+        sys = SystemSpec(A=1.5, B=1.0, Q=1.0, R=1.0)
+        before = st_lower_bound(sys, 0.2, "general").bound
+        sys.A[0, 0] = 1.2
+        after = st_lower_bound(sys, 0.2, "general").bound
+        assert builds[0] == 2 and after != before
+        assert after == st_lower_bound(SystemSpec(A=1.2, B=1.0, Q=1.0, R=1.0), 0.2, "general").bound
+
+    def test_entry_lasts_no_longer_than_the_standard_solution(self, example2, builds, monkeypatch):
+        st_lower_bound(example2, 0.2, "general")
+        monkeypatch.setattr(riccati, "_memo", {})
+        st_lower_bound(example2, 0.2, "general")
+        assert builds[0] == 2
+
+    def test_oldest_pair_is_evicted(self, builds):
+        plants = [SystemSpec(A=1.5 + 0.01 * i, B=1.0, Q=1.0, R=1.0) for i in range(riccati._STANDARD_MEMO_SIZE + 1)]
+        for sys in plants:
+            st_lower_bound(sys, 0.1, "scalar")
+        assert builds[0] == len(plants)
+        st_lower_bound(plants[-1], 0.1, "scalar")
+        st_lower_bound(plants[1], 0.1, "scalar")
+        assert builds[0] == len(plants)
+        st_lower_bound(plants[0], 0.1, "scalar")
+        assert builds[0] == len(plants) + 1
+        assert len(stability._bounds_memo) == riccati._STANDARD_MEMO_SIZE
+
+
 class TestThresholdCurveRows:
     """Each `_threshold_curve` row is the report `st_lower_bound` gives at its
     rate, bound and constituents to the last bit, from q = 0 (whose row's
@@ -850,7 +922,9 @@ class TestStackedThresholdBounds:
 
 def failing_bounds(monkeypatch, above: float):
     """Make every threshold-bound evaluation raise NotPSDError on a stack that
-    holds a rate above `above`."""
+    holds a rate above `above`.  `st_lower_bound` builds its evaluators
+    afresh: none kept from earlier calls is used."""
+    monkeypatch.setattr(stability, "_bounds_memo", {})
     real = stability._threshold_bounds
 
     def patched(*args):
