@@ -52,7 +52,7 @@ class ChannelSamples:
         bits = np.asarray(self.bits)
         if bits.ndim != 1:
             raise InvalidInputError(f"channel samples must be a 1-d bit array, got ndim={bits.ndim}")
-        if bits.size and not np.isin(bits, (0, 1)).all():
+        if not ((bits == 0) | (bits == 1)).all():
             raise InvalidInputError("channel samples must contain only 0/1 bits")
         object.__setattr__(self, "bits", bits.astype(np.int8))
 

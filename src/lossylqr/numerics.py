@@ -7,6 +7,7 @@ All routines target small dense matrices (state dimension <= 10, lifted maps
 """
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -18,6 +19,10 @@ SYM_RTOL = 1e-10
 # Half-width, relative to 1 + rho, of the bracket that certifies a lifted
 # map's dense spectral radius.
 DUAL_AGREE_RTOL = 1e-7
+# `spectral_radius(M, cone=True)` sets `held` of its thread when it returns a
+# value that its bracket certified, with no warning.  A caller that keeps
+# radii clears it before each call and keeps only those after which it is set.
+_bracket = threading.local()
 
 
 def _as_matrix(M, stack: bool = False) -> np.ndarray:
@@ -207,6 +212,7 @@ def spectral_radius(M, *, cone: bool = False) -> float:
         lower = rho_dense - tol
         solved = None if lower <= 0.0 else _lyapunov_solve(M, lower, dim)
         if solved is None or not _positive_definite(solved[1]):
+            _bracket.held = True
             return rho_dense
         side = "below (it may overstate rho)"
     warnings.warn(

@@ -66,7 +66,13 @@ def initial_second_moment(x0, n: int) -> np.ndarray:
     if arr.ndim == 1:
         if arr.size != n:
             raise DimensionError(f"initial state has length {arr.size}, expected {n}")
-        return np.outer(arr, arr)
+        if not np.isfinite(arr).all():
+            raise InvalidInputError("initial state has non-finite entries")
+        with np.errstate(over="ignore"):
+            X0 = np.outer(arr, arr)
+        if not np.isfinite(X0).all():
+            raise InvalidInputError("outer product of the initial state overflows")
+        return X0
     if arr.shape != (n, n):
         raise DimensionError(f"initial second moment must be {n}x{n}, got {arr.shape}")
     X0 = symmetrize(arr)
@@ -80,9 +86,10 @@ def second_moment_sum(sys: SystemSpec, K, q: float, X0) -> np.ndarray:
     """Closed-loop second-moment sum S = E[sum_{t>=0} x_t x_t^T].
 
     Solves vec(S) = (I - Phi)^{-1} vec(X0) on the lifted map Phi and
-    verifies the result against a truncated geometric-series accumulation
-    (terms added in doubling blocks until the increment falls below 1e-12);
-    the two routes must agree to 1e-8 relative.
+    verifies the result against a truncated geometric series accumulated on
+    the vector: after k doublings acc = sum_{t < 2^k} Phi^t vec(X0), and the
+    next block Phi^(2^k) acc is added until it falls below 1e-12 relative to
+    1 + ||acc||; the two routes must agree to 1e-8 relative.
     """
     Phi, rho = _lifted_rho(sys, K, q)
     if not _ms_stable(rho):
@@ -94,17 +101,15 @@ def second_moment_sum(sys: SystemSpec, K, q: float, X0) -> np.ndarray:
     vec_s = np.linalg.solve(np.eye(n * n) - Phi, v0)
     S_solve = symmetrize(vec_s.reshape(n, n))
 
-    # Independent route: partial sums of sum_t Phi^t v0 by binary doubling.
-    partial = np.eye(n * n)
-    power = Phi.copy()
-    acc = partial @ v0
+    # Independent route: partial sums of sum_t Phi^t v0 by binary doubling,
+    # acc = sum_{t < 2^k} Phi^t v0 and power = Phi^(2^k) after k doublings.
+    acc, power = v0, Phi
     for _ in range(SERIES_MAX_DOUBLINGS):
-        block = power @ (partial @ v0)
-        partial = partial + power @ partial
-        power = power @ power
-        acc = partial @ v0
+        block = power @ acc
+        acc = acc + block
         if np.linalg.norm(block) <= SERIES_STOP_RTOL * (1.0 + np.linalg.norm(acc)):
             break
+        power = power @ power
     else:
         raise NumericalFailureError("second-moment series did not converge")
     S_series = acc.reshape(n, n)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NoSolutionError, NotPSDError
-from .numerics import _dense_spectral_radius, psd_sqrt, spectral_radius, sym_eig_extremes, symmetrize
+from .numerics import _bracket, _dense_spectral_radius, psd_sqrt, spectral_radius, sym_eig_extremes, symmetrize
 from .riccati import (
     _STANDARD_MEMO_SIZE,
     LOCKSTEP_ENTRIES,
@@ -58,6 +58,9 @@ THRESHOLD_VARIANTS = (VARIANT_GENERAL, VARIANT_SCALAR, VARIANT_INVERTIBLE_B)
 # See `_plant_bounds`.
 _bounds_memo: dict = {}
 _bounds_memo_lock = threading.Lock()
+# See `_lifted_rho`; at most one entry.
+_rho_memo: dict = {}
+_rho_memo_lock = threading.Lock()
 
 # Strict matrix inequalities "M > 0" are decided as lambda_min > this margin.
 STRICT_MARGIN = 1e-9
@@ -192,16 +195,41 @@ def lifted_matrix(sys: SystemSpec, K, q: float) -> np.ndarray:
     the kernel that the Riccati solver and `region_map` also evaluate, and
     vec(E[x_{t+1} x_{t+1}^T]) = Phi vec(E[x_t x_t^T]).
     """
+    _check_lifted_rate(q)
+    return _lifted_map(sys, _gain(sys, K), q)
+
+
+def _check_lifted_rate(q) -> None:
     if not 0.0 <= q <= 1.0:
         raise InvalidInputError(f"loss rate must lie in [0, 1], got {q}")
-    return _lifted_map(sys, _gain(sys, K), q)
 
 
 def _lifted_rho(sys: SystemSpec, K, q: float) -> tuple[np.ndarray, float]:
     """The lifted map of `lifted_matrix` and its spectral radius, certified as
-    that of a PSD-cone-preserving map (see `numerics.spectral_radius`)."""
-    Phi = lifted_matrix(sys, K, q)
-    return Phi, spectral_radius(Phi, cone=True)
+    that of a PSD-cone-preserving map (see `numerics.spectral_radius`).
+
+    The last result whose radius the bracket certified is kept, with its map
+    made read-only, so that the oracle and the second-moment sum of one design
+    share it.  The key is q with its type, the layout and bytes of the checked
+    gain and the plant's key in `mare_solve`'s memo: each can change the
+    result's bits.  A radius that raised or warned is not kept, so every
+    caller meets its error or warning."""
+    _check_lifted_rate(q)
+    K = _gain(sys, K)
+    key = (type(q), float(q).hex(), K.shape, K.strides, K.tobytes(), *_plant_key(sys))
+    with _rho_memo_lock:
+        kept = _rho_memo.get(key)
+    if kept is not None:
+        return kept
+    Phi = _lifted_map(sys, K, q)
+    _bracket.held = False
+    rho = spectral_radius(Phi, cone=True)
+    if _bracket.held:
+        Phi.flags.writeable = False
+        with _rho_memo_lock:
+            _rho_memo.clear()
+            _rho_memo[key] = Phi, rho
+    return Phi, rho
 
 
 def exact_ms_stable(sys: SystemSpec, K, q: float) -> StabilityVerdict:

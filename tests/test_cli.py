@@ -348,6 +348,11 @@ class TestExitCodes:
         assert code == 2
         assert "stable" in err
 
+    def test_non_finite_initial_state_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "gap", "--spec", EX2, "--q", "0.2", "--qhat", "0.1633", "--x0", "nan,1")
+        assert code == 1
+        assert "non-finite" in err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "solve", "--spec", EX1, "--nope")
         assert code == 1

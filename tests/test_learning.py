@@ -38,6 +38,37 @@ class TestEstimateLossRate:
         with pytest.raises(InvalidInputError):
             ChannelSamples(np.array([0, 2, 1]))
 
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            pytest.param(np.array(["0", "1"]), id="str"),
+            pytest.param(np.array([0j, 1 + 0j]), id="complex-real"),
+            pytest.param(np.array([1j]), id="complex-imaginary"),
+            pytest.param(np.array([True, False]), id="bool"),
+            pytest.param(np.array([0.0, np.nan]), id="float-nan"),
+            pytest.param(np.array([0.5, 1.0]), id="float-half"),
+            pytest.param(np.array([0.0, 1.0]), id="float-bits"),
+            pytest.param(np.array([0, 1, None], dtype=object), id="object-none"),
+            pytest.param(np.array([0, 1], dtype=object), id="object-bits"),
+            pytest.param(np.array([0, 1, 2**63], dtype=np.uint64), id="uint64-large"),
+            pytest.param(np.array([0, 1], dtype=np.uint64), id="uint64-bits"),
+            pytest.param(np.array([0, -1], dtype=np.int8), id="int8-negative"),
+            pytest.param(np.array([1, 0], dtype=np.int8), id="int8-bits"),
+            pytest.param(np.array([]), id="empty-float"),
+            pytest.param(np.array([], dtype=int), id="empty-int"),
+            pytest.param(np.array([[0, 1]]), id="2d"),
+            pytest.param(np.array([0, 2, 1]), id="two"),
+        ],
+    )
+    def test_accepts_what_isin_accepts(self, bits):
+        # The bits test is (bits == 0) | (bits == 1), once np.isin(bits, (0, 1)).
+        if bits.ndim == 1 and np.isin(bits, (0, 1)).all():
+            np.testing.assert_array_equal(ChannelSamples(bits).bits, bits.astype(np.int8))
+        else:
+            with pytest.raises(InvalidInputError):
+                ChannelSamples(bits)
+
 
 class TestHoeffdingDelta:
     def test_reference_values(self):

@@ -19,7 +19,7 @@ from lossylqr import (
     sym_eig_extremes,
     symmetrize,
 )
-from lossylqr import numerics
+from lossylqr import numerics, stability
 
 
 class TestSymEigExtremes:
@@ -355,6 +355,8 @@ class TestLyapunovBracket:
 
     def test_lifted_map_callers_assert_the_cone(self, monkeypatch, example2):
         gain, _ = ce_gain(example2, 0.1633)
+        # A radius kept from an earlier call would not reach the patched kernel.
+        monkeypatch.setattr(stability, "_rho_memo", {})
         dense = numerics._dense_spectral_radius
         monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda M: dense(M) - 2e-7)
         cfg = SimConfig(seed=0, horizon=4, trajectories=2)

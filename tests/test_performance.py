@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from lossylqr import (
+    InvalidInputError,
     NoSolutionError,
+    NumericalFailureError,
     SimConfig,
+    SystemSpec,
     UnstableError,
     ce_gain,
     gap,
@@ -13,8 +18,10 @@ from lossylqr import (
     lifted_matrix,
     monte_carlo_cost,
     second_moment_sum,
+    symmetrize,
 )
-from conftest import scalar_mare_root
+from lossylqr import performance
+from conftest import feasible_rate_ceiling, random_stabilizable_system, scalar_mare_root
 
 
 def scalar_gramian(q: float, q_hat: float) -> float:
@@ -65,6 +72,41 @@ class TestSecondMomentSum:
         np.testing.assert_allclose(lhs, X0.reshape(-1), rtol=1e-9)
 
 
+class TestSeriesCrossCheck:
+    """The series route of `second_moment_sum` is an independent check: S is
+    the linear-solve route's to the last bit, and the check's two failures
+    raise."""
+
+    def test_returns_the_solve_route(self, example1, example2, plant3):
+        rng = np.random.default_rng(5)
+        plants = [example1, example2, plant3] + [random_stabilizable_system(rng, 5) for _ in range(6)]
+        for sys in plants:
+            ceiling = feasible_rate_ceiling(sys)
+            for q, q_hat in ((0.5 * ceiling, 0.4 * ceiling), (0.9 * ceiling, 0.6 * ceiling)):
+                gain, _ = ce_gain(sys, q_hat)
+                X0 = np.eye(sys.n) + 0.25
+                # The solve route as written before the series moved to the vector.
+                n = sys.n
+                vec_s = np.linalg.solve(np.eye(n * n) - lifted_matrix(sys, gain, q), X0.reshape(-1))
+                expected = symmetrize(vec_s.reshape(n, n))
+                assert second_moment_sum(sys, gain, q, X0).tobytes() == expected.tobytes()
+
+    def test_series_that_does_not_converge_raises(self, monkeypatch):
+        # rho = 0.98^2: the series needs about 680 terms, and one doubling sums two.
+        sys = SystemSpec(A=1.5, B=1.0, Q=1.0, R=1.0)
+        K = np.array([[-0.52]])
+        assert second_moment_sum(sys, K, 0.0, np.ones(1))[0, 0] == pytest.approx(1.0 / (1.0 - 0.98**2), rel=1e-9)
+        monkeypatch.setattr(performance, "SERIES_MAX_DOUBLINGS", 1)
+        with pytest.raises(NumericalFailureError, match="did not converge"):
+            second_moment_sum(sys, K, 0.0, np.ones(1))
+
+    def test_series_that_disagrees_raises(self, example2, monkeypatch):
+        gain, _ = ce_gain(example2, 0.1633)
+        monkeypatch.setattr(performance, "SERIES_AGREE_RTOL", -1.0)
+        with pytest.raises(NumericalFailureError, match="disagree"):
+            second_moment_sum(example2, gain, 0.2, np.eye(2))
+
+
 class TestGap:
     def test_scalar_reference(self, example1):
         report = gap(example1, 0.2, 0.0, np.array([1.0]))
@@ -98,6 +140,10 @@ class TestGap:
     def test_unstable_design_raises(self, example1):
         with pytest.raises(UnstableError):
             gap(example1, 0.4, 0.0, np.array([1.0]))
+
+    def test_non_finite_state_raises(self, example2):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            gap(example2, 0.2, 0.1633, np.array([np.nan, 1.0]))
 
     def test_matches_monte_carlo(self, example1):
         report = gap(example1, 0.2, 0.0, np.array([1.0]))
@@ -187,7 +233,16 @@ class TestInitialSecondMoment:
         np.testing.assert_array_equal(initial_second_moment(C, 2), C)
 
     def test_rejects_indefinite(self):
-        from lossylqr import InvalidInputError
-
         with pytest.raises(InvalidInputError):
             initial_second_moment(np.diag([1.0, -1.0]), 2)
+
+    @pytest.mark.parametrize(
+        "x0, message",
+        [([np.nan, 1.0], "non-finite"), ([np.inf, 0.0], "non-finite"), ([1e200, 1.0], "overflows")],
+        ids=["nan", "inf", "overflow"],
+    )
+    def test_rejects_non_finite_states(self, x0, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=message):
+                initial_second_moment(np.array(x0), 2)

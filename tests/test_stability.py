@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -8,23 +10,26 @@ from lossylqr import (
     InvalidInputError,
     NoSolutionError,
     NotPSDError,
+    NumericalFailureError,
     SystemSpec,
     ce_gain,
     condition_matrix,
     critical_probability,
     exact_ms_stable,
+    gap,
     lifted_matrix,
     lyapunov_sufficient_stable,
     mare_solve,
     psd_sqrt,
     region_map,
     scalar_iff_stable,
+    spectral_radius,
     st_lower_bound,
     sym_eig_extremes,
     symmetrize,
     zero_sample_safe_q,
 )
-from lossylqr import riccati, stability
+from lossylqr import numerics, riccati, stability
 from lossylqr.riccati import RHO_MARGIN, _feedback_gain, _ms_stable, _scalar_iff_value
 from lossylqr.stability import (
     CELL_BLUE,
@@ -336,6 +341,130 @@ class TestThresholdBoundMemo:
         st_lower_bound(plants[0], 0.1, "scalar")
         assert builds[0] == len(plants) + 1
         assert len(stability._bounds_memo) == riccati._STANDARD_MEMO_SIZE
+
+
+def fresh_radius(sys, K, q) -> float:
+    """The certified radius of the lifted map, computed with no memo."""
+    return spectral_radius(lifted_matrix(sys, K, q), cone=True)
+
+
+class TestLiftedRhoMemo:
+    """`_lifted_rho` keeps the last radius that its bracket certified, so the
+    oracle and the second-moment sum of one design share one radius, with the
+    bits of a fresh computation; any change of the rate, the gain's bytes or
+    layout, or the plant computes afresh."""
+
+    @pytest.fixture
+    def radii(self, monkeypatch):
+        """Start with an empty radius memo and count the radii really computed."""
+        monkeypatch.setattr(stability, "_rho_memo", {})
+        count = [0]
+        inner = stability.spectral_radius
+
+        def counted(M, **kwargs):
+            count[0] += 1
+            return inner(M, **kwargs)
+
+        monkeypatch.setattr(stability, "spectral_radius", counted)
+        return count
+
+    @pytest.mark.parametrize("plant, q, q_hat", [("example1", 0.2, 0.15), ("example2", 0.2, 0.1633), ("plant3", 0.3, 0.25)])
+    def test_oracle_and_gap_share_one_radius(self, request, radii, plant, q, q_hat):
+        sys = request.getfixturevalue(plant)
+        gain, _ = ce_gain(sys, q_hat)
+        verdict = exact_ms_stable(sys, gain, q)
+        report = gap(sys, q, q_hat, np.eye(sys.n))
+        assert radii[0] == 1
+        assert verdict.stable and verdict.certificate.hex() == fresh_radius(sys, gain, q).hex()
+        stability._rho_memo.clear()
+        again = gap(sys, q, q_hat, np.eye(sys.n))
+        assert radii[0] == 2
+        assert again.S.tobytes() == report.S.tobytes() and again.J_ce.hex() == report.J_ce.hex()
+
+    def test_kept_map_is_read_only(self, example2, radii):
+        gain, _ = ce_gain(example2, 0.1633)
+        Phi, rho = stability._lifted_rho(example2, gain, 0.2)
+        assert stability._lifted_rho(example2, gain, 0.2) == (Phi, rho)
+        assert radii[0] == 1
+        with pytest.raises(ValueError):
+            Phi[0, 0] = 0.0
+        assert lifted_matrix(example2, gain, 0.2).flags.writeable
+
+    @pytest.mark.parametrize("change", ["rate", "gain_one_ulp", "fortran_gain", "plant_in_place"])
+    def test_changed_problem_computes_afresh(self, radii, change):
+        sys = SystemSpec(A=[[1.5, 0.1], [0.0, 1.0]], B=np.eye(2), Q=np.eye(2), R=np.eye(2))
+        K, q = np.ascontiguousarray(ce_gain(sys, 0.1633)[0].K), 0.2
+        exact_ms_stable(sys, K, q)
+        if change == "rate":
+            q = 0.21
+        elif change == "gain_one_ulp":
+            K = K.copy()
+            K[0, 0] = np.nextafter(K[0, 0], np.inf)
+        elif change == "fortran_gain":
+            K = np.asfortranarray(K)
+            assert K.strides != np.ascontiguousarray(K).strides
+        else:
+            sys.A[0, 0] = 1.4
+        rho = exact_ms_stable(sys, K, q).certificate
+        assert radii[0] == 2
+        assert rho.hex() == fresh_radius(sys, K, q).hex()
+        exact_ms_stable(sys, K, q)
+        assert radii[0] == 2
+
+    def test_warning_reaches_every_caller(self, example2, radii, monkeypatch):
+        gain, _ = ce_gain(example2, 0.1633)
+        dense = numerics._dense_spectral_radius
+        # An overstated dense radius is returned with a warning, and not kept.
+        monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda M: dense(M) + 2e-7)
+        for calls in (2, 4):
+            with pytest.warns(RuntimeWarning, match="from below"):
+                exact_ms_stable(example2, gain, 0.2)
+            with pytest.warns(RuntimeWarning, match="from below"):
+                gap(example2, 0.2, 0.1633, np.eye(2))
+            assert radii[0] == calls
+        assert stability._rho_memo == {}
+
+    def test_error_reaches_every_caller(self, example2, radii, monkeypatch):
+        gain, _ = ce_gain(example2, 0.1633)
+        dense = numerics._dense_spectral_radius
+        monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda M: dense(M) - 2e-7)
+        for calls in (2, 4):
+            with pytest.raises(NumericalFailureError, match="from above"):
+                exact_ms_stable(example2, gain, 0.2)
+            with pytest.raises(NumericalFailureError, match="from above"):
+                gap(example2, 0.2, 0.1633, np.eye(2))
+            assert radii[0] == calls
+        assert stability._rho_memo == {}
+
+    def test_concurrent_callers(self, example2, monkeypatch):
+        monkeypatch.setattr(stability, "_rho_memo", {})
+        problems = [(ce_gain(example2, q_hat)[0], q) for q_hat, q in ((0.1, 0.2), (0.1633, 0.2), (0.2, 0.3), (0.1, 0.3))]
+        expected = [(lifted_matrix(example2, g, q).tobytes(), fresh_radius(example2, g, q)) for g, q in problems]
+        errors = []
+
+        def caller(offset):
+            try:
+                for i in range(60):
+                    k = (i + offset) % len(problems)
+                    Phi, rho = stability._lifted_rho(example2, *problems[k])
+                    if (Phi.tobytes(), rho) != expected[k]:
+                        errors.append(f"wrong map or radius of problem {k}")
+            except Exception as exc:  # collected and reported by the main thread
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(stability._rho_memo) == 1
 
 
 class TestThresholdCurveRows:
