@@ -91,11 +91,15 @@ def second_moment_sum(sys: SystemSpec, K, q: float, X0) -> np.ndarray:
     next block Phi^(2^k) acc is added until it falls below 1e-12 relative to
     1 + ||acc||; the two routes must agree to 1e-8 relative.
     """
+    return _second_moment_sum(sys, K, q, initial_second_moment(X0, sys.n))
+
+
+def _second_moment_sum(sys: SystemSpec, K, q: float, X0: np.ndarray) -> np.ndarray:
+    """`second_moment_sum` for an X0 that `initial_second_moment` has normalized."""
     Phi, rho = _lifted_rho(sys, K, q)
     if not _ms_stable(rho):
         raise UnstableError(f"closed loop is not mean-square stable (rho = {rho:.6f})")
     n = sys.n
-    X0 = initial_second_moment(X0, n)
     v0 = X0.reshape(-1)
 
     vec_s = np.linalg.solve(np.eye(n * n) - Phi, v0)
@@ -131,7 +135,7 @@ def gap(sys: SystemSpec, q: float, q_hat: float, X0) -> GapReport:
 def _gap_report(sys: SystemSpec, q: float, gain, sol_hat, sol_true, X0: np.ndarray) -> GapReport:
     """`gap` from the design, the true-rate Riccati solution and the normalized X0."""
     q_hat = gain.q_design
-    S = second_moment_sum(sys, gain, q, X0)  # raises UnstableError if rho >= 1
+    S = _second_moment_sum(sys, gain, q, X0)  # raises UnstableError if rho >= 1
 
     W = gain_weight_matrix(sys, sol_hat.P)
     gramian_trace = float(np.trace(W @ S))

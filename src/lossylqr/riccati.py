@@ -31,21 +31,26 @@ however many functions ask for them, and a plant's standard solution, which
 the sample-complexity bound of each of its designs asks for, outlives the
 other rates of designs in between.
 
-Two loops run this iteration, and one rule picks between them: one rate
-goes to the per-rate loop `_mare_solve` (through `mare_solve`, hence every
-design), a list of rates to `_mare_solve_rates`, which steps all of them in
-lock-step on one (k, n, n) stack: each step costs one set of numpy calls for
-the whole stack instead of one per rate, and a rate leaves the stack where
-its own loop would stop.  Each rate gets exactly the bits of `_mare_solve`
-(P, iteration count, residual, or the error and its reason); the step
-formulas (`_gain_solve` with `_mare_step`, `_mare_step_gain` and
-`_feedback_gain`, then `_lifted_map` and `_solve_certifies`) are shared and
-take one matrix or a stack.  One solve S = (R + B^T X B)^{-1} (A^T X B)^T
-serves a whole step: the gain weight is (A^T X B) S and the gain of X is -S,
-so a Hewer step solves with R + B^T P B once for its residual and its next
-gain.  For a single rate the per-rate loop is the faster one.  The grid of
-`region_map`, of the threshold curve and of `gap_curve`, and the probes of
-both bisections (`_bisect_rates`: the q_c refinement of
+One driver runs this iteration, `_lockstep`, and a single rate is a stack
+of one: `mare_solve` (hence every design) passes one rate, and
+`_mare_solve_rates` a list of rates, which it steps in lock-step on one
+(k, n, n) stack.  Each step costs one set of numpy calls for the whole
+stack instead of one per rate, a rate leaves the stack where it stops, and
+it gets the same bits (P, iteration count, residual, or the error and its
+reason) in any stack.  The step formulas (`_gain_solve` with `_mare_step`,
+`_mare_step_gain` and `_feedback_gain`, then `_lifted_map` and
+`_solve_certifies`) take one matrix or a stack.  One solve
+S = (R + B^T X B)^{-1} (A^T X B)^T serves a whole step: the gain weight is
+(A^T X B) S and the gain of X is -S, so a Hewer step solves with R + B^T P B
+once for its residual and its next gain.  Hewer's iteration has two forms,
+picked by the rows due at a policy phase: one row runs the 2-d
+`_policy_iteration`, several rows the stacked `_policy_iteration_rates`.
+Both are kept because each is the faster on its own workload: the stacked
+one on every one-row phase makes the benchmark's `design` pass about 30 %
+slower, and the 2-d one on every row makes its `regions` pass about four
+times slower (seed 1, one BLAS thread).  The grid
+of `region_map`, of the threshold curve and of `gap_curve`, and the probes
+of both bisections (`_bisect_rates`: the q_c refinement of
 `critical_probability` and `zero_sample_safe_q`), are solved in lock-step.
 A bisection solves its midpoints in batches ahead of the steps that take
 them: the q_c refinement, whose verdict is feasible or not, a tree of the
@@ -112,6 +117,8 @@ _MEMO_SIZE = 4
 _STANDARD_MEMO_SIZE = 8
 _memo: dict = {}
 _memo_lock = threading.Lock()
+# `ce_gain` keeps (solution, its gain) of the last call, replaced as one tuple.
+_gain_memo: tuple = (None, None)
 
 
 def _as_2d(M, name: str) -> np.ndarray:
@@ -427,34 +434,6 @@ def _check_rate(q) -> None:
         raise InvalidInputError(f"loss rate must lie in [0, 1), got {q}")
 
 
-def _mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
-    _check_rate(q)
-    one_minus_q = 1.0 - q
-    q_floor = np.linalg.eigvalsh(0.5 * (sys.Q + sys.Q.T))[0]
-    X = sys.Q.copy()
-    stall = StallDetector()
-    policy_steps = 0
-    for it in range(1, MAX_ITERATIONS + 1):
-        Xn = _mare_step(X, sys, one_minus_q)
-        norm = _fro(Xn)
-        if not norm <= DIVERGENCE_NORM:  # NaN and inf included
-            raise _diverged(q)
-        rel_change = _fro(Xn - X) / (1.0 + norm)
-        X = Xn
-        if rel_change <= STEP_TOL:
-            residual = _fro(_mare_step(X, sys, one_minus_q) - X) / (1.0 + norm)
-            if residual <= RESIDUAL_TOL:
-                return RiccatiSolution(P=X, q_used=q, iterations=it + policy_steps, residual=residual)
-        if _policy_due(it):
-            P, steps, residual = _policy_iteration(sys, q, X, q_floor)
-            policy_steps += steps
-            if P is not None:
-                return RiccatiSolution(P=P, q_used=q, iterations=it + policy_steps, residual=residual)
-        if stall.stalled(it, rel_change):
-            raise _stalled(it, q)
-    raise _capped(q)
-
-
 def _policy_iteration_rates(
     sys: SystemSpec, q: np.ndarray, one_minus_q: np.ndarray, X: np.ndarray, q_floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -516,17 +495,15 @@ def _policy_iteration_rates(
 
 
 def _mare_solve_rates(sys: SystemSpec, qs) -> list:
-    """`_mare_solve` at every rate of qs: one entry per rate, the
-    RiccatiSolution or the NoSolutionError that `_mare_solve` gives it, with
-    the same bits (P, iterations, residual, error reason and message).
+    """The solve of `mare_solve`, without its memo, at every rate of qs: one
+    entry per rate, the RiccatiSolution or the NoSolutionError that
+    `mare_solve` gives it, with the same bits (P, iterations, residual, error
+    reason and message).
 
-    The rates run in lock-step on one (k, n, n) stack, in stacks of at most
-    LOCKSTEP_ENTRIES lifted-map entries: value iteration, the policy-test
-    schedule, Hewer's policy iteration with its certificates, the residual
-    floor, the stall detector and the step cap, with the step formulas shared
-    with `_mare_solve`.  Each rate keeps its own stop decisions and leaves the
-    stack when `_mare_solve` would return or raise, so one call pays numpy's
-    per-call overhead once per step for all rates instead of once per rate.
+    The rates run in lock-step through `_lockstep`, in stacks of at most
+    LOCKSTEP_ENTRIES lifted-map entries, so one call pays numpy's per-call
+    overhead once per step for all rates instead of once per rate.  A rate's
+    result does not depend on the other rates of its stack.
     """
     qs = list(qs)
     for q in qs:
@@ -536,9 +513,19 @@ def _mare_solve_rates(sys: SystemSpec, qs) -> list:
 
 
 def _lockstep(sys: SystemSpec, qs: list) -> list:
-    """`_mare_solve_rates` on one stack of valid rates.  Every exit of
-    `_mare_solve` but the cap goes through `finish`, and the rows it marks
-    leave together at the end of the step."""
+    """The Riccati driver: the solve of each valid rate of qs on one (k, n, n)
+    stack, one result per rate (see `_mare_solve_rates`); `mare_solve` passes
+    a stack of one.
+
+    Value iteration, the policy-test schedule, the residual floor, the stall
+    detector and the step cap run once for the whole stack, and each rate
+    keeps its own stop decisions.  Every exit but the cap goes through
+    `finish`, and the rows it marks leave together at the end of the step.
+    A policy phase with one row due runs the 2-d `_policy_iteration` on that
+    row's matrix, and one with several rows due runs `_policy_iteration_rates`
+    on their stack: the two give a row the same bits, and each is the faster
+    on its own workload (the 2-d one on the single rate of every design, the
+    stacked one on a grid's rows)."""
     results = [None] * len(qs)
     live = np.arange(len(qs))  # rate index of each row of the stack
     q = np.array(qs, dtype=float).reshape(-1, 1, 1)
@@ -580,7 +567,13 @@ def _lockstep(sys: SystemSpec, qs: list) -> list:
                     finish(j, solution(j, X[j], r))
         if _policy_due(it):
             todo = np.flatnonzero(~done)
-            if len(todo):
+            if len(todo) == 1:
+                j = todo[0]
+                P, steps, residual = _policy_iteration(sys, float(q[j, 0, 0]), X[j], q_floor)
+                policy_steps[live[j]] += steps
+                if P is not None:
+                    finish(j, solution(j, P, residual))
+            elif len(todo):
                 P, steps, residual, solved = _policy_iteration_rates(sys, q[todo], one_minus_q[todo], X[todo], q_floor)
                 policy_steps[live[todo]] += steps
                 for j, Pj, r in zip(todo[solved], P[solved], residual[solved]):
@@ -621,6 +614,8 @@ def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
     which it stopped) or the iteration cap raises NoSolutionError, with
     `reason` "diverged", "stalled" or "cap", which signals that q is at or
     above the critical probability (no gain is then mean-square stabilizing).
+    The solve is the lock-step driver `_lockstep` on a stack of one rate, so
+    a rate gets the same bits here as in any grid or bisection.
 
     The _MEMO_SIZE solutions at rates other than 0 returned last are kept,
     and apart from those the standard (q = 0) solutions of the last
@@ -630,12 +625,15 @@ def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
     again returns the same object, whose P is read-only.  Failures are not
     kept.
     """
+    _check_rate(q)
     standard = float(q) == 0.0
     key = (standard, type(q), float(q).hex(), *_plant_key(sys))
     with _memo_lock:
         sol = _memo.pop(key, None)
     if sol is None:
-        sol = _mare_solve(sys, q)
+        (sol,) = _lockstep(sys, [q])
+        if isinstance(sol, NoSolutionError):
+            raise sol
         sol.P.flags.writeable = False
     with _memo_lock:
         _memo[key] = sol
@@ -781,9 +779,21 @@ def critical_probability(sys: SystemSpec, refine: bool = True) -> CriticalProbab
 
 
 def ce_gain(sys: SystemSpec, q_hat: float) -> tuple[Gain, RiccatiSolution]:
-    """Certainty-equivalence optimal gain designed as if q_hat were the true loss rate."""
+    """Certainty-equivalence optimal gain designed as if q_hat were the true loss rate.
+
+    The gain of the solution returned last is kept, keyed by that solution
+    object (the memo of `mare_solve` returns the same object for the same
+    plant and rate), so the three calls of one design solve for it once.
+    Each call gets its own writable copy, with the bytes and C layout of the
+    first."""
+    global _gain_memo
     sol = mare_solve(sys, q_hat)
-    return Gain(K=_feedback_gain(sys, sol.P), q_design=q_hat), sol
+    kept, K = _gain_memo
+    if kept is not sol:
+        K = _feedback_gain(sys, sol.P)
+        K.flags.writeable = False
+        _gain_memo = (sol, K)
+    return Gain(K=K.copy(), q_design=q_hat), sol
 
 
 def optimal_cost(P, X0) -> float:

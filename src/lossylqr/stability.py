@@ -427,7 +427,7 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
     its path, so on a smooth bound the path takes two lock-step batches, and
     it still decides one midpoint at a time from that midpoint's own score,
     so the result is the plain bisection's to the last bit.  The standard
-    solution is one per-rate `dare_solve`.
+    solution is one `dare_solve`, a stack of one rate.
     """
     _check_threshold_variant(sys, variant)
     qc = _qc_clamp(critical_probability(sys, refine=False))

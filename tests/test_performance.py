@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lossylqr import (
+    DimensionError,
     InvalidInputError,
     NoSolutionError,
     NumericalFailureError,
@@ -62,6 +63,16 @@ class TestSecondMomentSum:
         gain, _ = ce_gain(example1, 0.0)
         with pytest.raises(UnstableError):
             second_moment_sum(example1, gain, 0.4, np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "X0",
+        [np.array([np.nan, 1.0]), np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones(3)],
+        ids=["non_finite_state", "indefinite_moment", "wrong_length"],
+    )
+    def test_checks_its_initial_condition(self, example2, X0):
+        gain, _ = ce_gain(example2, 0.2)
+        with pytest.raises((InvalidInputError, DimensionError)):
+            second_moment_sum(example2, gain, 0.2, X0)
 
     def test_solves_fixed_point(self, example2):
         gain, _ = ce_gain(example2, 0.15)
