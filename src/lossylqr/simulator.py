@@ -17,9 +17,11 @@ take one of two routes, both equal bit for bit to the trajectory's stream:
   evaluated directly on numpy uint64 arrays, every trajectory's key in
   lock-step and most rounds in place.
 * Otherwise one C Philox is re-keyed per trajectory and yields the
-  trajectory's Gaussian initial state, if any, and then its raw words.  Its
-  cost per word is about a fifth of the lock-step one, which wins only while
-  the fixed cost of re-keying (about 2.5 us) dominates.
+  trajectory's Gaussian initial state, if any, and then its raw words, which
+  are compared a chunk of rows at a time, in a buffer of at most
+  4 * _CHUNK_BLOCKS words.  Its cost per word is about a sixth of the
+  lock-step one, which wins only while the fixed cost per trajectory (about
+  1.25 us) dominates: below about 50 words.
 
 A channel bit is 1 when `Generator.random()` of its word is at least q; both
 routes decide that on the word itself, against the integer threshold of
@@ -28,7 +30,9 @@ reference those draws are tested against.
 
 The rollout forms its products X @ W.T with BLAS, except where the inner
 dimension is 1 (K or A when n = 1, B when m = 1): those are outer products,
-formed as plain multiplies with the matmul's bits (`_times_transpose`).
+formed as plain multiplies with the matmul's bits (`_times_transpose`).  The
+mean square of a decay run sums each row's squares column by column, with
+np.sum's bits (`_row_squares`).
 """
 
 import math
@@ -64,11 +68,11 @@ _PHILOX_M_HALVES = tuple((m & _LOW32, m >> _SHIFT32) for m in _PHILOX_M)
 _CHUNK_BLOCKS = 6144
 # Horizon from which a deterministic x0's channel bits come from the re-keyed
 # C Philox instead of the lock-step one.  Per trajectory, in runs of 4000
-# (x86-64, 2 cores, numpy 2.4.6), the lock-step route costs about 25 ns per
-# word; the re-keyed one costs about 2.5 us (rewriting the key, one
-# `random_raw` and one compare) plus 5 ns per word.  They meet between 100
-# and 112 words; at 200 words they take about 5.3 and 3.3 us.
-_REKEYED_HORIZON = 108
+# (x86-64, 2 cores, numpy 2.4.6), the lock-step route costs about 30 ns per
+# word; the re-keyed one costs about 1.25 us (rewriting the key, one
+# `random_raw` and its share of a chunk's compare) plus 5 ns per word.  They
+# meet between 48 and 50 words; at 200 words they take about 5.8 and 2.3 us.
+_REKEYED_HORIZON = 50
 # Seeds the Philox that `_stream` then re-keys.  Philox(key=...) alone would
 # read OS entropy for a SeedSequence it then discards.
 _FIXED_SEED = np.random.SeedSequence(0)
@@ -101,15 +105,15 @@ def _trajectory_keys(seed: int, start: int, stop: int) -> np.ndarray:
 
 
 def _keyed_state(key: int, family: int) -> dict:
-    """Philox state with the given key, a zero counter and an empty buffer,
-    the state Philox(key=[key, family]) starts from."""
+    """Philox state with the key words (key, family), a zero counter and an
+    empty buffer: the state a Philox built with that key starts from.  Its
+    words are plain ints in lists: the state setter reads each entry by index
+    and casts it to uint64, so they set the same state as uint64 arrays, in
+    less time."""
     return {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([key, family], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": [key, family]},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -148,9 +152,9 @@ def _mulhilo(i: int, x: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray
 
 
 def _philox_words(keys: np.ndarray, family: int, blocks: int) -> list[np.ndarray]:
-    """The first 4 * blocks words of Philox(key=[k, family]).random_raw() for
-    every k in keys, as four (keys.size, blocks) arrays: word w of block j of
-    key row r is words[w][r, j].
+    """The first 4 * blocks words of the Philox keyed (k, family) for every k
+    in keys, as four (keys.size, blocks) arrays: word w of block j of key row
+    r is words[w][r, j].
 
     numpy increments the counter before it fills its buffer, so block j is
     Philox4x64-10 of the counter (j + 1, 0, 0, 0).  The first two rounds
@@ -343,11 +347,13 @@ def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int,
     * every other trajectory is drawn alone, from a single C Philox whose key
       is rewritten per trajectory: first the initial state of a Gaussian x0
       (ziggurat normals take a variable number of words), then its horizon
-      of raw words.  The covariance is factored once and all initial states
-      are formed by one stacked product.
+      of raw words, into one row of a buffer that holds at most
+      4 * _CHUNK_BLOCKS words (or one row); a chunk of rows is compared at
+      once.  The covariance is factored once and all initial states are
+      formed by one stacked product.
 
-    The lock-step route costs about 25 ns per word; the re-keyed one about
-    2.5 us per trajectory plus 5 ns per word, so it wins from about 108
+    The lock-step route costs about 30 ns per word; the re-keyed one about
+    1.25 us per trajectory plus 5 ns per word, so it wins from about 50
     words on (measurements at `_REKEYED_HORIZON`).
     """
     T, n = cfg.horizon, sys.n
@@ -370,16 +376,23 @@ def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int,
     normal = np.random.Generator(bitgen).standard_normal
     state = _keyed_state(0, _FAMILY_TRAJECTORY)
     key = state["state"]["key"]
+    keys = _trajectory_keys(cfg.seed, start, stop)
     # At q = 1 no word reaches the threshold; the bits stay 0 and are not drawn.
     draw_bits = threshold <= _MASK64
     threshold = np.uint64(min(threshold, _MASK64))
-    for row, k in enumerate(_trajectory_keys(cfg.seed, start, stop)):
-        key[0] = k
-        bitgen.state = state
-        if gaussian:
-            normal(out=Z[row, 0])
+    per_chunk = max(1, 4 * _CHUNK_BLOCKS // T)
+    words = np.empty((min(per_chunk, count), T), dtype=np.uint64) if draw_bits else None
+    for lo in range(0, count, per_chunk):
+        hi = min(lo + per_chunk, count)
+        for row, k in enumerate(keys[lo:hi].tolist(), lo):
+            key[0] = k
+            bitgen.state = state
+            if gaussian:
+                normal(out=Z[row, 0])
+            if draw_bits:
+                words[row - lo] = bitgen.random_raw(T)
         if draw_bits:
-            np.greater_equal(bitgen.random_raw(T), threshold, out=delivered[row])
+            np.greater_equal(words[: hi - lo], threshold, out=delivered[lo:hi])
     if gaussian:
         return (Z @ factor.T + mean).reshape(count, n), lam
     return X0, lam
@@ -435,6 +448,19 @@ def _times_transpose(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     return P
 
 
+def _row_squares(X: np.ndarray) -> np.ndarray:
+    """np.sum(X * X, axis=1), bit for bit.  Below 8 columns numpy adds each
+    row's squares in order, from zero; a running sum over the columns does the
+    same without the per-row cost of the reduction.  From 8 columns on numpy
+    sums pairwise, and np.sum is kept."""
+    if X.shape[1] >= 8:
+        return np.sum(X * X, axis=1)
+    out = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        out += X[:, j] * X[:, j]
+    return out
+
+
 def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
     """Vectorized rollout of cfg.trajectories substreams.
 
@@ -453,19 +479,20 @@ def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
     active = np.ones(M, dtype=bool)
     msq = np.empty(T + 1) if track_msq else None
     if track_msq:
-        msq[0] = np.mean(np.sum(X * X, axis=1))
+        msq[0] = np.mean(_row_squares(X))
     for t in range(T):
         U = _times_transpose(X, K)
         if costs is not None:
-            step_cost = _quadratic_form(X, Q) + lam[:, t] * _quadratic_form(U, R)
-            costs += np.where(active, step_cost, 0.0)
+            # A row that overflowed is zero from then on, and so are its step
+            # costs: the sum needs no mask to stop at its divergence.
+            costs += _quadratic_form(X, Q) + lam[:, t] * _quadratic_form(U, R)
         X = _times_transpose(X, A) + lam[:, t, None] * _times_transpose(U, B)
         overflow = np.einsum("ij,ij->i", X, X) > DIVERGENCE_NORM**2
         if overflow.any():
             X[overflow] = 0.0
             active &= ~overflow
         if track_msq:
-            msq[t + 1] = np.mean(np.sum(X * X, axis=1))
+            msq[t + 1] = np.mean(_row_squares(X))
     return costs, ~active, msq
 
 

@@ -21,10 +21,12 @@ from lossylqr import (
 )
 from lossylqr import simulator
 from lossylqr.simulator import (
+    _FAMILY_CHANNEL,
     _FAMILY_TRAJECTORY,
     DIVERGENCE_NORM,
     _batched_rollout,
     _gaussian_draw,
+    _mix64,
     _mix64_array,
     _philox_words,
     _quadratic_form,
@@ -173,7 +175,12 @@ class TestTrajectoryDraws:
     @pytest.mark.parametrize("horizon", HORIZONS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_fixed_x0_across_a_chunk_boundary(self, example2, seed, horizon):
-        per_chunk = simulator._CHUNK_BLOCKS // -(-horizon // 4)
+        # Rows per chunk: the lock-step route holds _CHUNK_BLOCKS blocks of
+        # every row's words, the re-keyed one 4 * _CHUNK_BLOCKS words.
+        if horizon < simulator._REKEYED_HORIZON:
+            per_chunk = simulator._CHUNK_BLOCKS // -(-horizon // 4)
+        else:
+            per_chunk = 4 * simulator._CHUNK_BLOCKS // horizon
         start, count = 3, per_chunk + 2
         cfg = SimConfig(seed=seed, horizon=horizon, trajectories=start + count)
         rows = [0, 1, per_chunk - 2, per_chunk - 1, per_chunk, per_chunk + 1]
@@ -248,7 +255,6 @@ class TestTrajectoryDraws:
             for k in range(count):
                 np.testing.assert_array_equal(lam[k], uniforms[k] >= q, err_msg=f"q = {q!r}")
 
-
     @pytest.mark.parametrize("seed", SEEDS)
     def test_integer_threshold_on_the_rekeyed_route(self, example1, seed):
         # As above, on the re-keyed route: a deterministic x0 at the first
@@ -272,6 +278,77 @@ class TestTrajectoryDraws:
                 _, lam = _trajectory_draws(example1, x0, q, cfg, 0, count)
                 for k in range(count):
                     np.testing.assert_array_equal(lam[k], uniforms[k] >= q, err_msg=f"q = {q!r}")
+
+
+class TestRekeyedDraws:
+    """The re-keyed route against numpy's own Philox for each trajectory key."""
+
+    FIXED = np.array([0.9325, 1.1616])
+    GAUSSIAN = (np.zeros(2), np.diag([1.0, 4.0]))
+    START, COUNT = 3, 29
+
+    @staticmethod
+    def reference_words(key: int, T: int) -> np.ndarray:
+        # The key goes in as a uint64 array: numpy reads a list holding a key
+        # with the top bit set as another key.
+        return np.random.Philox(key=np.array([key, _FAMILY_TRAJECTORY], dtype=np.uint64)).random_raw(T)
+
+    @pytest.mark.parametrize("chunk_blocks", [3, 50])
+    @pytest.mark.parametrize("horizon", [1, 7, 200])
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+    def test_fixed_x0(self, example2, monkeypatch, chunk_blocks, horizon, q):
+        # Every horizon takes the re-keyed route.  A chunk holds 12 or 200
+        # words: 12 or 200 rows at T = 1, one or 28 at T = 7 and one at
+        # T = 200, so the 29 rows end in a partial chunk in three cases.
+        monkeypatch.setattr(simulator, "_REKEYED_HORIZON", 1)
+        monkeypatch.setattr(simulator, "_CHUNK_BLOCKS", chunk_blocks)
+        # The key of trajectory START is 0; the others are spread over 64 bits.
+        seed = _mix64(self.START)
+        cfg = SimConfig(seed=seed, horizon=horizon, trajectories=self.START + self.COUNT)
+        keys = [_stream_key(seed, self.START + row) for row in range(self.COUNT)]
+        assert keys[0] == 0 and any(k >> 63 for k in keys)
+        X0, lam = _trajectory_draws(example2, self.FIXED, q, cfg, self.START, self.START + self.COUNT)
+        assert lam.shape == (self.COUNT, horizon) and lam.dtype == np.int8
+        for row, key in enumerate(keys):
+            uniforms = (self.reference_words(key, horizon) >> np.uint64(11)) * 2.0**-53
+            np.testing.assert_array_equal(lam[row], uniforms >= q)
+            np.testing.assert_array_equal(X0[row], self.FIXED)
+
+    @pytest.mark.parametrize("chunk_blocks", [3, 50])
+    @pytest.mark.parametrize("horizon", [1, 7, 200])
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+    def test_gaussian_x0(self, example2, monkeypatch, chunk_blocks, horizon, q):
+        monkeypatch.setattr(simulator, "_CHUNK_BLOCKS", chunk_blocks)
+        # The key of trajectory START is 2^63.
+        seed = _mix64(self.START) ^ (1 << 63)
+        cfg = SimConfig(seed=seed, horizon=horizon, trajectories=self.START + self.COUNT)
+        X0, lam = _trajectory_draws(example2, self.GAUSSIAN, q, cfg, self.START, self.START + self.COUNT)
+        gain, _ = ce_gain(example2, 0.1633)
+        for row in range(self.COUNT):
+            traj = simulate_trajectory(example2, gain, q, self.GAUSSIAN, cfg, trajectory_index=self.START + row)
+            np.testing.assert_array_equal(X0[row], traj.states[0])
+            np.testing.assert_array_equal(lam[row], traj.drops)
+
+    @pytest.mark.parametrize("key", [0, 1, 2**63, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("family", [_FAMILY_CHANNEL, _FAMILY_TRAJECTORY])
+    def test_keyed_state_equals_array_state(self, key, family):
+        bitgen = np.random.Philox(np.random.SeedSequence(1))
+        bitgen.state = simulator._keyed_state(key, family)
+        from_ints = bitgen.state
+        words = bitgen.random_raw(9)
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array([key, family], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        np.testing.assert_array_equal(bitgen.state["state"]["key"], from_ints["state"]["key"])
+        np.testing.assert_array_equal(bitgen.random_raw(9), words)
+        np.testing.assert_array_equal(
+            np.random.Philox(key=np.array([key, family], dtype=np.uint64)).random_raw(9), words
+        )
 
 
 class TestQuadraticForm:
@@ -357,6 +434,91 @@ class TestOuterProducts:
         with np.errstate(over="ignore"):
             assert simulator._times_transpose(X, W).tobytes() == (X @ W.T).tobytes()
         assert not np.signbit(simulator._times_transpose(np.array([[-0.0]]), np.array([[1.0]]))).any()
+
+
+class TestRowSquares:
+    """The mean square's running column sum keeps np.sum's bits."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_equal_to_sum(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(300, n)) * np.exp(rng.normal(size=(300, n)) * 8.0)
+        X[:10] = 0.0
+        X[10:20] = -0.0
+        X[20:30] = rng.choice([0.0, -0.0], size=(10, n))
+        X[30:40] = 5e-324 * rng.integers(-3, 4, size=(10, n))
+        X[40:50] = 2.2e-308 * rng.normal(size=(10, n))
+        X[50:60] = 1e150 * rng.choice([-1.0, 1.0], size=(10, n))
+        X[60:65, 0] = np.inf
+        X[65:70, -1] = -np.inf
+        X[70:75, 0] = np.nan
+        X[75:80, -1] = -np.nan
+        X[80:85, 0], X[80:85, -1] = np.nan, -np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert simulator._row_squares(X).tobytes() == np.sum(X * X, axis=1).tobytes()
+
+    @pytest.mark.parametrize("plant", ["example1", "example2", "plant3", "plant5"])
+    @pytest.mark.parametrize("q", [0.0, 0.4, 1.0])
+    def test_rollout_equals_sum_rollout(self, request, monkeypatch, plant, q):
+        sys = {"plant3": PLANT3, "plant5": PLANT5}.get(plant) or request.getfixturevalue(plant)
+        gain, _ = ce_gain(sys, 0.1)
+        cfg = SimConfig(seed=4, horizon=30, trajectories=200)
+        X0 = TestOuterProducts.initial_states(sys.n, cfg.trajectories)
+        draws = simulator._trajectory_draws
+        monkeypatch.setattr(simulator, "_trajectory_draws", lambda *args: (X0.copy(), draws(*args)[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _batched_rollout(sys, gain, q, np.zeros(sys.n), cfg, track_msq=True)
+            monkeypatch.setattr(simulator, "_row_squares", lambda X: np.sum(X * X, axis=1))
+            expected = _batched_rollout(sys, gain, q, np.zeros(sys.n), cfg, track_msq=True)
+        assert expected[1].any()
+        assert got[1].tobytes() == expected[1].tobytes()
+        assert got[2].tobytes() == expected[2].tobytes()
+
+
+class TestCostMask:
+    """The cost rollout adds every row's step cost without a divergence mask:
+    a row that overflowed is zero, and its step costs +0.0, so masking every
+    step gives the same bits."""
+
+    @staticmethod
+    def always_masked(sys, K, X, lam):
+        """The cost rollout with the divergence mask applied at every step,
+        and the first step at which a row overflows."""
+        costs = np.zeros(len(X))
+        active = np.ones(len(X), dtype=bool)
+        first = None
+        for t in range(lam.shape[1]):
+            U = simulator._times_transpose(X, K)
+            step_cost = _quadratic_form(X, sys.Q) + lam[:, t] * _quadratic_form(U, sys.R)
+            costs += np.where(active, step_cost, 0.0)
+            X = simulator._times_transpose(X, sys.A) + lam[:, t, None] * simulator._times_transpose(U, sys.B)
+            overflow = np.einsum("ij,ij->i", X, X) > DIVERGENCE_NORM**2
+            if first is None and overflow.any():
+                first = t
+            X[overflow] = 0.0
+            active &= ~overflow
+        return costs, ~active, first
+
+    @pytest.mark.parametrize("plant", ["example1", "example2", "plant3"])
+    @pytest.mark.parametrize("q", [0.0, 0.4, 1.0])
+    def test_costs_equal_always_masked(self, request, monkeypatch, plant, q):
+        sys = {"plant3": PLANT3}.get(plant) or request.getfixturevalue(plant)
+        # A weak gain leaves the first state's mode growing by 1.3 to 1.5 per
+        # step, so rows started at DIVERGENCE_NORM / 1.6^k along it overflow
+        # at different steps, the first of them well after the start.
+        K = np.full((sys.m, sys.n), -0.1)
+        cfg = SimConfig(seed=6, horizon=40, trajectories=200)
+        X0 = np.random.default_rng(sys.n).normal(size=(cfg.trajectories, sys.n))
+        X0[150:, 0] = DIVERGENCE_NORM * 1.6 ** -np.arange(5, 55)
+        _, lam = simulator._trajectory_draws(sys, np.zeros(sys.n), q, cfg, 0, cfg.trajectories)
+        draws = simulator._trajectory_draws
+        monkeypatch.setattr(simulator, "_trajectory_draws", lambda *args: (X0.copy(), draws(*args)[1]))
+        costs, divergent, _ = _batched_rollout(sys, K, q, np.zeros(sys.n), cfg)
+        expected_costs, expected_divergent, first = self.always_masked(sys, K, X0.copy(), lam)
+        assert 0 < divergent.sum() < cfg.trajectories
+        assert 3 <= first < cfg.horizon - 3
+        assert costs.tobytes() == expected_costs.tobytes()
+        assert divergent.tobytes() == expected_divergent.tobytes()
 
 
 class TestPinnedOutputs:
