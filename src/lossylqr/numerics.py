@@ -7,7 +7,6 @@ All routines target small dense matrices (state dimension <= 10, lifted maps
 """
 
 import math
-import threading
 import warnings
 
 import numpy as np
@@ -19,10 +18,6 @@ SYM_RTOL = 1e-10
 # Half-width, relative to 1 + rho, of the bracket that certifies a lifted
 # map's dense spectral radius.
 DUAL_AGREE_RTOL = 1e-7
-# `spectral_radius(M, cone=True)` sets `held` of its thread when it returns a
-# value that its bracket certified, with no warning.  A caller that keeps
-# radii clears it before each call and keeps only those after which it is set.
-_bracket = threading.local()
 
 
 def _as_matrix(M, stack: bool = False) -> np.ndarray:
@@ -33,6 +28,8 @@ def _as_matrix(M, stack: bool = False) -> np.ndarray:
         M = M.reshape(1, 1)
     if M.ndim != 2 and not (stack and M.ndim == 3):
         raise InvalidInputError(f"expected a 2-d matrix, got ndim={M.ndim}")
+    if not M.size and 0 in M.shape[-2:]:
+        raise InvalidInputError(f"expected a non-empty matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidInputError("matrix has non-finite entries")
     return M
@@ -120,10 +117,10 @@ class StallDetector:
         self.best_prev, self.best_cur, self.stalls = np.inf, np.inf, 0
 
     def stalled(self, it: int, delta):
-        """Record the change of step `it`; True once the run has stalled.  An
-        array of changes, one per run, gives an array of verdicts at the end
-        of each window."""
-        self.best_cur = np.minimum(self.best_cur, delta) if isinstance(delta, np.ndarray) else min(self.best_cur, delta)
+        """Record the changes of step `it`, an array with one per run: False
+        within a window, and at its end an array of verdicts, True for each
+        run that has stalled."""
+        self.best_cur = np.minimum(self.best_cur, delta)
         if it % self.WINDOW:
             return False
         worse = (it >= self.START) & (self.best_cur > 0.9 * self.best_prev)
@@ -184,6 +181,12 @@ def spectral_radius(M, *, cone: bool = False) -> float:
     returned as it is, with a RuntimeWarning.  Without `cone` the matrix
     need not preserve any cone, and the dense value is returned unchecked.
     """
+    return _spectral_radius(M, cone=cone)[0]
+
+
+def _spectral_radius(M, cone: bool) -> tuple[float, bool]:
+    """`spectral_radius`, and whether its bracket certified the value (which
+    it then returns with no warning)."""
     M = _as_matrix(M)
     n = M.shape[0]
     if M.shape[1] != n:
@@ -191,7 +194,7 @@ def spectral_radius(M, *, cone: bool = False) -> float:
 
     rho_dense = _dense_spectral_radius(M)
     if not cone:
-        return rho_dense
+        return rho_dense, False
 
     dim = math.isqrt(n)
     if dim**2 != n:
@@ -212,13 +215,12 @@ def spectral_radius(M, *, cone: bool = False) -> float:
         lower = rho_dense - tol
         solved = None if lower <= 0.0 else _lyapunov_solve(M, lower, dim)
         if solved is None or not _positive_definite(solved[1]):
-            _bracket.held = True
-            return rho_dense
+            return rho_dense, True
         side = "below (it may overstate rho)"
     warnings.warn(
         f"Lyapunov solves at rho -/+ {DUAL_AGREE_RTOL:.0e} * (1 + rho) do not bound the "
         f"dense spectral radius {rho_dense:.12e} from {side}",
         RuntimeWarning,
-        stacklevel=2,
+        stacklevel=3,
     )
-    return rho_dense
+    return rho_dense, False

@@ -23,13 +23,15 @@ gain is certified by the Lyapunov solve that evaluates it (Costa, Fragoso &
 Marques, Discrete-Time Markov Jump Linear Systems, 2005), and the dense test
 decides only where that certificate proves nothing (`_solve_certifies`).
 
-Repeated calls with the same plant and rate return the same read-only
-solution from a memo of two tiers: the four problems at rates other than 0
-returned last, and the standard (q = 0) solutions of the last eight plants.
-The estimate, the true rate and q = 0 of one design are each solved once
-however many functions ask for them, and a plant's standard solution, which
-the sample-complexity bound of each of its designs asks for, outlives the
-other rates of designs in between.
+A plant keeps its own results: `SystemSpec` holds read-only matrices and a
+private memo, so repeated calls with the same plant and rate return the
+same read-only solution.  The memo keeps every standard (q = 0) solution
+and the four other rates returned last, with the gain of each that
+`ce_gain` was asked for, and the threshold-bound evaluators and last
+certified lifted radius of `stability`.  The estimate, the true rate and
+q = 0 of one design are each solved once however many functions ask for
+them, and the standard solution, which the sample-complexity bound of each
+design asks for, outlives the other rates of designs in between.
 
 One driver runs this iteration, `_lockstep`, and a single rate is a stack
 of one: `mare_solve` (hence every design) passes one rate, and
@@ -108,21 +110,16 @@ BISECT_BAND = 4
 # oracle: 3236 maps at n = 3, 26 at n = 10.
 LOCKSTEP_ENTRIES = 1 << 18
 
-# `mare_solve` keeps the _MEMO_SIZE solutions at rates other than 0 that it
-# returned last, and apart from those the _STANDARD_MEMO_SIZE solutions at
-# q = 0, evicting the least recently returned of each tier.  One design solves
-# at its estimate, the true rate and 0, and the standard solution of a plant
-# comes back in each of its designs.  Keys start with the tier (q == 0).
+# A plant's memo (`SystemSpec._memo`) keeps its solutions at q = 0 and the
+# _MEMO_SIZE solutions at other rates that `mare_solve` returned last.  One
+# lock guards every change of any plant's memo, since an insert during the
+# eviction's pass over the keys would break it; a lookup needs none.
 _MEMO_SIZE = 4
-_STANDARD_MEMO_SIZE = 8
-_memo: dict = {}
 _memo_lock = threading.Lock()
-# `ce_gain` keeps (solution, its gain) of the last call, replaced as one tuple.
-_gain_memo: tuple = (None, None)
 
 
 def _as_2d(M, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
+    M = np.array(M, dtype=float)
     if M.ndim == 0:
         M = M.reshape(1, 1)
     elif M.ndim == 1:
@@ -141,7 +138,9 @@ class SystemSpec:
     Q and R must be symmetric positive definite.  Stabilizability of (A, B)
     is not checked eagerly; it is certified operationally by `dare_solve`
     converging (a non-stabilizable pair makes the iteration diverge and
-    raises NoSolutionError).
+    raises NoSolutionError).  The plant keeps read-only copies of its
+    matrices and, in a private memo, the results derived from them; a
+    pickled or copied plant is checked again and starts with an empty memo.
     """
 
     A: np.ndarray
@@ -159,6 +158,8 @@ class SystemSpec:
         if B.shape[0] != n:
             raise DimensionError(f"B has {B.shape[0]} rows, expected {n}")
         m = B.shape[1]
+        if n == 0 or m == 0:
+            raise DimensionError(f"a plant needs at least one state and one input, got n={n}, m={m}")
         Q = symmetrize(_as_2d(self.Q, "Q"))
         R = symmetrize(_as_2d(self.R, "R"))
         if Q.shape != (n, n):
@@ -169,10 +170,13 @@ class SystemSpec:
             lmin, _ = sym_eig_extremes(M)
             if lmin <= 0.0:
                 raise InvalidInputError(f"{label} must be positive definite (lambda_min={lmin:.3e})")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
+        for label, M in (("A", A), ("B", B), ("Q", Q), ("R", R)):
+            M.flags.writeable = False
+            object.__setattr__(self, label, M)
+        object.__setattr__(self, "_memo", {})
+
+    def __reduce__(self):
+        return type(self), (self.A, self.B, self.Q, self.R, self.name)
 
     @property
     def n(self) -> int:
@@ -591,11 +595,10 @@ def _lockstep(sys: SystemSpec, qs: list) -> list:
     return results
 
 
-def _plant_key(sys: SystemSpec) -> tuple:
-    """The bytes and layout of (A, B, Q, R), which key the memos of per-plant
-    results: each can change a result's bits, and an in-place change of the
-    plant gives a new key."""
-    return tuple((M.shape, M.strides, M.tobytes()) for M in (sys.A, sys.B, sys.Q, sys.R))
+def _rate_key(q) -> tuple:
+    """The key of rate q in a plant's memo: standard (q = 0) or not, and q
+    with its type (each can change the result's bits)."""
+    return ("standard" if float(q) == 0.0 else "rate", type(q), float(q).hex())
 
 
 def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
@@ -617,30 +620,27 @@ def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
     The solve is the lock-step driver `_lockstep` on a stack of one rate, so
     a rate gets the same bits here as in any grid or bisection.
 
-    The _MEMO_SIZE solutions at rates other than 0 returned last are kept,
-    and apart from those the standard (q = 0) solutions of the last
-    _STANDARD_MEMO_SIZE plants, which the sample-complexity bounds of each
-    design ask for again.  Keys are the bytes and layout of (A, B, Q, R) and
-    q with its type (each can change the result's bits): the same problem
-    again returns the same object, whose P is read-only.  Failures are not
-    kept.
+    The plant's memo keeps every standard (q = 0) solution, which the
+    sample-complexity bounds of each design ask for again, and the
+    _MEMO_SIZE solutions at other rates returned last, keyed by q with its
+    type: the same problem again returns the same object, whose P is
+    read-only.  Failures are not kept.
     """
     _check_rate(q)
-    standard = float(q) == 0.0
-    key = (standard, type(q), float(q).hex(), *_plant_key(sys))
+    key = _rate_key(q)
     with _memo_lock:
-        sol = _memo.pop(key, None)
-    if sol is None:
+        entry = sys._memo.pop(key, None)
+    if entry is None:
         (sol,) = _lockstep(sys, [q])
         if isinstance(sol, NoSolutionError):
             raise sol
         sol.P.flags.writeable = False
+        entry = [sol, None]  # the gain, once `ce_gain` asks for it
     with _memo_lock:
-        _memo[key] = sol
-        tier = [k for k in _memo if k[0] == standard]
-        for k in tier[: max(0, len(tier) - (_STANDARD_MEMO_SIZE if standard else _MEMO_SIZE))]:
-            del _memo[k]
-    return sol
+        sys._memo[key] = entry
+        for k in [k for k in sys._memo if k[0] == "rate"][:-_MEMO_SIZE]:
+            del sys._memo[k]
+    return entry[0]
 
 
 def dare_solve(sys: SystemSpec) -> RiccatiSolution:
@@ -781,18 +781,17 @@ def critical_probability(sys: SystemSpec, refine: bool = True) -> CriticalProbab
 def ce_gain(sys: SystemSpec, q_hat: float) -> tuple[Gain, RiccatiSolution]:
     """Certainty-equivalence optimal gain designed as if q_hat were the true loss rate.
 
-    The gain of the solution returned last is kept, keyed by that solution
-    object (the memo of `mare_solve` returns the same object for the same
-    plant and rate), so the three calls of one design solve for it once.
-    Each call gets its own writable copy, with the bytes and C layout of the
+    The gain is kept with its solution in the plant's memo (see
+    `mare_solve`), so the three calls of one design solve for it once.  Each
+    call gets its own writable copy, with the bytes and C layout of the
     first."""
-    global _gain_memo
     sol = mare_solve(sys, q_hat)
-    kept, K = _gain_memo
-    if kept is not sol:
+    entry = sys._memo.get(_rate_key(q_hat)) or [sol, None]
+    K = entry[1]
+    if K is None:
         K = _feedback_gain(sys, sol.P)
         K.flags.writeable = False
-        _gain_memo = (sol, K)
+        entry[1] = K
     return Gain(K=K.copy(), q_design=q_hat), sol
 
 

@@ -36,6 +36,7 @@ np.sum's bits (`_row_squares`).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +209,8 @@ class SimConfig:
 
     The default horizon suffices for the worked examples: once the closed
     loop is mean-square stable, the truncated-cost bias rho(Phi)^T * tr(S)
-    is far below 1e-4 of the mean well before T = 200.
+    is far below 1e-4 of the mean well before T = 200.  Each field must be
+    an integer; a numpy integer is kept as a Python int.
     """
 
     seed: int = 0
@@ -216,6 +218,12 @@ class SimConfig:
     trajectories: int = 10_000
 
     def __post_init__(self):
+        for name in ("seed", "horizon", "trajectories"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
         if self.horizon < 1:
             raise InvalidInputError(f"horizon must be >= 1, got {self.horizon}")
         if self.trajectories < 1:

@@ -18,16 +18,14 @@ of `riccati`, shared with the Riccati solver.
 """
 
 import bisect
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NoSolutionError, NotPSDError
-from .numerics import _bracket, _dense_spectral_radius, psd_sqrt, spectral_radius, sym_eig_extremes, symmetrize
+from .numerics import _dense_spectral_radius, _spectral_radius, psd_sqrt, sym_eig_extremes, symmetrize
 from .riccati import (
-    _STANDARD_MEMO_SIZE,
     LOCKSTEP_ENTRIES,
     RHO_MARGIN,
     CriticalProbability,
@@ -41,7 +39,7 @@ from .riccati import (
     _lifted_map,
     _ms_stable,
     _mare_solve_rates,
-    _plant_key,
+    _memo_lock,
     _scalar_iff_value,
     _solve_each,
     ce_gain,
@@ -54,13 +52,6 @@ VARIANT_GENERAL = "general"
 VARIANT_SCALAR = "scalar"
 VARIANT_INVERTIBLE_B = "invertible_B"
 THRESHOLD_VARIANTS = (VARIANT_GENERAL, VARIANT_SCALAR, VARIANT_INVERTIBLE_B)
-
-# See `_plant_bounds`.
-_bounds_memo: dict = {}
-_bounds_memo_lock = threading.Lock()
-# See `_lifted_rho`; at most one entry.
-_rho_memo: dict = {}
-_rho_memo_lock = threading.Lock()
 
 # Strict matrix inequalities "M > 0" are decided as lambda_min > this margin.
 STRICT_MARGIN = 1e-9
@@ -208,27 +199,24 @@ def _lifted_rho(sys: SystemSpec, K, q: float) -> tuple[np.ndarray, float]:
     """The lifted map of `lifted_matrix` and its spectral radius, certified as
     that of a PSD-cone-preserving map (see `numerics.spectral_radius`).
 
-    The last result whose radius the bracket certified is kept, with its map
-    made read-only, so that the oracle and the second-moment sum of one design
-    share it.  The key is q with its type, the layout and bytes of the checked
-    gain and the plant's key in `mare_solve`'s memo: each can change the
+    The plant's memo keeps its last result whose radius the bracket
+    certified, with its map made read-only, so that the oracle and the
+    second-moment sum of one design share it.  The key is q with its type
+    and the layout and bytes of the checked gain: each can change the
     result's bits.  A radius that raised or warned is not kept, so every
     caller meets its error or warning."""
     _check_lifted_rate(q)
     K = _gain(sys, K)
-    key = (type(q), float(q).hex(), K.shape, K.strides, K.tobytes(), *_plant_key(sys))
-    with _rho_memo_lock:
-        kept = _rho_memo.get(key)
-    if kept is not None:
-        return kept
+    key = (type(q), float(q).hex(), K.shape, K.strides, K.tobytes())
+    kept = sys._memo.get(("lifted_rho",))
+    if kept is not None and kept[0] == key:
+        return kept[1:]
     Phi = _lifted_map(sys, K, q)
-    _bracket.held = False
-    rho = spectral_radius(Phi, cone=True)
-    if _bracket.held:
+    rho, certified = _spectral_radius(Phi, cone=True)
+    if certified:
         Phi.flags.writeable = False
-        with _rho_memo_lock:
-            _rho_memo.clear()
-            _rho_memo[key] = Phi, rho
+        with _memo_lock:
+            sys._memo[("lifted_rho",)] = key, Phi, rho
     return Phi, rho
 
 
@@ -285,21 +273,15 @@ def st_lower_bound(sys: SystemSpec, q: float, variant: str) -> ThresholdReport:
 
 def _plant_bounds(sys: SystemSpec, variant: str):
     """`_threshold_bounds` of the plant and variant, with the clamped q_c and
-    the standard solution P0, kept for the last _STANDARD_MEMO_SIZE (variant,
-    plant) pairs.  Keys are those of `mare_solve`'s memo; an entry is used
-    only with the P0 object it was built on, so it lasts no longer than the
-    standard solution that `mare_solve` keeps."""
-    P0 = None if variant == VARIANT_SCALAR else dare_solve(sys).P
-    key = (variant, *_plant_key(sys))
-    with _bounds_memo_lock:
-        entry = _bounds_memo.pop(key, None)
-    if entry is None or entry[0] is not P0:
-        entry = P0, _threshold_bounds(sys, variant, P0, _qc_clamp(critical_probability(sys, refine=False)))
-    with _bounds_memo_lock:
-        _bounds_memo[key] = entry
-        for k in list(_bounds_memo)[:-_STANDARD_MEMO_SIZE]:
-            del _bounds_memo[k]
-    return entry[1]
+    the standard solution P0, kept in the plant's memo, which keeps P0 too."""
+    key = ("bounds", variant)
+    bounds = sys._memo.get(key)
+    if bounds is None:
+        P0 = None if variant == VARIANT_SCALAR else dare_solve(sys).P
+        bounds = _threshold_bounds(sys, variant, P0, _qc_clamp(critical_probability(sys, refine=False)))
+        with _memo_lock:
+            sys._memo[key] = bounds
+    return bounds
 
 
 def _check_threshold_variant(sys: SystemSpec, variant: str) -> None:

@@ -1,3 +1,6 @@
+import copy
+import sys
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,17 @@ def plant3() -> SystemSpec:
         R=np.eye(2),
         name="plant3",
     )
+
+
+def fresh(plant: SystemSpec) -> SystemSpec:
+    """A copy of the plant, which starts with an empty memo: every result of
+    the copy is computed afresh."""
+    return copy.copy(plant)
+
+
+def report_bits(report) -> tuple:
+    """A ThresholdReport with each float as its hex string."""
+    return report.variant, report.bound.hex(), {k: v.hex() for k, v in report.constituents.items()}
 
 
 def scalar_mare_root(q: float, a: float = 1.5) -> float:
@@ -84,3 +98,29 @@ def batches(monkeypatch) -> list:
     solve = riccati._mare_solve_rates
     monkeypatch.setattr(riccati, "_mare_solve_rates", lambda sys, qs: sizes.append(len(qs)) or solve(sys, qs))
     return sizes
+
+
+def record_solves_alone(monkeypatch, record):
+    """Call record(q) for each rate that `mare_solve` really solves: its
+    one-rate `_lockstep` call, not those of `_mare_solve_rates`.  Plants from
+    `fresh` start with an empty memo."""
+    inner = riccati._lockstep
+
+    def recorded(plant, qs):
+        if sys._getframe(1).f_code is riccati.mare_solve.__code__:
+            record(qs[0])
+        return inner(plant, qs)
+
+    monkeypatch.setattr(riccati, "_lockstep", recorded)
+
+
+@pytest.fixture
+def solve_count(monkeypatch):
+    """Count the solves that `mare_solve` really runs."""
+    count = [0]
+
+    def counted(q):
+        count[0] += 1
+
+    record_solves_alone(monkeypatch, counted)
+    return count

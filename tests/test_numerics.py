@@ -19,7 +19,60 @@ from lossylqr import (
     sym_eig_extremes,
     symmetrize,
 )
-from lossylqr import numerics, stability
+from lossylqr import numerics
+from lossylqr.numerics import StallDetector
+from conftest import fresh
+
+
+class TestEmptyMatrix:
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 2), (2, 0), (3, 0, 0)])
+    @pytest.mark.parametrize("routine", [sym_eig_extremes, psd_sqrt, symmetrize, spectral_radius])
+    def test_is_refused(self, routine, shape):
+        with pytest.raises(InvalidInputError):
+            routine(np.zeros(shape))
+
+    def test_empty_stack_of_matrices_is_not_a_matrix_of_zero_size(self):
+        assert symmetrize(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+
+class TestStallDetector:
+    """Windows of StallDetector.WINDOW steps: from START on, a window whose
+    smallest change is not 10 % below the last window's counts as a stall,
+    and two in a row stop the run."""
+
+    @staticmethod
+    def verdicts(runs) -> dict:
+        """The array of verdicts at the end of each window, by step."""
+        stall, out = StallDetector(), {}
+        for it in range(1, 4 * StallDetector.START):
+            verdict = stall.stalled(it, np.array([run(it) for run in runs]))
+            if it % StallDetector.WINDOW:
+                assert verdict is False
+            else:
+                out[it] = verdict.tolist()
+        return out
+
+    def test_windowed_verdicts(self):
+        w, start = StallDetector.WINDOW, StallDetector.START
+        # A flat run, one 15 % lower each window, and one that is flat from
+        # two windows after START on.  Nothing stalls before START; the flat
+        # run's windows from START on are both stalls by START + WINDOW, the
+        # late run's two windows after it flattens.
+        out = self.verdicts(
+            [lambda it: 1.0, lambda it: 0.85 ** (it // w), lambda it: 0.85 ** min(it // w, start // w + 2)]
+        )
+        assert all(v == [False] * 3 for it, v in out.items() if it < start + w)
+        assert out[start + w] == [True, False, False]
+        assert out[start + 3 * w] == [True, False, False]
+        assert out[start + 4 * w] == [True, False, True]
+        assert all(v[1] is False for v in out.values())
+
+    def test_one_improving_window_resets_the_count(self):
+        w, start = StallDetector.WINDOW, StallDetector.START
+        # Flat, but 20 % lower from START on: the window that ends at
+        # START + WINDOW improves, so the first stall there does not count.
+        out = self.verdicts([lambda it: 0.8 if it > start else 1.0])
+        assert [it for it, v in out.items() if v == [True]][0] == start + 3 * w
 
 
 class TestSymEigExtremes:
@@ -354,16 +407,16 @@ class TestLyapunovBracket:
         assert spectral_radius(Phi) == rho + shift
 
     def test_lifted_map_callers_assert_the_cone(self, monkeypatch, example2):
-        gain, _ = ce_gain(example2, 0.1633)
-        # A radius kept from an earlier call would not reach the patched kernel.
-        monkeypatch.setattr(stability, "_rho_memo", {})
+        # A fresh plant keeps no radius that would not reach the patched kernel.
+        plant = fresh(example2)
+        gain, _ = ce_gain(plant, 0.1633)
         dense = numerics._dense_spectral_radius
         monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda M: dense(M) - 2e-7)
         cfg = SimConfig(seed=0, horizon=4, trajectories=2)
         calls = [
-            lambda: exact_ms_stable(example2, gain, 0.2),
-            lambda: second_moment_sum(example2, gain, 0.2, np.eye(2)),
-            lambda: empirical_ms_decay(example2, gain, 0.2, np.ones(2), cfg),
+            lambda: exact_ms_stable(plant, gain, 0.2),
+            lambda: second_moment_sum(plant, gain, 0.2, np.eye(2)),
+            lambda: empirical_ms_decay(plant, gain, 0.2, np.ones(2), cfg),
         ]
         for call in calls:
             with pytest.raises(NumericalFailureError, match="bound"):

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import sys
 import threading
 from pathlib import Path
@@ -23,12 +25,24 @@ from lossylqr import (
     min_samples,
     optimal_cost,
     region_map,
+    st_lower_bound,
     zero_sample_safe_q,
 )
 from lossylqr import riccati
 from lossylqr.riccati import CriticalProbability
 from lossylqr.stability import _threshold_curve
-from conftest import feasible_rate_ceiling, random_stabilizable_system, scalar_mare_root
+from conftest import (
+    feasible_rate_ceiling,
+    fresh,
+    random_stabilizable_system,
+    record_solves_alone,
+    report_bits,
+    scalar_mare_root,
+)
+
+
+def pickle_round_trip(plant):
+    return pickle.loads(pickle.dumps(plant))
 
 
 class TestSystemSpec:
@@ -42,6 +56,33 @@ class TestSystemSpec:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionError):
             SystemSpec(A=np.eye(2), B=np.ones((3, 1)), Q=np.eye(2), R=1.0)
+
+    @pytest.mark.parametrize(
+        "A, B, Q, R",
+        [(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((0, 0)), 1.0), (1.0, np.zeros((1, 0)), 1.0, np.zeros((0, 0)))],
+        ids=["no_state", "no_input"],
+    )
+    def test_rejects_an_empty_plant(self, A, B, Q, R):
+        with pytest.raises(DimensionError, match="at least one state and one input"):
+            SystemSpec(A=A, B=B, Q=Q, R=R)
+
+    def test_rejects_an_empty_cost(self):
+        with pytest.raises(InvalidInputError):
+            SystemSpec(A=1.0, B=1.0, Q=np.zeros((0, 0)), R=1.0)
+
+    @pytest.mark.parametrize("clone", [pickle_round_trip, copy.deepcopy, copy.copy])
+    def test_plant_copies_without_its_memo(self, example2, clone):
+        plant = fresh(example2)
+        bound = st_lower_bound(plant, 0.2, "general")
+        exact_ms_stable(plant, ce_gain(plant, 0.1633)[0], 0.2)
+        assert plant._memo
+        twin = clone(plant)
+        assert twin._memo == {} and plant._memo
+        for name in "ABQR":
+            M, N = getattr(plant, name), getattr(twin, name)
+            assert M.tobytes() == N.tobytes() and M.strides == N.strides and not N.flags.writeable
+        assert twin.name == plant.name
+        assert report_bits(st_lower_bound(twin, 0.2, "general")) == report_bits(bound)
 
     def test_non_stabilizable_detected_by_solver(self):
         # Unstable mode unreachable from the input.
@@ -344,13 +385,23 @@ class TestCeGain:
         gain.K[...] = 0.0
         assert ce_gain(plant3, 0.2)[0].K.tobytes() == expected
 
-    def test_in_place_change_of_plant_solves_the_gain_again(self):
-        plant = SystemSpec(A=1.5, B=1.0, Q=1.0, R=1.0)
-        before = ce_gain(plant, 0.2)[0].K.tobytes()
-        plant.A[0, 0] = 1.2
-        after = ce_gain(plant, 0.2)[0].K
-        assert after.tobytes() != before
-        assert after.tobytes() == ce_gain(SystemSpec(A=1.2, B=1.0, Q=1.0, R=1.0), 0.2)[0].K.tobytes()
+    def test_gain_is_kept_with_its_solution(self, example2, monkeypatch):
+        plant, solves = fresh(example2), []
+        inner = riccati._feedback_gain
+
+        def recorded(plant, P):
+            if sys._getframe(1).f_code is riccati.ce_gain.__code__:
+                solves.append(P)
+            return inner(plant, P)
+
+        monkeypatch.setattr(riccati, "_feedback_gain", recorded)
+        first = ce_gain(plant, 0.2)[0].K.tobytes()
+        assert ce_gain(plant, 0.2)[0].K.tobytes() == first and len(solves) == 1
+        for i in range(riccati._MEMO_SIZE):
+            mare_solve(plant, 0.01 * (i + 1))
+        # The rate left the memo with its gain: both are computed again.
+        assert ce_gain(plant, 0.2)[0].K.tobytes() == first and len(solves) == 2
+        assert solves[1] is not solves[0]
 
 
 class TestOptimalCost:
@@ -399,130 +450,123 @@ def test_dare_with_nearly_uncontrollable_unstable_modes():
     assert exact_ms_stable(plant, riccati._feedback_gain(plant, P), 0.0).stable
 
 
-def record_solves_alone(monkeypatch, record):
-    """Start `mare_solve` with an empty memo and call record(q) for each rate
-    that it really solves: its one-rate `_lockstep` call, not those of
-    `_mare_solve_rates`."""
-    monkeypatch.setattr(riccati, "_memo", {})
-    inner = riccati._lockstep
-
-    def recorded(plant, qs):
-        if sys._getframe(1).f_code is riccati.mare_solve.__code__:
-            record(qs[0])
-        return inner(plant, qs)
-
-    monkeypatch.setattr(riccati, "_lockstep", recorded)
-
-
-@pytest.fixture
-def solve_count(monkeypatch):
-    """Start `mare_solve` with an empty memo and count the solves it really runs."""
-    count = [0]
-
-    def counted(q):
-        count[0] += 1
-
-    record_solves_alone(monkeypatch, counted)
-    return count
+def rates_kept(plant) -> int:
+    return sum(key[0] == "rate" for key in plant._memo)
 
 
 class TestMareMemo:
     def test_returned_solution_is_shared_and_read_only(self, example1, solve_count):
-        sol = mare_solve(example1, 0.2)
-        assert mare_solve(example1, 0.2) is sol
+        plant = fresh(example1)
+        sol = mare_solve(plant, 0.2)
+        assert mare_solve(plant, 0.2) is sol
         assert solve_count[0] == 1
         with pytest.raises(ValueError):
             sol.P[0, 0] = 0.0
 
-    def test_in_place_change_of_plant_solves_again(self, solve_count):
-        sys = SystemSpec(A=1.5, B=1.0, Q=1.0, R=1.0)
-        before = mare_solve(sys, 0.2).P[0, 0]
-        sys.A[0, 0] = 1.2
-        after = mare_solve(sys, 0.2)
+    def test_plant_is_read_only_and_a_new_plant_solves_afresh(self, solve_count):
+        A = np.array([[1.5]])
+        plant = SystemSpec(A=A, B=1.0, Q=1.0, R=1.0)
+        before = mare_solve(plant, 0.2)
+        for M in (plant.A, plant.B, plant.Q, plant.R):
+            with pytest.raises(ValueError):
+                M[0, 0] = 1.2
+        A[0, 0] = 1.2  # the plant holds a copy of its input
+        assert mare_solve(plant, 0.2) is before and plant.A[0, 0] == 1.5
+        after = mare_solve(SystemSpec(A=A, B=1.0, Q=1.0, R=1.0), 0.2)
         assert solve_count[0] == 2
-        np.testing.assert_array_equal(after.P, mare_solve(SystemSpec(A=1.2, B=1.0, Q=1.0, R=1.0), 0.2).P)
         assert after.P[0, 0] == pytest.approx(scalar_mare_root(0.2, a=1.2), rel=1e-10)
-        assert after.P[0, 0] != before
+        np.testing.assert_array_equal(mare_solve(fresh(plant), 0.2).P, before.P)
+        assert solve_count[0] == 3
+
+    def test_plant_keeps_its_input_layout(self, example2):
+        # np.array keeps a Fortran input's layout, so BLAS sees the same operands.
+        A = np.asfortranarray([[1.5, 0.1], [0.0, 1.0]])
+        plant = SystemSpec(A=A, B=example2.B, Q=example2.Q, R=example2.R)
+        assert plant.A.strides == A.strides and not np.shares_memory(plant.A, A)
 
     def test_oldest_problem_is_evicted(self, example2, solve_count):
+        plant = fresh(example2)
         rates = [0.05 * (i + 1) for i in range(riccati._MEMO_SIZE + 1)]
-        first = [mare_solve(example2, q) for q in rates]
+        first = [mare_solve(plant, q) for q in rates]
         assert solve_count[0] == riccati._MEMO_SIZE + 1
-        assert mare_solve(example2, rates[-1]) is first[-1]
+        assert mare_solve(plant, rates[-1]) is first[-1]
         assert solve_count[0] == riccati._MEMO_SIZE + 1
-        again = mare_solve(example2, rates[0])
+        again = mare_solve(plant, rates[0])
         assert solve_count[0] == riccati._MEMO_SIZE + 2
         assert again is not first[0]
         np.testing.assert_array_equal(again.P, first[0].P)
 
     def test_standard_solution_outlives_other_rates(self, example2, solve_count):
-        standard = dare_solve(example2)
+        plant = fresh(example2)
+        standard = dare_solve(plant)
         for i in range(2 * riccati._MEMO_SIZE):
-            mare_solve(example2, 0.02 * (i + 1))
+            mare_solve(plant, 0.02 * (i + 1))
         assert solve_count[0] == 2 * riccati._MEMO_SIZE + 1
-        assert dare_solve(example2) is standard
-        assert mare_solve(example2, 0.0) is standard
+        assert dare_solve(plant) is standard
+        assert mare_solve(plant, 0.0) is standard
         assert solve_count[0] == 2 * riccati._MEMO_SIZE + 1
 
-    def test_oldest_standard_solution_is_evicted(self, solve_count):
-        plants = [SystemSpec(A=1.5 + 0.01 * i, B=1.0, Q=1.0, R=1.0) for i in range(riccati._STANDARD_MEMO_SIZE + 1)]
-        first = [dare_solve(sys) for sys in plants]
-        assert solve_count[0] == len(plants)
-        assert dare_solve(plants[-1]) is first[-1]
-        assert dare_solve(plants[1]) is first[1]
-        assert solve_count[0] == len(plants)
-        again = dare_solve(plants[0])
-        assert solve_count[0] == len(plants) + 1
-        assert again is not first[0]
-        np.testing.assert_array_equal(again.P, first[0].P)
-
-    def test_two_lru_tiers(self, solve_count):
-        # A random call sequence against a model: one least-recently-returned
-        # list per tier, of _MEMO_SIZE rates other than 0 and
-        # _STANDARD_MEMO_SIZE standard solutions.
+    def test_each_plant_keeps_its_own_rates(self, solve_count):
+        # A random call sequence against a model: per plant, a
+        # least-recently-returned list of _MEMO_SIZE rates other than 0, and
+        # every standard solution.
         rng = np.random.default_rng(3)
-        plants = [SystemSpec(A=1.2 + 0.05 * i, B=1.0, Q=1.0, R=1.0) for i in range(12)]
-        tiers = {True: [], False: []}
-        limits = {True: riccati._STANDARD_MEMO_SIZE, False: riccati._MEMO_SIZE}
+        plants = [SystemSpec(A=1.2 + 0.05 * i, B=1.0, Q=1.0, R=1.0) for i in range(4)]
+        kept = [[] for _ in plants]
         solves = 0
         for _ in range(400):
-            problem = (int(rng.integers(len(plants))), float(rng.choice([0.0, 0.0, 0.1, 0.2, 0.3])))
-            tier = tiers[problem[1] == 0.0]
-            if problem in tier:
-                tier.remove(problem)
+            i, q = int(rng.integers(len(plants))), float(rng.choice([0.0, 0.0, 0.1, 0.2, 0.3, 0.35, 0.4]))
+            if q in kept[i]:
+                kept[i].remove(q)
             else:
                 solves += 1
-            tier.append(problem)
-            del tier[: -limits[problem[1] == 0.0]]
-            mare_solve(plants[problem[0]], problem[1])
+            kept[i].append(q)
+            kept[i] = [r for r in kept[i] if r == 0.0] + [r for r in kept[i] if r != 0.0][-riccati._MEMO_SIZE :]
+            mare_solve(plants[i], q)
             assert solve_count[0] == solves
+        assert [rates_kept(p) for p in plants] == [riccati._MEMO_SIZE] * len(plants)
 
     def test_failure_is_solved_on_every_call(self, example1, solve_count):
+        plant = fresh(example1)
         for calls in (1, 2, 3):
             with pytest.raises(NoSolutionError):
-                mare_solve(example1, 0.5)
+                mare_solve(plant, 0.5)
             assert solve_count[0] == calls
+        assert plant._memo == {}
 
     def test_rate_type_is_part_of_the_problem(self, example1, solve_count):
-        assert type(mare_solve(example1, 0).q_used) is int
-        assert type(mare_solve(example1, 0.0).q_used) is float
-        assert solve_count[0] == 2
+        plant = fresh(example1)
+        assert type(mare_solve(plant, 0).q_used) is int
+        assert type(mare_solve(plant, 0.0).q_used) is float
+        assert type(mare_solve(plant, np.float64(0.2)).q_used) is np.float64
+        assert type(mare_solve(plant, 0.2).q_used) is float
+        assert solve_count[0] == 4
 
-    def test_concurrent_callers_share_the_memo(self, example1, solve_count):
-        # Rates other than 0 of one plant, and the standard solutions of more
-        # plants than either tier holds.
-        plants = [SystemSpec(A=1.5 + 0.01 * i, B=1.0, Q=1.0, R=1.0) for i in range(riccati._STANDARD_MEMO_SIZE + 2)]
-        problems = [(example1, 0.02 * i) for i in range(2 * riccati._MEMO_SIZE)] + [(p, 0.0) for p in plants]
-        expected = [solve_alone(p, q).P.tobytes() for p, q in problems]
+    def test_concurrent_callers_share_the_memo(self, example2, solve_count):
+        # Twice as many rates other than 0 as a plant keeps, the standard
+        # solution, and the threshold bounds and lifted radii that the same
+        # plant's memo keeps, from eight threads.
+        plant = fresh(example2)
+        rates = [0.0] + [0.02 * (i + 1) for i in range(2 * riccati._MEMO_SIZE)]
+        gains = {q: ce_gain(example2, q)[0] for q in (0.1, 0.2)}
+        expected = {
+            "solve": [solve_alone(example2, q).P.tobytes() for q in rates],
+            "bound": [st_lower_bound(fresh(example2), q, "general").bound for q in rates],
+            "radius": {q: exact_ms_stable(fresh(example2), K, 0.3).certificate for q, K in gains.items()},
+        }
         errors = []
 
         def caller(offset):
             try:
                 for i in range(60):
-                    k = (i * 3 + offset) % len(problems)
-                    p, q = problems[k]
-                    if mare_solve(p, q).P.tobytes() != expected[k]:
-                        errors.append(f"wrong solution of problem {k} at q={q}")
+                    k = (i * 3 + offset) % len(rates)
+                    if mare_solve(plant, rates[k]).P.tobytes() != expected["solve"][k]:
+                        errors.append(f"wrong solution at q={rates[k]}")
+                    if i % 3 == 0 and st_lower_bound(plant, rates[k], "general").bound != expected["bound"][k]:
+                        errors.append(f"wrong bound at q={rates[k]}")
+                    q_hat = (0.1, 0.2)[(i + offset) % 2]
+                    if exact_ms_stable(plant, gains[q_hat], 0.3).certificate != expected["radius"][q_hat]:
+                        errors.append(f"wrong radius of the design at {q_hat}")
             except Exception as exc:  # collected and reported by the main thread
                 errors.append(repr(exc))
 
@@ -538,20 +582,19 @@ class TestMareMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        standard = sum(sol.q_used == 0 for sol in riccati._memo.values())
-        assert standard <= riccati._STANDARD_MEMO_SIZE
-        assert len(riccati._memo) - standard <= riccati._MEMO_SIZE
+        assert rates_kept(plant) == riccati._MEMO_SIZE
+        assert ("standard", float, "0x0.0p+0") in plant._memo and ("bounds", "general") in plant._memo
 
-    def test_design_loop_solves_each_rate_once(self, example2, solve_count, monkeypatch):
+    def test_design_loop_solves_each_rate_once(self, example2, solve_count):
         X0 = np.eye(2)
         for q, q_hat, N in ((0.1, 0.12, 300), (0.2, 0.1633, 1000), (0.3, 0.28, 3000)):
-            monkeypatch.setattr(riccati, "_memo", {})
+            plant = fresh(example2)
             solve_count[0] = 0
-            gain, _ = ce_gain(example2, q_hat)
-            certify_ce_controller(example2, q_hat, N, 0.05)
-            assert exact_ms_stable(example2, gain, q).stable
-            gap(example2, q, q_hat, X0)
-            min_samples(example2, q, 0.05, "general")
+            gain, _ = ce_gain(plant, q_hat)
+            certify_ce_controller(plant, q_hat, N, 0.05)
+            assert exact_ms_stable(plant, gain, q).stable
+            gap(plant, q, q_hat, X0)
+            min_samples(plant, q, 0.05, "general")
             assert solve_count[0] == 3
 
 
@@ -759,7 +802,7 @@ class TestStackMemberFailure:
 
 @pytest.fixture
 def solved_alone(monkeypatch):
-    """The rates that `mare_solve` solves alone, starting from an empty memo."""
+    """The rates that `mare_solve` solves alone."""
     rates = []
     record_solves_alone(monkeypatch, rates.append)
     return rates
@@ -772,25 +815,25 @@ class TestLockstepCallers:
     q_c bracket are solved alone."""
 
     def test_region_map_solves_no_rate_alone(self, example2, solve_count):
-        rm = region_map(example2, 0.01, "invertible_B")
+        rm = region_map(fresh(example2), 0.01, "invertible_B")
         assert len(rm.q_hat_grid) == len(rm.q_grid) > 1
         assert solve_count[0] == 0
 
     def test_safe_rate_solves_only_the_dare_alone(self, example2, solved_alone):
-        assert 0.0 < zero_sample_safe_q(example2, "invertible_B") < 1.0
+        assert 0.0 < zero_sample_safe_q(fresh(example2), "invertible_B") < 1.0
         assert solved_alone == [0.0]
 
     def test_gap_curve_solves_only_the_true_rate_alone(self, example2, solved_alone):
-        points = gap_curve(example2, 0.2, np.array([5.0, 5.0]), np.arange(0.0, 0.44, 0.01))
+        points = gap_curve(fresh(example2), 0.2, np.array([5.0, 5.0]), np.arange(0.0, 0.44, 0.01))
         assert len(points) == 44
         assert solved_alone == [0.2]
 
     def test_qc_bisection_solves_only_the_lower_end_alone(self, plant3, solve_count):
-        assert critical_probability(plant3).method == "bisection"
+        assert critical_probability(fresh(plant3)).method == "bisection"
         assert solve_count[0] == 1
 
     def test_threshold_curve_from_zero_solves_no_rate_alone(self, example2, solve_count):
-        rows = list(_threshold_curve(example2, "general", 0.0, None, 0.01))
+        rows = list(_threshold_curve(fresh(example2), "general", 0.0, None, 0.01))
         assert len(rows) > 10
         assert solve_count[0] == 0
 

@@ -77,6 +77,28 @@ class TestSampleChannel:
             sample_channel(0.5, 0, seed=0)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("field", ["seed", "horizon", "trajectories"])
+    @pytest.mark.parametrize("value", [10.0, np.float64(10.0), "10", None])
+    def test_refuses_a_non_integer(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+            SimConfig(**{field: value})
+
+    def test_refuses_non_positive_counts(self):
+        with pytest.raises(InvalidInputError):
+            SimConfig(horizon=0)
+        with pytest.raises(InvalidInputError):
+            SimConfig(trajectories=0)
+
+    def test_numpy_integers_run_as_python_ints(self, example1):
+        cfg = SimConfig(seed=np.uint64(7), horizon=np.int32(30), trajectories=np.int64(40))
+        assert (cfg.seed, cfg.horizon, cfg.trajectories) == (7, 30, 40)
+        assert all(type(v) is int for v in (cfg.seed, cfg.horizon, cfg.trajectories))
+        K = ce_gain(example1, 0.1)[0]
+        got = monte_carlo_cost(example1, K, 0.2, np.ones(1), cfg)
+        assert got == monte_carlo_cost(example1, K, 0.2, np.ones(1), SimConfig(seed=7, horizon=30, trajectories=40))
+
+
 class TestSimulateTrajectory:
     def test_deadbeat_with_delivered_packets(self, example1):
         cfg = SimConfig(seed=0, horizon=10, trajectories=1)

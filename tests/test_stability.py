@@ -42,7 +42,7 @@ from lossylqr.stability import (
     _strict_margin,
     _threshold_curve,
 )
-from conftest import feasible_rate_ceiling, random_stabilizable_system, scalar_mare_root
+from conftest import feasible_rate_ceiling, fresh, random_stabilizable_system, report_bits, scalar_mare_root
 
 
 def scalar_condition_value(q: float, q_hat: float, a: float = 1.5) -> float:
@@ -267,19 +267,13 @@ class TestThresholdBounds:
         assert "clamped_to_qc" in report.constituents
 
 
-def report_bits(report) -> tuple:
-    return report.variant, report.bound.hex(), {k: v.hex() for k, v in report.constituents.items()}
-
-
 class TestThresholdBoundMemo:
-    """`st_lower_bound` keeps each (variant, plant)'s q_c and bound evaluator,
-    and gives the bits of a call that builds them afresh."""
+    """A plant keeps its q_c and bound evaluator of each variant, with the
+    bits of a plant that builds them afresh."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Start with empty memos and count the evaluators really built."""
-        monkeypatch.setattr(stability, "_bounds_memo", {})
-        monkeypatch.setattr(riccati, "_memo", {})
+        """Count the evaluators really built."""
         count = [0]
         inner = stability._threshold_bounds
 
@@ -290,57 +284,34 @@ class TestThresholdBoundMemo:
         monkeypatch.setattr(stability, "_threshold_bounds", counted)
         return count
 
-    @staticmethod
-    def fresh(sys, q, variant):
-        """The report of a call with no memo entry for the plant."""
-        saved = dict(stability._bounds_memo)
-        stability._bounds_memo.clear()
-        try:
-            return st_lower_bound(sys, q, variant)
-        finally:
-            stability._bounds_memo.clear()
-            stability._bounds_memo.update(saved)
-
     @pytest.mark.parametrize(
         "plant, variants",
         [("example1", ("general", "scalar", "invertible_B")), ("example2", ("general", "invertible_B"))],
     )
     def test_repeated_calls_build_once_with_the_same_bits(self, request, builds, plant, variants):
-        sys = request.getfixturevalue(plant)
+        sys = fresh(request.getfixturevalue(plant))
         for variant in variants:
-            expected = [self.fresh(sys, q, variant) for q in (0.0, 0.1, 0.3)]
+            expected = [st_lower_bound(fresh(sys), q, variant) for q in (0.0, 0.1, 0.3)]
             before = builds[0]
             got = [st_lower_bound(sys, q, variant) for q in (0.0, 0.1, 0.3)]
             assert builds[0] == before + 1
-            for a, b in zip(got, expected):
-                assert a.bound.hex() == b.bound.hex()
-                assert {k: v.hex() for k, v in a.constituents.items()} == {k: v.hex() for k, v in b.constituents.items()}
+            assert [report_bits(a) for a in got] == [report_bits(b) for b in expected]
+        assert builds[0] == 4 * len(variants)
 
-    def test_in_place_change_of_plant_builds_again(self, builds):
-        sys = SystemSpec(A=1.5, B=1.0, Q=1.0, R=1.0)
-        before = st_lower_bound(sys, 0.2, "general").bound
-        sys.A[0, 0] = 1.2
-        after = st_lower_bound(sys, 0.2, "general").bound
-        assert builds[0] == 2 and after != before
-        assert after == st_lower_bound(SystemSpec(A=1.2, B=1.0, Q=1.0, R=1.0), 0.2, "general").bound
+    def test_each_plant_builds_its_own(self, builds):
+        plants = [SystemSpec(A=a, B=1.0, Q=1.0, R=1.0) for a in (1.5, 1.5, 1.2)]
+        bounds = [st_lower_bound(sys, 0.2, "general").bound for sys in plants for _ in range(2)]
+        assert builds[0] == 3
+        assert bounds[0] == bounds[2] != bounds[4]
+        assert bounds[4] == st_lower_bound(fresh(plants[2]), 0.2, "general").bound
 
-    def test_entry_lasts_no_longer_than_the_standard_solution(self, example2, builds, monkeypatch):
-        st_lower_bound(example2, 0.2, "general")
-        monkeypatch.setattr(riccati, "_memo", {})
-        st_lower_bound(example2, 0.2, "general")
-        assert builds[0] == 2
-
-    def test_oldest_pair_is_evicted(self, builds):
-        plants = [SystemSpec(A=1.5 + 0.01 * i, B=1.0, Q=1.0, R=1.0) for i in range(riccati._STANDARD_MEMO_SIZE + 1)]
-        for sys in plants:
-            st_lower_bound(sys, 0.1, "scalar")
-        assert builds[0] == len(plants)
-        st_lower_bound(plants[-1], 0.1, "scalar")
-        st_lower_bound(plants[1], 0.1, "scalar")
-        assert builds[0] == len(plants)
-        st_lower_bound(plants[0], 0.1, "scalar")
-        assert builds[0] == len(plants) + 1
-        assert len(stability._bounds_memo) == riccati._STANDARD_MEMO_SIZE
+    def test_evaluator_outlives_other_rates(self, example2, builds, solve_count):
+        sys = fresh(example2)
+        rates = [0.02 * (i + 1) for i in range(2 * riccati._MEMO_SIZE)]
+        for q in rates:
+            st_lower_bound(sys, q, "general")
+        # One evaluator, and the standard solution it was built on solved once.
+        assert builds[0] == 1 and solve_count[0] == len(rates) + 1
 
 
 def fresh_radius(sys, K, q) -> float:
@@ -348,49 +319,51 @@ def fresh_radius(sys, K, q) -> float:
     return spectral_radius(lifted_matrix(sys, K, q), cone=True)
 
 
+RHO_KEY = ("lifted_rho",)
+
+
 class TestLiftedRhoMemo:
-    """`_lifted_rho` keeps the last radius that its bracket certified, so the
+    """A plant keeps the last radius that its bracket certified, so the
     oracle and the second-moment sum of one design share one radius, with the
     bits of a fresh computation; any change of the rate, the gain's bytes or
     layout, or the plant computes afresh."""
 
     @pytest.fixture
     def radii(self, monkeypatch):
-        """Start with an empty radius memo and count the radii really computed."""
-        monkeypatch.setattr(stability, "_rho_memo", {})
+        """Count the radii really computed."""
         count = [0]
-        inner = stability.spectral_radius
+        inner = stability._spectral_radius
 
         def counted(M, **kwargs):
             count[0] += 1
             return inner(M, **kwargs)
 
-        monkeypatch.setattr(stability, "spectral_radius", counted)
+        monkeypatch.setattr(stability, "_spectral_radius", counted)
         return count
 
     @pytest.mark.parametrize("plant, q, q_hat", [("example1", 0.2, 0.15), ("example2", 0.2, 0.1633), ("plant3", 0.3, 0.25)])
     def test_oracle_and_gap_share_one_radius(self, request, radii, plant, q, q_hat):
-        sys = request.getfixturevalue(plant)
+        sys = fresh(request.getfixturevalue(plant))
         gain, _ = ce_gain(sys, q_hat)
         verdict = exact_ms_stable(sys, gain, q)
         report = gap(sys, q, q_hat, np.eye(sys.n))
         assert radii[0] == 1
         assert verdict.stable and verdict.certificate.hex() == fresh_radius(sys, gain, q).hex()
-        stability._rho_memo.clear()
-        again = gap(sys, q, q_hat, np.eye(sys.n))
+        again = gap(fresh(sys), q, q_hat, np.eye(sys.n))
         assert radii[0] == 2
         assert again.S.tobytes() == report.S.tobytes() and again.J_ce.hex() == report.J_ce.hex()
 
     def test_kept_map_is_read_only(self, example2, radii):
-        gain, _ = ce_gain(example2, 0.1633)
-        Phi, rho = stability._lifted_rho(example2, gain, 0.2)
-        assert stability._lifted_rho(example2, gain, 0.2) == (Phi, rho)
+        sys = fresh(example2)
+        gain, _ = ce_gain(sys, 0.1633)
+        Phi, rho = stability._lifted_rho(sys, gain, 0.2)
+        assert stability._lifted_rho(sys, gain, 0.2) == (Phi, rho)
         assert radii[0] == 1
         with pytest.raises(ValueError):
             Phi[0, 0] = 0.0
-        assert lifted_matrix(example2, gain, 0.2).flags.writeable
+        assert lifted_matrix(sys, gain, 0.2).flags.writeable
 
-    @pytest.mark.parametrize("change", ["rate", "gain_one_ulp", "fortran_gain", "plant_in_place"])
+    @pytest.mark.parametrize("change", ["rate", "gain_one_ulp", "fortran_gain", "new_plant"])
     def test_changed_problem_computes_afresh(self, radii, change):
         sys = SystemSpec(A=[[1.5, 0.1], [0.0, 1.0]], B=np.eye(2), Q=np.eye(2), R=np.eye(2))
         K, q = np.ascontiguousarray(ce_gain(sys, 0.1633)[0].K), 0.2
@@ -404,7 +377,7 @@ class TestLiftedRhoMemo:
             K = np.asfortranarray(K)
             assert K.strides != np.ascontiguousarray(K).strides
         else:
-            sys.A[0, 0] = 1.4
+            sys = SystemSpec(A=[[1.4, 0.1], [0.0, 1.0]], B=np.eye(2), Q=np.eye(2), R=np.eye(2))
         rho = exact_ms_stable(sys, K, q).certificate
         assert radii[0] == 2
         assert rho.hex() == fresh_radius(sys, K, q).hex()
@@ -412,32 +385,34 @@ class TestLiftedRhoMemo:
         assert radii[0] == 2
 
     def test_warning_reaches_every_caller(self, example2, radii, monkeypatch):
-        gain, _ = ce_gain(example2, 0.1633)
+        sys = fresh(example2)
+        gain, _ = ce_gain(sys, 0.1633)
         dense = numerics._dense_spectral_radius
         # An overstated dense radius is returned with a warning, and not kept.
         monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda M: dense(M) + 2e-7)
         for calls in (2, 4):
             with pytest.warns(RuntimeWarning, match="from below"):
-                exact_ms_stable(example2, gain, 0.2)
+                exact_ms_stable(sys, gain, 0.2)
             with pytest.warns(RuntimeWarning, match="from below"):
-                gap(example2, 0.2, 0.1633, np.eye(2))
+                gap(sys, 0.2, 0.1633, np.eye(2))
             assert radii[0] == calls
-        assert stability._rho_memo == {}
+        assert RHO_KEY not in sys._memo
 
     def test_error_reaches_every_caller(self, example2, radii, monkeypatch):
-        gain, _ = ce_gain(example2, 0.1633)
+        sys = fresh(example2)
+        gain, _ = ce_gain(sys, 0.1633)
         dense = numerics._dense_spectral_radius
         monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda M: dense(M) - 2e-7)
         for calls in (2, 4):
             with pytest.raises(NumericalFailureError, match="from above"):
-                exact_ms_stable(example2, gain, 0.2)
+                exact_ms_stable(sys, gain, 0.2)
             with pytest.raises(NumericalFailureError, match="from above"):
-                gap(example2, 0.2, 0.1633, np.eye(2))
+                gap(sys, 0.2, 0.1633, np.eye(2))
             assert radii[0] == calls
-        assert stability._rho_memo == {}
+        assert RHO_KEY not in sys._memo
 
-    def test_concurrent_callers(self, example2, monkeypatch):
-        monkeypatch.setattr(stability, "_rho_memo", {})
+    def test_concurrent_callers(self, example2):
+        plant = fresh(example2)
         problems = [(ce_gain(example2, q_hat)[0], q) for q_hat, q in ((0.1, 0.2), (0.1633, 0.2), (0.2, 0.3), (0.1, 0.3))]
         expected = [(lifted_matrix(example2, g, q).tobytes(), fresh_radius(example2, g, q)) for g, q in problems]
         errors = []
@@ -446,7 +421,7 @@ class TestLiftedRhoMemo:
             try:
                 for i in range(60):
                     k = (i + offset) % len(problems)
-                    Phi, rho = stability._lifted_rho(example2, *problems[k])
+                    Phi, rho = stability._lifted_rho(plant, *problems[k])
                     if (Phi.tobytes(), rho) != expected[k]:
                         errors.append(f"wrong map or radius of problem {k}")
             except Exception as exc:  # collected and reported by the main thread
@@ -464,7 +439,7 @@ class TestLiftedRhoMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(stability._rho_memo) == 1
+        assert list(plant._memo) == [RHO_KEY]
 
 
 class TestThresholdCurveRows:
@@ -723,8 +698,8 @@ class TestBatchedOracle:
         # With a one-step cap the 5 grid rates from 0.40 up get no Riccati
         # solution: they are left out as columns and get a zero bound as rows.
         sys = request.getfixturevalue(name)
+        sys = fresh(sys)
         monkeypatch.setattr(riccati, "MAX_ITERATIONS", 1)
-        monkeypatch.setattr(riccati, "_memo", {})
         for variant in admitted_variants(sys):
             rm = assert_map_equals_per_cell(sys, 0.01, variant)
             assert len(rm.q_grid) == 45 and len(rm.q_hat_grid) == 40
@@ -1051,9 +1026,8 @@ class TestStackedThresholdBounds:
 
 def failing_bounds(monkeypatch, above: float):
     """Make every threshold-bound evaluation raise NotPSDError on a stack that
-    holds a rate above `above`.  `st_lower_bound` builds its evaluators
-    afresh: none kept from earlier calls is used."""
-    monkeypatch.setattr(stability, "_bounds_memo", {})
+    holds a rate above `above`.  Only plants that build their evaluators
+    after this call, such as those from `fresh`, use it in `st_lower_bound`."""
     real = stability._threshold_bounds
 
     def patched(*args):
@@ -1097,13 +1071,13 @@ class TestSafeRateLookahead:
         # The first batch holds 0.4167, which the path to 0.128 never takes.
         expected = plain_safe_rate(example1, "general")
         failing_bounds(monkeypatch, 0.4)
-        assert plain_safe_rate(example1, "general").hex() == expected.hex()
+        assert plain_safe_rate(fresh(example1), "general").hex() == expected.hex()
         assert zero_sample_safe_q(example1, "general").hex() == expected.hex()
 
     def test_failure_at_a_midpoint_taken(self, example1, monkeypatch):
         # The first midpoint, 0.2222, is taken by every path.
         failing_bounds(monkeypatch, 0.2)
         with pytest.raises(NotPSDError):
-            plain_safe_rate(example1, "general")
+            plain_safe_rate(fresh(example1), "general")
         with pytest.raises(NotPSDError):
             zero_sample_safe_q(example1, "general")
