@@ -32,6 +32,7 @@ from .errors import (
     UnstableError,
 )
 from .learning import _complexity_curve, certify_ce_controller, hoeffding_delta, min_samples
+from .numerics import _check_rate
 from .performance import gap, gap_bounds, gap_curve
 from .riccati import SystemSpec, ce_gain, critical_probability, dare_solve, mare_solve
 from .simulator import SimConfig, empirical_ms_decay, monte_carlo_cost, simulate_trajectory
@@ -350,8 +351,7 @@ plot for [i=2:*] '{csv}' using 1:i with lines
 def cmd_simulate(args, emit: Emitter):
     sys_spec = load_system(args.spec)
     _require_below_qc(sys_spec, args.qhat, "q_hat")
-    if not 0.0 <= args.q < 1.0:
-        raise CliError(f"--q must lie in [0, 1), got {args.q}")
+    _check_rate(args.q, "--q")
     gain, _ = ce_gain(sys_spec, args.qhat)
     x0 = _parse_vector(args.x0, sys_spec.n, "--x0")
     seed = _resolve_seed(args)

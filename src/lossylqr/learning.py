@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .numerics import sym_eig_extremes, symmetrize
+from .numerics import _as_int, sym_eig_extremes, symmetrize
 from .riccati import SystemSpec, ce_gain
 from .stability import (
     VARIANT_GENERAL,
@@ -102,9 +102,9 @@ def _check_beta(beta: float) -> None:
 
 
 def hoeffding_delta(N_q: int, beta: float) -> float:
-    """Confidence radius sqrt(log(2/beta) / (2 N_q)) of the empirical rate."""
-    if N_q < 1:
-        raise InvalidInputError(f"sample count must be >= 1, got {N_q}")
+    """Confidence radius sqrt(log(2/beta) / (2 N_q)) of the empirical rate, for
+    an integer N_q >= 1 (a numpy integer counts as its Python int)."""
+    N_q = _as_int(N_q, "sample count N_q", least=1)
     _check_beta(beta)
     return math.sqrt(math.log(2.0 / beta) / (2.0 * N_q))
 
@@ -122,7 +122,7 @@ def min_samples(
     stability-threshold lower bound at the true rate q):
 
     * "from_threshold": log(2/beta) / (2 delta_bar^2) for a caller-supplied
-      threshold;
+      threshold, finite and positive;
     * "general":        log(2/beta) / (2 delta^2), delta from the general
       threshold bound (equivalently c1^2 log(2/beta) / (2 lambda_min{...}^2));
     * "scalar" and "invertible_B": log(2/beta) / delta^2 with the tailored
@@ -139,8 +139,8 @@ def min_samples(
         raise InvalidInputError(f"unknown sample-complexity variant {variant!r}")
 
     if variant == VARIANT_FROM_THRESHOLD:
-        if delta_bar is None or not delta_bar > 0.0:
-            raise InvalidInputError("from_threshold requires a positive delta_bar")
+        if delta_bar is None or not 0.0 < delta_bar < math.inf:
+            raise InvalidInputError(f"from_threshold requires a finite positive delta_bar, got {delta_bar}")
         delta = float(delta_bar)
     else:
         if sys is None or q is None:
@@ -211,13 +211,15 @@ def certify_ce_controller(sys: SystemSpec, q_hat: float, N_q: int, beta: float) 
     tolerates by the sufficient condition; the certificate passes when
     q_bar >= q_hat + Delta(N_q, beta), in which case the controller
     stabilizes the true system with probability at least 1 - beta.
+    N_q is an integer >= 1, reported as a Python int.
     """
+    N_q = _as_int(N_q, "sample count N_q", least=1)
     delta = hoeffding_delta(N_q, beta)
     q_bar = min(1.0, _tolerated_rate_sup(sys, q_hat))
     q_bar = max(q_bar, q_hat)
     return Certificate(
         q_hat=q_hat,
-        N_q=int(N_q),
+        N_q=N_q,
         beta=beta,
         delta=delta,
         q_bar=float(q_bar),

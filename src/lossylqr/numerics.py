@@ -1,12 +1,13 @@
-"""Dense small-matrix primitives: symmetric eigen extremes, PSD square roots,
-certified spectral radii of lifted second-moment maps, a positive-definiteness
-test and the stall detector of the Riccati iteration.
+"""Dense small-matrix primitives (symmetric eigen extremes, PSD square roots,
+certified lifted-map spectral radii, a positive-definiteness test, the Riccati
+stall detector) and the input rules of rates, counts and state vectors.
 
 All routines target small dense matrices (state dimension <= 10, lifted maps
 <= 100 x 100) and fix the numerical tolerances used across the package.
 """
 
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -33,6 +34,38 @@ def _as_matrix(M, stack: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise InvalidInputError("matrix has non-finite entries")
     return M
+
+
+def _check_rate(q, name: str = "loss rate") -> None:
+    if not 0.0 <= q < 1.0:
+        raise InvalidInputError(f"{name} must lie in [0, 1), got {q}")
+
+
+def _check_lifted_rate(q) -> None:
+    if not 0.0 <= q <= 1.0:
+        raise InvalidInputError(f"loss rate must lie in [0, 1], got {q}")
+
+
+def _as_int(value, name: str, least: int | None = None) -> int:
+    """value as a Python int, at least `least` when given; a float or a string is refused."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _finite_vector(x, size: int, name: str) -> np.ndarray:
+    """The entries of x as a flat float array; raises InvalidInputError unless
+    there are `size` of them, all finite."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != size:
+        raise InvalidInputError(f"{name} has length {x.size}, expected {size}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError(f"{name} has non-finite entries")
+    return x
 
 
 def _fro(X: np.ndarray):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NoSolutionError, NumericalFailureError, UnstableError
-from .numerics import sym_eig_extremes, symmetrize
+from .numerics import _finite_vector, sym_eig_extremes, symmetrize
 from .riccati import Gain, SystemSpec, _feedback_gain, _mare_solve_rates, _ms_stable, ce_gain, mare_solve
 from .stability import _lifted_rho, gain_weight_matrix
 
@@ -57,17 +57,12 @@ class GapCurvePoint:
 def initial_second_moment(x0, n: int) -> np.ndarray:
     """Normalize an initial condition to X0 = E[x0 x0^T].
 
-    Accepts a deterministic state vector (outer product is taken) or an
-    n x n covariance/second-moment matrix.
+    Accepts a deterministic vector of n finite entries, else InvalidInputError as in the
+    simulator (outer product is taken), or an n x n covariance/second-moment matrix.
     """
     arr = np.asarray(x0, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim == 1:
-        if arr.size != n:
-            raise DimensionError(f"initial state has length {arr.size}, expected {n}")
-        if not np.isfinite(arr).all():
-            raise InvalidInputError("initial state has non-finite entries")
+    if arr.ndim <= 1:
+        arr = _finite_vector(arr, n, "initial state")
         with np.errstate(over="ignore"):
             X0 = np.outer(arr, arr)
         if not np.isfinite(X0).all():

@@ -80,6 +80,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, LossyLqrError, NoSolutionError
 from .numerics import StallDetector, _dense_spectral_radius, _fro, _positive_definite, sym_eig_extremes, symmetrize
+from .numerics import _check_rate
 
 # Fixed-point iteration controls for the (modified) Riccati equation.
 MAX_ITERATIONS = 10**5
@@ -131,7 +132,7 @@ def _as_2d(M, name: str) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemSpec:
     """Plant and cost data (A, B, Q, R).
 
@@ -431,11 +432,6 @@ def _capped(q) -> NoSolutionError:
         "(loss rate at or above critical, or (A, B) not stabilizable)",
         reason="cap",
     )
-
-
-def _check_rate(q) -> None:
-    if not 0.0 <= q < 1.0:
-        raise InvalidInputError(f"loss rate must lie in [0, 1), got {q}")
 
 
 def _policy_iteration_rates(

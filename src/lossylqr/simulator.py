@@ -36,13 +36,13 @@ np.sum's bits (`_row_squares`).
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, UnstableError
 from .learning import ChannelSamples
+from .numerics import _as_int, _check_lifted_rate, _finite_vector
 from .riccati import SystemSpec, _gain
 from .stability import _lifted_rho
 
@@ -209,8 +209,8 @@ class SimConfig:
 
     The default horizon suffices for the worked examples: once the closed
     loop is mean-square stable, the truncated-cost bias rho(Phi)^T * tr(S)
-    is far below 1e-4 of the mean well before T = 200.  Each field must be
-    an integer; a numpy integer is kept as a Python int.
+    is far below 1e-4 of the mean well before T = 200.  Each field is an
+    integer, a numpy one kept as a Python int; horizon and trajectories >= 1.
     """
 
     seed: int = 0
@@ -218,16 +218,8 @@ class SimConfig:
     trajectories: int = 10_000
 
     def __post_init__(self):
-        for name in ("seed", "horizon", "trajectories"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
-        if self.horizon < 1:
-            raise InvalidInputError(f"horizon must be >= 1, got {self.horizon}")
-        if self.trajectories < 1:
-            raise InvalidInputError(f"trajectory count must be >= 1, got {self.trajectories}")
+        for name, least in (("seed", None), ("horizon", 1), ("trajectories", 1)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
 
 
 @dataclass(frozen=True)
@@ -251,25 +243,15 @@ class DecayVerdict:
 
 
 def sample_channel(q: float, N: int, seed: int) -> ChannelSamples:
-    """Draw N i.i.d. channel bits, 1 with probability 1 - q."""
+    """Draw N i.i.d. channel bits, 1 with probability 1 - q, for q in (0, 1), an
+    integer N >= 1 and any integer seed (a numpy integer counts as its Python int)."""
     if not 0.0 < q < 1.0:
         raise InvalidInputError(f"channel loss rate must lie in (0, 1), got {q}")
-    if N < 1:
-        raise InvalidInputError(f"sample count must be >= 1, got {N}")
+    N = _as_int(N, "sample count N", least=1)
+    seed = _as_int(seed, "seed")
     rng = _stream(seed, 0, _FAMILY_CHANNEL)
     bits = (rng.random(N) >= q).astype(np.int8)
     return ChannelSamples(bits=bits)
-
-
-def _finite_vector(x, size: int, name: str) -> np.ndarray:
-    """The entries of x as a flat float array; raises InvalidInputError unless
-    there are `size` of them, all finite."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != size:
-        raise InvalidInputError(f"{name} has length {x.size}, expected {size}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError(f"{name} has non-finite entries")
-    return x
 
 
 def _gaussian_law(sys: SystemSpec, x0) -> tuple[np.ndarray, np.ndarray]:
@@ -303,16 +285,15 @@ def simulate_trajectory(
     cfg: SimConfig,
     trajectory_index: int = 0,
 ) -> Trajectory:
-    """Roll out one trajectory from its dedicated substream.
+    """Roll out trajectory `trajectory_index` (an integer >= 0) from its dedicated substream.
 
     x0 is a deterministic state vector or a (mean, covariance) pair for a
     Gaussian draw (consumed from the substream before the channel bits).
     Rollouts exceeding DIVERGENCE_NORM are truncated and flagged divergent.
     """
-    if not 0.0 <= q <= 1.0:
-        raise InvalidInputError(f"loss rate must lie in [0, 1], got {q}")
+    _check_lifted_rate(q)
     K = _gain(sys, K)
-    rng = _stream(cfg.seed, trajectory_index, _FAMILY_TRAJECTORY)
+    rng = _stream(cfg.seed, _as_int(trajectory_index, "trajectory_index", least=0), _FAMILY_TRAJECTORY)
     x = _initial_state(sys, x0, rng)
     T = cfg.horizon
     lam = (rng.random(T) >= q).astype(np.int8)
@@ -506,8 +487,7 @@ def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
 
 def monte_carlo_cost(sys: SystemSpec, K, q: float, x0, cfg: SimConfig) -> tuple[float, float]:
     """Sample mean and standard error of the realized cost over cfg.trajectories rollouts."""
-    if not 0.0 <= q <= 1.0:
-        raise InvalidInputError(f"loss rate must lie in [0, 1], got {q}")
+    _check_lifted_rate(q)
     costs, divergent, _ = _batched_rollout(sys, K, q, x0, cfg)
     if divergent.all():
         raise UnstableError("every trajectory diverged; the closed loop is unstable")
@@ -528,8 +508,7 @@ def empirical_ms_decay(sys: SystemSpec, K, q: float, x0, cfg: SimConfig) -> Deca
     rollout, which would make the mean square fall; so if any trajectory
     diverged, the verdict is unstable with slope +inf and no fit is made.
     """
-    if not 0.0 <= q <= 1.0:
-        raise InvalidInputError(f"loss rate must lie in [0, 1], got {q}")
+    _check_lifted_rate(q)
     _, divergent, msq = _batched_rollout(sys, K, q, x0, cfg, track_msq=True)
     _, rho = _lifted_rho(sys, K, q)
     log_rho = math.log(rho) if rho > 0.0 else -math.inf

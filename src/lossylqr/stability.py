@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NoSolutionError, NotPSDError
 from .numerics import _dense_spectral_radius, _spectral_radius, psd_sqrt, sym_eig_extremes, symmetrize
+from .numerics import _check_lifted_rate, _check_rate
 from .riccati import (
     LOCKSTEP_ENTRIES,
     RHO_MARGIN,
@@ -138,8 +139,7 @@ def condition_matrix(sys: SystemSpec, q: float, q_hat: float) -> np.ndarray:
     designed at q_hat and run at the true rate q.  W is the gain weight
     matrix computed from the design Riccati solution.
     """
-    if not 0.0 <= q < 1.0:
-        raise InvalidInputError(f"true loss rate must lie in [0, 1), got {q}")
+    _check_rate(q, "true loss rate")
     gain, sol = ce_gain(sys, q_hat)
     C = sys.Q + (1.0 - q) * (gain.K.T @ sys.R @ gain.K) - (q - q_hat) * gain_weight_matrix(sys, sol.P)
     return symmetrize(C)
@@ -166,8 +166,7 @@ def scalar_iff_stable(sys: SystemSpec, q: float, q_hat: float) -> StabilityVerdi
     """
     if not sys.is_scalar:
         raise DimensionError("the iff test applies to scalar systems only")
-    if not 0.0 <= q < 1.0:
-        raise InvalidInputError(f"true loss rate must lie in [0, 1), got {q}")
+    _check_rate(q, "true loss rate")
     gain, sol = ce_gain(sys, q_hat)
     value = _scalar_iff_value(sys, q, q_hat, gain.K[0, 0], sol.P[0, 0])
     margin = _strict_margin(sys)
@@ -188,11 +187,6 @@ def lifted_matrix(sys: SystemSpec, K, q: float) -> np.ndarray:
     """
     _check_lifted_rate(q)
     return _lifted_map(sys, _gain(sys, K), q)
-
-
-def _check_lifted_rate(q) -> None:
-    if not 0.0 <= q <= 1.0:
-        raise InvalidInputError(f"loss rate must lie in [0, 1], got {q}")
 
 
 def _lifted_rho(sys: SystemSpec, K, q: float) -> tuple[np.ndarray, float]:

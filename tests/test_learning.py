@@ -19,6 +19,9 @@ from lossylqr import (
 from lossylqr import learning
 from conftest import scalar_mare_root
 
+# Counts that are not integers, each refused with a message naming the argument.
+NOT_COUNTS = [10.7, math.inf, math.nan, "10", 10.0]
+
 
 class TestEstimateLossRate:
     def test_direct_count(self):
@@ -81,12 +84,21 @@ class TestHoeffdingDelta:
         assert hoeffding_delta(4 * 123, 0.05) == pytest.approx(hoeffding_delta(123, 0.05) / 2.0, rel=1e-14)
 
     def test_domain_checks(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="N_q must be >= 1, got 0"):
             hoeffding_delta(0, 0.1)
         with pytest.raises(InvalidInputError):
             hoeffding_delta(10, 1.0)
         with pytest.raises(InvalidInputError):
             hoeffding_delta(10, 0.0)
+
+    @pytest.mark.parametrize("N_q", NOT_COUNTS)
+    def test_refuses_a_non_integer_count(self, N_q):
+        with pytest.raises(InvalidInputError, match="N_q must be an integer"):
+            hoeffding_delta(N_q, 0.1)
+
+    @pytest.mark.parametrize("N_q", [np.int64(300), np.int32(300), np.uint16(300)])
+    def test_numpy_integer_count(self, N_q):
+        assert hoeffding_delta(N_q, 0.01).hex() == hoeffding_delta(300, 0.01).hex()
 
 
 class TestMinSamples:
@@ -125,8 +137,13 @@ class TestMinSamples:
                 assert report.min_N > report.bound
 
     def test_requires_positive_threshold(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="positive delta_bar"):
             min_samples(None, None, 0.1, "from_threshold", delta_bar=0.0)
+
+    @pytest.mark.parametrize("delta_bar", [math.inf, math.nan, None])
+    def test_requires_a_finite_threshold(self, delta_bar):
+        with pytest.raises(InvalidInputError, match="finite positive delta_bar"):
+            min_samples(None, None, 0.1, "from_threshold", delta_bar=delta_bar)
 
     def test_unknown_variant(self, example1):
         with pytest.raises(InvalidInputError):
@@ -171,6 +188,22 @@ class TestCertify:
         for q in np.linspace(max(0.0, cert.q_hat - cert.delta), cert.q_hat + cert.delta, 25):
             C = condition_matrix(example2, float(q), cert.q_hat)
             assert np.linalg.eigvalsh(C)[0] > 0.0
+
+    @pytest.mark.parametrize("N_q", NOT_COUNTS)
+    def test_refuses_a_non_integer_count(self, example2, N_q):
+        with pytest.raises(InvalidInputError, match="N_q must be an integer"):
+            certify_ce_controller(example2, 0.1633, N_q, 0.01)
+
+    def test_refuses_a_count_below_one(self, example2):
+        with pytest.raises(InvalidInputError, match="N_q must be >= 1, got 0"):
+            certify_ce_controller(example2, 0.1633, 0, 0.01)
+
+    @pytest.mark.parametrize("N_q", [np.int64(300), np.uint32(300)])
+    def test_numpy_integer_count(self, example2, N_q):
+        cert = certify_ce_controller(example2, 0.1633, 300, 0.01)
+        got = certify_ce_controller(example2, 0.1633, N_q, 0.01)
+        assert type(got.N_q) is int and got == cert
+        assert (got.delta.hex(), got.q_bar.hex()) == (cert.delta.hex(), cert.q_bar.hex())
 
     def test_failing_certificate(self, example1):
         # Tiny sample: the radius swamps the tolerated range.

@@ -247,6 +247,26 @@ class TestInitialSecondMoment:
         with pytest.raises(InvalidInputError):
             initial_second_moment(np.diag([1.0, -1.0]), 2)
 
+    def test_scalar_state_of_a_scalar_plant(self):
+        np.testing.assert_array_equal(initial_second_moment(2.0, 1), [[4.0]])
+
+    def test_rejects_a_matrix_of_another_shape(self):
+        with pytest.raises(DimensionError, match="must be 2x2"):
+            initial_second_moment(np.eye(3), 2)
+
+    @pytest.mark.parametrize(
+        "x0, message",
+        [(np.ones(3), "initial state has length 3, expected 2"), (2.0, "initial state has length 1, expected 2"),
+         ([np.nan, 1.0], "initial state has non-finite")],
+        ids=["long", "scalar", "nan"],
+    )
+    def test_refuses_a_state_vector_as_the_simulator_does(self, example2, x0, message):
+        with pytest.raises(InvalidInputError, match=message):
+            initial_second_moment(x0, 2)
+        gain, _ = ce_gain(example2, 0.2)
+        with pytest.raises(InvalidInputError, match=message):
+            monte_carlo_cost(example2, gain, 0.2, x0, SimConfig(horizon=5, trajectories=2))
+
     @pytest.mark.parametrize(
         "x0, message",
         [([np.nan, 1.0], "non-finite"), ([np.inf, 0.0], "non-finite"), ([1e200, 1.0], "overflows")],

@@ -84,6 +84,18 @@ class TestSystemSpec:
         assert twin.name == plant.name
         assert report_bits(st_lower_bound(twin, 0.2, "general")) == report_bits(bound)
 
+    def test_plants_compare_by_identity(self, example2):
+        plant = fresh(example2)
+        twin = SystemSpec(A=plant.A, B=plant.B, Q=plant.Q, R=plant.R, name=plant.name)
+        assert plant == plant and twin != plant and not twin == plant
+        assert copy.copy(plant) != plant
+        keyed = {plant: "plant", twin: "twin"}
+        assert keyed[plant] == "plant" and keyed[twin] == "twin"
+        assert len({plant, twin, plant}) == 2
+        sol = mare_solve(plant, 0.2)
+        assert mare_solve(plant, 0.2) is sol and mare_solve(twin, 0.2) is not sol
+        assert keyed[plant] == "plant" and plant in {plant}
+
     def test_non_stabilizable_detected_by_solver(self):
         # Unstable mode unreachable from the input.
         sys = SystemSpec(A=np.diag([2.0, 0.5]), B=np.array([[0.0], [1.0]]), Q=np.eye(2), R=1.0)

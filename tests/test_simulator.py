@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 
@@ -14,6 +15,7 @@ from lossylqr import (
     ce_gain,
     empirical_ms_decay,
     estimate_loss_rate,
+    exact_ms_stable,
     lifted_matrix,
     monte_carlo_cost,
     sample_channel,
@@ -73,21 +75,37 @@ class TestSampleChannel:
             sample_channel(0.0, 10, seed=0)
         with pytest.raises(InvalidInputError):
             sample_channel(1.0, 10, seed=0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="sample count N must be >= 1, got 0"):
             sample_channel(0.5, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "arg, message", [("N", "sample count N must be an integer"), ("seed", "seed must be an integer")]
+    )
+    @pytest.mark.parametrize("value", [10.7, math.inf, math.nan, "10", 10.0])
+    def test_refuses_a_non_integer(self, arg, message, value):
+        with pytest.raises(InvalidInputError, match=message):
+            sample_channel(0.2, **{"N": 10, "seed": 3, arg: value})
+
+    @pytest.mark.parametrize(
+        "seed, same", [(np.int64(0), 0), (np.int64(3), 3), (np.uint64(2**63 + 5), 2**63 + 5), (np.int32(-1), -1)]
+    )
+    def test_numpy_integers_draw_the_same_bits(self, seed, same):
+        bits = sample_channel(0.2, 300, same).bits
+        np.testing.assert_array_equal(sample_channel(0.2, 300, seed).bits, bits)
+        np.testing.assert_array_equal(sample_channel(0.2, np.int64(300), seed).bits, bits)
 
 
 class TestSimConfig:
     @pytest.mark.parametrize("field", ["seed", "horizon", "trajectories"])
-    @pytest.mark.parametrize("value", [10.0, np.float64(10.0), "10", None])
+    @pytest.mark.parametrize("value", [10.0, np.float64(10.0), "10", None, 10.7, math.inf, math.nan])
     def test_refuses_a_non_integer(self, field, value):
         with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
             SimConfig(**{field: value})
 
     def test_refuses_non_positive_counts(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="horizon must be >= 1, got 0"):
             SimConfig(horizon=0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="trajectories must be >= 1, got 0"):
             SimConfig(trajectories=0)
 
     def test_numpy_integers_run_as_python_ints(self, example1):
@@ -100,6 +118,16 @@ class TestSimConfig:
 
 
 class TestSimulateTrajectory:
+    def test_trajectory_index_is_an_integer(self, example2):
+        gain, _ = ce_gain(example2, 0.1633)
+        cfg = SimConfig(seed=4, horizon=20, trajectories=1)
+        states = simulate_trajectory(example2, gain, 0.2, np.ones(2), cfg, trajectory_index=3).states
+        got = simulate_trajectory(example2, gain, 0.2, np.ones(2), cfg, trajectory_index=np.int64(3)).states
+        assert got.tobytes() == states.tobytes()
+        for index, message in ((3.0, "trajectory_index must be an integer"), (-1, "trajectory_index must be >= 0")):
+            with pytest.raises(InvalidInputError, match=message):
+                simulate_trajectory(example2, gain, 0.2, np.ones(2), cfg, trajectory_index=index)
+
     def test_deadbeat_with_delivered_packets(self, example1):
         cfg = SimConfig(seed=0, horizon=10, trajectories=1)
         traj = simulate_trajectory(example1, np.array([[-1.5]]), 0.0, np.array([1.0]), cfg)
@@ -658,6 +686,25 @@ class TestInputChecks:
         for run in self.runs(example2, gain, x0):
             with pytest.raises(InvalidInputError, match=message):
                 run()
+
+    @pytest.mark.parametrize("q", [-0.1, 1.5, math.nan])
+    def test_rate_outside_the_closed_unit_interval(self, example2, q):
+        gain, _ = ce_gain(example2, 0.1633)
+        message = r"loss rate must lie in \[0, 1\], got"
+        for run in (simulate_trajectory, monte_carlo_cost, empirical_ms_decay):
+            with pytest.raises(InvalidInputError, match=message):
+                run(example2, gain, q, np.ones(2), self.CFG)
+        for run in (lifted_matrix, exact_ms_stable):
+            with pytest.raises(InvalidInputError, match=message):
+                run(example2, gain, q)
+
+    def test_a_channel_that_drops_every_packet(self, example2):
+        gain, _ = ce_gain(example2, 0.1633)
+        traj = simulate_trajectory(example2, gain, 1.0, np.ones(2), self.CFG)
+        assert not traj.drops.any()
+        mean, _ = monte_carlo_cost(example2, gain, 1.0, np.ones(2), self.CFG)
+        assert mean == pytest.approx(traj.realized_cost, rel=1e-12)
+        np.testing.assert_array_equal(lifted_matrix(example2, gain, 1.0), np.kron(example2.A, example2.A))
 
     def test_scalar_plant_takes_scalar_gain_and_state(self, example1):
         gain, _ = ce_gain(example1, 0.1)
