@@ -112,10 +112,13 @@ BISECT_BAND = 4
 LOCKSTEP_ENTRIES = 1 << 18
 
 # A plant's memo (`SystemSpec._memo`) keeps its solutions at q = 0 and the
-# _MEMO_SIZE solutions at other rates that `mare_solve` returned last.  One
+# _MEMO_SIZE solutions at other rates that `mare_solve` returned last, and
+# the plant's constants A (x) A and lambda_min(Q) under these keys.  One
 # lock guards every change of any plant's memo, since an insert during the
 # eviction's pass over the keys would break it; a lookup needs none.
 _MEMO_SIZE = 4
+_KRON_A_KEY = ("A(x)A",)
+_Q_FLOOR_KEY = ("lambda_min(Q)",)
 _memo_lock = threading.Lock()
 
 
@@ -295,13 +298,39 @@ def _kron_self(X: np.ndarray) -> np.ndarray:
     return (X[..., :, None, :, None] * X[..., None, :, None, :]).reshape(X.shape[:-2] + (n * n, n * n))
 
 
+def _kept(sys: SystemSpec, key: tuple, make):
+    """make(), a result of the plant alone, kept in its memo under key."""
+    value = sys._memo.get(key)
+    if value is None:
+        value = make()
+        with _memo_lock:
+            sys._memo[key] = value
+    return value
+
+
+def _kron_A(sys: SystemSpec) -> np.ndarray:
+    """The plant's A (x) A, formed once and kept read-only in its memo."""
+
+    def make():
+        AA = _kron_self(sys.A)
+        AA.flags.writeable = False
+        return AA
+
+    return _kept(sys, _KRON_A_KEY, make)
+
+
+def _q_floor(sys: SystemSpec) -> np.float64:
+    """lambda_min(Q), the floor of `_solve_certifies`, kept in the plant's memo."""
+    return _kept(sys, _Q_FLOOR_KEY, lambda: np.linalg.eigvalsh(0.5 * (sys.Q + sys.Q.T))[0])
+
+
 def _lifted_map(sys: SystemSpec, K: np.ndarray, q, q_AA=None) -> np.ndarray:
     """Lifted second-moment map (1-q) (A+BK)(x)(A+BK) + q A(x)A of the gain K
     at loss rate q.  A (k, m, n) stack of gains or a (k, 1, 1) array of rates
     gives the stack of the k maps.  A loop over gains at fixed rates passes
-    q_AA = q * _kron_self(A), formed once."""
+    q_AA = q * _kron_A(sys), formed once."""
     if q_AA is None:
-        q_AA = q * _kron_self(sys.A)
+        q_AA = q * _kron_A(sys)
     return (1.0 - q) * _kron_self(sys.A + sys.B @ K) + q_AA
 
 
@@ -382,7 +411,7 @@ def _policy_iteration(
     n = sys.n
     eye = np.eye(n * n)
     one_minus_q = 1.0 - q
-    q_AA = q * _kron_self(sys.A)
+    q_AA = q * _kron_A(sys)
     K = _feedback_gain(sys, X)
     P, steps, residual = X, 0, np.inf
     while True:
@@ -456,7 +485,7 @@ def _policy_iteration_rates(
         return cost, 0.5 * (Pn + Pn.mT)
 
     K = _feedback_gain(sys, X)
-    q_AA = q * _kron_self(sys.A)
+    q_AA = q * _kron_A(sys)
     L = _lifted_map(sys, K, q, q_AA)
     live = np.flatnonzero(_ms_stable(_dense_spectral_radius(L)))  # member index of each row of P, Pn and q_AA
     if not len(live):
@@ -530,7 +559,7 @@ def _lockstep(sys: SystemSpec, qs: list) -> list:
     live = np.arange(len(qs))  # rate index of each row of the stack
     q = np.array(qs, dtype=float).reshape(-1, 1, 1)
     one_minus_q = 1.0 - q
-    q_floor = np.linalg.eigvalsh(0.5 * (sys.Q + sys.Q.T))[0]
+    q_floor = _q_floor(sys)
     X = np.repeat(sys.Q[None], len(qs), axis=0)
     stall = StallDetector()
     changes = np.full(len(qs), np.inf)  # by rate index; finished rates' entries are ignored

@@ -18,24 +18,32 @@ take one of two routes, both equal bit for bit to the trajectory's stream:
   lock-step and most rounds in place.
 * Otherwise one C Philox is re-keyed per trajectory and yields the
   trajectory's Gaussian initial state, if any, and then its raw words, which
-  are compared a chunk of rows at a time, in a buffer of at most
-  4 * _CHUNK_BLOCKS words.  Its cost per word is about a sixth of the
-  lock-step one, which wins only while the fixed cost per trajectory (about
-  1.25 us) dominates: below about 50 words.
+  are compared a chunk of rows at a time, at most 4 * _CHUNK_BLOCKS words.
+  Its cost per word is about a sixth of the lock-step one, which wins only
+  while the fixed cost per trajectory (about 0.9 us) dominates: below about
+  50 words.
 
 A channel bit is 1 when `Generator.random()` of its word is at least q; both
 routes decide that on the word itself, against the integer threshold of
 `_delivery_threshold`, without forming the float.  `_stream` stays the
 reference those draws are tested against.
 
-The rollout forms its products X @ W.T with BLAS, except where the inner
-dimension is 1 (K or A when n = 1, B when m = 1): those are outer products,
-formed as plain multiplies with the matmul's bits (`_times_transpose`).  The
-mean square of a decay run sums each row's squares column by column, with
-np.sum's bits (`_row_squares`).
+The rollout plans its step once per call (`_step_plans`): a list of numpy
+calls, each writing into a buffer allocated once, on 1-D views of the state
+and input columns.  It forms the products X @ W.T with BLAS, except where
+the inner dimension is 1 (K or A when n = 1, B when m = 1): those are outer
+products, one multiply per column (`_product_calls`).  The quadratic forms
+of the cost keep einsum's order of terms (`_form_calls`), and the mean
+square of a decay run sums each row's squares column by column, with
+np.sum's bits (`_row_square_calls`).  The channel bits become float64 a
+block of _BIT_BLOCK steps at a time.  A cost step of 4000 scalar
+trajectories makes 16 numpy calls, the block's conversion included, and
+takes about 20 us (x86-64, numpy 2.4.6, one BLAS thread).  Every output
+keeps the bits of one allocating call per operation (see `_batched_rollout`).
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +51,7 @@ import numpy as np
 from .errors import InvalidInputError, UnstableError
 from .learning import ChannelSamples
 from .numerics import _as_int, _check_lifted_rate, _finite_vector
-from .riccati import SystemSpec, _gain
+from .riccati import RHO_MARGIN, SystemSpec, _gain, _ms_stable
 from .stability import _lifted_rho
 
 _MASK64 = (1 << 64) - 1
@@ -69,14 +77,19 @@ _PHILOX_M_HALVES = tuple((m & _LOW32, m >> _SHIFT32) for m in _PHILOX_M)
 _CHUNK_BLOCKS = 6144
 # Horizon from which a deterministic x0's channel bits come from the re-keyed
 # C Philox instead of the lock-step one.  Per trajectory, in runs of 4000
-# (x86-64, 2 cores, numpy 2.4.6), the lock-step route costs about 30 ns per
-# word; the re-keyed one costs about 1.25 us (rewriting the key, one
-# `random_raw` and its share of a chunk's compare) plus 5 ns per word.  They
-# meet between 48 and 50 words; at 200 words they take about 5.8 and 2.3 us.
+# (x86-64, 2 shared cores, numpy 2.4.6, one BLAS thread), the lock-step route
+# costs about 22 ns per word; the re-keyed one costs about 0.9 us (rewriting
+# the key, one `random_raw` and its share of a chunk's compare) plus 3.6 ns
+# per word.  They meet between 45 and 50 words; at 200 words they take about
+# 4.3 and 1.6 us.
 _REKEYED_HORIZON = 50
 # Seeds the Philox that `_stream` then re-keys.  Philox(key=...) alone would
 # read OS entropy for a SeedSequence it then discards.
 _FIXED_SEED = np.random.SeedSequence(0)
+# Steps whose channel bits the rollout turns into float64 at once; even (see
+# `_step_plans`).  Its float block holds this many rows of 8 bytes per
+# trajectory.
+_BIT_BLOCK = 4
 
 
 def _mix64(x: int) -> int:
@@ -336,13 +349,13 @@ def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int,
     * every other trajectory is drawn alone, from a single C Philox whose key
       is rewritten per trajectory: first the initial state of a Gaussian x0
       (ziggurat normals take a variable number of words), then its horizon
-      of raw words, into one row of a buffer that holds at most
-      4 * _CHUNK_BLOCKS words (or one row); a chunk of rows is compared at
+      of raw words, as `random_raw` returns them, kept in a list of at most
+      4 * _CHUNK_BLOCKS words (or one row); the chunk of rows is compared at
       once.  The covariance is factored once and all initial states are
       formed by one stacked product.
 
-    The lock-step route costs about 30 ns per word; the re-keyed one about
-    1.25 us per trajectory plus 5 ns per word, so it wins from about 50
+    The lock-step route costs about 22 ns per word; the re-keyed one about
+    0.9 us per trajectory plus 3.6 ns per word, so it wins from about 50
     words on (measurements at `_REKEYED_HORIZON`).
     """
     T, n = cfg.horizon, sys.n
@@ -370,18 +383,18 @@ def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int,
     draw_bits = threshold <= _MASK64
     threshold = np.uint64(min(threshold, _MASK64))
     per_chunk = max(1, 4 * _CHUNK_BLOCKS // T)
-    words = np.empty((min(per_chunk, count), T), dtype=np.uint64) if draw_bits else None
     for lo in range(0, count, per_chunk):
         hi = min(lo + per_chunk, count)
+        words = []  # the chunk's rows, as random_raw returns them
         for row, k in enumerate(keys[lo:hi].tolist(), lo):
             key[0] = k
             bitgen.state = state
             if gaussian:
                 normal(out=Z[row, 0])
             if draw_bits:
-                words[row - lo] = bitgen.random_raw(T)
+                words.append(bitgen.random_raw(T))
         if draw_bits:
-            np.greater_equal(words[: hi - lo], threshold, out=delivered[lo:hi])
+            np.greater_equal(words, threshold, out=delivered[lo:hi])
     if gaussian:
         return (Z @ factor.T + mean).reshape(count, n), lam
     return X0, lam
@@ -405,48 +418,88 @@ def _lockstep_bits(seed: int, start: int, stop: int, T: int, threshold: np.uint6
     return bits.reshape(count, 4 * blocks)[:, :T]
 
 
+def _run(calls: list) -> None:
+    """Make each planned call: a (function, arguments) pair."""
+    for function, args in calls:
+        function(*args)
+
+
+def _product_calls(X: np.ndarray, W: np.ndarray, out: np.ndarray) -> list:
+    """The calls that write X @ W.T into out, for a batch of rows X.
+
+    With an inner dimension of 1 the product is an outer product: one
+    multiply of X's column per column of out, a 1-D view each (a broadcast
+    multiply runs slower than BLAS once the result has two columns).  Its
+    entries are the matmul's bits, except that a zero may be -0.0 where the
+    matmul's sum from zero gives +0.0 (`_times_transpose` adds 0.0 for
+    that)."""
+    if W.shape[1] != 1:
+        return [(np.matmul, (X, W.T, out))]
+    x = X[:, 0]
+    return [(np.multiply, (x, w, out[:, j])) for j, w in enumerate(W[:, 0].tolist())]
+
+
+def _form_calls(X: np.ndarray, W: np.ndarray, out: np.ndarray, term: np.ndarray) -> list:
+    """The calls that write x^T W x of every row x of X into out, as
+    einsum("ij,jk,ik->i", X, W, X) sums it on a batch of rows: term by term, j
+    outer and k inner, each term rounded as (x_j * W[j, k]) * x_k, from zero.
+    (On one or two rows of width 2, numpy 2.4's einsum adds the k terms of
+    each j first, which can differ in the last bit.)
+
+    Where W[0, 0] > 0 the sum starts from its first term instead of from
+    zero: that term has the sign of W[0, 0] (x_0 enters it twice), so it is
+    never -0.0, and 0.0 + term is the term, NaN included.  A plant's Q and R
+    are positive definite, so the rollout's forms always start so."""
+    cols = [X[:, j] for j in range(len(W))]
+    terms = [(cols[j], w, cols[k]) for j, row in enumerate(W.tolist()) for k, w in enumerate(row)]
+    calls = [(np.multiply, (0.0, 0.0, out))]
+    if W[0, 0] > 0.0:
+        (x, w, y), *terms = terms
+        calls = [(np.multiply, (x, w, out)), (np.multiply, (out, y, out))]
+    for x, w, y in terms:
+        calls += [(np.multiply, (x, w, term)), (np.multiply, (term, y, term)), (np.add, (out, term, out))]
+    return calls
+
+
+def _row_square_calls(X: np.ndarray, out: np.ndarray, term: np.ndarray) -> list:
+    """The calls that write np.sum(X * X, axis=1) into out, bit for bit.
+    Below 8 columns numpy adds each row's squares in order, from zero; a
+    running sum over the columns does the same without the per-row cost of
+    the reduction, and starts from the first square, which is never -0.0.
+    From 8 columns on numpy sums pairwise, and the calls are np.sum's own
+    multiply and reduction, into a buffer of X's shape."""
+    if X.shape[1] >= 8:
+        squares = np.empty(X.shape)
+        return [(np.multiply, (X, X, squares)), (np.add.reduce, (squares, 1, None, out))]
+    cols = [X[:, j] for j in range(X.shape[1])]
+    calls = [(np.multiply, (cols[0], cols[0], out))]
+    for x in cols[1:]:
+        calls += [(np.multiply, (x, x, term)), (np.add, (out, term, out))]
+    return calls
+
+
 def _quadratic_form(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """x^T W x for every row x of X, as einsum("ij,jk,ik->i", X, W, X) sums it
-    on a batch of rows: from zero, term by term, j outer and k inner, each term
-    rounded as (x_j * W[j, k]) * x_k.  (On one or two rows of width 2, numpy
-    2.4's einsum adds the k terms of each j first, which can differ in the
-    last bit.)"""
-    out = np.zeros(len(X))
-    term = np.empty(len(X))
-    for j in range(W.shape[0]):
-        for k in range(W.shape[0]):
-            np.multiply(X[:, j], W[j, k], out=term)
-            term *= X[:, k]
-            out += term
+    """x^T W x for every row x of X, by `_form_calls`."""
+    out, term = np.empty(len(X)), np.empty(len(X))
+    _run(_form_calls(X, W, out, term))
     return out
 
 
 def _times_transpose(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """X @ W.T for a batch of rows X.  With an inner dimension of 1 it is an
-    outer product, formed without BLAS: one multiply of X's column per column
-    of the result (a broadcast multiply runs slower than BLAS once the result
-    has two columns).  Adding 0.0 turns -0.0 into +0.0, as the matmul's sum
+    """X @ W.T for a batch of rows X, bit for bit, by `_product_calls`; after
+    an outer product, adding 0.0 turns -0.0 into +0.0, as the matmul's sum
     from zero does, and leaves every other product's bits."""
-    if W.shape[1] != 1:
-        return X @ W.T
-    P = np.empty((len(X), len(W)))
-    x = X[:, 0]
-    for j, w in enumerate(W[:, 0].tolist()):
-        np.multiply(x, w, out=P[:, j])
-    P += 0.0
-    return P
+    out = np.empty((len(X), len(W)))
+    _run(_product_calls(X, W, out))
+    if W.shape[1] == 1:
+        out += 0.0
+    return out
 
 
 def _row_squares(X: np.ndarray) -> np.ndarray:
-    """np.sum(X * X, axis=1), bit for bit.  Below 8 columns numpy adds each
-    row's squares in order, from zero; a running sum over the columns does the
-    same without the per-row cost of the reduction.  From 8 columns on numpy
-    sums pairwise, and np.sum is kept."""
-    if X.shape[1] >= 8:
-        return np.sum(X * X, axis=1)
-    out = X[:, 0] * X[:, 0]
-    for j in range(1, X.shape[1]):
-        out += X[:, j] * X[:, j]
+    """np.sum(X * X, axis=1), bit for bit, by `_row_square_calls`."""
+    out, term = np.empty(len(X)), np.empty(len(X))
+    _run(_row_square_calls(X, out, term))
     return out
 
 
@@ -458,36 +511,116 @@ def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
     substream; the costs agree with it to rounding, because the batched sums
     are evaluated in another order.  A run that tracks the mean square is a
     decay run, which reads no costs: they are not computed and come back None.
+
+    The step is planned once per call (`_step_plans`) and writes every
+    result into buffers allocated once, so it allocates nothing.  The
+    channel bits become float64 _BIT_BLOCK steps at a time, one contiguous
+    row per step.  The planned step makes the operations of the rollout
+
+        U = X K^T;  costs += x^T Q x + lam * u^T R u;
+        X = X A^T + lam * (U B^T);  rows past DIVERGENCE_NORM become 0,
+
+    in that order; the only ones it leaves out are the 0.0 added after an
+    outer product and the zero that a quadratic form's sum starts from,
+    neither of which can reach an output bit:
+
+    * A state or input enters the outputs only through the quadratic forms,
+      the squares of the divergence test and the mean square, and the
+      products that form the next state and input.  A zero's sign changes
+      none of these but the sign of a zero sum: a square of +-0.0 is +0.0; a
+      quadratic form's sum never is -0.0 once its first term is not (adding
+      +-0.0 to anything else leaves it); and a product or sum whose result is
+      not zero is the same for either sign of a zero operand.  So a -0.0
+      where the matmul gives +0.0 changes no output.
+    * A quadratic form starts from its first term where W[0, 0] > 0 (see
+      `_form_calls`), which gives the same bits.
     """
     K = _gain(sys, K)
     M, T = cfg.trajectories, cfg.horizon
-    X, lam = _trajectory_draws(sys, x0, q, cfg, 0, M)
-
-    A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
+    X0, lam = _trajectory_draws(sys, x0, q, cfg, 0, M)
+    states = (np.ascontiguousarray(X0, dtype=float), np.empty((M, sys.n)))
     costs = None if track_msq else np.zeros(M)
-    active = np.ones(M, dtype=bool)
-    msq = np.empty(T + 1) if track_msq else None
+    divergent = np.zeros(M, dtype=bool)
+    over = np.empty(M, dtype=bool)
+    work = np.empty(M)
+    bits = np.empty((min(_BIT_BLOCK, T), M))
+    plans = _step_plans(sys, K, states, bits, costs, work)
     if track_msq:
-        msq[0] = np.mean(_row_squares(X))
-    for t in range(T):
-        U = _times_transpose(X, K)
+        msq, squares = np.empty(T + 1), np.empty(M)
+        square_calls = [_row_square_calls(X, squares, work) for X in states]
+        _run(square_calls[0])
+        msq[0] = np.add.reduce(squares)
+    limit = DIVERGENCE_NORM**2
+    for start in range(0, T, len(bits)):
+        steps = min(len(bits), T - start)
+        np.copyto(bits[:steps], lam[:, start : start + steps].T)
+        for i in range(steps):
+            _run(plans[i])
+            t = start + i + 1
+            X = states[t & 1]
+            # The test keeps einsum's sums of squares: its decisions are bits of the output.
+            np.einsum("ij,ij->i", X, X, out=work)
+            if np.greater(work, limit, out=over).any():
+                X[over] = 0.0
+                divergent |= over
+            if track_msq:
+                _run(square_calls[t & 1])
+                msq[t] = np.add.reduce(squares)
+    if track_msq:
+        # np.mean divides the same sum by the row count.
+        msq /= M
+    return costs, divergent, msq if track_msq else None
+
+
+def _step_plans(sys: SystemSpec, K: np.ndarray, states: tuple, bits: np.ndarray, costs, work: np.ndarray) -> list:
+    """The calls of the i-th step of each block, for every row i of bits.
+
+    The step reads the state in states[i % 2] and the channel bits in
+    bits[i], writes the next state into the other buffer and, unless costs
+    is None, adds its step costs to costs.  A block has _BIT_BLOCK steps,
+    which is even, or is the whole horizon, so a step's place in its block
+    fixes its buffers.  `work` is scratch that the step may overwrite."""
+    M = len(work)
+    U, UB = np.empty((M, sys.m)), np.empty((M, sys.n))
+    if costs is not None:
+        qx, qu = np.empty(M), np.empty(M)
+    halves = []  # the calls before and after the channel bits, from each buffer
+    for X, Xn in (states, states[::-1]):
+        before = _product_calls(X, K, U)
+        if costs is not None:
+            before += _form_calls(X, sys.Q, qx, work) + _form_calls(U, sys.R, qu, work)
+        after = _product_calls(X, sys.A, Xn) + _product_calls(U, sys.B, UB)
+        halves.append((before, after, [(np.add, (Xn, UB, Xn))]))
+    plans = []
+    for i, lam in enumerate(bits):
+        before, after, last = halves[i % 2]
+        cost = []
         if costs is not None:
             # A row that overflowed is zero from then on, and so are its step
             # costs: the sum needs no mask to stop at its divergence.
-            costs += _quadratic_form(X, Q) + lam[:, t] * _quadratic_form(U, R)
-        X = _times_transpose(X, A) + lam[:, t, None] * _times_transpose(U, B)
-        overflow = np.einsum("ij,ij->i", X, X) > DIVERGENCE_NORM**2
-        if overflow.any():
-            X[overflow] = 0.0
-            active &= ~overflow
-        if track_msq:
-            msq[t + 1] = np.mean(_row_squares(X))
-    return costs, ~active, msq
+            cost = [(np.multiply, (qu, lam, qu)), (np.add, (qx, qu, qx)), (np.add, (costs, qx, costs))]
+        plans.append(before + cost + after + [(np.multiply, (column, lam, column)) for column in UB.T] + last)
+    return plans
 
 
 def monte_carlo_cost(sys: SystemSpec, K, q: float, x0, cfg: SimConfig) -> tuple[float, float]:
-    """Sample mean and standard error of the realized cost over cfg.trajectories rollouts."""
+    """Sample mean and standard error of the realized cost over cfg.trajectories rollouts.
+
+    The mean estimates the infinite-horizon cost only for a mean-square
+    stable loop.  When the certified radius rho of the lifted map (see
+    `exact_ms_stable`) is at least 1 - RHO_MARGIN, the truncated cost grows
+    with the horizon, and a RuntimeWarning that names rho goes with the same
+    result.  Trajectories often stay below DIVERGENCE_NORM there, so the
+    divergence mask alone does not show it."""
     _check_lifted_rate(q)
+    _, rho = _lifted_rho(sys, K, q)
+    if not _ms_stable(rho):
+        warnings.warn(
+            f"the closed loop is not mean-square stable (rho = {rho!r} >= 1 - {RHO_MARGIN:.0e}); "
+            "the Monte Carlo mean grows with the horizon and estimates no finite cost",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     costs, divergent, _ = _batched_rollout(sys, K, q, x0, cfg)
     if divergent.all():
         raise UnstableError("every trajectory diverged; the closed loop is unstable")

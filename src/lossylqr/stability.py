@@ -36,6 +36,8 @@ from .riccati import (
     _gain,
     _gain_solve,
     _invertible_B,
+    _kept,
+    _kron_A,
     _kron_self,
     _lifted_map,
     _ms_stable,
@@ -268,14 +270,12 @@ def st_lower_bound(sys: SystemSpec, q: float, variant: str) -> ThresholdReport:
 def _plant_bounds(sys: SystemSpec, variant: str):
     """`_threshold_bounds` of the plant and variant, with the clamped q_c and
     the standard solution P0, kept in the plant's memo, which keeps P0 too."""
-    key = ("bounds", variant)
-    bounds = sys._memo.get(key)
-    if bounds is None:
+
+    def make():
         P0 = None if variant == VARIANT_SCALAR else dare_solve(sys).P
-        bounds = _threshold_bounds(sys, variant, P0, _qc_clamp(critical_probability(sys, refine=False)))
-        with _memo_lock:
-            sys._memo[key] = bounds
-    return bounds
+        return _threshold_bounds(sys, variant, P0, _qc_clamp(critical_probability(sys, refine=False)))
+
+    return _kept(sys, ("bounds", variant), make)
 
 
 def _check_threshold_variant(sys: SystemSpec, variant: str) -> None:
@@ -462,7 +462,7 @@ def _oracle_verdicts(sys: SystemSpec, gains, q_grid: np.ndarray) -> np.ndarray:
     s = 1.0 - RHO_MARGIN
     N = sys.n**2
     chunk = max(1, LOCKSTEP_ENTRIES // N**2)
-    AA = _kron_self(sys.A)
+    AA = _kron_A(sys)
     rates = q_grid.tolist()
     every_row = list(range(n_q))
     for start in range(0, len(gains), chunk):

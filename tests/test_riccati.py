@@ -544,7 +544,8 @@ class TestMareMemo:
             with pytest.raises(NoSolutionError):
                 mare_solve(plant, 0.5)
             assert solve_count[0] == calls
-        assert plant._memo == {}
+        # The plant keeps only its constants, which every solve reads.
+        assert set(plant._memo) == {riccati._KRON_A_KEY, riccati._Q_FLOOR_KEY}
 
     def test_rate_type_is_part_of_the_problem(self, example1, solve_count):
         plant = fresh(example1)

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -571,6 +572,193 @@ class TestCostMask:
         assert divergent.tobytes() == expected_divergent.tobytes()
 
 
+def reference_quadratic_form(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(X))
+    term = np.empty(len(X))
+    for j in range(W.shape[0]):
+        for k in range(W.shape[0]):
+            np.multiply(X[:, j], W[j, k], out=term)
+            term *= X[:, k]
+            out += term
+    return out
+
+
+def reference_times_transpose(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    if W.shape[1] != 1:
+        return X @ W.T
+    P = np.empty((len(X), len(W)))
+    x = X[:, 0]
+    for j, w in enumerate(W[:, 0].tolist()):
+        np.multiply(x, w, out=P[:, j])
+    P += 0.0
+    return P
+
+
+def reference_row_squares(X: np.ndarray) -> np.ndarray:
+    if X.shape[1] >= 8:
+        return np.sum(X * X, axis=1)
+    out = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        out += X[:, j] * X[:, j]
+    return out
+
+
+def reference_rollout(sys, K, q, x0, cfg, track_msq=False):
+    """The batched rollout before its step was planned: one allocating numpy
+    call per operation, with the kernels above."""
+    K = simulator._gain(sys, K)
+    M, T = cfg.trajectories, cfg.horizon
+    X, lam = simulator._trajectory_draws(sys, x0, q, cfg, 0, M)
+
+    A, B, Q, R = sys.A, sys.B, sys.Q, sys.R
+    costs = None if track_msq else np.zeros(M)
+    active = np.ones(M, dtype=bool)
+    msq = np.empty(T + 1) if track_msq else None
+    if track_msq:
+        msq[0] = np.mean(reference_row_squares(X))
+    for t in range(T):
+        U = reference_times_transpose(X, K)
+        if costs is not None:
+            costs += reference_quadratic_form(X, Q) + lam[:, t] * reference_quadratic_form(U, R)
+        X = reference_times_transpose(X, A) + lam[:, t, None] * reference_times_transpose(U, B)
+        overflow = np.einsum("ij,ij->i", X, X) > DIVERGENCE_NORM**2
+        if overflow.any():
+            X[overflow] = 0.0
+            active &= ~overflow
+        if track_msq:
+            msq[t + 1] = np.mean(reference_row_squares(X))
+    return costs, ~active, msq
+
+
+class TestBatchedRollout:
+    """The planned rollout gives the costs, the divergence mask and the mean
+    square of the unplanned one, byte for byte, for every shape of plant."""
+
+    GROWTH = 1.3  # spectral radius of A, and about that of A + BK under the weak gain
+
+    @classmethod
+    def plant(cls, n: int, m: int):
+        """A plant with A of spectral radius GROWTH, Q and R with negative
+        off-diagonal entries, and a weak gain that leaves the loop unstable."""
+        rng = np.random.default_rng(10 * n + m)
+        A = rng.normal(size=(n, n))
+        A *= cls.GROWTH / np.max(np.abs(np.linalg.eigvals(A)))
+
+        def weight(size):  # diagonally dominant, with entries of both signs off the diagonal
+            S = rng.uniform(-0.25, 0.25, size=(size, size))
+            if size > 1:
+                S[0, 1] = S[1, 0] = -0.4
+            return S + S.T + size * np.eye(size)
+
+        sys = SystemSpec(A=A, B=rng.normal(size=(n, m)), Q=weight(n), R=weight(m))
+        return sys, 0.05 * rng.normal(size=(m, n))
+
+    @classmethod
+    def initial_states(cls, n: int, count: int) -> np.ndarray:
+        """Rows of +0.0, -0.0 and mixed zeros, subnormal rows (whose products
+        underflow to zeros of either sign), ordinary rows, and rows that pass
+        DIVERGENCE_NORM after 1, 2, 3, ... steps."""
+        rng = np.random.default_rng(count + n)
+        X0 = rng.normal(size=(count, n)) * np.exp(rng.normal(size=(count, 1)) * 2.0)
+        z, half = count // 12, count // 2
+        X0[:z] = 0.0
+        X0[z : 2 * z] = -0.0
+        X0[2 * z : 3 * z] = rng.choice([0.0, -0.0], size=(z, n))
+        X0[3 * z : 4 * z] = 5e-324 * rng.integers(-3, 4, size=(z, n))
+        far = X0[half:] / np.linalg.norm(X0[half:], axis=1, keepdims=True)
+        X0[half:] = far * DIVERGENCE_NORM * cls.GROWTH ** -np.arange(count - half)[:, None]
+        return X0
+
+    @staticmethod
+    def both(monkeypatch, sys, K, q, cfg, X0, track_msq):
+        """(planned, reference) rollouts of cfg from the initial states X0."""
+        draws = simulator._trajectory_draws
+        monkeypatch.setattr(simulator, "_trajectory_draws", lambda *args: (X0.copy(), draws(*args)[1]))
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            planned = _batched_rollout(sys, K, q, np.zeros(sys.n), cfg, track_msq)
+            reference = reference_rollout(sys, K, q, np.zeros(sys.n), cfg, track_msq)
+        return planned, reference
+
+    @staticmethod
+    def assert_equal(planned, reference):
+        for got, expected in zip(planned, reference, strict=True):
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("q", [0.0, 0.35, 1.0])
+    @pytest.mark.parametrize("track_msq", [False, True])
+    def test_equal_to_reference(self, monkeypatch, n, m, q, track_msq):
+        sys, K = self.plant(n, m)
+        if n > 1:
+            assert (sys.Q < 0.0).any()
+        if m > 1:
+            assert (sys.R < 0.0).any()
+        # The horizon is not a multiple of the float block.
+        cfg = SimConfig(seed=n + m, horizon=2 * simulator._BIT_BLOCK + 3, trajectories=60)
+        planned, reference = self.both(monkeypatch, sys, K, q, cfg, self.initial_states(n, 60), track_msq)
+        assert 0 < reference[1].sum() < cfg.trajectories
+        self.assert_equal(planned, reference)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_rows_diverge_at_different_steps(self, monkeypatch, n, m, q):
+        sys, K = self.plant(n, m)
+        X0 = self.initial_states(n, 60)
+        counts = []
+        for horizon in range(1, 9):
+            cfg = SimConfig(seed=3, horizon=horizon, trajectories=60)
+            planned, reference = self.both(monkeypatch, sys, K, q, cfg, X0, False)
+            self.assert_equal(planned, reference)
+            counts.append(int(reference[1].sum()))
+        assert len(set(counts)) >= 4
+
+    BLOCK = simulator._BIT_BLOCK
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, BLOCK, 4 * BLOCK, 4 * BLOCK + 1])
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (9, 3)])
+    @pytest.mark.parametrize("track_msq", [False, True])
+    def test_every_horizon(self, monkeypatch, horizon, n, m, track_msq):
+        sys, K = self.plant(n, m)
+        cfg = SimConfig(seed=horizon, horizon=horizon, trajectories=40)
+        self.assert_equal(*self.both(monkeypatch, sys, K, 0.35, cfg, self.initial_states(n, 40), track_msq))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 1), (8, 2)])
+    # +0.0, -0.0, mixed zeros, subnormal, ordinary and far rows of initial_states(n, 40)
+    @pytest.mark.parametrize("row", [0, 3, 7, 10, 15, 20, 24])
+    @pytest.mark.parametrize("track_msq", [False, True])
+    def test_one_trajectory(self, monkeypatch, n, m, row, track_msq):
+        sys, K = self.plant(n, m)
+        cfg = SimConfig(seed=row, horizon=13, trajectories=1)
+        X0 = self.initial_states(n, 40)[row : row + 1]
+        self.assert_equal(*self.both(monkeypatch, sys, K, 0.35, cfg, X0, track_msq))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("w00", [0.0, -0.0, -1.0, 5e-324])
+    def test_form_whose_first_weight_is_not_positive(self, n, w00):
+        # Such a form keeps its sum from zero: its first term can be -0.0.
+        rng = np.random.default_rng(n)
+        W = rng.normal(size=(n, n))
+        W[0, 0] = w00
+        X = rng.normal(size=(60, n))
+        X[:20] = rng.choice([0.0, -0.0], size=(20, n))
+        X[20:30, 0] = -0.0
+        assert _quadratic_form(X, W).tobytes() == reference_quadratic_form(X, W).tobytes()
+
+    @pytest.mark.parametrize("plant", ["example1", "example2", "plant3"])
+    @pytest.mark.parametrize("x0", ["fixed", "gaussian"])
+    @pytest.mark.parametrize("track_msq", [False, True])
+    def test_drawn_initial_states(self, request, plant, x0, track_msq):
+        sys = {"plant3": PLANT3}.get(plant) or request.getfixturevalue(plant)
+        gain, _ = ce_gain(sys, 0.1)
+        x0 = gaussian_law(sys.n) if x0 == "gaussian" else np.linspace(-1.0, 1.0, sys.n)
+        cfg = SimConfig(seed=5, horizon=60, trajectories=300)
+        planned = _batched_rollout(sys, gain, 0.2, x0, cfg, track_msq)
+        self.assert_equal(planned, reference_rollout(sys, gain, 0.2, x0, cfg, track_msq))
+
+
 class TestPinnedOutputs:
     """Monte Carlo outputs, pinned as float.hex, unchanged since they were recorded
     (numpy 2.4.6, OpenBLAS, x86-64).  Fixed and Gaussian x0, horizons 8 to 200,
@@ -702,7 +890,8 @@ class TestInputChecks:
         gain, _ = ce_gain(example2, 0.1633)
         traj = simulate_trajectory(example2, gain, 1.0, np.ones(2), self.CFG)
         assert not traj.drops.any()
-        mean, _ = monte_carlo_cost(example2, gain, 1.0, np.ones(2), self.CFG)
+        with pytest.warns(RuntimeWarning, match=r"not mean-square stable \(rho = 2\.25"):
+            mean, _ = monte_carlo_cost(example2, gain, 1.0, np.ones(2), self.CFG)
         assert mean == pytest.approx(traj.realized_cost, rel=1e-12)
         np.testing.assert_array_equal(lifted_matrix(example2, gain, 1.0), np.kron(example2.A, example2.A))
 
@@ -759,8 +948,34 @@ class TestMonteCarloCost:
     def test_all_divergent_raises(self):
         sys = SystemSpec(A=100.0, B=1.0, Q=1.0, R=1.0)
         cfg = SimConfig(seed=0, horizon=150, trajectories=3)
-        with pytest.raises(UnstableError):
+        with pytest.warns(RuntimeWarning, match=r"rho = 10000\.0 "), pytest.raises(UnstableError):
             monte_carlo_cost(sys, np.zeros((1, 1)), 0.0, np.array([1.0]), cfg)
+
+    @pytest.mark.parametrize("q, rho", [(0.45, "1.10640403733738"), (0.6, "1.41829384533628")])
+    def test_unstable_loop_warns_with_the_same_result(self, example1, q, rho):
+        # No trajectory passes DIVERGENCE_NORM, yet the mean grows with the horizon.
+        gain, _ = ce_gain(example1, 0.0)
+        cfg = SimConfig(seed=1, horizon=300, trajectories=200)
+        costs, divergent, _ = _batched_rollout(example1, gain, q, np.array([1.0]), cfg)
+        assert not divergent.any()
+        with pytest.warns(RuntimeWarning, match=f"not mean-square stable \\(rho = {rho}"):
+            mean, std_err = monte_carlo_cost(example1, gain, q, np.array([1.0]), cfg)
+        assert mean == float(np.mean(costs))
+        assert std_err == float(np.std(costs, ddof=1) / math.sqrt(cfg.trajectories))
+
+    def test_marginal_loop_warns(self, example1):
+        # a + b k = 1: rho = 1 at q = 0, and the cost grows linearly with the horizon.
+        cfg = SimConfig(seed=2, horizon=50, trajectories=4)
+        with pytest.warns(RuntimeWarning, match=r"rho = 1\.0 >= 1 - 1e-09"):
+            mean, _ = monte_carlo_cost(example1, np.array([[-0.5]]), 0.0, np.array([1.0]), cfg)
+        assert mean == pytest.approx(50 * 1.25)
+
+    @pytest.mark.parametrize("q", [0.0, 0.2, 0.3])
+    def test_stable_loop_does_not_warn(self, example1, q):
+        gain, _ = ce_gain(example1, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monte_carlo_cost(example1, gain, q, np.array([1.0]), SimConfig(seed=3, horizon=40, trajectories=50))
 
 
 class TestEmpiricalSecondMoment:
