@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import InvalidInputError, UnstableError
 from .learning import ChannelSamples
-from .numerics import _as_int, _check_lifted_rate, _finite_vector
-from .riccati import RHO_MARGIN, SystemSpec, _gain, _ms_stable
+from .numerics import _as_int, _check_lifted_rate, _dense_spectral_radius, _finite_vector
+from .riccati import RHO_MARGIN, SystemSpec, _gain, _lifted_map, _ms_stable
 from .stability import _lifted_rho
 
 _MASK64 = (1 << 64) - 1
@@ -431,8 +431,8 @@ def _product_calls(X: np.ndarray, W: np.ndarray, out: np.ndarray) -> list:
     multiply of X's column per column of out, a 1-D view each (a broadcast
     multiply runs slower than BLAS once the result has two columns).  Its
     entries are the matmul's bits, except that a zero may be -0.0 where the
-    matmul's sum from zero gives +0.0 (`_times_transpose` adds 0.0 for
-    that)."""
+    matmul's sum from zero gives +0.0; `_batched_rollout` shows why no
+    output sees that sign."""
     if W.shape[1] != 1:
         return [(np.matmul, (X, W.T, out))]
     x = X[:, 0]
@@ -476,31 +476,6 @@ def _row_square_calls(X: np.ndarray, out: np.ndarray, term: np.ndarray) -> list:
     for x in cols[1:]:
         calls += [(np.multiply, (x, x, term)), (np.add, (out, term, out))]
     return calls
-
-
-def _quadratic_form(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """x^T W x for every row x of X, by `_form_calls`."""
-    out, term = np.empty(len(X)), np.empty(len(X))
-    _run(_form_calls(X, W, out, term))
-    return out
-
-
-def _times_transpose(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """X @ W.T for a batch of rows X, bit for bit, by `_product_calls`; after
-    an outer product, adding 0.0 turns -0.0 into +0.0, as the matmul's sum
-    from zero does, and leaves every other product's bits."""
-    out = np.empty((len(X), len(W)))
-    _run(_product_calls(X, W, out))
-    if W.shape[1] == 1:
-        out += 0.0
-    return out
-
-
-def _row_squares(X: np.ndarray) -> np.ndarray:
-    """np.sum(X * X, axis=1), bit for bit, by `_row_square_calls`."""
-    out, term = np.empty(len(X)), np.empty(len(X))
-    _run(_row_square_calls(X, out, term))
-    return out
 
 
 def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
@@ -607,14 +582,21 @@ def monte_carlo_cost(sys: SystemSpec, K, q: float, x0, cfg: SimConfig) -> tuple[
     """Sample mean and standard error of the realized cost over cfg.trajectories rollouts.
 
     The mean estimates the infinite-horizon cost only for a mean-square
-    stable loop.  When the certified radius rho of the lifted map (see
+    stable loop.  When the spectral radius rho of the lifted map (see
     `exact_ms_stable`) is at least 1 - RHO_MARGIN, the truncated cost grows
     with the horizon, and a RuntimeWarning that names rho goes with the same
     result.  Trajectories often stay below DIVERGENCE_NORM there, so the
-    divergence mask alone does not show it."""
+    divergence mask alone does not show it.
+
+    rho is the dense radius that `exact_ms_stable` certifies, taken here
+    without the certificate: the notice needs no proof, and a certificate
+    that fails must not stop the estimate.  A gain whose lifted map
+    overflows gets no notice; its rollout shows the divergence."""
     _check_lifted_rate(q)
-    _, rho = _lifted_rho(sys, K, q)
-    if not _ms_stable(rho):
+    with np.errstate(over="ignore", invalid="ignore"):
+        Phi = _lifted_map(sys, _gain(sys, K), q)
+    rho = _dense_spectral_radius(Phi) if np.isfinite(Phi).all() else None
+    if rho is not None and not _ms_stable(rho):
         warnings.warn(
             f"the closed loop is not mean-square stable (rho = {rho!r} >= 1 - {RHO_MARGIN:.0e}); "
             "the Monte Carlo mean grows with the horizon and estimates no finite cost",

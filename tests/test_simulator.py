@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 from lossylqr import (
     DimensionError,
     InvalidInputError,
+    NumericalFailureError,
     SimConfig,
     SystemSpec,
     UnstableError,
@@ -22,7 +24,7 @@ from lossylqr import (
     sample_channel,
     simulate_trajectory,
 )
-from lossylqr import simulator
+from lossylqr import numerics, simulator
 from lossylqr.simulator import (
     _FAMILY_CHANNEL,
     _FAMILY_TRAJECTORY,
@@ -32,7 +34,6 @@ from lossylqr.simulator import (
     _mix64,
     _mix64_array,
     _philox_words,
-    _quadratic_form,
     _stream,
     _stream_key,
     _trajectory_draws,
@@ -402,6 +403,68 @@ class TestRekeyedDraws:
         )
 
 
+def reference_quadratic_form(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """x^T W x of every row x of X as the rollout formed it before its step
+    was planned: einsum's order of terms, from zero."""
+    out = np.zeros(len(X))
+    term = np.empty(len(X))
+    for j in range(W.shape[0]):
+        for k in range(W.shape[0]):
+            np.multiply(X[:, j], W[j, k], out=term)
+            term *= X[:, k]
+            out += term
+    return out
+
+
+def reference_times_transpose(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """X @ W.T as the rollout formed it before its step was planned: an outer
+    product without BLAS, its zeros made +0.0 as the matmul's are."""
+    if W.shape[1] != 1:
+        return X @ W.T
+    P = np.empty((len(X), len(W)))
+    x = X[:, 0]
+    for j, w in enumerate(W[:, 0].tolist()):
+        np.multiply(x, w, out=P[:, j])
+    P += 0.0
+    return P
+
+
+def reference_row_squares(X: np.ndarray) -> np.ndarray:
+    """np.sum(X * X, axis=1) as the decay rollout formed it before its step
+    was planned."""
+    if X.shape[1] >= 8:
+        return np.sum(X * X, axis=1)
+    out = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        out += X[:, j] * X[:, j]
+    return out
+
+
+def planned_form(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """x^T W x of every row x of X, by the rollout's planned calls."""
+    out, term = np.empty(len(X)), np.empty(len(X))
+    simulator._run(simulator._form_calls(X, W, out, term))
+    return out
+
+
+def planned_product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """X @ W.T, by the rollout's planned calls."""
+    out = np.empty((len(X), len(W)))
+    simulator._run(simulator._product_calls(X, W, out))
+    return out
+
+
+def planned_row_squares(X: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, by the rollout's planned calls."""
+    out, term = np.empty(len(X)), np.empty(len(X))
+    simulator._run(simulator._row_square_calls(X, out, term))
+    return out
+
+
+def sum_of_squares(X: np.ndarray, out: np.ndarray) -> None:
+    np.copyto(out, np.sum(X * X, axis=1))
+
+
 class TestQuadraticForm:
     """The column sum equals the three-operand einsum it replaces, bit for bit."""
 
@@ -422,7 +485,7 @@ class TestQuadraticForm:
         X[80:100] = direction[40:] * 1e160
         with np.errstate(over="ignore", invalid="ignore"):
             expected = np.einsum("ij,jk,ik->i", X, W, X)
-            np.testing.assert_array_equal(_quadratic_form(X, W), expected)
+            np.testing.assert_array_equal(planned_form(X, W), expected)
         assert np.signbit(expected[:40]).sum() == 0
 
 
@@ -468,7 +531,7 @@ class TestOuterProducts:
         monkeypatch.setattr(simulator, "_trajectory_draws", lambda *args: (X0.copy(), draws(*args)[1]))
         with np.errstate(over="ignore", invalid="ignore"):
             outer = _batched_rollout(sys, np.array(K), q, np.zeros(sys.n), cfg, track_msq)
-            monkeypatch.setattr(simulator, "_times_transpose", lambda X, W: X @ W.T)
+            monkeypatch.setattr(simulator, "_product_calls", lambda X, W, out: [(np.matmul, (X, W.T, out))])
             reference = _batched_rollout(sys, np.array(K), q, np.zeros(sys.n), cfg, track_msq)
         assert 0 < reference[1].sum() < cfg.trajectories
         for got, expected in zip(outer, reference):
@@ -483,8 +546,12 @@ class TestOuterProducts:
         X = rng.choice(special + list(rng.normal(size=9)), size=(rows, 1))
         W = rng.choice(special + list(rng.normal(size=9)), size=(columns, 1))
         with np.errstate(over="ignore"):
-            assert simulator._times_transpose(X, W).tobytes() == (X @ W.T).tobytes()
-        assert not np.signbit(simulator._times_transpose(np.array([[-0.0]]), np.array([[1.0]]))).any()
+            product = planned_product(X, W)
+            # Equal bits but for the sign of a zero: adding 0.0 makes every zero +0.0.
+            assert (product + 0.0).tobytes() == (X @ W.T).tobytes()
+        # The matmul's sum from zero gives +0.0 here; the outer product keeps
+        # -0.0, which test_rollout_equals_matmul_rollout shows no output sees.
+        assert np.signbit(planned_product(np.array([[-0.0]]), np.array([[1.0]]))).all()
 
 
 class TestRowSquares:
@@ -506,7 +573,7 @@ class TestRowSquares:
         X[75:80, -1] = -np.nan
         X[80:85, 0], X[80:85, -1] = np.nan, -np.nan
         with np.errstate(over="ignore", invalid="ignore"):
-            assert simulator._row_squares(X).tobytes() == np.sum(X * X, axis=1).tobytes()
+            assert planned_row_squares(X).tobytes() == np.sum(X * X, axis=1).tobytes()
 
     @pytest.mark.parametrize("plant", ["example1", "example2", "plant3", "plant5"])
     @pytest.mark.parametrize("q", [0.0, 0.4, 1.0])
@@ -519,7 +586,7 @@ class TestRowSquares:
         monkeypatch.setattr(simulator, "_trajectory_draws", lambda *args: (X0.copy(), draws(*args)[1]))
         with np.errstate(over="ignore", invalid="ignore"):
             got = _batched_rollout(sys, gain, q, np.zeros(sys.n), cfg, track_msq=True)
-            monkeypatch.setattr(simulator, "_row_squares", lambda X: np.sum(X * X, axis=1))
+            monkeypatch.setattr(simulator, "_row_square_calls", lambda X, out, term: [(sum_of_squares, (X, out))])
             expected = _batched_rollout(sys, gain, q, np.zeros(sys.n), cfg, track_msq=True)
         assert expected[1].any()
         assert got[1].tobytes() == expected[1].tobytes()
@@ -539,10 +606,10 @@ class TestCostMask:
         active = np.ones(len(X), dtype=bool)
         first = None
         for t in range(lam.shape[1]):
-            U = simulator._times_transpose(X, K)
-            step_cost = _quadratic_form(X, sys.Q) + lam[:, t] * _quadratic_form(U, sys.R)
+            U = reference_times_transpose(X, K)
+            step_cost = reference_quadratic_form(X, sys.Q) + lam[:, t] * reference_quadratic_form(U, sys.R)
             costs += np.where(active, step_cost, 0.0)
-            X = simulator._times_transpose(X, sys.A) + lam[:, t, None] * simulator._times_transpose(U, sys.B)
+            X = reference_times_transpose(X, sys.A) + lam[:, t, None] * reference_times_transpose(U, sys.B)
             overflow = np.einsum("ij,ij->i", X, X) > DIVERGENCE_NORM**2
             if first is None and overflow.any():
                 first = t
@@ -570,37 +637,6 @@ class TestCostMask:
         assert 3 <= first < cfg.horizon - 3
         assert costs.tobytes() == expected_costs.tobytes()
         assert divergent.tobytes() == expected_divergent.tobytes()
-
-
-def reference_quadratic_form(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(X))
-    term = np.empty(len(X))
-    for j in range(W.shape[0]):
-        for k in range(W.shape[0]):
-            np.multiply(X[:, j], W[j, k], out=term)
-            term *= X[:, k]
-            out += term
-    return out
-
-
-def reference_times_transpose(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    if W.shape[1] != 1:
-        return X @ W.T
-    P = np.empty((len(X), len(W)))
-    x = X[:, 0]
-    for j, w in enumerate(W[:, 0].tolist()):
-        np.multiply(x, w, out=P[:, j])
-    P += 0.0
-    return P
-
-
-def reference_row_squares(X: np.ndarray) -> np.ndarray:
-    if X.shape[1] >= 8:
-        return np.sum(X * X, axis=1)
-    out = X[:, 0] * X[:, 0]
-    for j in range(1, X.shape[1]):
-        out += X[:, j] * X[:, j]
-    return out
 
 
 def reference_rollout(sys, K, q, x0, cfg, track_msq=False):
@@ -745,7 +781,7 @@ class TestBatchedRollout:
         X = rng.normal(size=(60, n))
         X[:20] = rng.choice([0.0, -0.0], size=(20, n))
         X[20:30, 0] = -0.0
-        assert _quadratic_form(X, W).tobytes() == reference_quadratic_form(X, W).tobytes()
+        assert planned_form(X, W).tobytes() == reference_quadratic_form(X, W).tobytes()
 
     @pytest.mark.parametrize("plant", ["example1", "example2", "plant3"])
     @pytest.mark.parametrize("x0", ["fixed", "gaussian"])
@@ -969,6 +1005,51 @@ class TestMonteCarloCost:
         with pytest.warns(RuntimeWarning, match=r"rho = 1\.0 >= 1 - 1e-09"):
             mean, _ = monte_carlo_cost(example1, np.array([[-0.5]]), 0.0, np.array([1.0]), cfg)
         assert mean == pytest.approx(50 * 1.25)
+
+    def test_overflowing_lifted_map_still_ends_unstable(self, example1):
+        # (a + b k)^2 overflows, so the lifted map has no radius and there is
+        # no notice; every trajectory diverges, as it did before the notice.
+        cfg = SimConfig(seed=0, horizon=20, trajectories=5)
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnstableError):
+                monte_carlo_cost(example1, np.array([[-1e160]]), 0.3, np.array([1.0]), cfg)
+
+    def test_near_defective_map_gets_the_notice_alone(self):
+        # Rotated Jordan blocks at 1: dense eigenvalues put rho a little above
+        # 1, and the Lyapunov solves of the certificate lose their digits, so
+        # exact_ms_stable mostly warns.  The notice takes no certificate.
+        rng = np.random.default_rng(0)
+        uncertified = 0
+        for _ in range(10):
+            U = np.triu(rng.normal(size=(3, 3)), 1) + np.eye(3)
+            Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            plant = SystemSpec(A=Q @ U @ Q.T, B=np.eye(3), Q=np.eye(3), R=np.eye(3))
+            K = np.zeros((3, 3))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                exact_ms_stable(plant, K, 0.0)
+            uncertified += len(caught)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                monte_carlo_cost(plant, K, 0.0, np.ones(3), SimConfig(seed=1, horizon=10, trajectories=3))
+            assert [w.category for w in caught] == [RuntimeWarning]
+            assert str(caught[0].message).startswith("the closed loop is not mean-square stable (rho = 1.000")
+        assert uncertified >= 5
+
+    def test_failed_certificate_does_not_stop_the_estimate(self, example2, monkeypatch):
+        gain, _ = ce_gain(example2, 0.1633)
+        cfg = SimConfig(seed=4, horizon=30, trajectories=20)
+        expected = monte_carlo_cost(example2, gain, 0.2, np.ones(2), cfg)
+        # An understated dense radius fails the certificate's upper side.
+        dense = numerics._dense_spectral_radius
+        monkeypatch.setattr(numerics, "_dense_spectral_radius", lambda M: dense(M) - 2e-7)
+        plant = copy.copy(example2)
+        with pytest.raises(NumericalFailureError, match="from above"):
+            exact_ms_stable(plant, gain, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert monte_carlo_cost(plant, gain, 0.2, np.ones(2), cfg) == expected
 
     @pytest.mark.parametrize("q", [0.0, 0.2, 0.3])
     def test_stable_loop_does_not_warn(self, example1, q):
