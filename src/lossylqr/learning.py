@@ -19,14 +19,14 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .numerics import _as_int, sym_eig_extremes, symmetrize
-from .riccati import SystemSpec, ce_gain
+from .riccati import SystemSpec
 from .stability import (
     VARIANT_GENERAL,
     VARIANT_INVERTIBLE_B,
     VARIANT_SCALAR,
+    _design,
     _strict_margin,
     _threshold_curve,
-    gain_weight_matrix,
     st_lower_bound,
 )
 
@@ -59,6 +59,14 @@ class ChannelSamples:
     @property
     def count(self) -> int:
         return int(self.bits.size)
+
+
+def _channel_samples(bits: np.ndarray) -> ChannelSamples:
+    """ChannelSamples of a 1-d int8 array of 0/1 bits made by the library,
+    without the constructor's checks and copy."""
+    samples = object.__new__(ChannelSamples)
+    object.__setattr__(samples, "bits", bits)
+    return samples
 
 
 @dataclass(frozen=True)
@@ -178,12 +186,16 @@ def _tolerated_rate_sup(sys: SystemSpec, q_hat: float) -> float:
     sign change within QBAR_PROBE_OFFSET of the closed form: the constraint
     must hold at min(sup, 1) - QBAR_PROBE_OFFSET and, when sup +
     QBAR_PROBE_OFFSET < 1, fail there; otherwise NumericalFailureError.
+
+    Q, K^T R K (symmetrized) and W are exactly symmetric, so C0, C1 and each
+    C0 - x C1 are too, and `symmetrize` would return them unchanged: their
+    eigenvalues are taken directly.  A non-finite C0 or C1 fails the check
+    of the congruence's `sym_eig_extremes`.
     """
-    gain, sol = ce_gain(sys, q_hat)
-    W = gain_weight_matrix(sys, sol.P)
+    gain, _, W = _design(sys, q_hat)
     KtRK = symmetrize(gain.K.T @ sys.R @ gain.K)
-    C0 = symmetrize(sys.Q + KtRK + q_hat * W)
-    C1 = symmetrize(KtRK + W)
+    C0 = sys.Q + KtRK + q_hat * W
+    C1 = KtRK + W
 
     w0, V0 = np.linalg.eigh(C0)
     root_inv = (V0 / np.sqrt(w0)) @ V0.T
@@ -193,7 +205,7 @@ def _tolerated_rate_sup(sys: SystemSpec, q_hat: float) -> float:
     x_sup = 1.0 / lam_max
 
     def holds(x: float) -> bool:
-        return sym_eig_extremes(C0 - x * C1)[0] > 0.0
+        return np.linalg.eigvalsh(C0 - x * C1)[0] > 0.0
 
     above = x_sup + QBAR_PROBE_OFFSET
     if not holds(min(x_sup, 1.0) - QBAR_PROBE_OFFSET) or (above < 1.0 and holds(above)):

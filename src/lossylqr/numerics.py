@@ -31,7 +31,12 @@ def _as_matrix(M, stack: bool = False) -> np.ndarray:
         raise InvalidInputError(f"expected a 2-d matrix, got ndim={M.ndim}")
     if not M.size and 0 in M.shape[-2:]:
         raise InvalidInputError(f"expected a non-empty matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    return _finite(M)
+
+
+def _finite(M: np.ndarray) -> np.ndarray:
+    """M itself, when all its entries are finite; else InvalidInputError."""
+    if not np.isfinite(M).all():
         raise InvalidInputError("matrix has non-finite entries")
     return M
 
@@ -69,11 +74,12 @@ def _finite_vector(x, size: int, name: str) -> np.ndarray:
 
 
 def _fro(X: np.ndarray):
-    """Frobenius norm of a matrix, or of each matrix of a (k, r, c) stack.  One
-    matrix takes the BLAS dot of its entries in memory order, and a stack the
-    same dot of each flattened matrix (np.vecdot): what np.linalg.norm
-    computes, so the same bits, without its per-call overhead."""
-    if X.ndim == 2:
+    """Euclidean norm of a vector, Frobenius norm of a matrix, or that of each
+    matrix of a (k, r, c) stack.  A vector or matrix takes the BLAS dot of its
+    entries in memory order, and a stack the same dot of each flattened matrix
+    (np.vecdot): what np.linalg.norm computes, so the same bits, without its
+    per-call overhead."""
+    if X.ndim <= 2:
         v = X.ravel(order="K")
         return math.sqrt(v.dot(v))
     v = X.reshape(len(X), X.shape[1] * X.shape[2])
@@ -162,16 +168,24 @@ class StallDetector:
         return self.stalls >= 2
 
 
-def _positive_definite(X: np.ndarray):
-    """Whether X, or each matrix of a (k, n, n) stack, is finite and has a
-    Cholesky factor.  numpy fails a whole stacked call for one member, so a
-    failed stack is tested again member by member."""
+def _has_cholesky(X: np.ndarray):
+    """Whether X, or each matrix of a (k, n, n) stack, has a Cholesky factor,
+    which says nothing of a matrix with a non-finite entry.  numpy fails a
+    whole stacked call for one member, so a failed stack is tested again
+    member by member."""
     try:
         np.linalg.cholesky(X)
     except np.linalg.LinAlgError:
-        return False if X.ndim == 2 else np.array([_positive_definite(M) for M in X])
+        return False if X.ndim == 2 else np.array([_has_cholesky(M) for M in X])
+    return True if X.ndim == 2 else np.ones(len(X), dtype=bool)
+
+
+def _positive_definite(X: np.ndarray):
+    """Whether X, or each matrix of a (k, n, n) stack, is finite and has a
+    Cholesky factor."""
+    factored = _has_cholesky(X)
     finite = np.isfinite(X).all(axis=(-2, -1))
-    return bool(finite) if X.ndim == 2 else finite
+    return bool(factored and finite) if X.ndim == 2 else factored & finite
 
 
 def _lyapunov_solve(M: np.ndarray, s: float, n: int):

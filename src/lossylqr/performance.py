@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NoSolutionError, NumericalFailureError, UnstableError
-from .numerics import _finite_vector, sym_eig_extremes, symmetrize
-from .riccati import Gain, SystemSpec, _feedback_gain, _mare_solve_rates, _ms_stable, ce_gain, mare_solve
-from .stability import _lifted_rho, gain_weight_matrix
+from .numerics import _finite, _finite_vector, _fro, sym_eig_extremes, symmetrize
+from .riccati import Gain, SystemSpec, _feedback_gain, _mare_solve_rates, _ms_stable, mare_solve
+from .stability import _design, _lifted_rho, gain_weight_matrix
 
 # Required agreement between the linear-solve and series routes for S.
 SERIES_AGREE_RTOL = 1e-8
@@ -71,7 +71,9 @@ def initial_second_moment(x0, n: int) -> np.ndarray:
     if arr.shape != (n, n):
         raise DimensionError(f"initial second moment must be {n}x{n}, got {arr.shape}")
     X0 = symmetrize(arr)
-    lmin, lmax = sym_eig_extremes(X0)
+    # X0 is exactly symmetric; only an overflow of arr + arr^T can make it non-finite.
+    w = np.linalg.eigvalsh(_finite(X0))
+    lmin, lmax = float(w[0]), float(w[-1])
     if lmin < -1e-10 * (1.0 + abs(lmax)):
         raise InvalidInputError(f"initial second moment must be PSD (lambda_min={lmin:.3e})")
     return X0
@@ -106,15 +108,15 @@ def _second_moment_sum(sys: SystemSpec, K, q: float, X0: np.ndarray) -> np.ndarr
     for _ in range(SERIES_MAX_DOUBLINGS):
         block = power @ acc
         acc = acc + block
-        if np.linalg.norm(block) <= SERIES_STOP_RTOL * (1.0 + np.linalg.norm(acc)):
+        if _fro(block) <= SERIES_STOP_RTOL * (1.0 + _fro(acc)):
             break
         power = power @ power
     else:
         raise NumericalFailureError("second-moment series did not converge")
     S_series = acc.reshape(n, n)
 
-    err = np.linalg.norm(S_series - S_solve)
-    if err > SERIES_AGREE_RTOL * (1.0 + np.linalg.norm(S_solve)):
+    err = _fro(S_series - S_solve)
+    if err > SERIES_AGREE_RTOL * (1.0 + _fro(S_solve)):
         raise NumericalFailureError(
             f"second-moment solve and series disagree by {err:.3e}"
         )
@@ -123,16 +125,16 @@ def _second_moment_sum(sys: SystemSpec, K, q: float, X0: np.ndarray) -> np.ndarr
 
 def gap(sys: SystemSpec, q: float, q_hat: float, X0) -> GapReport:
     """Exact optimality gap of the controller designed at q_hat, run at true rate q."""
-    gain, sol_hat = ce_gain(sys, q_hat)
-    return _gap_report(sys, q, gain, sol_hat, mare_solve(sys, q), initial_second_moment(X0, sys.n))
+    gain, sol_hat, W = _design(sys, q_hat)
+    return _gap_report(sys, q, gain, sol_hat, W, mare_solve(sys, q), initial_second_moment(X0, sys.n))
 
 
-def _gap_report(sys: SystemSpec, q: float, gain, sol_hat, sol_true, X0: np.ndarray) -> GapReport:
-    """`gap` from the design, the true-rate Riccati solution and the normalized X0."""
+def _gap_report(sys: SystemSpec, q: float, gain, sol_hat, W: np.ndarray, sol_true, X0: np.ndarray) -> GapReport:
+    """`gap` from the design, its gain weight matrix W, the true-rate Riccati
+    solution and the normalized X0."""
     q_hat = gain.q_design
     S = _second_moment_sum(sys, gain, q, X0)  # raises UnstableError if rho >= 1
 
-    W = gain_weight_matrix(sys, sol_hat.P)
     gramian_trace = float(np.trace(W @ S))
     x_k_term = (q - q_hat) * gramian_trace
     p_diff_term = float(np.trace((sol_hat.P - sol_true.P) @ X0))
@@ -181,7 +183,7 @@ def gap_curve(sys: SystemSpec, q: float, X0, q_hat_grid) -> list[GapCurvePoint]:
             raise sol_hat
         gain = Gain(K=_feedback_gain(sys, sol_hat.P), q_design=q_hat)
         try:
-            report = _gap_report(sys, q, gain, sol_hat, sol_true, X0)
+            report = _gap_report(sys, q, gain, sol_hat, gain_weight_matrix(sys, sol_hat.P), sol_true, X0)
             points.append(GapCurvePoint(q_hat=q_hat, gap=report.gap, stable=True))
         except UnstableError:
             points.append(GapCurvePoint(q_hat=q_hat, gap=None, stable=False))

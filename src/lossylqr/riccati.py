@@ -27,11 +27,12 @@ A plant keeps its own results: `SystemSpec` holds read-only matrices and a
 private memo, so repeated calls with the same plant and rate return the
 same read-only solution.  The memo keeps every standard (q = 0) solution
 and the four other rates returned last, with the gain of each that
-`ce_gain` was asked for, and the threshold-bound evaluators and last
-certified lifted radius of `stability`.  The estimate, the true rate and
-q = 0 of one design are each solved once however many functions ask for
-them, and the standard solution, which the sample-complexity bound of each
-design asks for, outlives the other rates of designs in between.
+`ce_gain` was asked for and its gain weight (`stability._design`), and the
+threshold-bound evaluators and last certified lifted radius of `stability`.
+The estimate, the true rate and q = 0 of one design are each solved once
+however many functions ask for them, and the standard solution, which the
+sample-complexity bound of each design asks for, outlives the other rates
+of designs in between.
 
 One driver runs this iteration, `_lockstep`, and a single rate is a stack
 of one: `mare_solve` (hence every design) passes one rate, and
@@ -79,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, LossyLqrError, NoSolutionError
-from .numerics import StallDetector, _dense_spectral_radius, _fro, _positive_definite, sym_eig_extremes, symmetrize
+from .numerics import StallDetector, _dense_spectral_radius, _fro, _has_cholesky, sym_eig_extremes, symmetrize
 from .numerics import _check_rate
 
 # Fixed-point iteration controls for the (modified) Riccati equation.
@@ -362,16 +363,18 @@ def _solve_certifies(L: np.ndarray, P: np.ndarray, cost: np.ndarray, q_floor: fl
     q_floor = lambda_min(Q): L^T(P) <= P - c I <= (1 - c / lambda_max(P)) P
     once P > 0 (Cholesky), and L^T preserves the PSD cone, so rho(L) <=
     1 - c / lambda_max(P).  ||P||_F * RHO_MARGIN < c then gives the dense
-    test's inequality.  False means not proven, not unstable.  Stacks of maps,
-    solutions and costs give one verdict per member.
+    test's inequality.  That comparison is false when P or E has a non-finite
+    entry, so the Cholesky test runs only on finite members.  False means not
+    proven, not unstable.  Stacks of maps, solutions and costs give one
+    verdict per member.
     """
     n = P.shape[-1]
     E = P - (L.mT @ P.reshape(P.shape[:-2] + (n * n, 1))).reshape(P.shape) - cost
     certified = _fro(P) * RHO_MARGIN < q_floor - _fro(E)
     if P.ndim == 2:
-        return bool(certified) and _positive_definite(P)
+        return bool(certified) and _has_cholesky(P)
     if certified.any():
-        certified[certified] = _positive_definite(P[certified])
+        certified[certified] = _has_cholesky(P[certified])
     return certified
 
 
@@ -660,7 +663,7 @@ def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
         if isinstance(sol, NoSolutionError):
             raise sol
         sol.P.flags.writeable = False
-        entry = [sol, None]  # the gain, once `ce_gain` asks for it
+        entry = [sol, None, None]  # the gain and its weight, once asked for
     with _memo_lock:
         sys._memo[key] = entry
         for k in [k for k in sys._memo if k[0] == "rate"][:-_MEMO_SIZE]:
@@ -673,7 +676,9 @@ def dare_solve(sys: SystemSpec) -> RiccatiSolution:
     return mare_solve(sys, 0.0)
 
 
-def _bisect_rates(sys: SystemSpec, lo: float, hi: float, tol: float, score, graded=None) -> tuple[float, float]:
+def _bisect_rates(
+    sys: SystemSpec, lo: float, hi: float, tol: float, score, graded=None, ahead_max: float = math.inf
+) -> tuple[float, float]:
     """Bisect [lo, hi] to width tol.  score(qs, outcomes) gives one score per
     rate of the list qs from its outcome, its RiccatiSolution or
     NoSolutionError; a midpoint becomes lo where its score is positive and hi
@@ -696,6 +701,10 @@ def _bisect_rates(sys: SystemSpec, lo: float, hi: float, tol: float, score, grad
     Derivatives*, 1973), the next batch holds instead every midpoint that
     the bisection can probe, all the way to width tol, while the root lies
     within BISECT_BAND * tol of r.
+
+    A batch holds no midpoint above `ahead_max` but the one the bisection
+    takes next: a caller that knows the rates above it to be slow to solve,
+    or infeasible, has each such midpoint solved only when it is taken.
     """
     known = None if graded is None else dict(graded)
     outcomes, scores = {}, {}
@@ -708,6 +717,7 @@ def _bisect_rates(sys: SystemSpec, lo: float, hi: float, tol: float, score, grad
             else:
                 w = BISECT_BAND * tol
                 probes = _bisection_midpoints(lo, hi, tol, math.inf, (r - w, r + w))
+            probes = [p for p in probes if p <= ahead_max or p == mid]
             outcomes = dict(zip(probes, _mare_solve_rates(sys, probes)))
             try:
                 scores = dict(zip(probes, score(probes, list(outcomes.values()))))
@@ -811,7 +821,7 @@ def ce_gain(sys: SystemSpec, q_hat: float) -> tuple[Gain, RiccatiSolution]:
     call gets its own writable copy, with the bytes and C layout of the
     first."""
     sol = mare_solve(sys, q_hat)
-    entry = sys._memo.get(_rate_key(q_hat)) or [sol, None]
+    entry = sys._memo.get(_rate_key(q_hat)) or [sol, None, None]
     K = entry[1]
     if K is None:
         K = _feedback_gain(sys, sol.P)

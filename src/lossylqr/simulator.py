@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, UnstableError
-from .learning import ChannelSamples
+from .learning import ChannelSamples, _channel_samples
 from .numerics import _as_int, _check_lifted_rate, _dense_spectral_radius, _finite_vector
 from .riccati import RHO_MARGIN, SystemSpec, _gain, _lifted_map, _ms_stable
 from .stability import _lifted_rho
@@ -134,10 +134,14 @@ def _keyed_state(key: int, family: int) -> dict:
     }
 
 
-def _stream(seed: int, index: int, family: int) -> np.random.Generator:
+def _keyed_philox(seed: int, index: int, family: int) -> np.random.Philox:
     bitgen = np.random.Philox(_FIXED_SEED)
     bitgen.state = _keyed_state(_stream_key(seed, index), family)
-    return np.random.Generator(bitgen)
+    return bitgen
+
+
+def _stream(seed: int, index: int, family: int) -> np.random.Generator:
+    return np.random.Generator(_keyed_philox(seed, index, family))
 
 
 def _mulhilo(i: int, x: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
@@ -257,14 +261,19 @@ class DecayVerdict:
 
 def sample_channel(q: float, N: int, seed: int) -> ChannelSamples:
     """Draw N i.i.d. channel bits, 1 with probability 1 - q, for q in (0, 1), an
-    integer N >= 1 and any integer seed (a numpy integer counts as its Python int)."""
+    integer N >= 1 and any integer seed (a numpy integer counts as its Python int).
+
+    Bit i is `Generator.random()` >= q on word i of the channel stream, decided
+    on the raw word against the integer threshold of `_delivery_threshold`
+    without forming the float; below q = 1 the threshold fits in 64 bits.  The
+    bits are 0/1 by construction, so the samples skip the checks of the
+    `ChannelSamples` constructor."""
     if not 0.0 < q < 1.0:
         raise InvalidInputError(f"channel loss rate must lie in (0, 1), got {q}")
     N = _as_int(N, "sample count N", least=1)
     seed = _as_int(seed, "seed")
-    rng = _stream(seed, 0, _FAMILY_CHANNEL)
-    bits = (rng.random(N) >= q).astype(np.int8)
-    return ChannelSamples(bits=bits)
+    words = _keyed_philox(seed, 0, _FAMILY_CHANNEL).random_raw(N)
+    return _channel_samples((words >= np.uint64(_delivery_threshold(q))).view(np.int8))
 
 
 def _gaussian_law(sys: SystemSpec, x0) -> tuple[np.ndarray, np.ndarray]:

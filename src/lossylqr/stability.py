@@ -24,12 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NoSolutionError, NotPSDError
-from .numerics import _dense_spectral_radius, _spectral_radius, psd_sqrt, sym_eig_extremes, symmetrize
+from .numerics import _dense_spectral_radius, _finite, _spectral_radius, psd_sqrt, sym_eig_extremes, symmetrize
 from .numerics import _check_lifted_rate, _check_rate
 from .riccati import (
     LOCKSTEP_ENTRIES,
     RHO_MARGIN,
     CriticalProbability,
+    Gain,
+    RiccatiSolution,
     SystemSpec,
     _bisect_rates,
     _feedback_gain,
@@ -43,6 +45,7 @@ from .riccati import (
     _ms_stable,
     _mare_solve_rates,
     _memo_lock,
+    _rate_key,
     _scalar_iff_value,
     _solve_each,
     ce_gain,
@@ -134,6 +137,21 @@ def gain_weight_matrix(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
     return 0.5 * (W + W.T)
 
 
+def _design(sys: SystemSpec, q_hat: float) -> tuple[Gain, RiccatiSolution, np.ndarray]:
+    """`ce_gain` at q_hat and the gain weight matrix of its solution.  The
+    weight is kept read-only next to the gain in the plant's memo entry for
+    q_hat, so the certificate, the sufficient condition and the gap of one
+    design form it once."""
+    gain, sol = ce_gain(sys, q_hat)
+    entry = sys._memo.get(_rate_key(q_hat)) or [sol, None, None]
+    W = entry[2]
+    if W is None:
+        W = gain_weight_matrix(sys, sol.P)
+        W.flags.writeable = False
+        entry[2] = W
+    return gain, sol, W
+
+
 def condition_matrix(sys: SystemSpec, q: float, q_hat: float) -> np.ndarray:
     """Sufficient-condition matrix Q + (1-q) K^T R K - (q - q_hat) W.
 
@@ -142,8 +160,8 @@ def condition_matrix(sys: SystemSpec, q: float, q_hat: float) -> np.ndarray:
     matrix computed from the design Riccati solution.
     """
     _check_rate(q, "true loss rate")
-    gain, sol = ce_gain(sys, q_hat)
-    C = sys.Q + (1.0 - q) * (gain.K.T @ sys.R @ gain.K) - (q - q_hat) * gain_weight_matrix(sys, sol.P)
+    gain, _, W = _design(sys, q_hat)
+    C = sys.Q + (1.0 - q) * (gain.K.T @ sys.R @ gain.K) - (q - q_hat) * W
     return symmetrize(C)
 
 
@@ -233,10 +251,13 @@ def _qc_clamp(cp: CriticalProbability) -> float:
 
 def _congruence_max_eig(S_root: np.ndarray, M: np.ndarray) -> np.ndarray:
     """lambda_max of S_root^{-1} M S_root^{-1} for symmetric PD S_root, for
-    each member of a (k, n, n) stack M (and of S_root, if it is one too)."""
+    each member of a (k, n, n) stack M (and of S_root, if it is one too).
+    0.5 (T + T^T) is exactly symmetric, so `symmetrize` would return it
+    unchanged: its eigenvalues are taken directly, once its entries are
+    checked finite (an S_root near singular can overflow T)."""
     half = np.linalg.solve(S_root, M)
     T = np.linalg.solve(S_root, half.mT).mT
-    return sym_eig_extremes(0.5 * (T + T.mT))[1]
+    return np.linalg.eigvalsh(_finite(0.5 * (T + T.mT)))[..., -1]
 
 
 def st_lower_bound(sys: SystemSpec, q: float, variant: str) -> ThresholdReport:
@@ -403,10 +424,15 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
     its path, so on a smooth bound the path takes two lock-step batches, and
     it still decides one midpoint at a time from that midpoint's own score,
     so the result is the plain bisection's to the last bit.  The standard
-    solution is one `dare_solve`, a stack of one rate.
+    solution is one `dare_solve`, a stack of one rate.  When q_c is only
+    bracketed, the bisection runs up to the bracket's upper end, but its
+    batches hold no midpoint above the lower end that it does not take:
+    where q_c lies at the lower end, such a midpoint has no solution and its
+    solve runs for thousands of steps before it stalls.
     """
     _check_threshold_variant(sys, variant)
-    qc = _qc_clamp(critical_probability(sys, refine=False))
+    cp = critical_probability(sys, refine=False)
+    qc = _qc_clamp(cp)
     try:
         # The standard Riccati solution is also the one at q = 0.
         P0 = dare_solve(sys).P
@@ -431,7 +457,7 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
         scores[solved] = bounds(q[solved], P)[0] - q[solved]
         return scores
 
-    lo, hi = _bisect_rates(sys, 0.0, qc, SAFE_Q_BISECT_TOL, excess, {0.0: at_zero})
+    lo, hi = _bisect_rates(sys, 0.0, qc, SAFE_Q_BISECT_TOL, excess, {0.0: at_zero}, cp.lower)
     return 0.5 * (lo + hi)
 
 

@@ -277,3 +277,16 @@ class TestInitialSecondMoment:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match=message):
                 initial_second_moment(np.array(x0), 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestSymmetrizedSecondMomentOverflow:
+    def test_matrix_whose_symmetrization_overflows_is_refused(self):
+        # Each entry is finite, but X0 + X0^T is not: the eigenvalues of the
+        # symmetrized X0 are taken only after its finiteness check.
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            initial_second_moment(np.diag([1e308, 1.0]), 2)
+
+    def test_largest_finite_symmetrization_passes(self):
+        X0 = np.diag([8e307, 1.0])
+        np.testing.assert_array_equal(initial_second_moment(X0, 2), X0)

@@ -354,6 +354,23 @@ class TestBisectionLookahead:
         assert len(batches) == 2 and batches[0] == 15
 
 
+class TestLookaheadCap:
+    """`_bisect_rates(..., ahead_max)`: a batch holds a midpoint above ahead_max
+    only when the bisection takes it, and the bracket stays the plain one."""
+
+    @pytest.mark.parametrize("root", [0.0345678, 0.2345678, 0.3456789])
+    @pytest.mark.parametrize("graded", [None, {}])
+    def test_only_midpoints_taken_above_the_cap(self, example1, monkeypatch, root, graded):
+        cap, probes = 0.2, []
+        solve = riccati._mare_solve_rates
+        monkeypatch.setattr(riccati, "_mare_solve_rates", lambda sys, qs: probes.extend(qs) or solve(sys, qs))
+        score = lambda qs, outcomes: [root - q for q in qs]  # noqa: E731
+        bracket = riccati._bisect_rates(example1, 0.0, 0.4, 1e-6, score, graded, cap)
+        path, plain = plain_bisection(0.0, 0.4, 1e-6, root)
+        assert [x.hex() for x in bracket] == [x.hex() for x in plain]
+        assert {q for q in probes if q > cap} == {q for q in path if q > cap}
+
+
 class TestPolicyPhaseWithoutMembers:
     def test_no_first_gain_passes(self, example1, monkeypatch):
         # From X = Q = 1 the gain is -0.75, and rho = 0.5625 (1 - q) + 2.25 q > 1 at each rate.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lossylqr import (
+    ChannelSamples,
     DimensionError,
     InvalidInputError,
     NumericalFailureError,
@@ -95,6 +96,89 @@ class TestSampleChannel:
         bits = sample_channel(0.2, 300, same).bits
         np.testing.assert_array_equal(sample_channel(0.2, 300, seed).bits, bits)
         np.testing.assert_array_equal(sample_channel(0.2, np.int64(300), seed).bits, bits)
+
+
+def float_route_bits(q: float, N: int, seed: int) -> np.ndarray:
+    """Reference for `sample_channel`: the channel stream's floats compared with q."""
+    return (_stream(seed, 0, _FAMILY_CHANNEL).random(N) >= q).astype(np.int8)
+
+
+class TestRawWordChannel:
+    """`sample_channel` compares raw words with `_delivery_threshold`; its bits
+    are those of `Generator.random(N) >= q` on the same stream."""
+
+    @staticmethod
+    def assert_float_route(q: float, N: int, seed: int) -> np.ndarray:
+        samples = sample_channel(q, N, seed)
+        expected = float_route_bits(q, N, seed)
+        assert type(samples) is ChannelSamples and samples.count == N
+        assert samples.bits.dtype == np.int8 and samples.bits.shape == (N,) and samples.bits.flags.c_contiguous
+        assert samples.bits.tobytes() == expected.tobytes()
+        return samples.bits
+
+    @pytest.mark.parametrize("seed", [0, 11, -1, -(2**70) - 3, 2**64, 2**64 + 12345, 3 * 2**80 + 7])
+    def test_rates_at_and_next_to_the_stream_values(self, seed):
+        # Each stream value u = k 2^-53 is a rate on its own: the bit of u is 1
+        # at q = u and at the float below it, and 0 at the float above it.
+        N = 40
+        values = _stream(seed, 0, _FAMILY_CHANNEL).random(N).tolist()
+        for i, u in enumerate(values[:8]):
+            assert (u * 2.0**53).is_integer()
+            for q, bit in ((math.nextafter(u, 0.0), 1), (u, 1), (math.nextafter(u, 1.0), 0)):
+                if 0.0 < q < 1.0:
+                    assert self.assert_float_route(q, N, seed)[i] == bit
+
+    @pytest.mark.parametrize("seed", [1, -7, 2**64 + 3])
+    def test_words_equal_to_the_threshold(self, seed):
+        # A word w with zero low 11 bits is the threshold of q = (w >> 11) 2^-53
+        # itself, and its bit is 1; about 1 word in 2048 is one.
+        N = 1 << 14
+        words = _stream(seed, 0, _FAMILY_CHANNEL).bit_generator.random_raw(N)
+        exact = np.flatnonzero(words & np.uint64(2047) == 0).tolist()
+        assert len(exact) >= 2
+        for i in exact[:4]:
+            q = int(words[i] >> np.uint64(11)) * 2.0**-53
+            assert simulator._delivery_threshold(q) == int(words[i])
+            assert self.assert_float_route(q, N, seed)[i] == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 2**20 + 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1])
+    def test_multiples_of_the_float_step(self, k):
+        u = k * 2.0**-53
+        for q in (math.nextafter(u, 0.0), u, math.nextafter(u, 1.0)):
+            if 0.0 < q < 1.0:
+                self.assert_float_route(q, 2000, k)
+
+    @pytest.mark.parametrize(
+        "q", [5e-324, 2.0**-1074 * 3, 1e-300, 2.0**-60, 1e-17, 1 - 1e-16, 1 - 2.0**-52, math.nextafter(1.0, 0.0)]
+    )
+    def test_rates_near_0_and_1(self, q):
+        bits = self.assert_float_route(q, 5000, 2)
+        assert bits.all() if q < 0.5 else not bits.any()
+
+    @pytest.mark.parametrize("seed", [-5, 0, 2**64 + 1])
+    @pytest.mark.parametrize("q", [1e-9, 0.2, 0.5, 0.999999])
+    def test_one_sample(self, q, seed):
+        self.assert_float_route(q, 1, seed)
+
+    def test_random_rates_counts_and_seeds(self):
+        rng = random.Random(28)
+        for _ in range(200):
+            q = rng.random() or 0.5
+            seed = rng.randrange(-(2**80), 2**80)
+            self.assert_float_route(q, rng.randrange(1, 3000), seed)
+
+    @pytest.mark.parametrize(
+        "bits, message",
+        [
+            (np.array([0, 2, 1], dtype=np.int8), "only 0/1 bits"),
+            (np.array(1, dtype=np.int8), "1-d bit array"),
+            (np.zeros((2, 2, 2), dtype=np.int8), "1-d bit array"),
+        ],
+    )
+    def test_public_constructor_still_checks(self, bits, message):
+        # The samples of `sample_channel` skip these checks; ChannelSamples(bits=...) keeps them.
+        with pytest.raises(InvalidInputError, match=message):
+            ChannelSamples(bits=bits)
 
 
 class TestSimConfig:

@@ -13,6 +13,7 @@ from lossylqr import (
     NumericalFailureError,
     SystemSpec,
     ce_gain,
+    certify_ce_controller,
     condition_matrix,
     critical_probability,
     exact_ms_stable,
@@ -23,6 +24,7 @@ from lossylqr import (
     psd_sqrt,
     region_map,
     scalar_iff_stable,
+    second_moment_sum,
     spectral_radius,
     st_lower_bound,
     sym_eig_extremes,
@@ -1081,3 +1083,147 @@ class TestSafeRateLookahead:
             plain_safe_rate(fresh(example1), "general")
         with pytest.raises(NotPSDError):
             zero_sample_safe_q(example1, "general")
+
+
+def gain_weight_calls(monkeypatch) -> list:
+    """The P of each `gain_weight_matrix` call that `stability` makes."""
+    calls = []
+    inner = stability.gain_weight_matrix
+    monkeypatch.setattr(stability, "gain_weight_matrix", lambda plant, P: calls.append(P) or inner(plant, P))
+    return calls
+
+
+def reference_q_bar(plant: SystemSpec, q_hat: float) -> float:
+    """The certificate's q_bar from the public `gain_weight_matrix`, with every
+    matrix of the constraint symmetrized and checked."""
+    gain, sol = ce_gain(plant, q_hat)
+    W = stability.gain_weight_matrix(plant, sol.P)
+    KtRK = symmetrize(gain.K.T @ plant.R @ gain.K)
+    C0 = symmetrize(plant.Q + KtRK + q_hat * W)
+    C1 = symmetrize(KtRK + W)
+    w0, V0 = np.linalg.eigh(C0)
+    root_inv = (V0 / np.sqrt(w0)) @ V0.T
+    _, lam_max = sym_eig_extremes(root_inv @ C1 @ root_inv)
+    x_sup = np.inf if lam_max <= _strict_margin(plant) else 1.0 / lam_max
+    return float(max(min(1.0, x_sup), q_hat))
+
+
+def reference_j_ce(plant: SystemSpec, q: float, q_hat: float, X0: np.ndarray) -> float:
+    """The gap report's J_ce from the public `gain_weight_matrix`."""
+    gain, sol_hat = ce_gain(plant, q_hat)
+    sol = mare_solve(plant, q)
+    S = second_moment_sum(plant, gain, q, X0)
+    gramian_trace = float(np.trace(stability.gain_weight_matrix(plant, sol_hat.P) @ S))
+    gap_value = (q - q_hat) * gramian_trace + float(np.trace((sol_hat.P - sol.P) @ X0))
+    return float(np.trace(sol.P @ X0)) + gap_value
+
+
+class TestSharedGainWeight:
+    """One design forms its gain weight W once: the certificate, the sufficient
+    condition and the gap share the W kept next to the gain in the plant's
+    memo entry for q_hat, with the bits of `gain_weight_matrix`."""
+
+    def test_certificate_and_gap_form_it_once(self, example2, monkeypatch):
+        plant, calls = fresh(example2), gain_weight_calls(monkeypatch)
+        certify_ce_controller(plant, 0.1633, 300, 0.01)
+        gap(plant, 0.2, 0.1633, np.eye(2))
+        condition_matrix(plant, 0.2, 0.1633)
+        lyapunov_sufficient_stable(plant, 0.25, 0.1633)
+        assert len(calls) == 1 and calls[0] is mare_solve(plant, 0.1633).P
+
+    @pytest.mark.parametrize(
+        "plant, q, q_hat",
+        [("example1", 0.2, 0.15), ("example2", 0.2, 0.1633), ("plant3", 0.25, 0.3), ("plant3", 0.3, 0.2)],
+    )
+    def test_q_bar_and_j_ce_keep_their_bits(self, request, plant, q, q_hat):
+        sys_ = request.getfixturevalue(plant)
+        X0 = np.eye(sys_.n) + 0.25
+        shared = fresh(sys_)
+        cert = certify_ce_controller(shared, q_hat, 500, 0.05)
+        report = gap(shared, q, q_hat, X0)
+        assert cert.q_bar.hex() == reference_q_bar(fresh(sys_), q_hat).hex()
+        assert report.J_ce.hex() == reference_j_ce(fresh(sys_), q, q_hat, X0).hex()
+
+    def test_random_plants_keep_their_bits(self):
+        rng = np.random.default_rng(28)
+        for _ in range(12):
+            sys_ = random_stabilizable_system(rng, n_max=4)
+            ceiling = feasible_rate_ceiling(sys_)
+            q_hat, q = 0.3 * ceiling, 0.35 * ceiling
+            shared = fresh(sys_)
+            q_bar = certify_ce_controller(shared, q_hat, 100, 0.1).q_bar
+            assert q_bar.hex() == reference_q_bar(fresh(sys_), q_hat).hex()
+            if exact_ms_stable(shared, ce_gain(shared, q_hat)[0], q).stable:
+                X0 = np.eye(sys_.n)
+                assert gap(shared, q, q_hat, X0).J_ce.hex() == reference_j_ce(fresh(sys_), q, q_hat, X0).hex()
+
+    def test_weight_is_read_only(self, example2):
+        _, _, W = stability._design(fresh(example2), 0.1633)
+        with pytest.raises(ValueError):
+            W[0, 0] = 0.0
+
+    def test_evicted_design_forms_it_again_with_the_same_bits(self, example2, monkeypatch):
+        plant, calls = fresh(example2), gain_weight_calls(monkeypatch)
+        first = stability._design(plant, 0.1633)[2]
+        q_bar = certify_ce_controller(plant, 0.1633, 300, 0.01).q_bar
+        assert len(calls) == 1
+        for i in range(riccati._MEMO_SIZE + 1):
+            mare_solve(plant, 0.01 * (i + 1))
+        again = stability._design(plant, 0.1633)[2]
+        assert len(calls) == 2 and again is not first
+        assert again.tobytes() == first.tobytes()
+        assert certify_ce_controller(plant, 0.1633, 300, 0.01).q_bar.hex() == q_bar.hex()
+        assert len(calls) == 2
+
+
+# q_c = 1/(1.2^2 1.1^2) = 0.5739, the lower end of its bracket [0.5739, 0.6944]:
+# B's first column drives both unstable modes alike.
+QC_AT_LOWER = SystemSpec(A=np.diag([1.2, 1.1, 0.0]), B=[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], Q=np.eye(3), R=np.eye(2))
+
+
+def recorded_probes(monkeypatch) -> list:
+    """Each lock-step `_mare_solve_rates` call's list of rates, in order."""
+    calls = []
+    solve = riccati._mare_solve_rates
+    monkeypatch.setattr(riccati, "_mare_solve_rates", lambda sys, qs: calls.append(list(qs)) or solve(sys, qs))
+    return calls
+
+
+class TestSafeRateBelowBracketedQc:
+    """When q_c is only bracketed, the safe-rate batches hold no midpoint above
+    the bracket's lower end that the bisection does not take."""
+
+    def test_plain_bits_and_no_probe_above_the_lower_end(self, monkeypatch):
+        cp = critical_probability(QC_AT_LOWER, refine=False)
+        assert cp.exact is None and cp.lower < 0.5740 < 0.6944 < cp.upper
+        refined = critical_probability(fresh(QC_AT_LOWER))
+        assert refined.lower == refined.upper == cp.lower
+        expected = plain_safe_rate(fresh(QC_AT_LOWER), "general")
+        calls = recorded_probes(monkeypatch)
+        q_star = zero_sample_safe_q(fresh(QC_AT_LOWER), "general")
+        assert q_star.hex() == expected.hex() == (1.8874804178873696e-05).hex()
+        assert calls and max(max(qs) for qs in calls) <= cp.lower
+
+    @pytest.mark.parametrize("plant, variant", BENCH_SAFE_CASES)
+    def test_exact_qc_batches_are_unchanged(self, request, monkeypatch, plant, variant):
+        # An exact q_c is the bracket's lower end and the bisection's upper end.
+        sys_ = request.getfixturevalue(plant)
+        calls = recorded_probes(monkeypatch)
+        capped = zero_sample_safe_q(fresh(sys_), variant)
+        capped_calls = list(calls)
+        calls.clear()
+        bisect = stability._bisect_rates
+        monkeypatch.setattr(stability, "_bisect_rates", lambda *args: bisect(*args[:6]))
+        assert zero_sample_safe_q(fresh(sys_), variant).hex() == capped.hex()
+        assert calls == capped_calls
+
+
+class TestCongruenceFiniteness:
+    """The congruence takes eigenvalues without `symmetrize`, but still refuses
+    a non-finite transformed matrix with its error."""
+
+    def test_overflowing_transform_is_refused(self):
+        # S_root^{-1} M S_root^{-1} overflows in its first entry.
+        S_root = np.diag([1e-160, 1.0])[None]
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            stability._congruence_max_eig(S_root, np.eye(2)[None])
