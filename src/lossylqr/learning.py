@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .numerics import _as_int, sym_eig_extremes, symmetrize
+from .numerics import _as_int, _eigh, _eigvalsh, sym_eig_extremes, symmetrize
 from .riccati import SystemSpec
 from .stability import (
     VARIANT_GENERAL,
@@ -197,7 +197,7 @@ def _tolerated_rate_sup(sys: SystemSpec, q_hat: float) -> float:
     C0 = sys.Q + KtRK + q_hat * W
     C1 = KtRK + W
 
-    w0, V0 = np.linalg.eigh(C0)
+    w0, V0 = _eigh(C0)
     root_inv = (V0 / np.sqrt(w0)) @ V0.T
     _, lam_max = sym_eig_extremes(root_inv @ C1 @ root_inv)
     if lam_max <= _strict_margin(sys):
@@ -205,7 +205,7 @@ def _tolerated_rate_sup(sys: SystemSpec, q_hat: float) -> float:
     x_sup = 1.0 / lam_max
 
     def holds(x: float) -> bool:
-        return np.linalg.eigvalsh(C0 - x * C1)[0] > 0.0
+        return _eigvalsh(C0 - x * C1)[0] > 0.0
 
     above = x_sup + QBAR_PROBE_OFFSET
     if not holds(min(x_sup, 1.0) - QBAR_PROBE_OFFSET) or (above < 1.0 and holds(above)):

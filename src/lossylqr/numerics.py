@@ -4,6 +4,27 @@ stall detector) and the input rules of rates, counts and state vectors.
 
 All routines target small dense matrices (state dimension <= 10, lifted maps
 <= 100 x 100) and fix the numerical tolerances used across the package.
+
+A thin LAPACK layer serves every solve, Cholesky factor and eigenvalue call
+of the package: `_solve`, `_cholesky`, `_eigvals`, `_eigvalsh` and `_eigh`.
+Each calls the compiled gufunc of `numpy.linalg._umath_linalg` that the
+public numpy function calls (solve / solve1, cholesky_lo, eigvals,
+eigvalsh_lo, eigh_lo), with the same float64 signature ('dd->d', 'd->d',
+'d->D', 'd->dd') and inside the same `np.errstate`, whose `call` handler
+raises numpy's LinAlgError with numpy's message on a singular,
+non-positive-definite or non-converging input.  So every result has the
+public function's bits, without its per-call argument handling (its type
+promotion, shape checks and result wrapping), which takes 1.5 to 6 us on
+matrices of at most 16 x 16, often longer than LAPACK itself.  The callers
+pass float64 arrays of square matrices, the checks the layer leaves out.
+`_eigvals` keeps numpy's finite-input check and always returns complex
+eigenvalues, where numpy returns a real array when every imaginary part is
+zero: its callers take moduli, real and imaginary parts, and |x + 0j| =
+hypot(x, 0) = |x| exactly.  The gufunc names are those of numpy 2.4.6; a
+numpy without one of them fails at import with an error that names it.
+The rest of numpy.linalg is called as it is: `svd` (the rank tests of B
+in `riccati`) and `cond` (the rare warning path of `_spectral_radius`) run
+once per plant or per warning, and `norm` has `_fro`.
 """
 
 import math
@@ -11,8 +32,77 @@ import operator
 import warnings
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidInputError, NotPSDError, NumericalFailureError
+
+
+def _gufunc(name: str):
+    """The gufunc `name` of numpy.linalg._umath_linalg; ImportError naming it
+    when this numpy has none."""
+    try:
+        return getattr(_umath_linalg, name)
+    except AttributeError:
+        raise ImportError(
+            f"numpy {np.__version__} has no numpy.linalg._umath_linalg.{name}, which lossylqr's LAPACK layer calls"
+        ) from None
+
+
+_SOLVE, _SOLVE1, _CHOLESKY_LO = _gufunc("solve"), _gufunc("solve1"), _gufunc("cholesky_lo")
+_EIGVALS, _EIGVALSH_LO, _EIGH_LO = _gufunc("eigvals"), _gufunc("eigvalsh_lo"), _gufunc("eigh_lo")
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _not_positive_definite(err, flag):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+def _not_converged(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _lapack_errors(handler) -> np.errstate:
+    """numpy.linalg's error state around a gufunc: LAPACK's failure flag
+    calls `handler`, and floating-point flags are ignored."""
+    return np.errstate(call=handler, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b): a (d,) right-hand side, or a (d, c) one, or
+    stacks of both against a (k, d, d) stack of a."""
+    gufunc = _SOLVE1 if b.ndim == 1 else _SOLVE
+    with _lapack_errors(_singular):
+        return gufunc(a, b, signature="dd->d")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky(a): the lower factor of a matrix or of each of a stack."""
+    with _lapack_errors(_not_positive_definite):
+        return _CHOLESKY_LO(a, signature="d->d")
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals(a) as complex numbers, also where all are real."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    with _lapack_errors(_not_converged):
+        return _EIGVALS(a, signature="d->D")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(a): ascending eigenvalues from the lower triangle."""
+    with _lapack_errors(_not_converged):
+        return _EIGVALSH_LO(a, signature="d->d")
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(a): ascending eigenvalues and eigenvectors from the lower triangle."""
+    with _lapack_errors(_not_converged):
+        return _EIGH_LO(a, signature="d->dd")
+
 
 # Relative tolerance for treating a matrix as symmetric.
 SYM_RTOL = 1e-10
@@ -107,7 +197,7 @@ def sym_eig_extremes(M):
     """Extreme eigenvalues (lambda_min, lambda_max) of a symmetric matrix, or
     two arrays of those of each member of a (k, n, n) stack."""
     S = symmetrize(M)
-    w = np.linalg.eigvalsh(S)
+    w = _eigvalsh(S)
     if S.ndim == 2:
         return float(w[0]), float(w[-1])
     return w[:, 0], w[:, -1]
@@ -121,7 +211,7 @@ def psd_sqrt(M) -> np.ndarray:
     negative raises NotPSDError (for a stack, naming the first such member).
     """
     S = symmetrize(M)
-    w, V = np.linalg.eigh(S)
+    w, V = _eigh(S)
     lowest = w[..., 0]
     # w ascends, so max |w| = max(|w[0]|, |w[-1]|).
     below = lowest < -1e-10 * np.abs(w).max(axis=-1)
@@ -135,7 +225,7 @@ def psd_sqrt(M) -> np.ndarray:
 def _dense_spectral_radius(M: np.ndarray):
     """Largest eigenvalue modulus of a square matrix, or an array of those of
     each matrix in a (k, d, d) stack (one batched eigvals call)."""
-    rho = np.max(np.abs(np.linalg.eigvals(M)), axis=-1)
+    rho = np.max(np.abs(_eigvals(M)), axis=-1)
     return float(rho) if rho.ndim == 0 else rho
 
 
@@ -174,7 +264,7 @@ def _has_cholesky(X: np.ndarray):
     whole stacked call for one member, so a failed stack is tested again
     member by member."""
     try:
-        np.linalg.cholesky(X)
+        _cholesky(X)
     except np.linalg.LinAlgError:
         return False if X.ndim == 2 else np.array([_has_cholesky(M) for M in X])
     return True if X.ndim == 2 else np.ones(len(X), dtype=bool)
@@ -194,7 +284,7 @@ def _lyapunov_solve(M: np.ndarray, s: float, n: int):
     when the system is singular."""
     system = np.eye(n * n) - M / s
     try:
-        X = np.linalg.solve(system, np.eye(n).reshape(-1)).reshape(n, n)
+        X = _solve(system, np.eye(n).reshape(-1)).reshape(n, n)
     except np.linalg.LinAlgError:
         return None
     return system, 0.5 * (X + X.T)
@@ -251,7 +341,7 @@ def _spectral_radius(M, cone: bool) -> tuple[float, bool]:
     if upper is None or not _positive_definite(upper[1]):
         if upper is not None:
             system, X = upper
-            w = np.linalg.eigvalsh(X)
+            w = _eigvalsh(X)
             if abs(w[0]) > np.finfo(float).eps * np.linalg.cond(system) * np.max(np.abs(w)):
                 raise NumericalFailureError(
                     f"a Lyapunov solve at rho + {DUAL_AGREE_RTOL:.0e} * (1 + rho) does not "

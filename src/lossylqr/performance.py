@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NoSolutionError, NumericalFailureError, UnstableError
-from .numerics import _finite, _finite_vector, _fro, sym_eig_extremes, symmetrize
-from .riccati import Gain, SystemSpec, _feedback_gain, _mare_solve_rates, _ms_stable, mare_solve
-from .stability import _design, _lifted_rho, gain_weight_matrix
+from .numerics import _eigvalsh, _finite, _finite_vector, _fro, _solve, sym_eig_extremes, symmetrize
+from .riccati import Gain, SystemSpec, _gain_solve, _mare_solve_rates, _ms_stable, mare_solve
+from .stability import _design, _gain_weight, _lifted_rho
 
 # Required agreement between the linear-solve and series routes for S.
 SERIES_AGREE_RTOL = 1e-8
@@ -72,7 +72,7 @@ def initial_second_moment(x0, n: int) -> np.ndarray:
         raise DimensionError(f"initial second moment must be {n}x{n}, got {arr.shape}")
     X0 = symmetrize(arr)
     # X0 is exactly symmetric; only an overflow of arr + arr^T can make it non-finite.
-    w = np.linalg.eigvalsh(_finite(X0))
+    w = _eigvalsh(_finite(X0))
     lmin, lmax = float(w[0]), float(w[-1])
     if lmin < -1e-10 * (1.0 + abs(lmax)):
         raise InvalidInputError(f"initial second moment must be PSD (lambda_min={lmin:.3e})")
@@ -99,7 +99,7 @@ def _second_moment_sum(sys: SystemSpec, K, q: float, X0: np.ndarray) -> np.ndarr
     n = sys.n
     v0 = X0.reshape(-1)
 
-    vec_s = np.linalg.solve(np.eye(n * n) - Phi, v0)
+    vec_s = _solve(np.eye(n * n) - Phi, v0)
     S_solve = symmetrize(vec_s.reshape(n, n))
 
     # Independent route: partial sums of sum_t Phi^t v0 by binary doubling,
@@ -173,7 +173,8 @@ def gap_bounds(report: GapReport) -> tuple[float, str]:
 def gap_curve(sys: SystemSpec, q: float, X0, q_hat_grid) -> list[GapCurvePoint]:
     """`gap` at each design rate, solving the true rate once and the grid in
     lock-step; unstable designs are flagged, and the first rate without a
-    Riccati solution raises the NoSolutionError of `ce_gain`."""
+    Riccati solution raises the NoSolutionError of `ce_gain`.  Each design's
+    gain -S and weight come from one solve S (`riccati._gain_solve`)."""
     sol_true = mare_solve(sys, q)
     X0 = initial_second_moment(X0, sys.n)
     q_hats = np.asarray(q_hat_grid, dtype=float).tolist()
@@ -181,9 +182,10 @@ def gap_curve(sys: SystemSpec, q: float, X0, q_hat_grid) -> list[GapCurvePoint]:
     for q_hat, sol_hat in zip(q_hats, _mare_solve_rates(sys, q_hats)):
         if isinstance(sol_hat, NoSolutionError):
             raise sol_hat
-        gain = Gain(K=_feedback_gain(sys, sol_hat.P), q_design=q_hat)
+        AtPB, S = _gain_solve(sys, sol_hat.P)
+        gain = Gain(K=-S, q_design=q_hat)
         try:
-            report = _gap_report(sys, q, gain, sol_hat, gain_weight_matrix(sys, sol_hat.P), sol_true, X0)
+            report = _gap_report(sys, q, gain, sol_hat, _gain_weight(AtPB, S), sol_true, X0)
             points.append(GapCurvePoint(q_hat=q_hat, gap=report.gap, stable=True))
         except UnstableError:
             points.append(GapCurvePoint(q_hat=q_hat, gap=None, stable=False))

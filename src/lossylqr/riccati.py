@@ -81,7 +81,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, LossyLqrError, NoSolutionError
 from .numerics import StallDetector, _dense_spectral_radius, _fro, _has_cholesky, sym_eig_extremes, symmetrize
-from .numerics import _check_rate
+from .numerics import _check_rate, _eigvals, _eigvalsh, _solve
 
 # Fixed-point iteration controls for the (modified) Riccati equation.
 MAX_ITERATIONS = 10**5
@@ -251,7 +251,7 @@ def _gain_solve(sys: SystemSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     behind the gain weight (A^T X B) S and the feedback gain -S of X."""
     XB = X @ sys.B
     AtXB = sys.A.T @ XB
-    return AtXB, np.linalg.solve(sys.R + sys.B.T @ XB, AtXB.mT)
+    return AtXB, _solve(sys.R + sys.B.T @ XB, AtXB.mT)
 
 
 def _mare_step_gain(X: np.ndarray, sys: SystemSpec, one_minus_q) -> tuple[np.ndarray, np.ndarray]:
@@ -268,6 +268,15 @@ def _mare_step(X: np.ndarray, sys: SystemSpec, one_minus_q) -> np.ndarray:
 def _feedback_gain(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
     """K = -(R + B^T P B)^{-1} B^T P A, the optimal gain for cost-to-go P."""
     return -_gain_solve(sys, P)[1]
+
+
+def _kept_gain(sys: SystemSpec, P: np.ndarray) -> np.ndarray | None:
+    """The gain that `ce_gain` keeps with the plant's kept solution whose P
+    is P itself, or None."""
+    for key, entry in list(sys._memo.items()):
+        if key[0] in ("standard", "rate") and entry[0].P is P:
+            return entry[1]
+    return None
 
 
 def _gain(sys: SystemSpec, K) -> np.ndarray:
@@ -322,7 +331,7 @@ def _kron_A(sys: SystemSpec) -> np.ndarray:
 
 def _q_floor(sys: SystemSpec) -> np.float64:
     """lambda_min(Q), the floor of `_solve_certifies`, kept in the plant's memo."""
-    return _kept(sys, _Q_FLOOR_KEY, lambda: np.linalg.eigvalsh(0.5 * (sys.Q + sys.Q.T))[0])
+    return _kept(sys, _Q_FLOOR_KEY, lambda: _eigvalsh(0.5 * (sys.Q + sys.Q.T))[0])
 
 
 def _lifted_map(sys: SystemSpec, K: np.ndarray, q, q_AA=None) -> np.ndarray:
@@ -379,16 +388,16 @@ def _solve_certifies(L: np.ndarray, P: np.ndarray, cost: np.ndarray, q_floor: fl
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve over a (k, d, d) stack and a (k, d, 1) or (k, d, d)
-    stack of right-hand sides; a singular member gets NaN instead of failing
-    the whole stack."""
+    """The solve of a (k, d, d) stack and a (k, d, 1) or (k, d, d) stack of
+    right-hand sides; a singular member gets NaN instead of failing the
+    whole stack."""
     try:
-        return np.linalg.solve(a, b)
+        return _solve(a, b)
     except np.linalg.LinAlgError:
         x = np.full(b.shape, np.nan)
         for i in range(len(a)):
             try:
-                x[i] = np.linalg.solve(a[i], b[i])
+                x[i] = _solve(a[i], b[i])
             except np.linalg.LinAlgError:
                 pass
         return x
@@ -423,7 +432,7 @@ def _policy_iteration(
             return None, steps, residual
         cost = sys.Q + one_minus_q * (K.T @ sys.R @ K)
         try:
-            Pn = np.linalg.solve(eye - L.T, cost.reshape(-1)).reshape(n, n)
+            Pn = _solve(eye - L.T, cost.reshape(-1)).reshape(n, n)
         except np.linalg.LinAlgError:  # L has eigenvalue 1: no certificate, the dense test fails
             Pn = np.full((n, n), np.nan)
         Pn = 0.5 * (Pn + Pn.T)
@@ -777,7 +786,7 @@ def critical_probability(sys: SystemSpec, refine: bool = True) -> CriticalProbab
     `CriticalProbability`), whose probes, a list of rates, are solved in
     lock-step by `_bisect_rates`; the lower end alone is one `mare_solve`.
     """
-    eigs = np.linalg.eigvals(sys.A)
+    eigs = _eigvals(sys.A)
     unstable = np.abs(eigs[np.abs(eigs) > UNSTABLE_MODULUS])
     unstable_t = tuple(sorted(float(u) for u in unstable))
 

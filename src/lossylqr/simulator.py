@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UnstableError
 from .learning import ChannelSamples, _channel_samples
-from .numerics import _as_int, _check_lifted_rate, _dense_spectral_radius, _finite_vector
+from .numerics import _as_int, _check_lifted_rate, _cholesky, _dense_spectral_radius, _finite_vector, _fro
 from .riccati import RHO_MARGIN, SystemSpec, _gain, _lifted_map, _ms_stable
 from .stability import _lifted_rho
 
@@ -282,7 +282,7 @@ def _gaussian_law(sys: SystemSpec, x0) -> tuple[np.ndarray, np.ndarray]:
     mean, cov = x0
     mean = _finite_vector(mean, sys.n, "initial-state mean")
     cov = _finite_vector(cov, sys.n**2, "initial-state covariance").reshape(sys.n, sys.n)
-    return mean, np.linalg.cholesky(cov)
+    return mean, _cholesky(cov)
 
 
 def _gaussian_draw(rng: np.random.Generator, mean: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -331,7 +331,7 @@ def simulate_trajectory(
         cost += float(x @ Q @ x) + float(lam[t]) * float(u @ R @ u)
         x = A @ x + float(lam[t]) * (B @ u)
         states[t + 1] = x
-        if np.linalg.norm(x) > DIVERGENCE_NORM:
+        if _fro(x) > DIVERGENCE_NORM:
             divergent = True
             steps = t + 1
             break

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NoSolutionError, NotPSDError
-from .numerics import _dense_spectral_radius, _finite, _spectral_radius, psd_sqrt, sym_eig_extremes, symmetrize
-from .numerics import _check_lifted_rate, _check_rate
+from .numerics import _dense_spectral_radius, _finite, _fro, _spectral_radius, psd_sqrt, sym_eig_extremes, symmetrize
+from .numerics import _check_lifted_rate, _check_rate, _eigvals, _eigvalsh, _solve
 from .riccati import (
     LOCKSTEP_ENTRIES,
     RHO_MARGIN,
@@ -39,6 +39,7 @@ from .riccati import (
     _gain_solve,
     _invertible_B,
     _kept,
+    _kept_gain,
     _kron_A,
     _kron_self,
     _lifted_map,
@@ -127,21 +128,34 @@ class RegionMap:
 
 
 def _strict_margin(sys: SystemSpec) -> float:
-    return float(STRICT_MARGIN * (1.0 + np.linalg.norm(sys.Q)))
+    return float(STRICT_MARGIN * (1.0 + _fro(sys.Q)))
 
 
 def gain_weight_matrix(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
-    """A^T P B (R + B^T P B)^{-1} B^T P A, the weight on the estimation error."""
-    AtPB, S = _gain_solve(sys, P)
+    """A^T P B (R + B^T P B)^{-1} B^T P A, the weight on the estimation error.
+
+    Its solve S = (R + B^T P B)^{-1} B^T P A is that of the gain -S
+    (`riccati._gain_solve`).  For the P of a solution that the plant keeps
+    with its gain K (`ce_gain`), S is -K to the last bit, so a design solves
+    once for its gain and its weight."""
+    K = _kept_gain(sys, P)
+    if K is None:
+        return _gain_weight(*_gain_solve(sys, P))
+    return _gain_weight(sys.A.T @ (P @ sys.B), -K)  # the A^T P B of `_gain_solve`
+
+
+def _gain_weight(AtPB: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The gain weight matrix from the (A^T P B, S) of `riccati._gain_solve`."""
     W = AtPB @ S
     return 0.5 * (W + W.T)
 
 
 def _design(sys: SystemSpec, q_hat: float) -> tuple[Gain, RiccatiSolution, np.ndarray]:
-    """`ce_gain` at q_hat and the gain weight matrix of its solution.  The
-    weight is kept read-only next to the gain in the plant's memo entry for
-    q_hat, so the certificate, the sufficient condition and the gap of one
-    design form it once."""
+    """`ce_gain` at q_hat and the gain weight matrix of its solution, which
+    takes its solve from the gain (see `gain_weight_matrix`).  The weight is
+    kept read-only next to the gain in the plant's memo entry for q_hat, so
+    the certificate, the sufficient condition and the gap of one design
+    form it once."""
     gain, sol = ce_gain(sys, q_hat)
     entry = sys._memo.get(_rate_key(q_hat)) or [sol, None, None]
     W = entry[2]
@@ -255,9 +269,9 @@ def _congruence_max_eig(S_root: np.ndarray, M: np.ndarray) -> np.ndarray:
     0.5 (T + T^T) is exactly symmetric, so `symmetrize` would return it
     unchanged: its eigenvalues are taken directly, once its entries are
     checked finite (an S_root near singular can overflow T)."""
-    half = np.linalg.solve(S_root, M)
-    T = np.linalg.solve(S_root, half.mT).mT
-    return np.linalg.eigvalsh(_finite(0.5 * (T + T.mT)))[..., -1]
+    half = _solve(S_root, M)
+    T = _solve(S_root, half.mT).mT
+    return _eigvalsh(_finite(0.5 * (T + T.mT)))[..., -1]
 
 
 def st_lower_bound(sys: SystemSpec, q: float, variant: str) -> ThresholdReport:
@@ -501,7 +515,7 @@ def _oracle_verdicts(sys: SystemSpec, gains, q_grid: np.ndarray) -> np.ndarray:
         # A usable column is checked at both ends and at the two rows around
         # each candidate rate inside the grid.
         if usable:
-            mu = np.linalg.eigvals(G[usable])
+            mu = _eigvals(G[usable])
             # Rates lie in (0, 1], so only mu with Re(mu) >= 1 can give one.
             real = (np.abs(mu.imag) < CANDIDATE_IMAG_RTOL * np.abs(mu)) & (mu.real >= 1.0)
             for j, candidates in zip(usable, (1.0 / np.where(real, mu.real, np.inf)).tolist()):

@@ -530,3 +530,150 @@ class TestLyapunovBracket:
                 unbracketed += not brackets(M, rho, n)
         # Such matrices need not preserve the cone, and the bracket fails on some.
         assert unbracketed > 0
+
+
+def layer_outcome(f, *args):
+    """The bytes, shape and dtype of each array f returns, or its error's type and message."""
+    try:
+        out = f(*args)
+    except Exception as error:  # noqa: BLE001 - the type is part of the outcome
+        return type(error), str(error)
+    return [(x.tobytes(), x.shape, x.dtype) for x in (out if isinstance(out, tuple) else (out,))]
+
+
+def public_eigh(a: np.ndarray) -> tuple:
+    return tuple(np.linalg.eigh(a))
+
+
+def spectrum_views(w: np.ndarray) -> tuple:
+    """The bytes of |w|, Re w and Im w: equal for real w and for w held as complex."""
+    return np.abs(w).tobytes(), np.real(w).tobytes(), np.imag(w).tobytes(), w.shape
+
+
+class TestLapackLayer:
+    """The private layer of numerics calls numpy.linalg's gufuncs without the
+    public functions' argument handling, and gives their bits and errors."""
+
+    rng = np.random.default_rng(29)
+    square = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
+    stack = rng.normal(size=(5, 3, 3)) + 3.0 * np.eye(3)
+    spd = square @ square.T
+    spd_stack = stack @ stack.mT
+    # A^T X B is formed transposed by the gain solve: a strided right-hand side.
+    strided = rng.normal(size=(5, 2, 3)).mT
+
+    SOLVES = {
+        "1-d": (square, rng.normal(size=4)),
+        "2-d": (square, rng.normal(size=(4, 3))),
+        "stack, (k, d, 1)": (stack, rng.normal(size=(5, 3, 1))),
+        "stack, (k, d, d)": (stack, rng.normal(size=(5, 3, 3))),
+        "stack, strided": (stack, strided),
+        "one matrix, stacked right-hand sides": (square, rng.normal(size=(2, 4, 4))),
+    }
+
+    @pytest.mark.parametrize("case", list(SOLVES))
+    def test_solve_bits(self, case):
+        a, b = self.SOLVES[case]
+        assert layer_outcome(numerics._solve, a, b) == layer_outcome(np.linalg.solve, a, b)
+
+    @pytest.mark.parametrize(
+        "layer, public",
+        [
+            (numerics._cholesky, np.linalg.cholesky),
+            (numerics._eigvalsh, np.linalg.eigvalsh),
+            (numerics._eigh, public_eigh),
+        ],
+    )
+    @pytest.mark.parametrize("which", ["2-d", "stack"])
+    def test_symmetric_kernel_bits(self, layer, public, which):
+        a = self.spd if which == "2-d" else self.spd_stack
+        assert layer_outcome(layer, a) == layer_outcome(public, a)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["real 2-d", "complex 2-d", "real stack", "mixed stack", "triangular"],
+    )
+    def test_eigvals_bits(self, case):
+        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+        a = {
+            "real 2-d": self.spd,
+            "complex 2-d": self.square,
+            "real stack": self.spd_stack,
+            "mixed stack": np.stack([np.kron(rotation, np.eye(2)), self.spd]),
+            "triangular": np.triu(self.square),
+        }[case]
+        w, public = numerics._eigvals(a), np.linalg.eigvals(a)
+        assert w.dtype == np.complex128
+        assert spectrum_views(w) == spectrum_views(public)
+        if np.iscomplexobj(public):
+            assert w.tobytes() == public.tobytes()
+        rho = np.asarray(numerics._dense_spectral_radius(a))
+        assert rho.tobytes() == np.max(np.abs(public), axis=-1).tobytes()
+
+    def test_all_real_spectra_are_the_public_real_arrays(self):
+        for a in (self.spd, self.spd_stack, np.triu(self.square)):
+            public = np.linalg.eigvals(a)
+            assert not np.iscomplexobj(public)
+            assert numerics._eigvals(a).real.tobytes() == public.tobytes()
+
+    SINGULAR_STACK = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
+    NOT_PD = np.diag([1.0, -1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "layer, public, args",
+        [
+            (numerics._solve, np.linalg.solve, (SINGULAR_STACK, np.ones((3, 3, 1)))),
+            (numerics._solve, np.linalg.solve, (np.ones((3, 3)), np.ones(3))),
+            (numerics._cholesky, np.linalg.cholesky, (NOT_PD,)),
+            (numerics._cholesky, np.linalg.cholesky, (np.stack([np.eye(3), NOT_PD]),)),
+            (numerics._eigvals, np.linalg.eigvals, (np.array([[1.0, np.nan], [0.0, 1.0]]),)),
+            (numerics._eigvals, np.linalg.eigvals, (np.stack([np.eye(2), np.full((2, 2), np.inf)]),)),
+        ],
+        ids=["singular member", "singular matrix", "not PD", "not PD member", "NaN", "inf member"],
+    )
+    def test_same_error(self, layer, public, args):
+        expected = layer_outcome(public, *args)
+        assert expected[0] is np.linalg.LinAlgError
+        assert layer_outcome(layer, *args) == expected
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "layer, public",
+        [
+            (numerics._solve, np.linalg.solve),
+            (numerics._cholesky, np.linalg.cholesky),
+            (numerics._eigvalsh, np.linalg.eigvalsh),
+            (numerics._eigh, public_eigh),
+        ],
+    )
+    def test_non_finite_input_gives_the_public_outcome(self, layer, public, value):
+        a = self.spd.copy()
+        a[1, 2] = a[2, 1] = value
+        args = (a, np.ones(4)) if layer is numerics._solve else (a,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert layer_outcome(layer, *args) == layer_outcome(public, *args)
+
+    def test_gufuncs_are_named_at_import(self):
+        with pytest.raises(ImportError, match=r"numpy\.linalg\._umath_linalg\.no_such_kernel"):
+            numerics._gufunc("no_such_kernel")
+
+    def test_no_public_call_outside_the_layer(self):
+        """No module of the package calls numpy.linalg's solve, cholesky,
+        eigvals, eigvalsh or eigh, nor imports them, outside the layer."""
+        import ast
+        from pathlib import Path
+
+        import lossylqr
+
+        kernels = {"solve", "cholesky", "eigvals", "eigvalsh", "eigh"}
+        found = []
+        for path in sorted(Path(lossylqr.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr in kernels:
+                    owner = ast.unparse(node.value)
+                    if owner in ("np.linalg", "numpy.linalg", "linalg"):
+                        found.append(f"{path.name}:{node.lineno}: {owner}.{node.attr}")
+                elif isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "numpy.linalg._linalg"):
+                    found += [f"{path.name}:{node.lineno}: import {a.name}" for a in node.names if a.name in kernels]
+        assert found == []

@@ -18,6 +18,7 @@ from lossylqr import (
     critical_probability,
     exact_ms_stable,
     gap,
+    gap_curve,
     lifted_matrix,
     lyapunov_sufficient_stable,
     mare_solve,
@@ -31,7 +32,7 @@ from lossylqr import (
     symmetrize,
     zero_sample_safe_q,
 )
-from lossylqr import numerics, riccati, stability
+from lossylqr import numerics, performance, riccati, stability
 from lossylqr.riccati import RHO_MARGIN, _feedback_gain, _ms_stable, _scalar_iff_value
 from lossylqr.stability import (
     CELL_BLUE,
@@ -1174,6 +1175,59 @@ class TestSharedGainWeight:
         assert again.tobytes() == first.tobytes()
         assert certify_ce_controller(plant, 0.1633, 300, 0.01).q_bar.hex() == q_bar.hex()
         assert len(calls) == 2
+
+
+def gain_solves_outside_the_driver(monkeypatch) -> list:
+    """The X of each `riccati._gain_solve` call made outside the Riccati
+    driver `riccati._lockstep`, from every module that calls it."""
+    calls, inner, driver = [], riccati._gain_solve, riccati._lockstep.__code__
+
+    def recorded(plant, X):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not driver:
+            frame = frame.f_back
+        if frame is None:
+            calls.append(X)
+        return inner(plant, X)
+
+    for module in (riccati, stability, performance):
+        monkeypatch.setattr(module, "_gain_solve", recorded)
+    return calls
+
+
+class TestOneGainSolvePerDesign:
+    """A design's gain K = -S and gain weight (A^T P B) S come from one solve S."""
+
+    def test_gain_certificate_and_gap_solve_once(self, example2, monkeypatch):
+        plant, calls = fresh(example2), gain_solves_outside_the_driver(monkeypatch)
+        ce_gain(plant, 0.1633)
+        certify_ce_controller(plant, 0.1633, 300, 0.01)
+        gap(plant, 0.2, 0.1633, np.eye(2))
+        assert len(calls) == 1 and calls[0] is mare_solve(plant, 0.1633).P
+
+    def test_gap_curve_solves_once_per_rate(self, example2, monkeypatch):
+        calls = gain_solves_outside_the_driver(monkeypatch)
+        points = gap_curve(fresh(example2), 0.2, np.array([5.0, 5.0]), np.linspace(0.0, 0.4, 41))
+        assert len(points) == 41 and len(calls) == 41
+
+    def test_gap_curve_keeps_the_bits_of_gap(self, example2):
+        X0, grid = np.array([5.0, 5.0]), np.linspace(0.0, 0.4, 9)
+        points = gap_curve(fresh(example2), 0.2, X0, grid)
+        assert sum(p.stable for p in points) > 5
+        for point in points:
+            if point.stable:
+                assert point.gap.hex() == gap(fresh(example2), 0.2, point.q_hat, X0).gap.hex()
+
+    def test_weight_of_a_kept_gain_has_the_bits_of_a_solve(self, example1, example2, plant3):
+        rng = np.random.default_rng(29)
+        plants = [example1, example2, plant3] + [random_stabilizable_system(rng, n_max=5) for _ in range(12)]
+        for plant in map(fresh, plants):
+            for share in (0.0, 0.3, 0.9):
+                gain, sol = ce_gain(plant, share * feasible_rate_ceiling(plant))
+                assert riccati._kept_gain(plant, sol.P) is not None
+                assert riccati._kept_gain(plant, sol.P.copy()) is None
+                W = stability.gain_weight_matrix(plant, sol.P)
+                assert W.tobytes() == stability.gain_weight_matrix(plant, sol.P.copy()).tobytes()
 
 
 # q_c = 1/(1.2^2 1.1^2) = 0.5739, the lower end of its bracket [0.5739, 0.6944]:
