@@ -654,7 +654,7 @@ class TestLapackLayer:
             warnings.simplefilter("error")
             assert layer_outcome(layer, *args) == layer_outcome(public, *args)
 
-    def test_gufuncs_are_named_at_import(self):
+    def test_a_missing_gufunc_is_named(self):
         with pytest.raises(ImportError, match=r"numpy\.linalg\._umath_linalg\.no_such_kernel"):
             numerics._gufunc("no_such_kernel")
 
