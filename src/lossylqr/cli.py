@@ -306,8 +306,10 @@ def cmd_gap(args, emit: Emitter):
     _require_below_qc(sys_spec, args.q, "q")
     x0 = _parse_vector(args.x0, sys_spec.n, "--x0")
     if args.curve:
-        _, limit = _qc_limit(sys_spec)
-        grid = np.arange(0.0, limit, _positive_step(args.step))
+        # The lower end of the refined q_c bracket has a solution; the upper
+        # end of the unrefined one can lie far above q_c.
+        step = _positive_step(args.step)
+        grid = np.arange(0.0, critical_probability(sys_spec).lower, step)
         points = gap_curve(sys_spec, args.q, x0, grid)
         rows = [
             (p.q_hat, p.gap if p.stable else "unstable", int(p.stable)) for p in points

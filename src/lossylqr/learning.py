@@ -19,12 +19,11 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .numerics import _as_int, _eigh, _eigvalsh, sym_eig_extremes, symmetrize
-from .riccati import SystemSpec
+from .riccati import SystemSpec, _design
 from .stability import (
     VARIANT_GENERAL,
     VARIANT_INVERTIBLE_B,
     VARIANT_SCALAR,
-    _design,
     _strict_margin,
     _threshold_curve,
     st_lower_bound,
@@ -192,8 +191,8 @@ def _tolerated_rate_sup(sys: SystemSpec, q_hat: float) -> float:
     eigenvalues are taken directly.  A non-finite C0 or C1 fails the check
     of the congruence's `sym_eig_extremes`.
     """
-    gain, _, W = _design(sys, q_hat)
-    KtRK = symmetrize(gain.K.T @ sys.R @ gain.K)
+    _, K, W = _design(sys, q_hat)
+    KtRK = symmetrize(K.T @ sys.R @ K)
     C0 = sys.Q + KtRK + q_hat * W
     C1 = KtRK + W
 

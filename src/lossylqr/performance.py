@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NoSolutionError, NumericalFailureError, UnstableError
 from .numerics import _eigvalsh, _finite, _finite_vector, _fro, _solve, sym_eig_extremes, symmetrize
-from .riccati import Gain, SystemSpec, _gain_solve, _mare_solve_rates, _ms_stable, mare_solve
-from .stability import _design, _gain_weight, _lifted_rho
+from .riccati import SystemSpec, _design, _gain_and_weight, _mare_solve_rates, _ms_stable, mare_solve
+from .stability import _lifted_rho
 
 # Required agreement between the linear-solve and series routes for S.
 SERIES_AGREE_RTOL = 1e-8
@@ -125,15 +125,14 @@ def _second_moment_sum(sys: SystemSpec, K, q: float, X0: np.ndarray) -> np.ndarr
 
 def gap(sys: SystemSpec, q: float, q_hat: float, X0) -> GapReport:
     """Exact optimality gap of the controller designed at q_hat, run at true rate q."""
-    gain, sol_hat, W = _design(sys, q_hat)
-    return _gap_report(sys, q, gain, sol_hat, W, mare_solve(sys, q), initial_second_moment(X0, sys.n))
+    return _gap_report(sys, q, q_hat, _design(sys, q_hat), mare_solve(sys, q), initial_second_moment(X0, sys.n))
 
 
-def _gap_report(sys: SystemSpec, q: float, gain, sol_hat, W: np.ndarray, sol_true, X0: np.ndarray) -> GapReport:
-    """`gap` from the design, its gain weight matrix W, the true-rate Riccati
-    solution and the normalized X0."""
-    q_hat = gain.q_design
-    S = _second_moment_sum(sys, gain, q, X0)  # raises UnstableError if rho >= 1
+def _gap_report(sys: SystemSpec, q: float, q_hat: float, design, sol_true, X0: np.ndarray) -> GapReport:
+    """`gap` from the design (solution, gain and gain weight matrix W) at
+    q_hat, the true-rate Riccati solution and the normalized X0."""
+    sol_hat, K, W = design
+    S = _second_moment_sum(sys, K, q, X0)  # raises UnstableError if rho >= 1
 
     gramian_trace = float(np.trace(W @ S))
     x_k_term = (q - q_hat) * gramian_trace
@@ -174,7 +173,7 @@ def gap_curve(sys: SystemSpec, q: float, X0, q_hat_grid) -> list[GapCurvePoint]:
     """`gap` at each design rate, solving the true rate once and the grid in
     lock-step; unstable designs are flagged, and the first rate without a
     Riccati solution raises the NoSolutionError of `ce_gain`.  Each design's
-    gain -S and weight come from one solve S (`riccati._gain_solve`)."""
+    gain and weight come from one solve (`riccati._gain_and_weight`)."""
     sol_true = mare_solve(sys, q)
     X0 = initial_second_moment(X0, sys.n)
     q_hats = np.asarray(q_hat_grid, dtype=float).tolist()
@@ -182,10 +181,8 @@ def gap_curve(sys: SystemSpec, q: float, X0, q_hat_grid) -> list[GapCurvePoint]:
     for q_hat, sol_hat in zip(q_hats, _mare_solve_rates(sys, q_hats)):
         if isinstance(sol_hat, NoSolutionError):
             raise sol_hat
-        AtPB, S = _gain_solve(sys, sol_hat.P)
-        gain = Gain(K=-S, q_design=q_hat)
         try:
-            report = _gap_report(sys, q, gain, sol_hat, _gain_weight(AtPB, S), sol_true, X0)
+            report = _gap_report(sys, q, q_hat, (sol_hat, *_gain_and_weight(sys, sol_hat.P)), sol_true, X0)
             points.append(GapCurvePoint(q_hat=q_hat, gap=report.gap, stable=True))
         except UnstableError:
             points.append(GapCurvePoint(q_hat=q_hat, gap=None, stable=False))

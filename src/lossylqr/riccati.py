@@ -23,14 +23,15 @@ gain is certified by the Lyapunov solve that evaluates it (Costa, Fragoso &
 Marques, Discrete-Time Markov Jump Linear Systems, 2005), and the dense test
 decides only where that certificate proves nothing (`_solve_certifies`).
 
-A plant keeps its own results: `SystemSpec` holds read-only matrices and a
-private memo, so repeated calls with the same plant and rate return the
-same read-only solution.  The memo keeps every standard (q = 0) solution
-and the four other rates returned last, with the gain of each that
-`ce_gain` was asked for and its gain weight (`stability._design`), and the
-threshold-bound evaluators and last certified lifted radius of `stability`.
-The estimate, the true rate and q = 0 of one design are each solved once
-however many functions ask for them, and the standard solution, which the
+A plant keeps its own results: `SystemSpec` holds read-only matrices, its
+constants A (x) A and lambda_min(Q), and a private memo, so repeated calls
+with the same plant and rate return the same read-only solution.  The memo
+keeps every standard (q = 0) solution and the four other rates returned
+last, each with the design of that rate once one was asked for (`_design`:
+the gain and its gain weight, from one solve), and the threshold-bound
+evaluators and last certified lifted radius of `stability`.  The estimate,
+the true rate and q = 0 of one design are each solved once however many
+functions ask for them, and the standard solution, which the
 sample-complexity bound of each design asks for, outlives the other rates
 of designs in between.
 
@@ -81,7 +82,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, LossyLqrError, NoSolutionError
 from .numerics import StallDetector, _dense_spectral_radius, _fro, _has_cholesky, sym_eig_extremes, symmetrize
-from .numerics import _check_rate, _eigvals, _eigvalsh, _solve
+from .numerics import _check_rate, _eigvals, _solve
 
 # Fixed-point iteration controls for the (modified) Riccati equation.
 MAX_ITERATIONS = 10**5
@@ -113,13 +114,11 @@ BISECT_BAND = 4
 LOCKSTEP_ENTRIES = 1 << 18
 
 # A plant's memo (`SystemSpec._memo`) keeps its solutions at q = 0 and the
-# _MEMO_SIZE solutions at other rates that `mare_solve` returned last, and
-# the plant's constants A (x) A and lambda_min(Q) under these keys.  One
-# lock guards every change of any plant's memo, since an insert during the
+# _MEMO_SIZE solutions at other rates that `mare_solve` returned last, each
+# as the entry [solution, None or the design's read-only (K, W)].  One lock
+# guards every change of any plant's memo, since an insert during the
 # eviction's pass over the keys would break it; a lookup needs none.
 _MEMO_SIZE = 4
-_KRON_A_KEY = ("A(x)A",)
-_Q_FLOOR_KEY = ("lambda_min(Q)",)
 _memo_lock = threading.Lock()
 
 
@@ -144,8 +143,10 @@ class SystemSpec:
     is not checked eagerly; it is certified operationally by `dare_solve`
     converging (a non-stabilizable pair makes the iteration diverge and
     raises NoSolutionError).  The plant keeps read-only copies of its
-    matrices and, in a private memo, the results derived from them; a
-    pickled or copied plant is checked again and starts with an empty memo.
+    matrices, its constants A (x) A (`_AA`, read-only) and lambda_min(Q)
+    (`_lmin_Q`) and, in a private memo, the results derived from them; a
+    pickled or copied plant is checked again, forms its constants again and
+    starts with an empty memo.
     """
 
     A: np.ndarray
@@ -171,13 +172,20 @@ class SystemSpec:
             raise DimensionError(f"Q must be {n}x{n}, got {Q.shape}")
         if R.shape != (m, m):
             raise DimensionError(f"R must be {m}x{m}, got {R.shape}")
+        lmins = {}
         for label, M in (("Q", Q), ("R", R)):
             lmin, _ = sym_eig_extremes(M)
             if lmin <= 0.0:
                 raise InvalidInputError(f"{label} must be positive definite (lambda_min={lmin:.3e})")
-        for label, M in (("A", A), ("B", B), ("Q", Q), ("R", R)):
+            lmins[label] = lmin
+        # A (x) A of a huge A overflows to inf: the plant builds without a
+        # warning, and its solves diverge.
+        with np.errstate(over="ignore"):
+            AA = _kron_self(A)
+        for label, M in (("A", A), ("B", B), ("Q", Q), ("R", R), ("_AA", AA)):
             M.flags.writeable = False
             object.__setattr__(self, label, M)
+        object.__setattr__(self, "_lmin_Q", lmins["Q"])
         object.__setattr__(self, "_memo", {})
 
     def __reduce__(self):
@@ -270,13 +278,13 @@ def _feedback_gain(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
     return -_gain_solve(sys, P)[1]
 
 
-def _kept_gain(sys: SystemSpec, P: np.ndarray) -> np.ndarray | None:
-    """The gain that `ce_gain` keeps with the plant's kept solution whose P
-    is P itself, or None."""
-    for key, entry in list(sys._memo.items()):
-        if key[0] in ("standard", "rate") and entry[0].P is P:
-            return entry[1]
-    return None
+def _gain_and_weight(sys: SystemSpec, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The feedback gain K = -S of cost-to-go P and its gain weight
+    W = A^T P B (R + B^T P B)^{-1} B^T P A = (A^T P B) S, symmetrized, from
+    one `_gain_solve`."""
+    AtPB, S = _gain_solve(sys, P)
+    W = AtPB @ S
+    return -S, 0.5 * (W + W.T)
 
 
 def _gain(sys: SystemSpec, K) -> np.ndarray:
@@ -318,29 +326,13 @@ def _kept(sys: SystemSpec, key: tuple, make):
     return value
 
 
-def _kron_A(sys: SystemSpec) -> np.ndarray:
-    """The plant's A (x) A, formed once and kept read-only in its memo."""
-
-    def make():
-        AA = _kron_self(sys.A)
-        AA.flags.writeable = False
-        return AA
-
-    return _kept(sys, _KRON_A_KEY, make)
-
-
-def _q_floor(sys: SystemSpec) -> np.float64:
-    """lambda_min(Q), the floor of `_solve_certifies`, kept in the plant's memo."""
-    return _kept(sys, _Q_FLOOR_KEY, lambda: _eigvalsh(0.5 * (sys.Q + sys.Q.T))[0])
-
-
 def _lifted_map(sys: SystemSpec, K: np.ndarray, q, q_AA=None) -> np.ndarray:
     """Lifted second-moment map (1-q) (A+BK)(x)(A+BK) + q A(x)A of the gain K
     at loss rate q.  A (k, m, n) stack of gains or a (k, 1, 1) array of rates
     gives the stack of the k maps.  A loop over gains at fixed rates passes
-    q_AA = q * _kron_A(sys), formed once."""
+    q_AA = q * sys._AA, formed once."""
     if q_AA is None:
-        q_AA = q * _kron_A(sys)
+        q_AA = q * sys._AA
     return (1.0 - q) * _kron_self(sys.A + sys.B @ K) + q_AA
 
 
@@ -423,7 +415,7 @@ def _policy_iteration(
     n = sys.n
     eye = np.eye(n * n)
     one_minus_q = 1.0 - q
-    q_AA = q * _kron_A(sys)
+    q_AA = q * sys._AA
     K = _feedback_gain(sys, X)
     P, steps, residual = X, 0, np.inf
     while True:
@@ -497,7 +489,7 @@ def _policy_iteration_rates(
         return cost, 0.5 * (Pn + Pn.mT)
 
     K = _feedback_gain(sys, X)
-    q_AA = q * _kron_A(sys)
+    q_AA = q * sys._AA
     L = _lifted_map(sys, K, q, q_AA)
     live = np.flatnonzero(_ms_stable(_dense_spectral_radius(L)))  # member index of each row of P, Pn and q_AA
     if not len(live):
@@ -571,7 +563,7 @@ def _lockstep(sys: SystemSpec, qs: list) -> list:
     live = np.arange(len(qs))  # rate index of each row of the stack
     q = np.array(qs, dtype=float).reshape(-1, 1, 1)
     one_minus_q = 1.0 - q
-    q_floor = _q_floor(sys)
+    q_floor = sys._lmin_Q
     X = np.repeat(sys.Q[None], len(qs), axis=0)
     stall = StallDetector()
     changes = np.full(len(qs), np.inf)  # by rate index; finished rates' entries are ignored
@@ -672,7 +664,7 @@ def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
         if isinstance(sol, NoSolutionError):
             raise sol
         sol.P.flags.writeable = False
-        entry = [sol, None, None]  # the gain and its weight, once asked for
+        entry = [sol, None]  # the design's (K, W), once asked for (`_design`)
     with _memo_lock:
         sys._memo[key] = entry
         for k in [k for k in sys._memo if k[0] == "rate"][:-_MEMO_SIZE]:
@@ -822,20 +814,27 @@ def critical_probability(sys: SystemSpec, refine: bool = True) -> CriticalProbab
     return CriticalProbability(lo, hi, None, "bisection", unstable_t)
 
 
+def _design(sys: SystemSpec, q_hat: float) -> tuple[RiccatiSolution, np.ndarray, np.ndarray]:
+    """The design at q_hat: its Riccati solution, its gain K and its gain
+    weight W (`_gain_and_weight`).  K and W are kept read-only with the
+    solution in the plant's memo (see `mare_solve`), so the gain, the
+    certificate, the sufficient condition and the gap of one design solve
+    for them once; they leave the memo with the solution."""
+    sol = mare_solve(sys, q_hat)
+    entry = sys._memo.get(_rate_key(q_hat)) or [sol, None]
+    if entry[1] is None:
+        K, W = _gain_and_weight(sys, sol.P)
+        K.flags.writeable = W.flags.writeable = False
+        entry[1] = K, W
+    return (sol, *entry[1])
+
+
 def ce_gain(sys: SystemSpec, q_hat: float) -> tuple[Gain, RiccatiSolution]:
     """Certainty-equivalence optimal gain designed as if q_hat were the true loss rate.
 
-    The gain is kept with its solution in the plant's memo (see
-    `mare_solve`), so the three calls of one design solve for it once.  Each
-    call gets its own writable copy, with the bytes and C layout of the
-    first."""
-    sol = mare_solve(sys, q_hat)
-    entry = sys._memo.get(_rate_key(q_hat)) or [sol, None, None]
-    K = entry[1]
-    if K is None:
-        K = _feedback_gain(sys, sol.P)
-        K.flags.writeable = False
-        entry[1] = K
+    The gain is the plant's kept one (`_design`); each call gets its own
+    writable copy, with the bytes and C layout of the first."""
+    sol, K, _ = _design(sys, q_hat)
     return Gain(K=K.copy(), q_design=q_hat), sol
 
 

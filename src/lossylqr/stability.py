@@ -30,23 +30,19 @@ from .riccati import (
     LOCKSTEP_ENTRIES,
     RHO_MARGIN,
     CriticalProbability,
-    Gain,
-    RiccatiSolution,
     SystemSpec,
     _bisect_rates,
+    _design,
     _feedback_gain,
     _gain,
-    _gain_solve,
+    _gain_and_weight,
     _invertible_B,
     _kept,
-    _kept_gain,
-    _kron_A,
     _kron_self,
     _lifted_map,
     _ms_stable,
     _mare_solve_rates,
     _memo_lock,
-    _rate_key,
     _scalar_iff_value,
     _solve_each,
     ce_gain,
@@ -132,38 +128,10 @@ def _strict_margin(sys: SystemSpec) -> float:
 
 
 def gain_weight_matrix(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
-    """A^T P B (R + B^T P B)^{-1} B^T P A, the weight on the estimation error.
-
-    Its solve S = (R + B^T P B)^{-1} B^T P A is that of the gain -S
-    (`riccati._gain_solve`).  For the P of a solution that the plant keeps
-    with its gain K (`ce_gain`), S is -K to the last bit, so a design solves
-    once for its gain and its weight."""
-    K = _kept_gain(sys, P)
-    if K is None:
-        return _gain_weight(*_gain_solve(sys, P))
-    return _gain_weight(sys.A.T @ (P @ sys.B), -K)  # the A^T P B of `_gain_solve`
-
-
-def _gain_weight(AtPB: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The gain weight matrix from the (A^T P B, S) of `riccati._gain_solve`."""
-    W = AtPB @ S
-    return 0.5 * (W + W.T)
-
-
-def _design(sys: SystemSpec, q_hat: float) -> tuple[Gain, RiccatiSolution, np.ndarray]:
-    """`ce_gain` at q_hat and the gain weight matrix of its solution, which
-    takes its solve from the gain (see `gain_weight_matrix`).  The weight is
-    kept read-only next to the gain in the plant's memo entry for q_hat, so
-    the certificate, the sufficient condition and the gap of one design
-    form it once."""
-    gain, sol = ce_gain(sys, q_hat)
-    entry = sys._memo.get(_rate_key(q_hat)) or [sol, None, None]
-    W = entry[2]
-    if W is None:
-        W = gain_weight_matrix(sys, sol.P)
-        W.flags.writeable = False
-        entry[2] = W
-    return gain, sol, W
+    """A^T P B (R + B^T P B)^{-1} B^T P A, the weight on the estimation error,
+    from the solve that also gives the gain of P (`riccati._gain_and_weight`).
+    A design's weight is kept with its gain (`riccati._design`)."""
+    return _gain_and_weight(sys, P)[1]
 
 
 def condition_matrix(sys: SystemSpec, q: float, q_hat: float) -> np.ndarray:
@@ -174,8 +142,8 @@ def condition_matrix(sys: SystemSpec, q: float, q_hat: float) -> np.ndarray:
     matrix computed from the design Riccati solution.
     """
     _check_rate(q, "true loss rate")
-    gain, _, W = _design(sys, q_hat)
-    C = sys.Q + (1.0 - q) * (gain.K.T @ sys.R @ gain.K) - (q - q_hat) * W
+    _, K, W = _design(sys, q_hat)
+    C = sys.Q + (1.0 - q) * (K.T @ sys.R @ K) - (q - q_hat) * W
     return symmetrize(C)
 
 
@@ -502,7 +470,7 @@ def _oracle_verdicts(sys: SystemSpec, gains, q_grid: np.ndarray) -> np.ndarray:
     s = 1.0 - RHO_MARGIN
     N = sys.n**2
     chunk = max(1, LOCKSTEP_ENTRIES // N**2)
-    AA = _kron_A(sys)
+    AA = sys._AA
     rates = q_grid.tolist()
     every_row = list(range(n_q))
     for start in range(0, len(gains), chunk):

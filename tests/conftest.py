@@ -124,3 +124,20 @@ def solve_count(monkeypatch):
 
     record_solves_alone(monkeypatch, counted)
     return count
+
+
+def gain_solves_outside_the_driver(monkeypatch) -> list:
+    """The X of each `riccati._gain_solve` call made outside the Riccati
+    driver `riccati._lockstep`; only `riccati` calls it."""
+    calls, inner, driver = [], riccati._gain_solve, riccati._lockstep.__code__
+
+    def recorded(plant, X):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not driver:
+            frame = frame.f_back
+        if frame is None:
+            calls.append(X)
+        return inner(plant, X)
+
+    monkeypatch.setattr(riccati, "_gain_solve", recorded)
+    return calls

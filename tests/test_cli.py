@@ -277,6 +277,18 @@ class TestGapCurve:
             except UnstableError:
                 assert (value, stable) == ("unstable", 0)
 
+    @pytest.mark.parametrize(
+        "spec, x0, last",
+        [("qc_at_lower", "1,1,1", 0.57), ("plant3", "1,1,1", 0.59), ("example1", "1", 0.44)],
+    )
+    def test_grid_ends_below_the_refined_qc(self, capsys, monkeypatch, spec, x0, last):
+        # qc_at_lower's q_c = 0.5739 is the lower end of its bracket [0.5739, 0.6944].
+        captured = capture_rows(monkeypatch)
+        spec = str(SPECS / f"{spec}.json")
+        code, _, err = run(capsys, "gap", "--spec", spec, "--q", "0.1", "--x0", x0, "--curve", "--step", "0.01")
+        assert code == 0, err
+        assert [row[0] for row in captured] == np.arange(0.0, last + 0.005, 0.01).tolist()
+
 
 class TestComplexityCurve:
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import math
 import pickle
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from lossylqr.stability import _threshold_curve
 from conftest import (
     feasible_rate_ceiling,
     fresh,
+    gain_solves_outside_the_driver,
     random_stabilizable_system,
     record_solves_alone,
     report_bits,
@@ -83,6 +85,25 @@ class TestSystemSpec:
             assert M.tobytes() == N.tobytes() and M.strides == N.strides and not N.flags.writeable
         assert twin.name == plant.name
         assert report_bits(st_lower_bound(twin, 0.2, "general")) == report_bits(bound)
+
+    @pytest.mark.parametrize("clone", [pickle_round_trip, copy.deepcopy, copy.copy])
+    def test_plant_constants(self, plant3, clone):
+        plant = fresh(plant3)
+        twin = clone(plant)
+        for p in (plant, twin):
+            assert p._AA.tobytes() == riccati._kron_self(p.A).tobytes() and not p._AA.flags.writeable
+            assert p._lmin_Q.hex() == np.linalg.eigvalsh(p.Q)[0].hex()
+            for name in ("_AA", "_lmin_Q"):
+                with pytest.raises(AttributeError):
+                    setattr(p, name, None)
+        assert twin._AA is not plant._AA
+
+    def test_huge_plant_builds_without_a_warning(self):
+        # A (x) A overflows; the plant still builds, silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plant = SystemSpec(A=[[1e200]], B=1, Q=1, R=1)
+        assert plant._AA[0, 0] == np.inf
 
     def test_plants_compare_by_identity(self, example2):
         plant = fresh(example2)
@@ -415,15 +436,7 @@ class TestCeGain:
         assert ce_gain(plant3, 0.2)[0].K.tobytes() == expected
 
     def test_gain_is_kept_with_its_solution(self, example2, monkeypatch):
-        plant, solves = fresh(example2), []
-        inner = riccati._feedback_gain
-
-        def recorded(plant, P):
-            if sys._getframe(1).f_code is riccati.ce_gain.__code__:
-                solves.append(P)
-            return inner(plant, P)
-
-        monkeypatch.setattr(riccati, "_feedback_gain", recorded)
+        plant, solves = fresh(example2), gain_solves_outside_the_driver(monkeypatch)
         first = ce_gain(plant, 0.2)[0].K.tobytes()
         assert ce_gain(plant, 0.2)[0].K.tobytes() == first and len(solves) == 1
         for i in range(riccati._MEMO_SIZE):
@@ -555,14 +568,17 @@ class TestMareMemo:
             assert solve_count[0] == solves
         assert [rates_kept(p) for p in plants] == [riccati._MEMO_SIZE] * len(plants)
 
-    def test_failure_is_solved_on_every_call(self, example1, solve_count):
-        plant = fresh(example1)
+    def test_failure_is_solved_on_every_call(self, example1, solve_count, monkeypatch):
+        plant, gain_solves = fresh(example1), gain_solves_outside_the_driver(monkeypatch)
         for calls in (1, 2, 3):
             with pytest.raises(NoSolutionError):
                 mare_solve(plant, 0.5)
             assert solve_count[0] == calls
-        # The plant keeps only its constants, which every solve reads.
-        assert set(plant._memo) == {riccati._KRON_A_KEY, riccati._Q_FLOOR_KEY}
+        with pytest.raises(NoSolutionError):
+            ce_gain(plant, 0.5)
+        assert solve_count[0] == 4 and gain_solves == []
+        # The plant keeps nothing of a failure; its constants are attributes.
+        assert plant._memo == {}
 
     def test_rate_type_is_part_of_the_problem(self, example1, solve_count):
         plant = fresh(example1)

@@ -32,7 +32,7 @@ from lossylqr import (
     symmetrize,
     zero_sample_safe_q,
 )
-from lossylqr import numerics, performance, riccati, stability
+from lossylqr import numerics, riccati, stability
 from lossylqr.riccati import RHO_MARGIN, _feedback_gain, _ms_stable, _scalar_iff_value
 from lossylqr.stability import (
     CELL_BLUE,
@@ -45,7 +45,14 @@ from lossylqr.stability import (
     _strict_margin,
     _threshold_curve,
 )
-from conftest import feasible_rate_ceiling, fresh, random_stabilizable_system, report_bits, scalar_mare_root
+from conftest import (
+    feasible_rate_ceiling,
+    fresh,
+    gain_solves_outside_the_driver,
+    random_stabilizable_system,
+    report_bits,
+    scalar_mare_root,
+)
 
 
 def scalar_condition_value(q: float, q_hat: float, a: float = 1.5) -> float:
@@ -442,7 +449,7 @@ class TestLiftedRhoMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert set(plant._memo) == {RHO_KEY, riccati._KRON_A_KEY}
+        assert set(plant._memo) == {RHO_KEY}
 
 
 class TestThresholdCurveRows:
@@ -1086,14 +1093,6 @@ class TestSafeRateLookahead:
             zero_sample_safe_q(example1, "general")
 
 
-def gain_weight_calls(monkeypatch) -> list:
-    """The P of each `gain_weight_matrix` call that `stability` makes."""
-    calls = []
-    inner = stability.gain_weight_matrix
-    monkeypatch.setattr(stability, "gain_weight_matrix", lambda plant, P: calls.append(P) or inner(plant, P))
-    return calls
-
-
 def reference_q_bar(plant: SystemSpec, q_hat: float) -> float:
     """The certificate's q_bar from the public `gain_weight_matrix`, with every
     matrix of the constraint symmetrized and checked."""
@@ -1121,11 +1120,11 @@ def reference_j_ce(plant: SystemSpec, q: float, q_hat: float, X0: np.ndarray) ->
 
 class TestSharedGainWeight:
     """One design forms its gain weight W once: the certificate, the sufficient
-    condition and the gap share the W kept next to the gain in the plant's
-    memo entry for q_hat, with the bits of `gain_weight_matrix`."""
+    condition and the gap share the W kept with the gain in the plant's memo
+    entry for q_hat (`riccati._design`), with the bits of `gain_weight_matrix`."""
 
     def test_certificate_and_gap_form_it_once(self, example2, monkeypatch):
-        plant, calls = fresh(example2), gain_weight_calls(monkeypatch)
+        plant, calls = fresh(example2), gain_solves_outside_the_driver(monkeypatch)
         certify_ce_controller(plant, 0.1633, 300, 0.01)
         gap(plant, 0.2, 0.1633, np.eye(2))
         condition_matrix(plant, 0.2, 0.1633)
@@ -1159,40 +1158,66 @@ class TestSharedGainWeight:
                 assert gap(shared, q, q_hat, X0).J_ce.hex() == reference_j_ce(fresh(sys_), q, q_hat, X0).hex()
 
     def test_weight_is_read_only(self, example2):
-        _, _, W = stability._design(fresh(example2), 0.1633)
-        with pytest.raises(ValueError):
-            W[0, 0] = 0.0
+        _, K, W = riccati._design(fresh(example2), 0.1633)
+        for M in (K, W):
+            with pytest.raises(ValueError):
+                M[0, 0] = 0.0
 
     def test_evicted_design_forms_it_again_with_the_same_bits(self, example2, monkeypatch):
-        plant, calls = fresh(example2), gain_weight_calls(monkeypatch)
-        first = stability._design(plant, 0.1633)[2]
+        plant, calls = fresh(example2), gain_solves_outside_the_driver(monkeypatch)
+        first = riccati._design(plant, 0.1633)[2]
         q_bar = certify_ce_controller(plant, 0.1633, 300, 0.01).q_bar
         assert len(calls) == 1
         for i in range(riccati._MEMO_SIZE + 1):
             mare_solve(plant, 0.01 * (i + 1))
-        again = stability._design(plant, 0.1633)[2]
+        again = riccati._design(plant, 0.1633)[2]
         assert len(calls) == 2 and again is not first
         assert again.tobytes() == first.tobytes()
         assert certify_ce_controller(plant, 0.1633, 300, 0.01).q_bar.hex() == q_bar.hex()
         assert len(calls) == 2
 
+    def test_concurrent_designs_keep_their_bits(self, example2):
+        # Twice as many design rates as a plant keeps, from eight threads: each
+        # gain, certificate and gap has the bits of a fresh plant's.
+        plant, X0 = fresh(example2), np.eye(2)
+        designs = [(0.04 * (i + 1), 0.2) for i in range(2 * riccati._MEMO_SIZE)]
+        expected = [
+            (
+                ce_gain(fresh(example2), q_hat)[0].K.tobytes(),
+                certify_ce_controller(fresh(example2), q_hat, 300, 0.01).q_bar.hex(),
+                gap(fresh(example2), q, q_hat, X0).J_ce.hex(),
+            )
+            for q_hat, q in designs
+        ]
+        errors = []
 
-def gain_solves_outside_the_driver(monkeypatch) -> list:
-    """The X of each `riccati._gain_solve` call made outside the Riccati
-    driver `riccati._lockstep`, from every module that calls it."""
-    calls, inner, driver = [], riccati._gain_solve, riccati._lockstep.__code__
+        def caller(offset):
+            try:
+                for i in range(30):
+                    k = (i * 3 + offset) % len(designs)
+                    q_hat, q = designs[k]
+                    got = (
+                        ce_gain(plant, q_hat)[0].K.tobytes(),
+                        certify_ce_controller(plant, q_hat, 300, 0.01).q_bar.hex(),
+                        gap(plant, q, q_hat, X0).J_ce.hex(),
+                    )
+                    if got != expected[k]:
+                        errors.append(f"wrong design at q_hat={q_hat}")
+            except Exception as exc:  # collected and reported by the main thread
+                errors.append(repr(exc))
 
-    def recorded(plant, X):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code is not driver:
-            frame = frame.f_back
-        if frame is None:
-            calls.append(X)
-        return inner(plant, X)
-
-    for module in (riccati, stability, performance):
-        monkeypatch.setattr(module, "_gain_solve", recorded)
-    return calls
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestOneGainSolvePerDesign:
@@ -1218,16 +1243,20 @@ class TestOneGainSolvePerDesign:
             if point.stable:
                 assert point.gap.hex() == gap(fresh(example2), 0.2, point.q_hat, X0).gap.hex()
 
-    def test_weight_of_a_kept_gain_has_the_bits_of_a_solve(self, example1, example2, plant3):
+    def test_weight_of_a_kept_gain_has_the_bits_of_a_solve(self, example1, example2, plant3, monkeypatch):
         rng = np.random.default_rng(29)
         plants = [example1, example2, plant3] + [random_stabilizable_system(rng, n_max=5) for _ in range(12)]
+        calls = gain_solves_outside_the_driver(monkeypatch)
         for plant in map(fresh, plants):
             for share in (0.0, 0.3, 0.9):
-                gain, sol = ce_gain(plant, share * feasible_rate_ceiling(plant))
-                assert riccati._kept_gain(plant, sol.P) is not None
-                assert riccati._kept_gain(plant, sol.P.copy()) is None
-                W = stability.gain_weight_matrix(plant, sol.P)
-                assert W.tobytes() == stability.gain_weight_matrix(plant, sol.P.copy()).tobytes()
+                q_hat = share * feasible_rate_ceiling(plant)
+                gain, sol = ce_gain(plant, q_hat)
+                del calls[:]
+                kept, K, W = riccati._design(plant, q_hat)
+                assert kept is sol and calls == []
+                P = sol.P.copy()
+                assert K.tobytes() == gain.K.tobytes() == riccati._feedback_gain(plant, P).tobytes()
+                assert W.tobytes() == stability.gain_weight_matrix(plant, P).tobytes()
 
 
 # q_c = 1/(1.2^2 1.1^2) = 0.5739, the lower end of its bracket [0.5739, 0.6944]:
