@@ -6,25 +6,33 @@ All routines target small dense matrices (state dimension <= 10, lifted maps
 <= 100 x 100) and fix the numerical tolerances used across the package.
 
 A thin LAPACK layer serves every solve, Cholesky factor and eigenvalue call
-of the package: `_solve`, `_cholesky`, `_eigvals`, `_eigvalsh` and `_eigh`.
-Each calls the compiled gufunc of `numpy.linalg._umath_linalg` that the
-public numpy function calls (solve / solve1, cholesky_lo, eigvals,
-eigvalsh_lo, eigh_lo), with the same float64 signature ('dd->d', 'd->d',
-'d->D', 'd->dd') and inside the same `np.errstate`, whose `call` handler
-raises numpy's LinAlgError with numpy's message on a singular,
-non-positive-definite or non-converging input.  So every result has the
+of the package: `_solve`, `_cholesky`, `_eigvals`, `_eigvalsh` and `_eigh`,
+and `_solve_each` and `_has_cholesky`.  Each calls the compiled gufunc of
+`numpy.linalg._umath_linalg` that the public numpy function calls (solve /
+solve1, cholesky_lo, eigvals, eigvalsh_lo, eigh_lo), with the same float64
+signature ('dd->d', 'd->d', 'd->D', 'd->dd').  So every result has the
 public function's bits, without its per-call argument handling (its type
 promotion, shape checks and result wrapping), which takes 1.5 to 6 us on
 matrices of at most 16 x 16, often longer than LAPACK itself.  The callers
 pass float64 arrays of square matrices, the checks the layer leaves out.
+
+A gufunc fills the result of each matrix that fails, alone or in a stack,
+with NaN and raises the invalid flag; every other matrix of a stack gets
+the bits of its own call.  The layer has two failure rules.  The first five
+run inside numpy's own `np.errstate`, whose `call` handler raises numpy's
+LinAlgError with numpy's message on a singular, non-positive-definite or
+non-converging input.  `_solve_each` and `_has_cholesky` ignore the flag
+and read the NaN marks of one call: a singular system gets a NaN solution,
+and a matrix without a Cholesky factor the verdict False, with no retry.
+
 `_eigvals` keeps numpy's finite-input check and always returns complex
 eigenvalues, where numpy returns a real array when every imaginary part is
 zero: its callers take moduli, real and imaginary parts, and |x + 0j| =
 hypot(x, 0) = |x| exactly.  The gufunc names are those of numpy 2.4.6; a
 numpy without one of them fails at import with an error that names it.
-The rest of numpy.linalg is called as it is: `svd` (the rank tests of B
-in `riccati`) and `cond` (the rare warning path of `_spectral_radius`) run
-once per plant or per warning, and `norm` has `_fro`.
+The rest of numpy.linalg is called as it is: `svd` (the rank test of B
+in `riccati`, once per q_c or invertible-B check) and `cond` (the rare
+warning path of `_spectral_radius`), and `norm` has `_fro`.
 """
 
 import math
@@ -75,6 +83,14 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     stacks of both against a (k, d, d) stack of a."""
     gufunc = _SOLVE1 if b.ndim == 1 else _SOLVE
     with _lapack_errors(_singular):
+        return gufunc(a, b, signature="dd->d")
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_solve`, where a singular matrix, alone or in a stack, gives NaN in
+    place of its solution instead of raising."""
+    gufunc = _SOLVE1 if b.ndim == 1 else _SOLVE
+    with np.errstate(all="ignore"):
         return gufunc(a, b, signature="dd->d")
 
 
@@ -260,22 +276,18 @@ class StallDetector:
 
 def _has_cholesky(X: np.ndarray):
     """Whether X, or each matrix of a (k, n, n) stack, has a Cholesky factor,
-    which says nothing of a matrix with a non-finite entry.  numpy fails a
-    whole stacked call for one member, so a failed stack is tested again
-    member by member."""
-    try:
-        _cholesky(X)
-    except np.linalg.LinAlgError:
-        return False if X.ndim == 2 else np.array([_has_cholesky(M) for M in X])
-    return True if X.ndim == 2 else np.ones(len(X), dtype=bool)
+    which says nothing of a matrix with a non-finite entry.  One call factors
+    the stack; numpy fills the factor of a failed member with NaN, which its
+    last entry shows."""
+    with np.errstate(all="ignore"):
+        last = _CHOLESKY_LO(X, signature="d->d")[..., -1, -1][()]  # [()]: one matrix gives a scalar
+    return last == last
 
 
 def _positive_definite(X: np.ndarray):
     """Whether X, or each matrix of a (k, n, n) stack, is finite and has a
     Cholesky factor."""
-    factored = _has_cholesky(X)
-    finite = np.isfinite(X).all(axis=(-2, -1))
-    return bool(factored and finite) if X.ndim == 2 else factored & finite
+    return _has_cholesky(X) & np.isfinite(X).all(axis=(-2, -1))
 
 
 def _lyapunov_solve(M: np.ndarray, s: float, n: int):

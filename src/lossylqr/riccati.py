@@ -42,17 +42,19 @@ of one: `mare_solve` (hence every design) passes one rate, and
 stack instead of one per rate, a rate leaves the stack where it stops, and
 it gets the same bits (P, iteration count, residual, or the error and its
 reason) in any stack.  The step formulas (`_gain_solve` with `_mare_step`,
-`_mare_step_gain` and `_feedback_gain`, then `_lifted_map` and
-`_solve_certifies`) take one matrix or a stack.  One solve
-S = (R + B^T X B)^{-1} (A^T X B)^T serves a whole step: the gain weight is
-(A^T X B) S and the gain of X is -S, so a Hewer step solves with R + B^T P B
-once for its residual and its next gain.  Hewer's iteration has two forms,
-picked by the rows due at a policy phase: one row runs the 2-d
-`_policy_iteration`, several rows the stacked `_policy_iteration_rates`.
-Both are kept because each is the faster on its own workload: the stacked
-one on every one-row phase makes the benchmark's `design` pass about 30 %
-slower, and the 2-d one on every row makes its `regions` pass about four
-times slower (seed 1, one BLAS thread).  The grid
+`_mare_step_gain` and `_feedback_gain`, then `_lifted_map`,
+`_policy_evaluation` and `_solve_certifies`) take one matrix or a stack.
+One solve S = (R + B^T X B)^{-1} (A^T X B)^T serves a whole step: the gain
+weight is (A^T X B) S and the gain of X is -S, so a Hewer step solves with
+R + B^T P B once for its residual and its next gain.  Hewer's iteration
+has two forms, picked by the rows due at a policy phase: one row runs the
+2-d `_policy_iteration`, several rows the stacked `_policy_iteration_rates`.
+Both evaluate each gain with the one `_policy_evaluation`, where a singular
+lifted system gives a NaN solution.  Both forms are kept because each is
+the faster on its own workload: the stacked one on every one-row phase
+costs the benchmark's `design` about a quarter of its designs per second,
+and the 2-d one on every row costs its `regions` about three quarters of
+its cells per second (seed 1, one BLAS thread).  The grid
 of `region_map`, of the threshold curve and of `gap_curve`, and the probes
 of both bisections (`_bisect_rates`: the q_c refinement of
 `critical_probability` and `zero_sample_safe_q`), are solved in lock-step.
@@ -63,9 +65,9 @@ graded, the path predicted by interpolating its scores, which on a smooth
 bound takes two batches.
 
 The lifted map (`_lifted_map`), its verdict (`_ms_stable`), the scalar iff
-value, the gain check (`_gain`) and the invertibility test of B
-(`_invertible_B`) are kept here once; the solver, the exact oracle in
-`stability`, `performance`, the simulator and every grid sweep use them.
+value, the gain check (`_gain`) and the rank test of B (`_rank_form`) are
+kept here once; the solver, the exact oracle in `stability`,
+`performance`, the simulator and every grid sweep use them.
 `_kron_self` forms X (x) X as one broadcast product, with the single
 products of np.kron.  The lifted map, the verdict and the scalar iff value
 also take arrays of rates, so `region_map` evaluates a whole column of its
@@ -82,7 +84,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, LossyLqrError, NoSolutionError
 from .numerics import StallDetector, _dense_spectral_radius, _fro, _has_cholesky, sym_eig_extremes, symmetrize
-from .numerics import _check_rate, _eigvals, _solve
+from .numerics import _check_rate, _eigvals, _solve, _solve_each
 
 # Fixed-point iteration controls for the (modified) Riccati equation.
 MAX_ITERATIONS = 10**5
@@ -300,14 +302,16 @@ def _gain(sys: SystemSpec, K) -> np.ndarray:
     return K
 
 
-def _invertible_B(sys: SystemSpec) -> bool:
-    """Whether B is square with its smallest singular value above RANK_RTOL
-    times its largest: the condition of the closed form for q_c and of the
-    invertible-B threshold variant."""
-    if sys.m != sys.n:
-        return False
+def _rank_form(sys: SystemSpec) -> str | None:
+    """The closed form for q_c that the rank of B admits, from one SVD:
+    "invertible_B" when B is square with its smallest singular value above
+    RANK_RTOL times its largest (also the condition of the invertible-B
+    threshold variant), "rank_one_B" when only its largest is, else None."""
     sv = np.linalg.svd(sys.B, compute_uv=False)
-    return bool(sv[-1] > RANK_RTOL * sv[0])
+    rank = np.count_nonzero(sv > RANK_RTOL * sv[0])
+    if sys.m == sys.n == rank:
+        return "invertible_B"
+    return "rank_one_B" if rank == 1 else None
 
 
 def _kron_self(X: np.ndarray) -> np.ndarray:
@@ -365,34 +369,27 @@ def _solve_certifies(L: np.ndarray, P: np.ndarray, cost: np.ndarray, q_floor: fl
     once P > 0 (Cholesky), and L^T preserves the PSD cone, so rho(L) <=
     1 - c / lambda_max(P).  ||P||_F * RHO_MARGIN < c then gives the dense
     test's inequality.  That comparison is false when P or E has a non-finite
-    entry, so the Cholesky test runs only on finite members.  False means not
-    proven, not unstable.  Stacks of maps, solutions and costs give one
-    verdict per member.
+    entry, where the Cholesky test proves nothing.  False means not proven,
+    not unstable.  Stacks of maps, solutions and costs give one verdict per
+    member.
     """
     n = P.shape[-1]
     E = P - (L.mT @ P.reshape(P.shape[:-2] + (n * n, 1))).reshape(P.shape) - cost
-    certified = _fro(P) * RHO_MARGIN < q_floor - _fro(E)
-    if P.ndim == 2:
-        return bool(certified) and _has_cholesky(P)
-    if certified.any():
-        certified[certified] = _has_cholesky(P[certified])
-    return certified
+    return (_fro(P) * RHO_MARGIN < q_floor - _fro(E)) & _has_cholesky(P)
 
 
-def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solve of a (k, d, d) stack and a (k, d, 1) or (k, d, d) stack of
-    right-hand sides; a singular member gets NaN instead of failing the
-    whole stack."""
-    try:
-        return _solve(a, b)
-    except np.linalg.LinAlgError:
-        x = np.full(b.shape, np.nan)
-        for i in range(len(a)):
-            try:
-                x[i] = _solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return x
+def _policy_evaluation(sys: SystemSpec, K: np.ndarray, L: np.ndarray, one_minus_q, eye: np.ndarray):
+    """Hewer's evaluation of the gain K with lifted map L at loss rate q: the
+    cost Q + (1-q) K^T R K and the symmetrized solution P of the lifted
+    Lyapunov equation (I - L^T) vec P = vec cost, where I = eye is the
+    n^2 x n^2 identity that each Hewer call forms once.  A (k, m, n) stack of
+    gains, with their maps and 1 - q as (k, 1, 1), gives the stacks of both.
+    Where L has eigenvalue 1 the system is singular and P is NaN: no
+    certificate, and the dense test fails."""
+    cost = sys.Q + one_minus_q * (K.mT @ sys.R @ K)
+    rhs = cost.reshape(-1) if K.ndim == 2 else cost.reshape(len(K), len(eye), 1)
+    P = _solve_each(eye - L.mT, rhs).reshape(cost.shape)
+    return cost, 0.5 * (P + P.mT)
 
 
 def _policy_iteration(
@@ -400,11 +397,10 @@ def _policy_iteration(
 ) -> tuple[np.ndarray | None, int, float]:
     """Hewer's policy iteration from the gain of the value iterate X.
 
-    Each step evaluates the current gain exactly, by the n^2-sized lifted
-    Lyapunov equation (I - L^T) vec P = vec(Q + (1-q) K^T R K), and then
-    improves the gain; the Riccati step that gives the residual of P and the
-    next gain share one solve (`_mare_step_gain`), and q A(x)A is formed once
-    per call.  The first gain must pass the dense test; each later
+    Each step evaluates the current gain exactly (`_policy_evaluation`) and
+    then improves the gain; the Riccati step that gives the residual of P and
+    the next gain share one solve (`_mare_step_gain`), and q A(x)A is formed
+    once per call.  The first gain must pass the dense test; each later
     one is certified by its own solve (`_solve_certifies`, q_floor =
     lambda_min(Q)), and by the dense test only when that proves nothing.
     It stops once the update is below STEP_TOL, or keeps the previous P once
@@ -412,8 +408,7 @@ def _policy_iteration(
     (P, steps, residual); P is None when some gain was not mean-square
     stabilizing or P fails the residual gate of `mare_solve`.
     """
-    n = sys.n
-    eye = np.eye(n * n)
+    eye = np.eye(sys.n**2)
     one_minus_q = 1.0 - q
     q_AA = q * sys._AA
     K = _feedback_gain(sys, X)
@@ -422,12 +417,7 @@ def _policy_iteration(
         L = _lifted_map(sys, K, q, q_AA)
         if steps == 0 and not _ms_stable(_dense_spectral_radius(L)):
             return None, steps, residual
-        cost = sys.Q + one_minus_q * (K.T @ sys.R @ K)
-        try:
-            Pn = _solve(eye - L.T, cost.reshape(-1)).reshape(n, n)
-        except np.linalg.LinAlgError:  # L has eigenvalue 1: no certificate, the dense test fails
-            Pn = np.full((n, n), np.nan)
-        Pn = 0.5 * (Pn + Pn.T)
+        cost, Pn = _policy_evaluation(sys, K, L, one_minus_q, eye)
         if steps and not _solve_certifies(L, Pn, cost, q_floor) and not _ms_stable(_dense_spectral_radius(L)):
             return None, steps, residual
         steps += 1
@@ -476,18 +466,12 @@ def _policy_iteration_rates(
     or whose next gain (evaluated at the end of the step) is not certified
     leaves at the end of the step.  Returns (P, steps, residual, solved) with
     one entry per member; P[j] is the solution where solved[j] holds."""
-    p, n = X.shape[:2]
-    eye = np.eye(n * n)
+    p = len(X)
+    eye = np.eye(sys.n**2)
     out = np.empty_like(X)
     steps = np.zeros(p, dtype=int)
     residual = np.full(p, np.inf)
     solved = np.zeros(p, dtype=bool)
-
-    def evaluate(K, L, one_minus_q):  # cost Q + (1-q) K^T R K and solution P of each gain
-        cost = sys.Q + one_minus_q * (K.mT @ sys.R @ K)
-        Pn = _solve_each(eye - L.mT, cost.reshape(len(L), n * n, 1)).reshape(len(L), n, n)
-        return cost, 0.5 * (Pn + Pn.mT)
-
     K = _feedback_gain(sys, X)
     q_AA = q * sys._AA
     L = _lifted_map(sys, K, q, q_AA)
@@ -495,7 +479,7 @@ def _policy_iteration_rates(
     if not len(live):
         return out, steps, residual, solved
     P, q_AA = X[live], q_AA[live]
-    Pn = evaluate(K[live], L[live], one_minus_q[live])[1]
+    Pn = _policy_evaluation(sys, K[live], L[live], one_minus_q[live], eye)[1]
     while len(live):
         steps[live] += 1
         norm = _fro(Pn)
@@ -511,7 +495,7 @@ def _policy_iteration_rates(
         leave, leaving = stop, stop.any()
         if not leaving or not stop.all():  # some rows go on: evaluate their next gains (stopped rows ride along)
             L = _lifted_map(sys, K, q[live], q_AA)
-            cost, Pn = evaluate(K, L, one_minus_q[live])
+            cost, Pn = _policy_evaluation(sys, K, L, one_minus_q[live], eye)
             certified = _solve_certifies(L, Pn, cost, q_floor)
             if not certified.all():
                 unproven = ~stop & ~certified
@@ -791,11 +775,11 @@ def critical_probability(sys: SystemSpec, refine: bool = True) -> CriticalProbab
     lower = min(1.0, 1.0 / prod_sq)
     upper = min(1.0, 1.0 / max_sq)
 
-    if _invertible_B(sys):
-        return CriticalProbability(upper, upper, upper, "invertible_B", unstable_t)
-    sv = np.linalg.svd(sys.B, compute_uv=False)
-    if np.sum(sv > RANK_RTOL * sv[0]) == 1:
-        return CriticalProbability(lower, lower, lower, "rank_one_B", unstable_t)
+    form = _rank_form(sys)
+    if form == "invertible_B":
+        return CriticalProbability(upper, upper, upper, form, unstable_t)
+    if form == "rank_one_B":
+        return CriticalProbability(lower, lower, lower, form, unstable_t)
     if unstable.size == 0:
         return CriticalProbability(1.0, 1.0, 1.0, "bracket_only", unstable_t)
     if not refine or upper - lower <= QC_BISECT_TOL:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NoSolutionError, NotPSDError
 from .numerics import _dense_spectral_radius, _finite, _fro, _spectral_radius, psd_sqrt, sym_eig_extremes, symmetrize
-from .numerics import _check_lifted_rate, _check_rate, _eigvals, _eigvalsh, _solve
+from .numerics import _check_lifted_rate, _check_rate, _eigvals, _eigvalsh, _solve, _solve_each
 from .riccati import (
     LOCKSTEP_ENTRIES,
     RHO_MARGIN,
@@ -35,16 +35,14 @@ from .riccati import (
     _design,
     _feedback_gain,
     _gain,
-    _gain_and_weight,
-    _invertible_B,
     _kept,
     _kron_self,
     _lifted_map,
     _ms_stable,
     _mare_solve_rates,
     _memo_lock,
+    _rank_form,
     _scalar_iff_value,
-    _solve_each,
     ce_gain,
     critical_probability,
     dare_solve,
@@ -125,13 +123,6 @@ class RegionMap:
 
 def _strict_margin(sys: SystemSpec) -> float:
     return float(STRICT_MARGIN * (1.0 + _fro(sys.Q)))
-
-
-def gain_weight_matrix(sys: SystemSpec, P: np.ndarray) -> np.ndarray:
-    """A^T P B (R + B^T P B)^{-1} B^T P A, the weight on the estimation error,
-    from the solve that also gives the gain of P (`riccati._gain_and_weight`).
-    A design's weight is kept with its gain (`riccati._design`)."""
-    return _gain_and_weight(sys, P)[1]
 
 
 def condition_matrix(sys: SystemSpec, q: float, q_hat: float) -> np.ndarray:
@@ -289,7 +280,7 @@ def _check_threshold_variant(sys: SystemSpec, variant: str) -> None:
     if variant == VARIANT_INVERTIBLE_B:
         if sys.B.shape[0] != sys.B.shape[1]:
             raise DimensionError("the invertible-B threshold variant requires a square B")
-        if not _invertible_B(sys):
+        if _rank_form(sys) != "invertible_B":
             raise DimensionError("the invertible-B threshold variant requires a well-conditioned B")
 
 

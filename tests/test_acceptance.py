@@ -28,7 +28,8 @@ from lossylqr import (
     st_lower_bound,
     zero_sample_safe_q,
 )
-from lossylqr.stability import RHO_MARGIN, _strict_margin, gain_weight_matrix
+from lossylqr.riccati import _gain_and_weight
+from lossylqr.stability import RHO_MARGIN, _strict_margin
 from conftest import feasible_rate_ceiling, random_stabilizable_system
 
 QC_EX1 = 4.0 / 9.0
@@ -116,7 +117,7 @@ def test_criterion_5_oracle_soundness_sweep(example1):
     for q_hat in grid:
         g, sol = ce_gain(example1, float(q_hat))
         gains.append(g.K[0, 0])
-        weights.append(gain_weight_matrix(example1, sol.P)[0, 0])
+        weights.append(_gain_and_weight(example1, sol.P)[1][0, 0])
     bounds = {
         v: np.array([st_lower_bound(example1, float(q), v).bound for q in grid])
         for v in ("general", "scalar", "invertible_B")

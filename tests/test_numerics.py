@@ -149,10 +149,15 @@ class TestPositiveDefinite:
         members = [np.eye(2), np.diag([1.0, -1.0]), upper_nan, 2.0 * np.eye(2)]
         expected = [True, False, False, True]
         assert [numerics._positive_definite(M) for M in members] == expected
-        # A failed stacked call is retried member by member.
+        # One stacked call gives each member its own verdict, with a failing member in it or not.
         np.testing.assert_array_equal(numerics._positive_definite(np.stack(members)), expected)
         np.testing.assert_array_equal(numerics._positive_definite(np.stack([np.eye(2), upper_nan])), [True, False])
         np.testing.assert_array_equal(numerics._positive_definite(np.stack([np.eye(2), 2.0 * np.eye(2)])), [True, True])
+        # Every member failing, and 1 x 1 members.
+        failing = np.stack([np.diag([1.0, -1.0]), -np.eye(2), np.zeros((2, 2))])
+        np.testing.assert_array_equal(numerics._positive_definite(failing), [False, False, False])
+        assert not numerics._positive_definite(np.array([[-1.0]]))
+        np.testing.assert_array_equal(numerics._positive_definite(np.array([[[2.0]], [[-1.0]], [[0.0]]])), [True, False, False])
 
 
 def psd_stack(k: int = 6, n: int = 3) -> np.ndarray:

@@ -631,6 +631,35 @@ class TestMareMemo:
         assert rates_kept(plant) == riccati._MEMO_SIZE
         assert ("standard", float, "0x0.0p+0") in plant._memo and ("bounds", "general") in plant._memo
 
+    def test_eviction_pass_holds_back_an_insert(self, example1):
+        # The pass of the eviction over the memo keys hands control to another
+        # thread's mare_solve and waits for it: the lock must hold that
+        # thread's insert back until the pass is over, or the pass fails with
+        # 'dictionary changed size during iteration'.
+        plant = fresh(example1)
+        other, errors = [], []
+
+        def solve_other():
+            try:
+                mare_solve(plant, 0.3)
+            except Exception as exc:  # collected and reported by the main thread
+                errors.append(repr(exc))
+
+        class InterleavingMemo(dict):
+            def __iter__(self):
+                for key in super().__iter__():
+                    if not other:
+                        other.append(threading.Thread(target=solve_other))
+                        other[0].start()
+                        other[0].join(timeout=0.5)
+                    yield key
+
+        object.__setattr__(plant, "_memo", InterleavingMemo())
+        sol = mare_solve(plant, 0.2)
+        other[0].join(timeout=60)
+        assert not other[0].is_alive() and errors == []
+        assert mare_solve(plant, 0.2) is sol and rates_kept(plant) == 2
+
     def test_design_loop_solves_each_rate_once(self, example2, solve_count):
         X0 = np.eye(2)
         for q, q_hat, N in ((0.1, 0.12, 300), (0.2, 0.1633, 1000), (0.3, 0.28, 3000)):
@@ -821,8 +850,8 @@ class TestLockstepSolve:
 
 
 class TestStackMemberFailure:
-    """numpy fails a whole stacked solve or Cholesky factorization for one
-    failing member; every other member must keep its own result."""
+    """A stacked solve or Cholesky factorization marks each failing member
+    with NaN in one call; every other member must keep its own result."""
 
     def test_non_positive_definite_member(self):
         # 1x1 maps L^T = rho with cost = Q = 1, solved exactly by P = 1 / (1 - rho);
@@ -844,6 +873,13 @@ class TestStackMemberFailure:
             assert np.isnan(x[1]).all()
             for i in (0, 2):
                 assert x[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
+            # Every member singular.
+            assert np.isnan(riccati._solve_each(a[[1, 1]], b[:2])).all()
+        # One singular matrix against a vector (the 2-d Hewer step): NaN, no LinAlgError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = riccati._solve_each(a[1], rng.normal(size=4))
+        assert x.shape == (4,) and np.isnan(x).all()
 
 
 @pytest.fixture

@@ -1094,10 +1094,11 @@ class TestSafeRateLookahead:
 
 
 def reference_q_bar(plant: SystemSpec, q_hat: float) -> float:
-    """The certificate's q_bar from the public `gain_weight_matrix`, with every
-    matrix of the constraint symmetrized and checked."""
+    """The certificate's q_bar from a gain weight formed anew
+    (`riccati._gain_and_weight`), with every matrix of the constraint
+    symmetrized and checked."""
     gain, sol = ce_gain(plant, q_hat)
-    W = stability.gain_weight_matrix(plant, sol.P)
+    W = riccati._gain_and_weight(plant, sol.P)[1]
     KtRK = symmetrize(gain.K.T @ plant.R @ gain.K)
     C0 = symmetrize(plant.Q + KtRK + q_hat * W)
     C1 = symmetrize(KtRK + W)
@@ -1109,11 +1110,11 @@ def reference_q_bar(plant: SystemSpec, q_hat: float) -> float:
 
 
 def reference_j_ce(plant: SystemSpec, q: float, q_hat: float, X0: np.ndarray) -> float:
-    """The gap report's J_ce from the public `gain_weight_matrix`."""
+    """The gap report's J_ce from a gain weight formed anew (`riccati._gain_and_weight`)."""
     gain, sol_hat = ce_gain(plant, q_hat)
     sol = mare_solve(plant, q)
     S = second_moment_sum(plant, gain, q, X0)
-    gramian_trace = float(np.trace(stability.gain_weight_matrix(plant, sol_hat.P) @ S))
+    gramian_trace = float(np.trace(riccati._gain_and_weight(plant, sol_hat.P)[1] @ S))
     gap_value = (q - q_hat) * gramian_trace + float(np.trace((sol_hat.P - sol.P) @ X0))
     return float(np.trace(sol.P @ X0)) + gap_value
 
@@ -1121,7 +1122,7 @@ def reference_j_ce(plant: SystemSpec, q: float, q_hat: float, X0: np.ndarray) ->
 class TestSharedGainWeight:
     """One design forms its gain weight W once: the certificate, the sufficient
     condition and the gap share the W kept with the gain in the plant's memo
-    entry for q_hat (`riccati._design`), with the bits of `gain_weight_matrix`."""
+    entry for q_hat (`riccati._design`), with the bits of `_gain_and_weight`."""
 
     def test_certificate_and_gap_form_it_once(self, example2, monkeypatch):
         plant, calls = fresh(example2), gain_solves_outside_the_driver(monkeypatch)
@@ -1256,7 +1257,7 @@ class TestOneGainSolvePerDesign:
                 assert kept is sol and calls == []
                 P = sol.P.copy()
                 assert K.tobytes() == gain.K.tobytes() == riccati._feedback_gain(plant, P).tobytes()
-                assert W.tobytes() == stability.gain_weight_matrix(plant, P).tobytes()
+                assert W.tobytes() == riccati._gain_and_weight(plant, P)[1].tobytes()
 
 
 # q_c = 1/(1.2^2 1.1^2) = 0.5739, the lower end of its bracket [0.5739, 0.6944]:
