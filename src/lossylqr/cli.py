@@ -39,7 +39,6 @@ from .simulator import SimConfig, empirical_ms_decay, monte_carlo_cost, simulate
 from .stability import (
     CELL_LABELS,
     THRESHOLD_VARIANTS,
-    _qc_clamp,
     _threshold_curve,
     exact_ms_stable,
     lyapunov_sufficient_stable,
@@ -122,14 +121,9 @@ def _positive_step(step: float) -> float:
     return step
 
 
-def _qc_limit(sys_spec: SystemSpec):
-    cp = critical_probability(sys_spec, refine=False)
-    return cp, _qc_clamp(cp)
-
-
 def _require_below_qc(sys_spec: SystemSpec, q: float, label: str):
-    cp, limit = _qc_limit(sys_spec)
-    if not 0.0 <= q < limit:
+    cp = critical_probability(sys_spec, refine=False)
+    if not 0.0 <= q < cp.upper:
         raise CliError(
             f"{label} = {q:.6g} is outside the admissible range: the critical "
             f"probability satisfies q_c in [{cp.lower:.6g}, {cp.upper:.6g}]"

@@ -242,6 +242,13 @@ class CriticalProbability:
     q_c it does once it has found a mean-square stabilizing gain, and
     infeasible when it diverges, stalls or hits its cap.  One `mare_solve`
     tests the lower end; `_bisect_rates` solves the probes in lock-step.
+
+    Wherever `exact` is set, lower == upper == exact, so a consumer reads an
+    end, never `exact`: the threshold bounds' clamp, the range of rates that
+    the CLI admits and the safe-rate bisection read `upper` (no rate at or
+    above it is feasible), and the grids of `region_map` and of the CLI's
+    gap curve (refined) and the batches of the safe-rate bisection read
+    `lower` (every rate below it is).
     """
 
     lower: float
@@ -330,14 +337,11 @@ def _kept(sys: SystemSpec, key: tuple, make):
     return value
 
 
-def _lifted_map(sys: SystemSpec, K: np.ndarray, q, q_AA=None) -> np.ndarray:
+def _lifted_map(sys: SystemSpec, K: np.ndarray, q) -> np.ndarray:
     """Lifted second-moment map (1-q) (A+BK)(x)(A+BK) + q A(x)A of the gain K
     at loss rate q.  A (k, m, n) stack of gains or a (k, 1, 1) array of rates
-    gives the stack of the k maps.  A loop over gains at fixed rates passes
-    q_AA = q * sys._AA, formed once."""
-    if q_AA is None:
-        q_AA = q * sys._AA
-    return (1.0 - q) * _kron_self(sys.A + sys.B @ K) + q_AA
+    gives the stack of the k maps."""
+    return (1.0 - q) * _kron_self(sys.A + sys.B @ K) + q * sys._AA
 
 
 def _ms_stable(rho):
@@ -392,17 +396,15 @@ def _policy_evaluation(sys: SystemSpec, K: np.ndarray, L: np.ndarray, one_minus_
     return cost, 0.5 * (P + P.mT)
 
 
-def _policy_iteration(
-    sys: SystemSpec, q: float, X: np.ndarray, q_floor: float
-) -> tuple[np.ndarray | None, int, float]:
+def _policy_iteration(sys: SystemSpec, q: float, X: np.ndarray) -> tuple[np.ndarray | None, int, float]:
     """Hewer's policy iteration from the gain of the value iterate X.
 
     Each step evaluates the current gain exactly (`_policy_evaluation`) and
     then improves the gain; the Riccati step that gives the residual of P and
-    the next gain share one solve (`_mare_step_gain`), and q A(x)A is formed
-    once per call.  The first gain must pass the dense test; each later
-    one is certified by its own solve (`_solve_certifies`, q_floor =
-    lambda_min(Q)), and by the dense test only when that proves nothing.
+    the next gain share one solve (`_mare_step_gain`).  The first gain must
+    pass the dense test; each later one is certified by its own solve
+    (`_solve_certifies`, with the plant's lambda_min(Q)), and by the dense
+    test only when that proves nothing.
     It stops once the update is below STEP_TOL, or keeps the previous P once
     the Riccati residual no longer falls (its rounding floor).  Returns
     (P, steps, residual); P is None when some gain was not mean-square
@@ -410,15 +412,14 @@ def _policy_iteration(
     """
     eye = np.eye(sys.n**2)
     one_minus_q = 1.0 - q
-    q_AA = q * sys._AA
     K = _feedback_gain(sys, X)
     P, steps, residual = X, 0, np.inf
     while True:
-        L = _lifted_map(sys, K, q, q_AA)
+        L = _lifted_map(sys, K, q)
         if steps == 0 and not _ms_stable(_dense_spectral_radius(L)):
             return None, steps, residual
         cost, Pn = _policy_evaluation(sys, K, L, one_minus_q, eye)
-        if steps and not _solve_certifies(L, Pn, cost, q_floor) and not _ms_stable(_dense_spectral_radius(L)):
+        if steps and not _solve_certifies(L, Pn, cost, sys._lmin_Q) and not _ms_stable(_dense_spectral_radius(L)):
             return None, steps, residual
         steps += 1
         norm = _fro(Pn)
@@ -458,27 +459,27 @@ def _capped(q) -> NoSolutionError:
 
 
 def _policy_iteration_rates(
-    sys: SystemSpec, q: np.ndarray, one_minus_q: np.ndarray, X: np.ndarray, q_floor: float
+    sys: SystemSpec, q: np.ndarray, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`_policy_iteration` in lock-step from a (p, n, n) stack X of value
-    iterates at rates q, given with 1 - q as (p, 1, 1) arrays.  A member whose
-    first gain fails the dense test leaves before the loop, and one that stops
-    or whose next gain (evaluated at the end of the step) is not certified
-    leaves at the end of the step.  Returns (P, steps, residual, solved) with
-    one entry per member; P[j] is the solution where solved[j] holds."""
+    iterates at rates q, a (p, 1, 1) array.  A member whose first gain fails
+    the dense test leaves before the loop, and one that stops or whose next
+    gain (evaluated at the end of the step) is not certified leaves at the
+    end of the step.  Returns (P, steps, residual, solved) with one entry per
+    member; P[j] is the solution where solved[j] holds."""
     p = len(X)
     eye = np.eye(sys.n**2)
     out = np.empty_like(X)
     steps = np.zeros(p, dtype=int)
     residual = np.full(p, np.inf)
     solved = np.zeros(p, dtype=bool)
+    one_minus_q = 1.0 - q
     K = _feedback_gain(sys, X)
-    q_AA = q * sys._AA
-    L = _lifted_map(sys, K, q, q_AA)
-    live = np.flatnonzero(_ms_stable(_dense_spectral_radius(L)))  # member index of each row of P, Pn and q_AA
+    L = _lifted_map(sys, K, q)
+    live = np.flatnonzero(_ms_stable(_dense_spectral_radius(L)))  # member index of each row of P and Pn
     if not len(live):
         return out, steps, residual, solved
-    P, q_AA = X[live], q_AA[live]
+    P = X[live]
     Pn = _policy_evaluation(sys, K[live], L[live], one_minus_q[live], eye)[1]
     while len(live):
         steps[live] += 1
@@ -494,9 +495,9 @@ def _policy_iteration_rates(
             stop[better] = change <= STEP_TOL
         leave, leaving = stop, stop.any()
         if not leaving or not stop.all():  # some rows go on: evaluate their next gains (stopped rows ride along)
-            L = _lifted_map(sys, K, q[live], q_AA)
+            L = _lifted_map(sys, K, q[live])
             cost, Pn = _policy_evaluation(sys, K, L, one_minus_q[live], eye)
-            certified = _solve_certifies(L, Pn, cost, q_floor)
+            certified = _solve_certifies(L, Pn, cost, sys._lmin_Q)
             if not certified.all():
                 unproven = ~stop & ~certified
                 certified[unproven] = _ms_stable(_dense_spectral_radius(L[unproven]))
@@ -507,7 +508,7 @@ def _policy_iteration_rates(
             out[done] = P[stop]
             solved[done] = residual[done] <= RESIDUAL_TOL
             keep = ~leave
-            live, P, Pn, q_AA = live[keep], P[keep], Pn[keep], q_AA[keep]
+            live, P, Pn = live[keep], P[keep], Pn[keep]
     return out, steps, residual, solved
 
 
@@ -547,7 +548,6 @@ def _lockstep(sys: SystemSpec, qs: list) -> list:
     live = np.arange(len(qs))  # rate index of each row of the stack
     q = np.array(qs, dtype=float).reshape(-1, 1, 1)
     one_minus_q = 1.0 - q
-    q_floor = sys._lmin_Q
     X = np.repeat(sys.Q[None], len(qs), axis=0)
     stall = StallDetector()
     changes = np.full(len(qs), np.inf)  # by rate index; finished rates' entries are ignored
@@ -586,12 +586,12 @@ def _lockstep(sys: SystemSpec, qs: list) -> list:
             todo = np.flatnonzero(~done)
             if len(todo) == 1:
                 j = todo[0]
-                P, steps, residual = _policy_iteration(sys, float(q[j, 0, 0]), X[j], q_floor)
+                P, steps, residual = _policy_iteration(sys, float(q[j, 0, 0]), X[j])
                 policy_steps[live[j]] += steps
                 if P is not None:
                     finish(j, solution(j, P, residual))
             elif len(todo):
-                P, steps, residual, solved = _policy_iteration_rates(sys, q[todo], one_minus_q[todo], X[todo], q_floor)
+                P, steps, residual, solved = _policy_iteration_rates(sys, q[todo], X[todo])
                 policy_steps[live[todo]] += steps
                 for j, Pj, r in zip(todo[solved], P[solved], residual[solved]):
                     finish(j, solution(j, Pj, r))

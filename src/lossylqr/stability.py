@@ -29,7 +29,6 @@ from .numerics import _check_lifted_rate, _check_rate, _eigvals, _eigvalsh, _sol
 from .riccati import (
     LOCKSTEP_ENTRIES,
     RHO_MARGIN,
-    CriticalProbability,
     SystemSpec,
     _bisect_rates,
     _design,
@@ -218,10 +217,6 @@ def exact_ms_stable(sys: SystemSpec, K, q: float) -> StabilityVerdict:
     )
 
 
-def _qc_clamp(cp: CriticalProbability) -> float:
-    return cp.exact if cp.exact is not None else cp.upper
-
-
 def _congruence_max_eig(S_root: np.ndarray, M: np.ndarray) -> np.ndarray:
     """lambda_max of S_root^{-1} M S_root^{-1} for symmetric PD S_root, for
     each member of a (k, n, n) stack M (and of S_root, if it is one too).
@@ -262,12 +257,13 @@ def st_lower_bound(sys: SystemSpec, q: float, variant: str) -> ThresholdReport:
 
 
 def _plant_bounds(sys: SystemSpec, variant: str):
-    """`_threshold_bounds` of the plant and variant, with the clamped q_c and
-    the standard solution P0, kept in the plant's memo, which keeps P0 too."""
+    """`_threshold_bounds` of the plant and variant, with the clamp at the
+    upper end of q_c's unrefined bracket and the standard solution P0, kept in
+    the plant's memo, which keeps P0 too."""
 
     def make():
         P0 = None if variant == VARIANT_SCALAR else dare_solve(sys).P
-        return _threshold_bounds(sys, variant, P0, _qc_clamp(critical_probability(sys, refine=False)))
+        return _threshold_bounds(sys, variant, P0, critical_probability(sys, refine=False).upper)
 
     return _kept(sys, ("bounds", variant), make)
 
@@ -370,7 +366,7 @@ def _threshold_curve(sys: SystemSpec, variant: str, q_min: float, q_max: float |
     clamp drops no row.  q_c and the standard solution (the q = 0 row's, if
     any) are found once."""
     _check_threshold_variant(sys, variant)
-    qc = _qc_clamp(critical_probability(sys, refine=False))
+    qc = critical_probability(sys, refine=False).upper
     grid = np.arange(q_min, qc if q_max is None else min(q_max, qc), step).tolist()
     solved = _mare_solve_rates(sys, grid)
     rows = next((i for i, sol in enumerate(solved) if isinstance(sol, NoSolutionError)), len(grid))
@@ -392,24 +388,24 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
     warning) when the threshold bound sits below q already at q = 0.
 
     The bisection is `riccati._bisect_rates`, scored by bound(q) - q, which
-    one stacked `_threshold_bounds` call gives for every solved probe of a
-    batch.  From those scores and the one at q = 0 it predicts the rest of
-    its path, so on a smooth bound the path takes two lock-step batches, and
-    it still decides one midpoint at a time from that midpoint's own score,
-    so the result is the plain bisection's to the last bit.  The standard
-    solution is one `dare_solve`, a stack of one rate.  When q_c is only
-    bracketed, the bisection runs up to the bracket's upper end, but its
-    batches hold no midpoint above the lower end that it does not take:
-    where q_c lies at the lower end, such a midpoint has no solution and its
-    solve runs for thousands of steps before it stalls.
+    the plant's kept evaluator (`_plant_bounds`, shared with `st_lower_bound`)
+    gives in one stacked call for every solved probe of a batch.  From those
+    scores and the one at q = 0 it predicts the rest of its path, so on a
+    smooth bound the path takes two lock-step batches, and it still decides
+    one midpoint at a time from that midpoint's own score, so the result is
+    the plain bisection's to the last bit.  The standard solution is one
+    `dare_solve`, a stack of one rate.  When q_c is only bracketed, the
+    bisection runs up to the bracket's upper end, but its batches hold no
+    midpoint above the lower end that it does not take: where q_c lies at
+    the lower end, such a midpoint has no solution and its solve runs for
+    thousands of steps before it stalls.
     """
     _check_threshold_variant(sys, variant)
     cp = critical_probability(sys, refine=False)
-    qc = _qc_clamp(cp)
     try:
         # The standard Riccati solution is also the one at q = 0.
         P0 = dare_solve(sys).P
-        bounds = _threshold_bounds(sys, variant, P0, qc)
+        bounds = _plant_bounds(sys, variant)
         at_zero = bounds(np.zeros(1), P0[None])[0].item()
         safe_at_zero = at_zero > 0.0
     except NoSolutionError:
@@ -430,7 +426,7 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
         scores[solved] = bounds(q[solved], P)[0] - q[solved]
         return scores
 
-    lo, hi = _bisect_rates(sys, 0.0, qc, SAFE_Q_BISECT_TOL, excess, {0.0: at_zero}, cp.lower)
+    lo, hi = _bisect_rates(sys, 0.0, cp.upper, SAFE_Q_BISECT_TOL, excess, {0.0: at_zero}, cp.lower)
     return 0.5 * (lo + hi)
 
 
@@ -546,8 +542,7 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
         _check_threshold_variant(sys, sufficient_variant)
 
     cp = critical_probability(sys, refine=False)
-    qc = cp.exact if cp.exact is not None else cp.lower
-    q_grid = np.arange(0.0, qc, step)
+    q_grid = np.arange(0.0, cp.lower, step)
 
     # One Riccati solve per grid value serves both its column (design data)
     # and its row (threshold bound); grid values whose solve fails are
@@ -565,7 +560,7 @@ def region_map(sys: SystemSpec, step: float = 0.005, sufficient_variant: str = V
         # rate is feasible and every bound stays zero.
         bounds = np.zeros(len(q_grid))
         if kept and kept[0] == 0:
-            bounds[kept] = _threshold_bounds(sys, sufficient_variant, P[0], _qc_clamp(cp))(q_hat_grid, P)[0]
+            bounds[kept] = _threshold_bounds(sys, sufficient_variant, P[0], cp.upper)(q_hat_grid, P)[0]
         certified = (q_hat >= q) | (q - q_hat < bounds[:, None])
     elif sufficient_variant == "scalar_iff":
         certified = _scalar_iff_value(sys, q, q_hat, gains[:, 0, 0], P[:, 0, 0]) > _strict_margin(sys)

@@ -87,8 +87,7 @@ def random_stabilizable_system(rng: np.random.Generator, n_max: int = 4) -> Syst
 
 def feasible_rate_ceiling(sys: SystemSpec) -> float:
     """A loss rate strictly below the critical probability for any B."""
-    cp = critical_probability(sys, refine=False)
-    return cp.exact if cp.exact is not None else cp.lower
+    return critical_probability(sys, refine=False).lower
 
 
 @pytest.fixture

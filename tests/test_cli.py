@@ -304,10 +304,8 @@ class TestComplexityCurve:
         )
         assert code == 0, err
         sys_spec = load_system(spec)
-        cp = critical_probability(sys_spec, refine=False)
-        limit = cp.exact if cp.exact is not None else cp.upper
         expected = []
-        for q in np.arange(q_min, limit, 0.02):
+        for q in np.arange(q_min, critical_probability(sys_spec, refine=False).upper, 0.02):
             report = min_samples(sys_spec, float(q), 0.1, variant)
             if not report.infinite:
                 expected.append((float(q), report.bound, report.min_N))

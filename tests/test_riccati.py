@@ -30,6 +30,7 @@ from lossylqr import (
     zero_sample_safe_q,
 )
 from lossylqr import riccati
+from lossylqr.cli import load_system
 from lossylqr.riccati import CriticalProbability
 from lossylqr.stability import _threshold_curve
 from conftest import (
@@ -237,6 +238,51 @@ class TestCriticalProbability:
             mare_solve(sys, min(refined.upper + 1e-2, 0.999))
 
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+@pytest.fixture(scope="module")
+def unrefined_brackets() -> list:
+    """critical_probability(refine=False) of every spec plant, a rank-one-B
+    plant, a Schur-stable plant with B of rank 2 on three states, and 40
+    random plants."""
+    plants = [load_system(str(path)) for path in sorted(SPECS.glob("*.json"))]
+    plants.append(SystemSpec(A=np.diag([1.5, 2.0]), B=[[1.0], [1.0]], Q=np.eye(2), R=1.0))
+    plants.append(
+        SystemSpec(A=np.diag([0.5, -0.3, 0.2]), B=[[1.0, 0.0], [0.0, 1.0], [0.2, 0.1]], Q=np.eye(3), R=np.eye(2))
+    )
+    rng = np.random.default_rng(21)
+    plants += [random_stabilizable_system(rng, 5) for _ in range(40)]
+    return [critical_probability(plant, refine=False) for plant in plants]
+
+
+class TestBracketInvariant:
+    """Every consumer of q_c reads an end of the bracket, never `exact`
+    (see `CriticalProbability`): that holds because `exact` is set only as
+    both ends, and an unrefined bracket never comes from a bisection."""
+
+    @pytest.mark.parametrize(
+        "method, exact",
+        [("invertible_B", True), ("rank_one_B", True), ("bracket_only", True), ("bracket_only", False)],
+        ids=["invertible_B", "rank_one_B", "bracket_only-schur_stable", "bracket_only-bracketed"],
+    )
+    def test_exact_is_both_ends_to_the_bit(self, unrefined_brackets, method, exact):
+        cps = [cp for cp in unrefined_brackets if cp.method == method and (cp.exact is not None) == exact]
+        assert cps
+        for cp in cps:
+            if exact:
+                assert cp.lower.hex() == cp.upper.hex() == cp.exact.hex()
+            else:
+                assert cp.lower <= cp.upper
+        if method == "bracket_only" and exact:
+            assert all((cp.lower, cp.upper, cp.exact, cp.unstable_moduli) == (1.0, 1.0, 1.0, ()) for cp in cps)
+        if not exact:
+            assert any(cp.lower < cp.upper for cp in cps)
+
+    def test_unrefined_bracket_is_never_bisection(self, unrefined_brackets):
+        assert {cp.method for cp in unrefined_brackets} == {"invertible_B", "rank_one_B", "bracket_only"}
+
+
 class TestNearCritical:
     @pytest.mark.parametrize("q", [0.5916, 0.5917])
     def test_feasible_rate_just_below_critical_is_solved(self, plant3, q):
@@ -398,7 +444,7 @@ class TestPolicyPhaseWithoutMembers:
         solves = []
         monkeypatch.setattr(riccati, "_solve_each", lambda a, b: solves.append(len(a)))
         q = np.array([0.3, 0.4, 0.44]).reshape(-1, 1, 1)
-        _, steps, residual, solved = riccati._policy_iteration_rates(example1, q, 1.0 - q, np.ones((3, 1, 1)), 1.0)
+        _, steps, residual, solved = riccati._policy_iteration_rates(example1, q, np.ones((3, 1, 1)))
         assert solves == []
         assert steps.tolist() == [0, 0, 0] and np.isinf(residual).all() and not solved.any()
 
@@ -490,6 +536,40 @@ def test_dare_with_nearly_uncontrollable_unstable_modes():
     )
     P = dare_solve(plant).P
     assert exact_ms_stable(plant, riccati._feedback_gain(plant, P), 0.0).stable
+
+
+# Draw 71 (the 72nd) of 80 successive random_stabilizable_system(rng, 5) draws
+# with rng = np.random.default_rng(21): n = 5, m = 2, and one unstable pair with
+# |lambda| = 1.0103952, so q_c = 1/|lambda|^2 = 0.97952935.
+STALL_BELOW_QC = SPECS / "stall_below_qc.json"
+STALL_RATE = 0.979529
+
+
+def modal_gain(plant: SystemSpec) -> np.ndarray:
+    """K = -Re(G^+ Lambda_u W_u), where W_u holds the rows of V^{-1} (V: the
+    eigenvectors of A) of A's unstable eigenvalues Lambda_u, and G = W_u B.
+    When G has full row rank, K zeroes the unstable modal coordinates
+    whenever a packet arrives, so it stabilizes every q < 1/max|lambda_u|^2."""
+    lam, V = np.linalg.eig(plant.A)
+    unstable = np.abs(lam) > riccati.UNSTABLE_MODULUS
+    W_u = np.linalg.inv(V)[unstable]
+    return -np.real(np.linalg.pinv(W_u @ plant.B) @ np.diag(lam[unstable]) @ W_u)
+
+
+def test_modal_gain_stabilizes_below_qc():
+    plant = load_system(str(STALL_BELOW_QC))
+    assert (plant.n, plant.m) == (5, 2)
+    assert critical_probability(plant, refine=False).unstable_moduli == pytest.approx((1.0103952, 1.0103952), abs=1e-7)
+    verdict = exact_ms_stable(plant, modal_gain(plant), STALL_RATE)
+    assert verdict.stable
+    assert verdict.certificate == pytest.approx(0.99999964, abs=1e-8)
+
+
+@pytest.mark.xfail(
+    raises=NoSolutionError, strict=True, reason="value iteration stalls at step 6000 though the modal gain stabilizes"
+)
+def test_mare_solves_where_the_modal_gain_stabilizes():
+    mare_solve(load_system(str(STALL_BELOW_QC)), STALL_RATE)
 
 
 def rates_kept(plant) -> int:
@@ -821,14 +901,14 @@ class TestLockstepSolve:
         rows = []
         alone, stacked = riccati._policy_iteration, riccati._policy_iteration_rates
 
-        def one(plant, q, X, q_floor):
+        def one(plant, q, X):
             rows.append(1)
-            return alone(plant, q, X, q_floor)
+            return alone(plant, q, X)
 
-        def several(plant, q, one_minus_q, X, q_floor):
+        def several(plant, q, X):
             rows.append(len(X))
             assert len(X) > 1
-            return stacked(plant, q, one_minus_q, X, q_floor)
+            return stacked(plant, q, X)
 
         monkeypatch.setattr(riccati, "_policy_iteration", one)
         monkeypatch.setattr(riccati, "_policy_iteration_rates", several)

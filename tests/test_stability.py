@@ -41,7 +41,6 @@ from lossylqr.stability import (
     THRESHOLD_VARIANTS,
     ThresholdReport,
     _check_threshold_variant,
-    _qc_clamp,
     _strict_margin,
     _threshold_curve,
 )
@@ -569,8 +568,7 @@ def per_cell_region_map(sys: SystemSpec, step: float, variant: str):
     """Reference for `region_map`: one np.kron lifted map, one eigvals call and
     one scalar classification per cell.  Returns (q_grid, q_hat_grid, cells,
     exact_stable)."""
-    cp = critical_probability(sys, refine=False)
-    grid = np.arange(0.0, cp.exact if cp.exact is not None else cp.lower, step)
+    grid = np.arange(0.0, critical_probability(sys, refine=False).lower, step)
     solutions = {}
     for i, q in enumerate(grid):
         try:
@@ -866,7 +864,7 @@ def plain_safe_rate(sys: SystemSpec, variant: str) -> float:
 
     if excess(0.0) <= 0.0:
         return 0.0
-    lo, hi = 0.0, _qc_clamp(critical_probability(sys, refine=False))
+    lo, hi = 0.0, critical_probability(sys, refine=False).upper
     while hi - lo > stability.SAFE_Q_BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0.0:
@@ -999,7 +997,7 @@ class TestStackedThresholdBounds:
         compared, clamped, variants = 0, 0, set()
         for sys, variant, k in threshold_cases():
             n = sys.n
-            qc = _qc_clamp(critical_probability(sys, refine=False))
+            qc = critical_probability(sys, refine=False).upper
             P0 = riccati.dare_solve(sys).P
             G = rng.normal(size=(k, n, n))
             P = (G @ G.mT + 0.1 * np.eye(n)) * 10.0 ** rng.uniform(-1.0, 3.0, size=(k, 1, 1))
@@ -1090,7 +1088,7 @@ class TestSafeRateLookahead:
         with pytest.raises(NotPSDError):
             plain_safe_rate(fresh(example1), "general")
         with pytest.raises(NotPSDError):
-            zero_sample_safe_q(example1, "general")
+            zero_sample_safe_q(fresh(example1), "general")
 
 
 def reference_q_bar(plant: SystemSpec, q_hat: float) -> float:
