@@ -87,11 +87,10 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`_solve`, where a singular matrix, alone or in a stack, gives NaN in
-    place of its solution instead of raising."""
-    gufunc = _SOLVE1 if b.ndim == 1 else _SOLVE
+    """`_solve` with a (d, c) right-hand side, where a singular matrix, alone
+    or in a stack, gives NaN in place of its solution instead of raising."""
     with np.errstate(all="ignore"):
-        return gufunc(a, b, signature="dd->d")
+        return _SOLVE(a, b, signature="dd->d")
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:

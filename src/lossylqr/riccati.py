@@ -49,8 +49,10 @@ weight is (A^T X B) S and the gain of X is -S, so a Hewer step solves with
 R + B^T P B once for its residual and its next gain.  Hewer's iteration
 has two forms, picked by the rows due at a policy phase: one row runs the
 2-d `_policy_iteration`, several rows the stacked `_policy_iteration_rates`.
-Both evaluate each gain with the one `_policy_evaluation`, where a singular
-lifted system gives a NaN solution.  Both forms are kept because each is
+Both take each step in one order: the lifted map, the dense test of a first
+gain, the evaluation (`_policy_evaluation`, one column per gain), the
+certificate of a later gain and the improvement; a stack member leaves
+where the 2-d form returns.  Both forms are kept because each is
 the faster on its own workload: the stacked one on every one-row phase
 costs the benchmark's `design` about a quarter of its designs per second,
 and the 2-d one on every row costs its `regions` about three quarters of
@@ -385,14 +387,13 @@ def _solve_certifies(L: np.ndarray, P: np.ndarray, cost: np.ndarray, q_floor: fl
 def _policy_evaluation(sys: SystemSpec, K: np.ndarray, L: np.ndarray, one_minus_q, eye: np.ndarray):
     """Hewer's evaluation of the gain K with lifted map L at loss rate q: the
     cost Q + (1-q) K^T R K and the symmetrized solution P of the lifted
-    Lyapunov equation (I - L^T) vec P = vec cost, where I = eye is the
-    n^2 x n^2 identity that each Hewer call forms once.  A (k, m, n) stack of
-    gains, with their maps and 1 - q as (k, 1, 1), gives the stacks of both.
-    Where L has eigenvalue 1 the system is singular and P is NaN: no
-    certificate, and the dense test fails."""
+    Lyapunov equation (I - L^T) vec P = vec cost, vec cost one column, where
+    I = eye is the n^2 x n^2 identity that each Hewer call forms once.  A
+    (k, m, n) stack of gains, with their maps and 1 - q as (k, 1, 1), gives
+    the stacks of both.  Where L has eigenvalue 1 the system is singular and
+    P is NaN: no certificate, and the dense test fails."""
     cost = sys.Q + one_minus_q * (K.mT @ sys.R @ K)
-    rhs = cost.reshape(-1) if K.ndim == 2 else cost.reshape(len(K), len(eye), 1)
-    P = _solve_each(eye - L.mT, rhs).reshape(cost.shape)
+    P = _solve_each(eye - L.mT, cost.reshape(*cost.shape[:-2], -1, 1)).reshape(cost.shape)
     return cost, 0.5 * (P + P.mT)
 
 
@@ -462,53 +463,51 @@ def _policy_iteration_rates(
     sys: SystemSpec, q: np.ndarray, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`_policy_iteration` in lock-step from a (p, n, n) stack X of value
-    iterates at rates q, a (p, 1, 1) array.  A member whose first gain fails
-    the dense test leaves before the loop, and one that stops or whose next
-    gain (evaluated at the end of the step) is not certified leaves at the
-    end of the step.  Returns (P, steps, residual, solved) with one entry per
-    member; P[j] is the solution where solved[j] holds."""
+    iterates at rates q, a (p, 1, 1) array, each step in the 2-d form's
+    order; a member leaves where the 2-d form returns, so no gain is
+    evaluated for a member that has left.  Returns (P, steps, residual,
+    solved) with one entry per member; P[j] is the solution where solved[j]
+    holds."""
     p = len(X)
     eye = np.eye(sys.n**2)
-    out = np.empty_like(X)
+    out = X.copy()  # each member's P, by member index
     steps = np.zeros(p, dtype=int)
     residual = np.full(p, np.inf)
     solved = np.zeros(p, dtype=bool)
     one_minus_q = 1.0 - q
+    live = np.arange(p)  # member index of each row of K, L and Pn
     K = _feedback_gain(sys, X)
-    L = _lifted_map(sys, K, q)
-    live = np.flatnonzero(_ms_stable(_dense_spectral_radius(L)))  # member index of each row of P and Pn
-    if not len(live):
-        return out, steps, residual, solved
-    P = X[live]
-    Pn = _policy_evaluation(sys, K[live], L[live], one_minus_q[live], eye)[1]
+    taken = 0
     while len(live):
-        steps[live] += 1
+        L = _lifted_map(sys, K, q[live])
+        if not taken:
+            stable = _ms_stable(_dense_spectral_radius(L))
+            live, K, L = live[stable], K[stable], L[stable]
+            if not len(live):
+                break
+        cost, Pn = _policy_evaluation(sys, K, L, one_minus_q[live], eye)
+        if taken:
+            stable = _solve_certifies(L, Pn, cost, sys._lmin_Q)
+            if not stable.all():
+                stable[~stable] = _ms_stable(_dense_spectral_radius(L[~stable]))
+                live, Pn = live[stable], Pn[stable]
+                if not len(live):
+                    break
+        taken += 1
+        steps[live] = taken
         norm = _fro(Pn)
         step, K = _mare_step_gain(Pn, sys, one_minus_q[live])
         new_residual = _fro(step - Pn) / (1.0 + norm)
         better = new_residual < residual[live]
+        moved = live[better]
+        change = _fro(Pn[better] - out[moved]) / (1.0 + norm[better])
+        out[moved] = Pn[better]
+        residual[moved] = new_residual[better]
         stop = ~better
-        if better.any():
-            change = _fro(Pn[better] - P[better]) / (1.0 + norm[better])
-            P[better] = Pn[better]
-            residual[live[better]] = new_residual[better]
-            stop[better] = change <= STEP_TOL
-        leave, leaving = stop, stop.any()
-        if not leaving or not stop.all():  # some rows go on: evaluate their next gains (stopped rows ride along)
-            L = _lifted_map(sys, K, q[live])
-            cost, Pn = _policy_evaluation(sys, K, L, one_minus_q[live], eye)
-            certified = _solve_certifies(L, Pn, cost, sys._lmin_Q)
-            if not certified.all():
-                unproven = ~stop & ~certified
-                certified[unproven] = _ms_stable(_dense_spectral_radius(L[unproven]))
-                leave = stop | ~certified
-                leaving = leave.any()
-        if leaving:
-            done = live[stop]
-            out[done] = P[stop]
-            solved[done] = residual[done] <= RESIDUAL_TOL
-            keep = ~leave
-            live, P, Pn = live[keep], P[keep], Pn[keep]
+        stop[better] = change <= STEP_TOL
+        done = live[stop]
+        solved[done] = residual[done] <= RESIDUAL_TOL
+        live, K = live[~stop], K[~stop]
     return out, steps, residual, solved
 
 
@@ -541,9 +540,9 @@ def _lockstep(sys: SystemSpec, qs: list) -> list:
     `finish`, and the rows it marks leave together at the end of the step.
     A policy phase with one row due runs the 2-d `_policy_iteration` on that
     row's matrix, and one with several rows due runs `_policy_iteration_rates`
-    on their stack: the two give a row the same bits, and each is the faster
-    on its own workload (the 2-d one on the single rate of every design, the
-    stacked one on a grid's rows)."""
+    on their stack: the two take each step in one order and give a row the
+    same bits, and each is the faster on its own workload (the 2-d one on the
+    single rate of every design, the stacked one on a grid's rows)."""
     results = [None] * len(qs)
     live = np.arange(len(qs))  # rate index of each row of the stack
     q = np.array(qs, dtype=float).reshape(-1, 1, 1)

@@ -455,16 +455,13 @@ def _form_calls(X: np.ndarray, W: np.ndarray, out: np.ndarray, term: np.ndarray)
     (On one or two rows of width 2, numpy 2.4's einsum adds the k terms of
     each j first, which can differ in the last bit.)
 
-    Where W[0, 0] > 0 the sum starts from its first term instead of from
-    zero: that term has the sign of W[0, 0] (x_0 enters it twice), so it is
-    never -0.0, and 0.0 + term is the term, NaN included.  A plant's Q and R
-    are positive definite, so the rollout's forms always start so."""
+    The sum starts from its first term instead of from zero.  W is a plant's
+    Q or R, positive definite, so W[0, 0] > 0 and that term has its sign (x_0
+    enters it twice): it is never -0.0, and 0.0 + term is the term, NaN
+    included."""
     cols = [X[:, j] for j in range(len(W))]
-    terms = [(cols[j], w, cols[k]) for j, row in enumerate(W.tolist()) for k, w in enumerate(row)]
-    calls = [(np.multiply, (0.0, 0.0, out))]
-    if W[0, 0] > 0.0:
-        (x, w, y), *terms = terms
-        calls = [(np.multiply, (x, w, out)), (np.multiply, (out, y, out))]
+    (x, w, y), *terms = [(cols[j], w, cols[k]) for j, row in enumerate(W.tolist()) for k, w in enumerate(row)]
+    calls = [(np.multiply, (x, w, out)), (np.multiply, (out, y, out))]
     for x, w, y in terms:
         calls += [(np.multiply, (x, w, term)), (np.multiply, (term, y, term)), (np.add, (out, term, out))]
     return calls
@@ -516,8 +513,8 @@ def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
       +-0.0 to anything else leaves it); and a product or sum whose result is
       not zero is the same for either sign of a zero operand.  So a -0.0
       where the matmul gives +0.0 changes no output.
-    * A quadratic form starts from its first term where W[0, 0] > 0 (see
-      `_form_calls`), which gives the same bits.
+    * A quadratic form starts from its first term, which a positive definite
+      Q or R keeps from being -0.0 (see `_form_calls`): the same bits.
     """
     K = _gain(sys, K)
     M, T = cfg.trajectories, cfg.horizon

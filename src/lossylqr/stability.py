@@ -358,13 +358,14 @@ def _threshold_bounds(sys: SystemSpec, variant: str, P0: np.ndarray | None, qc: 
 
 
 def _threshold_curve(sys: SystemSpec, variant: str, q_min: float, q_max: float | None, step: float):
-    """Yield (q, st_lower_bound(sys, q, variant)) on the grid [q_min, min(q_max, q_c))
-    up to the first rate without a Riccati solution.  The grid is solved in
-    one lock-step call (`riccati._mare_solve_rates`, equal bit for bit to one
-    `mare_solve` per rate) and its bounds come from one stacked
-    `_threshold_bounds` call; no rate at or above q_c has a solution, so the
-    clamp drops no row.  q_c and the standard solution (the q = 0 row's, if
-    any) are found once."""
+    """Yield (q, st_lower_bound(sys, q, variant)) on the grid from q_min in
+    steps of `step`, below q_max and the upper end of the unrefined q_c
+    bracket, for the rows before the first rate without a Riccati solution.
+    The grid is solved in one lock-step call (`riccati._mare_solve_rates`,
+    equal bit for bit to one `mare_solve` per rate) and its bounds come from
+    one stacked `_threshold_bounds` call; no rate at or above q_c has a
+    solution, so the clamp at the upper end drops no row.  The bracket and
+    the standard solution (the q = 0 row's, if any) are found once."""
     _check_threshold_variant(sys, variant)
     qc = critical_probability(sys, refine=False).upper
     grid = np.arange(q_min, qc if q_max is None else min(q_max, qc), step).tolist()

@@ -846,10 +846,25 @@ class TestLockstepSolve:
     """`_mare_solve_rates` gives every rate the bits of its own one-rate solve."""
 
     def assert_same_as_each_rate(self, sys, qs):
-        solved = riccati._mare_solve_rates(sys, qs)
+        """Also counts the gains that Hewer's evaluation sees (a stack's length,
+        or 1 for a matrix): the stack evaluates exactly those of its rates alone."""
+        evaluated = []
+        evaluate = riccati._policy_evaluation
+
+        def counted(plant, K, *args):
+            evaluated[-1] += len(K) if K.ndim == 3 else 1
+            return evaluate(plant, K, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(riccati, "_policy_evaluation", counted)
+            evaluated.append(0)
+            solved = riccati._mare_solve_rates(sys, qs)
+            evaluated.append(0)
+            alone = solve_each_rate(sys, qs)
         assert len(solved) == len(qs)
-        for q, expected, got in zip(qs, solve_each_rate(sys, qs), solved):
+        for q, expected, got in zip(qs, alone, solved):
             assert solve_outcome(got) == solve_outcome(expected), q
+        assert evaluated[0] == evaluated[1]
         return solved
 
     def test_paper_plants_and_random_plants(self, example1, example2, plant3):
@@ -955,11 +970,11 @@ class TestStackMemberFailure:
                 assert x[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
             # Every member singular.
             assert np.isnan(riccati._solve_each(a[[1, 1]], b[:2])).all()
-        # One singular matrix against a vector (the 2-d Hewer step): NaN, no LinAlgError.
+        # One singular matrix against a column (the 2-d Hewer step): NaN, no LinAlgError.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x = riccati._solve_each(a[1], rng.normal(size=4))
-        assert x.shape == (4,) and np.isnan(x).all()
+            x = riccati._solve_each(a[1], rng.normal(size=(4, 1)))
+        assert x.shape == (4, 1) and np.isnan(x).all()
 
 
 @pytest.fixture

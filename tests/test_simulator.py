@@ -858,10 +858,19 @@ class TestBatchedRollout:
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("w00", [0.0, -0.0, -1.0, 5e-324])
     def test_form_whose_first_weight_is_not_positive(self, n, w00):
-        # Such a form keeps its sum from zero: its first term can be -0.0.
+        # No plant has such a form: a Q or R with W[0, 0] <= 0 is not positive
+        # definite, so every form of the rollout starts from its first term.  A
+        # positive first weight, even the least, keeps the bits of the sum from zero.
         rng = np.random.default_rng(n)
         W = rng.normal(size=(n, n))
         W[0, 0] = w00
+        if w00 <= 0.0:
+            S = W + W.T
+            S[0, 0] = w00
+            for weights in ({"Q": S, "R": np.eye(n)}, {"Q": np.eye(n), "R": S}):
+                with pytest.raises(InvalidInputError, match="positive definite"):
+                    SystemSpec(A=np.eye(n), B=np.eye(n), **weights)
+            return
         X = rng.normal(size=(60, n))
         X[:20] = rng.choice([0.0, -0.0], size=(20, n))
         X[20:30, 0] = -0.0
