@@ -19,9 +19,9 @@ take one of two routes, both equal bit for bit to the trajectory's stream:
 * Otherwise one C Philox is re-keyed per trajectory and yields the
   trajectory's Gaussian initial state, if any, and then its raw words, which
   are compared a chunk of rows at a time, at most 4 * _CHUNK_BLOCKS words.
-  Its cost per word is about a sixth of the lock-step one, which wins only
-  while the fixed cost per trajectory (about 0.9 us) dominates: below about
-  50 words.
+  Its cost per word is about a fifth of the lock-step one, which wins while
+  the fixed cost per trajectory (about 0.7 us) dominates: below about 65
+  words.
 
 A channel bit is 1 when `Generator.random()` of its word is at least q; both
 routes decide that on the word itself, against the integer threshold of
@@ -35,11 +35,11 @@ the inner dimension is 1 (K or A when n = 1, B when m = 1): those are outer
 products, one multiply per column (`_product_calls`).  The quadratic forms
 of the cost keep einsum's order of terms (`_form_calls`), and the mean
 square of a decay run sums each row's squares column by column, with
-np.sum's bits (`_row_square_calls`).  The channel bits become float64 a
-block of _BIT_BLOCK steps at a time.  A cost step of 4000 scalar
-trajectories makes 16 numpy calls, the block's conversion included, and
-takes about 20 us (x86-64, numpy 2.4.6, one BLAS thread).  Every output
-keeps the bits of one allocating call per operation (see `_batched_rollout`).
+np.sum's bits (`_row_square_calls`).  Each step copies its channel bits
+into one float64 row.  A cost step of 4000 scalar trajectories makes 16
+numpy calls, that copy included, and takes about 13 us (AMD EPYC, numpy
+2.4.6, one BLAS thread).  Every output keeps the bits of one allocating call
+per operation (see `_batched_rollout`).
 """
 
 import math
@@ -77,19 +77,17 @@ _PHILOX_M_HALVES = tuple((m & _LOW32, m >> _SHIFT32) for m in _PHILOX_M)
 _CHUNK_BLOCKS = 6144
 # Horizon from which a deterministic x0's channel bits come from the re-keyed
 # C Philox instead of the lock-step one.  Per trajectory, in runs of 4000
-# (x86-64, 2 shared cores, numpy 2.4.6, one BLAS thread), the lock-step route
-# costs about 22 ns per word; the re-keyed one costs about 0.9 us (rewriting
-# the key, one `random_raw` and its share of a chunk's compare) plus 3.6 ns
-# per word.  They meet between 45 and 50 words; at 200 words they take about
-# 4.3 and 1.6 us.
+# (AMD EPYC, 2 shared cores, numpy 2.4.6, one BLAS thread, best of 5), the
+# lock-step route costs about 12 ns per word; the re-keyed one costs about
+# 0.71 us (rewriting the key, one `random_raw` and its share of a chunk's
+# compare) plus 2.6 ns per word.  They meet at about 65 words; at 50 words
+# they take about 0.69 and 0.84 us, at 200 about 2.5 and 1.2 us.  Both give
+# the same bits, and no benchmark run of a fixed x0 has a horizon between 50
+# and 65, so a move here could neither change an output nor be measured.
 _REKEYED_HORIZON = 50
 # Seeds the Philox that `_stream` then re-keys.  Philox(key=...) alone would
 # read OS entropy for a SeedSequence it then discards.
 _FIXED_SEED = np.random.SeedSequence(0)
-# Steps whose channel bits the rollout turns into float64 at once; even (see
-# `_step_plans`).  Its float block holds this many rows of 8 bytes per
-# trajectory.
-_BIT_BLOCK = 4
 
 
 def _mix64(x: int) -> int:
@@ -215,7 +213,9 @@ def _delivery_threshold(q: float) -> int:
     `Generator.random()` turns a word w into (w >> 11) * 2^-53, and
     (w >> 11) >= ceil(q * 2^53) exactly when w >= ceil(q * 2^53) << 11, so a
     channel bit is 1 exactly when its word reaches this threshold.  At q = 1
-    it is 2^64, which no word reaches.
+    it is 2^64, which no word reaches: numpy 2 compares a uint64 array with a
+    Python int exactly, even out of the array's range, so the comparisons
+    take the threshold as it is and give 0 there.
     """
     return math.ceil(q * 2.0**53) << 11
 
@@ -265,15 +265,14 @@ def sample_channel(q: float, N: int, seed: int) -> ChannelSamples:
 
     Bit i is `Generator.random()` >= q on word i of the channel stream, decided
     on the raw word against the integer threshold of `_delivery_threshold`
-    without forming the float; below q = 1 the threshold fits in 64 bits.  The
-    bits are 0/1 by construction, so the samples skip the checks of the
-    `ChannelSamples` constructor."""
+    without forming the float.  The bits are 0/1 by construction, so the
+    samples skip the checks of the `ChannelSamples` constructor."""
     if not 0.0 < q < 1.0:
         raise InvalidInputError(f"channel loss rate must lie in (0, 1), got {q}")
     N = _as_int(N, "sample count N", least=1)
     seed = _as_int(seed, "seed")
     words = _keyed_philox(seed, 0, _FAMILY_CHANNEL).random_raw(N)
-    return _channel_samples((words >= np.uint64(_delivery_threshold(q))).view(np.int8))
+    return _channel_samples((words >= _delivery_threshold(q)).view(np.int8))
 
 
 def _gaussian_law(sys: SystemSpec, x0) -> tuple[np.ndarray, np.ndarray]:
@@ -350,7 +349,8 @@ def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int,
     (stop - start, cfg.horizon), equal bit for bit to what
     `simulate_trajectory` draws from each trajectory's substream.  Each word
     is compared with the integer `_delivery_threshold` instead of being
-    turned into a float.  The words come by one of two routes:
+    turned into a float, at q = 1 too, where no word reaches it.  The words
+    come by one of two routes:
 
     * a deterministic x0 with a horizon below _REKEYED_HORIZON leaves the
       whole substream to the channel bits, and the lock-step Philox computes
@@ -363,9 +363,9 @@ def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int,
       once.  The covariance is factored once and all initial states are
       formed by one stacked product.
 
-    The lock-step route costs about 22 ns per word; the re-keyed one about
-    0.9 us per trajectory plus 3.6 ns per word, so it wins from about 50
-    words on (measurements at `_REKEYED_HORIZON`).
+    The re-keyed route has a fixed cost per trajectory that the lock-step
+    route does not, and a lower cost per word (measurements at
+    `_REKEYED_HORIZON`).
     """
     T, n = cfg.horizon, sys.n
     count = stop - start
@@ -376,10 +376,8 @@ def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int,
         Z = np.empty((count, 1, n))
     else:
         X0 = np.tile(_finite_vector(x0, n, "initial state"), (count, 1))
-        if threshold > _MASK64:
-            return X0, np.zeros((count, T), dtype=np.int8)
         if T < _REKEYED_HORIZON:
-            return X0, _lockstep_bits(cfg.seed, start, stop, T, np.uint64(threshold))
+            return X0, _lockstep_bits(cfg.seed, start, stop, T, threshold)
 
     lam = np.zeros((count, T), dtype=np.int8)
     delivered = lam.view(np.bool_)  # the same bytes; comparisons write it without a cast
@@ -388,9 +386,6 @@ def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int,
     state = _keyed_state(0, _FAMILY_TRAJECTORY)
     key = state["state"]["key"]
     keys = _trajectory_keys(cfg.seed, start, stop)
-    # At q = 1 no word reaches the threshold; the bits stay 0 and are not drawn.
-    draw_bits = threshold <= _MASK64
-    threshold = np.uint64(min(threshold, _MASK64))
     per_chunk = max(1, 4 * _CHUNK_BLOCKS // T)
     for lo in range(0, count, per_chunk):
         hi = min(lo + per_chunk, count)
@@ -400,16 +395,14 @@ def _trajectory_draws(sys: SystemSpec, x0, q: float, cfg: SimConfig, start: int,
             bitgen.state = state
             if gaussian:
                 normal(out=Z[row, 0])
-            if draw_bits:
-                words.append(bitgen.random_raw(T))
-        if draw_bits:
-            np.greater_equal(words, threshold, out=delivered[lo:hi])
+            words.append(bitgen.random_raw(T))
+        np.greater_equal(words, threshold, out=delivered[lo:hi])
     if gaussian:
         return (Z @ factor.T + mean).reshape(count, n), lam
     return X0, lam
 
 
-def _lockstep_bits(seed: int, start: int, stop: int, T: int, threshold: np.uint64) -> np.ndarray:
+def _lockstep_bits(seed: int, start: int, stop: int, T: int, threshold: int) -> np.ndarray:
     """The (stop - start, T) channel bits of trajectories start..stop-1 for a
     deterministic x0, from the lock-step Philox."""
     count = stop - start
@@ -494,9 +487,9 @@ def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
     decay run, which reads no costs: they are not computed and come back None.
 
     The step is planned once per call (`_step_plans`) and writes every
-    result into buffers allocated once, so it allocates nothing.  The
-    channel bits become float64 _BIT_BLOCK steps at a time, one contiguous
-    row per step.  The planned step makes the operations of the rollout
+    result into buffers allocated once, so it allocates nothing.  Each step
+    first copies its channel bits into one float64 row, which both plans
+    read.  The planned step makes the operations of the rollout
 
         U = X K^T;  costs += x^T Q x + lam * u^T R u;
         X = X A^T + lam * (U B^T);  rows past DIVERGENCE_NORM become 0,
@@ -524,7 +517,7 @@ def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
     divergent = np.zeros(M, dtype=bool)
     over = np.empty(M, dtype=bool)
     work = np.empty(M)
-    bits = np.empty((min(_BIT_BLOCK, T), M))
+    bits = np.empty(M)
     plans = _step_plans(sys, K, states, bits, costs, work)
     if track_msq:
         msq, squares = np.empty(T + 1), np.empty(M)
@@ -532,21 +525,18 @@ def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
         _run(square_calls[0])
         msq[0] = np.add.reduce(squares)
     limit = DIVERGENCE_NORM**2
-    for start in range(0, T, len(bits)):
-        steps = min(len(bits), T - start)
-        np.copyto(bits[:steps], lam[:, start : start + steps].T)
-        for i in range(steps):
-            _run(plans[i])
-            t = start + i + 1
-            X = states[t & 1]
-            # The test keeps einsum's sums of squares: its decisions are bits of the output.
-            np.einsum("ij,ij->i", X, X, out=work)
-            if np.greater(work, limit, out=over).any():
-                X[over] = 0.0
-                divergent |= over
-            if track_msq:
-                _run(square_calls[t & 1])
-                msq[t] = np.add.reduce(squares)
+    for t in range(1, T + 1):
+        np.copyto(bits, lam[:, t - 1])
+        _run(plans[t & 1])
+        X = states[t & 1]
+        # The test keeps einsum's sums of squares: its decisions are bits of the output.
+        np.einsum("ij,ij->i", X, X, out=work)
+        if np.greater(work, limit, out=over).any():
+            X[over] = 0.0
+            divergent |= over
+        if track_msq:
+            _run(square_calls[t & 1])
+            msq[t] = np.add.reduce(squares)
     if track_msq:
         # np.mean divides the same sum by the row count.
         msq /= M
@@ -554,33 +544,26 @@ def _batched_rollout(sys: SystemSpec, K, q, x0, cfg, track_msq: bool = False):
 
 
 def _step_plans(sys: SystemSpec, K: np.ndarray, states: tuple, bits: np.ndarray, costs, work: np.ndarray) -> list:
-    """The calls of the i-th step of each block, for every row i of bits.
+    """The calls of a step, one plan per state buffer.
 
-    The step reads the state in states[i % 2] and the channel bits in
-    bits[i], writes the next state into the other buffer and, unless costs
-    is None, adds its step costs to costs.  A block has _BIT_BLOCK steps,
-    which is even, or is the whole horizon, so a step's place in its block
-    fixes its buffers.  `work` is scratch that the step may overwrite."""
+    plans[p] reads the state in states[1 - p] and the channel bits in the
+    row `bits`, writes the next state into states[p] and, unless costs is
+    None, adds its step costs to costs.  `work` is scratch that the step may
+    overwrite."""
     M = len(work)
     U, UB = np.empty((M, sys.m)), np.empty((M, sys.n))
     if costs is not None:
         qx, qu = np.empty(M), np.empty(M)
-    halves = []  # the calls before and after the channel bits, from each buffer
-    for X, Xn in (states, states[::-1]):
-        before = _product_calls(X, K, U)
-        if costs is not None:
-            before += _form_calls(X, sys.Q, qx, work) + _form_calls(U, sys.R, qu, work)
-        after = _product_calls(X, sys.A, Xn) + _product_calls(U, sys.B, UB)
-        halves.append((before, after, [(np.add, (Xn, UB, Xn))]))
     plans = []
-    for i, lam in enumerate(bits):
-        before, after, last = halves[i % 2]
-        cost = []
+    for X, Xn in (states[::-1], states):
+        calls = _product_calls(X, K, U)
         if costs is not None:
+            calls += _form_calls(X, sys.Q, qx, work) + _form_calls(U, sys.R, qu, work)
             # A row that overflowed is zero from then on, and so are its step
             # costs: the sum needs no mask to stop at its divergence.
-            cost = [(np.multiply, (qu, lam, qu)), (np.add, (qx, qu, qx)), (np.add, (costs, qx, costs))]
-        plans.append(before + cost + after + [(np.multiply, (column, lam, column)) for column in UB.T] + last)
+            calls += [(np.multiply, (qu, bits, qu)), (np.add, (qx, qu, qx)), (np.add, (costs, qx, costs))]
+        calls += _product_calls(X, sys.A, Xn) + _product_calls(U, sys.B, UB)
+        plans.append(calls + [(np.multiply, (column, bits, column)) for column in UB.T] + [(np.add, (Xn, UB, Xn))])
     return plans
 
 
