@@ -143,6 +143,13 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
+def _write_file(path: str, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 class Emitter:
     """Writes one JSON document or one manifest-headed CSV, to --out or stdout."""
 
@@ -157,7 +164,7 @@ class Emitter:
 
     def _write(self, text: str):
         if self.out:
-            Path(self.out).write_text(text)
+            _write_file(self.out, text)
         else:
             sys.stdout.write(text)
 
@@ -181,7 +188,7 @@ class Emitter:
             if not self.out:
                 print("note: --gnuplot needs --out to reference the CSV", file=sys.stderr)
             elif plot:
-                Path(self.out + ".gp").write_text(plot.format(csv=self.out))
+                _write_file(self.out + ".gp", plot.format(csv=self.out))
 
 
 # ---------------------------------------------------------------- commands

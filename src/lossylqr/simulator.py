@@ -15,7 +15,7 @@ take one of two routes, both equal bit for bit to the trajectory's stream:
   "Parallel random numbers: as easy as 1, 2, 3", SC'11).  For a
   deterministic x0 and a horizon below _REKEYED_HORIZON words, it is
   evaluated directly on numpy uint64 arrays, every trajectory's key in
-  lock-step and most rounds in place.
+  lock-step, one plain loop over the ten rounds.
 * Otherwise one C Philox is re-keyed per trajectory and yields the
   trajectory's Gaussian initial state, if any, and then its raw words, which
   are compared a chunk of rows at a time, at most 4 * _CHUNK_BLOCKS words.
@@ -142,18 +142,18 @@ def _stream(seed: int, index: int, family: int) -> np.random.Generator:
     return np.random.Generator(_keyed_philox(seed, index, family))
 
 
-def _mulhilo(i: int, x: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-    """Philox multiply by _PHILOX_M[i], in place: the high words of the 128-bit
-    products go to `hi` and `x` keeps the low words; a, b and c are work
-    buffers of x's shape.  The high word comes from 32-bit halves: with the
-    partial products lo_lo, hi_lo, lo_hi of (x_lo, x_hi) and (m_lo, m_hi),
-    t = hi_lo + (lo_lo >> 32) and u = lo_hi + (t & LOW), it is
-    x_hi * m_hi + (t >> 32) + (u >> 32), and no sum overflows 64 bits."""
+def _mulhilo(i: int, x: np.ndarray) -> np.ndarray:
+    """Philox multiply by _PHILOX_M[i]: returns the high words of the 128-bit
+    products and leaves the low words in `x`, in place.  The high word comes
+    from 32-bit halves: with the partial products lo_lo, hi_lo, lo_hi of
+    (x_lo, x_hi) and (m_lo, m_hi), t = hi_lo + (lo_lo >> 32) and
+    u = lo_hi + (t & LOW), it is x_hi * m_hi + (t >> 32) + (u >> 32), and no
+    sum overflows 64 bits."""
     m_lo, m_hi = _PHILOX_M_HALVES[i]
-    np.bitwise_and(x, _LOW32, out=a)  # x_lo
-    np.right_shift(x, _SHIFT32, out=hi)  # x_hi
-    np.multiply(a, m_lo, out=b)  # lo_lo
-    np.multiply(hi, m_lo, out=c)  # hi_lo
+    a = x & _LOW32  # x_lo
+    hi = x >> _SHIFT32  # x_hi
+    b = a * m_lo  # lo_lo
+    c = hi * m_lo  # hi_lo
     a *= m_hi  # lo_hi
     b >>= _SHIFT32
     c += b  # t
@@ -165,6 +165,7 @@ def _mulhilo(i: int, x: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray
     a >>= _SHIFT32
     hi += a
     x *= _PHILOX_M[i]
+    return hi
 
 
 def _philox_words(keys: np.ndarray, family: int, blocks: int) -> list[np.ndarray]:
@@ -173,37 +174,19 @@ def _philox_words(keys: np.ndarray, family: int, blocks: int) -> list[np.ndarray
     r is words[w][r, j].
 
     numpy increments the counter before it fills its buffer, so block j is
-    Philox4x64-10 of the counter (j + 1, 0, 0, 0).  The first two rounds
-    broadcast a column of keys against a row of counters and mix them on the
-    small shapes; the last eight run in place on full-size buffers.
+    Philox4x64-10 of the counter (j + 1, 0, 0, 0).  The rounds broadcast a
+    column of keys against a row of counters, so the first two run on the
+    small shapes and every word is full size from the third on.  The zero
+    words are distinct arrays because `_mulhilo` writes into its argument.
     """
     c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
     c1, c2, c3 = (np.zeros((1, 1), dtype=np.uint64) for _ in range(3))
     k0, k1 = keys[:, None], np.full((1, 1), family, dtype=np.uint64)
-    for r in range(2):
+    for r in range(_PHILOX_ROUNDS):
         if r:
             k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, hi1 = np.empty_like(c0), np.empty_like(c2)
-        _mulhilo(0, c0, hi0, *(np.empty_like(c0) for _ in range(3)))
-        _mulhilo(1, c2, hi1, *(np.empty_like(c2) for _ in range(3)))
+        hi0, hi1 = _mulhilo(0, c0), _mulhilo(1, c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, c2, hi0 ^ c3 ^ k1, c0
-
-    shape = c0.shape
-    hi, *work = (np.empty(shape, dtype=np.uint64) for _ in range(4))
-    for r in range(2, _PHILOX_ROUNDS):
-        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0 = hi
-        _mulhilo(0, c0, hi0, *work)
-        hi0 ^= c3
-        hi0 ^= k1
-        # c1 and c3 are full-size from the fourth round on; once consumed,
-        # their buffers take the next high words.
-        hi1 = c3 if c3.shape == shape else np.empty(shape, dtype=np.uint64)
-        _mulhilo(1, c2, hi1, *work)
-        hi1 ^= c1
-        hi1 ^= k0
-        hi = c1 if c1.shape == shape else np.empty(shape, dtype=np.uint64)
-        c0, c1, c2, c3 = hi1, c2, hi0, c0
     return [c0, c1, c2, c3]
 
 

@@ -371,6 +371,22 @@ class TestExitCodes:
         code, _, _ = run(capsys, "qc", "--spec", EX1)
         assert code == 0
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "qc.json"
+        code, _, err = run(capsys, "qc", "--spec", EX1, "--out", str(out))
+        assert code == 1
+        assert f"error: cannot write {out}" in err and "Traceback" not in err
+
+    def test_unwritable_gnuplot_script_is_usage_error(self, capsys, tmp_path):
+        out_csv = tmp_path / "curve.csv"
+        Path(str(out_csv) + ".gp").mkdir()
+        code, _, err = run(
+            capsys, "threshold", "--spec", EX1, "--variant", "general", "--curve",
+            "--step", "0.05", "--out", str(out_csv), "--gnuplot",
+        )
+        assert code == 1
+        assert f"error: cannot write {out_csv}.gp" in err and "Traceback" not in err
+
 
 class TestSeedResolution:
     def test_env_override(self, capsys, monkeypatch):

@@ -507,6 +507,23 @@ class TestOptimalCost:
         with pytest.raises(InvalidInputError):
             optimal_cost(np.diag([1.0, -1.0]), np.eye(2))
 
+    def test_equals_the_gap_reports_optimal_cost(self, example2):
+        x0 = np.array([5.0, 5.0])
+        P = mare_solve(example2, 0.2).P
+        assert optimal_cost(P, np.outer(x0, x0)) == gap(example2, 0.2, 0.1633, x0).J_star
+
+    def test_rejects_singular_p(self):
+        with pytest.raises(InvalidInputError, match="positive definite"):
+            optimal_cost(np.diag([1.0, 0.0]), np.eye(2))
+
+    def test_rejects_indefinite_initial_moment(self):
+        with pytest.raises(InvalidInputError, match="positive semi-definite"):
+            optimal_cost(np.eye(2), np.diag([1.0, -1.0]))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(DimensionError):
+            optimal_cost(np.eye(2), np.eye(3))
+
 
 class TestNoSolutionReason:
     def test_non_stabilizable_pair_diverged(self):

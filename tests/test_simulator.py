@@ -363,7 +363,8 @@ class TestTrajectoryDraws:
     def test_words_equal_random_raw(self, seed):
         index = np.array([0, 1, 2, 2**40 + 3, 2**64 - 1], dtype=np.uint64)
         keys = np.uint64(seed & (2**64 - 1)) ^ _mix64_array(index)
-        for blocks, rows in itertools.product(range(1, 8), (1, index.size)):
+        # Every block count of the lock-step route: horizons below _REKEYED_HORIZON words.
+        for blocks, rows in itertools.product(range(1, 14), (1, index.size)):
             words = np.stack(_philox_words(keys[:rows], _FAMILY_TRAJECTORY, blocks), axis=2).reshape(rows, -1)
             for row, k in enumerate(index[:rows]):
                 key = np.array([_stream_key(seed, int(k)), _FAMILY_TRAJECTORY], dtype=np.uint64)
