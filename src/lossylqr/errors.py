@@ -24,8 +24,10 @@ class NumericalFailureError(LossyLqrError):
 class NoSolutionError(LossyLqrError):
     """The modified Riccati equation has no positive definite solution (loss rate at or above critical).
 
-    `reason` says why the solver gave up: "diverged", "stalled" or "cap"
-    (the step cap), or None when raised without one.
+    `reason` says why the solver gave up: "annealing" (discount annealing
+    found no mean-square stabilizing gain) or "hewer" (Hewer's iteration
+    from such a gain ended short of its tolerance), or None when raised
+    without one.
     """
 
     def __init__(self, message: str = "", reason: str | None = None):

@@ -1,6 +1,6 @@
 """Dense small-matrix primitives (symmetric eigen extremes, PSD square roots,
-certified lifted-map spectral radii, a positive-definiteness test, the Riccati
-stall detector) and the input rules of rates, counts and state vectors.
+certified lifted-map spectral radii, a positive-definiteness test) and the
+input rules of rates, counts and state vectors.
 
 All routines target small dense matrices (state dimension <= 10, lifted maps
 <= 100 x 100) and fix the numerical tolerances used across the package.
@@ -242,35 +242,6 @@ def _dense_spectral_radius(M: np.ndarray):
     each matrix in a (k, d, d) stack (one batched eigvals call)."""
     rho = np.max(np.abs(_eigvals(M)), axis=-1)
     return float(rho) if rho.ndim == 0 else rho
-
-
-class StallDetector:
-    """Shortcut for iterations that cannot reach their tolerance within a cap.
-
-    Reaching a tolerance of about 1e-12 within 10^5 steps needs the per-step
-    change to shrink by >= 13% per 500-step window, so two consecutive
-    windows without 10% improvement (after the first 2000 steps) prove the
-    cap would be hit anyway.  Used by the Riccati fixed-point iteration; one
-    detector can follow several runs in lock-step, given one change per run.
-    """
-
-    WINDOW = 500
-    START = 2000
-
-    def __init__(self):
-        self.best_prev, self.best_cur, self.stalls = np.inf, np.inf, 0
-
-    def stalled(self, it: int, delta):
-        """Record the changes of step `it`, an array with one per run: False
-        within a window, and at its end an array of verdicts, True for each
-        run that has stalled."""
-        self.best_cur = np.minimum(self.best_cur, delta)
-        if it % self.WINDOW:
-            return False
-        worse = (it >= self.START) & (self.best_cur > 0.9 * self.best_prev)
-        self.stalls = np.where(worse, self.stalls + 1, 0)
-        self.best_prev, self.best_cur = self.best_cur, np.inf
-        return self.stalls >= 2
 
 
 def _has_cholesky(X: np.ndarray):

@@ -13,15 +13,21 @@ q_c that depends on the unstable eigenvalues of A, i.e. iff some gain K is
 mean-square stabilizing at q: the lifted second-moment map
 (1-q) (A+BK)(x)(A+BK) + q A(x)A has spectral radius below one.
 
-`mare_solve` runs value iteration from X = Q until the gain of its iterate
-is mean-square stabilizing, which certifies that q is feasible, and then
-Hewer's policy iteration (IEEE TAC 1971), which converges quadratically
-from any stabilizing gain.  Close to q_c this takes far fewer steps than
-value iteration alone, whose step count grows like 1/(q_c - q).  The first
-gain of a policy phase must pass the dense spectral-radius test; each later
-gain is certified by the Lyapunov solve that evaluates it (Costa, Fragoso &
-Marques, Discrete-Time Markov Jump Linear Systems, 2005), and the dense test
-decides only where that certificate proves nothing (`_solve_certifies`).
+`mare_solve` takes one Riccati step from X = Q.  When the gain K_1 of that
+iterate is mean-square stabilizing (dense spectral radius of its lifted map
+below 1 - RHO_MARGIN), it certifies that q is feasible and starts Hewer's
+policy iteration (IEEE TAC 1971), which converges quadratically from any
+stabilizing gain.  Otherwise discount annealing (Lamperski, CDC 2020;
+Perdomo et al., NeurIPS 2021) finds one: scaling (A, B) by sqrt(gamma)
+scales every gain's lifted map by gamma, so a gain with radius rho
+stabilizes the plant discounted by gamma = (1 - RHO_MARGIN) / rho, and one
+Hewer step on that plant gives the next gain and the next gamma.  A gamma
+that rises by less than GAMMA_FLOOR (relative) in one step means that no
+stabilizing gain was found.  Each later gain of Hewer's iteration is
+certified by the Lyapunov solve that evaluates it (Costa, Fragoso &
+Marques, Discrete-Time Markov Jump Linear Systems, 2005), and the dense
+test decides only where that certificate proves nothing
+(`_solve_certifies`).
 
 A plant keeps its own results: `SystemSpec` holds read-only matrices, its
 constants A (x) A and lambda_min(Q), and a private memo, so repeated calls
@@ -35,28 +41,28 @@ functions ask for them, and the standard solution, which the
 sample-complexity bound of each design asks for, outlives the other rates
 of designs in between.
 
-One driver runs this iteration, `_lockstep`, and a single rate is a stack
+One function runs this solve, `_lockstep`, and a single rate is a stack
 of one: `mare_solve` (hence every design) passes one rate, and
 `_mare_solve_rates` a list of rates, which it steps in lock-step on one
 (k, n, n) stack.  Each step costs one set of numpy calls for the whole
-stack instead of one per rate, a rate leaves the stack where it stops, and
-it gets the same bits (P, iteration count, residual, or the error and its
-reason) in any stack.  The step formulas (`_gain_solve` with `_mare_step`,
-`_mare_step_gain` and `_feedback_gain`, then `_lifted_map`,
+stack instead of one per rate, a rate leaves the annealing where it passes
+or stops, and it gets the same bits (P, iteration count, residual, or the
+error and its reason) in any stack.  The step formulas (`_gain_solve` with
+`_mare_step`, `_mare_step_gain` and `_feedback_gain`, then `_lifted_map`,
 `_policy_evaluation` and `_solve_certifies`) take one matrix or a stack.
 One solve S = (R + B^T X B)^{-1} (A^T X B)^T serves a whole step: the gain
 weight is (A^T X B) S and the gain of X is -S, so a Hewer step solves with
 R + B^T P B once for its residual and its next gain.  Hewer's iteration
-has two forms, picked by the rows due at a policy phase: one row runs the
-2-d `_policy_iteration`, several rows the stacked `_policy_iteration_rates`.
-Both take each step in one order: the lifted map, the dense test of a first
-gain, the evaluation (`_policy_evaluation`, one column per gain), the
-certificate of a later gain and the improvement; a stack member leaves
-where the 2-d form returns.  Both forms are kept because each is
-the faster on its own workload: the stacked one on every one-row phase
-costs the benchmark's `design` about a quarter of its designs per second,
-and the 2-d one on every row costs its `regions` about three quarters of
-its cells per second (seed 1, one BLAS thread).  The grid
+has two forms, picked by the rows that reach it: one row runs the 2-d
+`_policy_iteration`, several rows the stacked `_policy_iteration_rates`.
+Both take each step in one order: the lifted map, the evaluation
+(`_policy_evaluation`, one column per gain), the certificate of a later
+gain and the improvement; a stack member leaves where the 2-d form
+returns.  Both forms are kept because each is the faster on its own
+workload: the stacked one on every one-row phase costs the benchmark's
+`design` about a quarter of its designs per second, and the 2-d one on
+every row costs its `regions` about three quarters of its cells per second
+(seed 1, one BLAS thread).  The grid
 of `region_map`, of the threshold curve and of `gap_curve`, and the probes
 of both bisections (`_bisect_rates`: the q_c refinement of
 `critical_probability` and `zero_sample_safe_q`), are solved in lock-step.
@@ -85,20 +91,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, LossyLqrError, NoSolutionError
-from .numerics import StallDetector, _dense_spectral_radius, _fro, _has_cholesky, sym_eig_extremes, symmetrize
+from .numerics import _dense_spectral_radius, _fro, _has_cholesky, sym_eig_extremes, symmetrize
 from .numerics import _check_rate, _eigvals, _solve, _solve_each
 
-# Fixed-point iteration controls for the (modified) Riccati equation.
-MAX_ITERATIONS = 10**5
+# Hewer's iteration stops once its update is below STEP_TOL, and its P is a
+# solution when the relative residual of one Riccati step is below RESIDUAL_TOL.
 RESIDUAL_TOL = 1e-10
 STEP_TOL = 1e-12
-DIVERGENCE_NORM = 1e12
 # A gain is mean-square stabilizing when rho of its lifted map is below
-# 1 - RHO_MARGIN (the exact oracle in `stability` uses the same margin);
-# value iteration tests its gain after steps 1, 2, 4, ... and then every
-# POLICY_CHECK_EVERY steps.
+# 1 - RHO_MARGIN (the exact oracle in `stability` uses the same margin).
 RHO_MARGIN = 1e-9
-POLICY_CHECK_EVERY = 256
+# Discount annealing gives up once its discount rises by less than this
+# fraction in one step.
+GAMMA_FLOOR = 1e-9
 
 # Eigenvalues of A with modulus above this count as unstable.
 UNSTABLE_MODULUS = 1.0 + 1e-9
@@ -145,12 +150,12 @@ class SystemSpec:
 
     Q and R must be symmetric positive definite.  Stabilizability of (A, B)
     is not checked eagerly; it is certified operationally by `dare_solve`
-    converging (a non-stabilizable pair makes the iteration diverge and
-    raises NoSolutionError).  The plant keeps read-only copies of its
-    matrices, its constants A (x) A (`_AA`, read-only) and lambda_min(Q)
-    (`_lmin_Q`) and, in a private memo, the results derived from them; a
-    pickled or copied plant is checked again, forms its constants again and
-    starts with an empty memo.
+    finding a stabilizing gain (on a non-stabilizable pair its discount
+    annealing stops short and raises NoSolutionError).  The plant keeps
+    read-only copies of its matrices, its constants A (x) A (`_AA`,
+    read-only) and lambda_min(Q) (`_lmin_Q`) and, in a private memo, the
+    results derived from them; a pickled or copied plant is checked again,
+    forms its constants again and starts with an empty memo.
     """
 
     A: np.ndarray
@@ -212,10 +217,10 @@ class SystemSpec:
 class RiccatiSolution:
     """Positive definite Riccati fixed point with solver diagnostics.
 
-    `iterations` counts value-iteration steps plus policy-iteration steps
-    (one lifted Lyapunov solve each, including those of abandoned policy
-    phases); `residual` is the relative Frobenius residual of one Riccati
-    step at P.
+    `iterations` is 1, for the Riccati step from Q that gives the first
+    gain, plus one per lifted Lyapunov solve: those of discount annealing
+    and those of Hewer's iteration; `residual` is the relative Frobenius
+    residual of one Riccati step at P.
     """
 
     P: np.ndarray
@@ -240,10 +245,12 @@ class CriticalProbability:
     when A is Schur stable (then q_c imposes no constraint and is reported
     as 1 by convention).  Otherwise `lower`/`upper` bracket q_c; `bisection`
     narrows the bracket to QC_BISECT_TOL using the Riccati solver as the
-    feasibility test: a rate is feasible when the solver returns, which near
-    q_c it does once it has found a mean-square stabilizing gain, and
-    infeasible when it diverges, stalls or hits its cap.  One `mare_solve`
-    tests the lower end; `_bisect_rates` solves the probes in lock-step.
+    feasibility test: a rate is feasible when the solver returns, which it
+    does once it has found a mean-square stabilizing gain, and infeasible
+    when it raises NoSolutionError (discount annealing found no such gain,
+    or Hewer's iteration from one fell short of its tolerance).  One
+    `mare_solve` tests the lower end; `_bisect_rates` solves the probes in
+    lock-step.
 
     Wherever `exact` is set, lower == upper == exact, so a consumer reads an
     end, never `exact`: the threshold bounds' clamp, the range of rates that
@@ -359,13 +366,6 @@ def _scalar_iff_value(sys: SystemSpec, q, q_hat, k, p):
     return sys.Q[0, 0] + (1.0 - q) * r * k**2 + (q_hat - q) * a**2 * b**2 * p**2 / (r + b**2 * p)
 
 
-def _policy_due(it: int) -> bool:
-    """Value-iteration steps after which the gain is tested: 1, 2, 4, ..., then every POLICY_CHECK_EVERY."""
-    if it < POLICY_CHECK_EVERY:
-        return it & (it - 1) == 0
-    return it % POLICY_CHECK_EVERY == 0
-
-
 def _solve_certifies(L: np.ndarray, P: np.ndarray, cost: np.ndarray, q_floor: float):
     """Whether the symmetric solution P of the lifted Lyapunov equation
     (I - L^T) vec P = vec cost, cost >= Q, proves rho(L) < 1 - RHO_MARGIN.
@@ -388,7 +388,7 @@ def _policy_evaluation(sys: SystemSpec, K: np.ndarray, L: np.ndarray, one_minus_
     """Hewer's evaluation of the gain K with lifted map L at loss rate q: the
     cost Q + (1-q) K^T R K and the symmetrized solution P of the lifted
     Lyapunov equation (I - L^T) vec P = vec cost, vec cost one column, where
-    I = eye is the n^2 x n^2 identity that each Hewer call forms once.  A
+    I = eye is the n^2 x n^2 identity, which the caller forms.  A
     (k, m, n) stack of gains, with their maps and 1 - q as (k, 1, 1), gives
     the stacks of both.  Where L has eigenvalue 1 the system is singular and
     P is NaN: no certificate, and the dense test fails."""
@@ -397,28 +397,28 @@ def _policy_evaluation(sys: SystemSpec, K: np.ndarray, L: np.ndarray, one_minus_
     return cost, 0.5 * (P + P.mT)
 
 
-def _policy_iteration(sys: SystemSpec, q: float, X: np.ndarray) -> tuple[np.ndarray | None, int, float]:
-    """Hewer's policy iteration from the gain of the value iterate X.
+def _policy_iteration(
+    sys: SystemSpec, q: float, K: np.ndarray, X: np.ndarray
+) -> tuple[np.ndarray | None, int, float]:
+    """Hewer's policy iteration from K, the gain of X, which `_lockstep` has
+    found mean-square stabilizing at q.
 
     Each step evaluates the current gain exactly (`_policy_evaluation`) and
     then improves the gain; the Riccati step that gives the residual of P and
-    the next gain share one solve (`_mare_step_gain`).  The first gain must
-    pass the dense test; each later one is certified by its own solve
-    (`_solve_certifies`, with the plant's lambda_min(Q)), and by the dense
-    test only when that proves nothing.
-    It stops once the update is below STEP_TOL, or keeps the previous P once
-    the Riccati residual no longer falls (its rounding floor).  Returns
-    (P, steps, residual); P is None when some gain was not mean-square
-    stabilizing or P fails the residual gate of `mare_solve`.
+    the next gain share one solve (`_mare_step_gain`).  Each gain after K is
+    certified by its own solve (`_solve_certifies`, with the plant's
+    lambda_min(Q)), and by the dense test only when that proves nothing.
+    It stops once the update (the first one measured from X) is below
+    STEP_TOL, or keeps the previous P once the Riccati residual no longer
+    falls (its rounding floor).  Returns (P, steps, residual); P is None
+    when a later gain was not mean-square stabilizing or P fails the
+    residual gate of `mare_solve`.
     """
     eye = np.eye(sys.n**2)
     one_minus_q = 1.0 - q
-    K = _feedback_gain(sys, X)
     P, steps, residual = X, 0, np.inf
     while True:
         L = _lifted_map(sys, K, q)
-        if steps == 0 and not _ms_stable(_dense_spectral_radius(L)):
-            return None, steps, residual
         cost, Pn = _policy_evaluation(sys, K, L, one_minus_q, eye)
         if steps and not _solve_certifies(L, Pn, cost, sys._lmin_Q) and not _ms_stable(_dense_spectral_radius(L)):
             return None, steps, residual
@@ -435,37 +435,29 @@ def _policy_iteration(sys: SystemSpec, q: float, X: np.ndarray) -> tuple[np.ndar
     return (P if residual <= RESIDUAL_TOL else None), steps, residual
 
 
-def _diverged(q) -> NoSolutionError:
+def _no_gain(q, gamma) -> NoSolutionError:
     return NoSolutionError(
-        f"Riccati iterate diverged at q={q:.6g}; no positive definite solution "
+        f"no mean-square stabilizing gain found at q={q:.6g}; discount annealing stopped at gamma={gamma:.10g} "
         "(loss rate at or above critical, or (A, B) not stabilizable)",
-        reason="diverged",
+        reason="annealing",
     )
 
 
-def _stalled(it: int, q) -> NoSolutionError:
+def _hewer_failed(q, residual) -> NoSolutionError:
     return NoSolutionError(
-        f"Riccati iteration stalled at step {it} at q={q:.6g}, short of tolerance "
-        "(loss rate at or above critical, or (A, B) not stabilizable)",
-        reason="stalled",
-    )
-
-
-def _capped(q) -> NoSolutionError:
-    return NoSolutionError(
-        f"Riccati iteration cannot reach tolerance within {MAX_ITERATIONS} steps at q={q:.6g} "
-        "(loss rate at or above critical, or (A, B) not stabilizable)",
-        reason="cap",
+        f"Hewer's iteration from a stabilizing gain stopped at q={q:.6g}; residual {residual:.3g} "
+        "(a later gain was not certified stabilizing, or rounding held the residual above tolerance)",
+        reason="hewer",
     )
 
 
 def _policy_iteration_rates(
-    sys: SystemSpec, q: np.ndarray, X: np.ndarray
+    sys: SystemSpec, q: np.ndarray, K: np.ndarray, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_policy_iteration` in lock-step from a (p, n, n) stack X of value
-    iterates at rates q, a (p, 1, 1) array, each step in the 2-d form's
-    order; a member leaves where the 2-d form returns, so no gain is
-    evaluated for a member that has left.  Returns (P, steps, residual,
+    """`_policy_iteration` in lock-step from a (p, m, n) stack K of the gains
+    of the (p, n, n) stack X at rates q, a (p, 1, 1) array, each step in the
+    2-d form's order; a member leaves where the 2-d form returns, so no gain
+    is evaluated for a member that has left.  Returns (P, steps, residual,
     solved) with one entry per member; P[j] is the solution where solved[j]
     holds."""
     p = len(X)
@@ -476,15 +468,9 @@ def _policy_iteration_rates(
     solved = np.zeros(p, dtype=bool)
     one_minus_q = 1.0 - q
     live = np.arange(p)  # member index of each row of K, L and Pn
-    K = _feedback_gain(sys, X)
     taken = 0
     while len(live):
         L = _lifted_map(sys, K, q[live])
-        if not taken:
-            stable = _ms_stable(_dense_spectral_radius(L))
-            live, K, L = live[stable], K[stable], L[stable]
-            if not len(live):
-                break
         cost, Pn = _policy_evaluation(sys, K, L, one_minus_q[live], eye)
         if taken:
             stable = _solve_certifies(L, Pn, cost, sys._lmin_Q)
@@ -529,81 +515,73 @@ def _mare_solve_rates(sys: SystemSpec, qs) -> list:
     return [r for i in range(0, len(qs), size) for r in _lockstep(sys, qs[i : i + size])]
 
 
+def _radii(L: np.ndarray) -> np.ndarray:
+    """The dense spectral radius of each map of the (k, d, d) stack L, and
+    inf for a map with a non-finite entry (an overflowed iterate or gain)."""
+    finite = np.isfinite(L).all(axis=(-2, -1))
+    rho = np.full(len(L), np.inf)
+    rho[finite] = _dense_spectral_radius(L[finite])
+    return rho
+
+
 def _lockstep(sys: SystemSpec, qs: list) -> list:
     """The Riccati driver: the solve of each valid rate of qs on one (k, n, n)
     stack, one result per rate (see `_mare_solve_rates`); `mare_solve` passes
     a stack of one.
 
-    Value iteration, the policy-test schedule, the residual floor, the stall
-    detector and the step cap run once for the whole stack, and each rate
-    keeps its own stop decisions.  Every exit but the cap goes through
-    `finish`, and the rows it marks leave together at the end of the step.
-    A policy phase with one row due runs the 2-d `_policy_iteration` on that
-    row's matrix, and one with several rows due runs `_policy_iteration_rates`
-    on their stack: the two take each step in one order and give a row the
-    same bits, and each is the faster on its own workload (the 2-d one on the
-    single rate of every design, the stacked one on a grid's rows)."""
+    One Riccati step from Q gives each rate its first gain K_1 and one
+    batched dense radius its verdict.  The rates whose K_1 fails it anneal
+    in lock-step, each with its own discount gamma: one evaluation of the
+    gain on the plant scaled by sqrt(gamma) (lifted map gamma L(K)), its
+    improvement there (the gain of gamma P) and the dense radius of the new
+    gain per step.  A rate leaves the annealing once its gain passes, or
+    with NoSolutionError once gamma rises by less than GAMMA_FLOOR.  Every
+    rate with a stabilizing gain then runs Hewer's iteration from it: the
+    2-d `_policy_iteration` when there is one such rate, and
+    `_policy_iteration_rates` on their stack when there are several.  The
+    two take each step in one order and give a rate the same bits, and each
+    is the faster on its own workload (the 2-d one on the single rate of
+    every design, the stacked one on a grid's rows)."""
     results = [None] * len(qs)
-    live = np.arange(len(qs))  # rate index of each row of the stack
     q = np.array(qs, dtype=float).reshape(-1, 1, 1)
     one_minus_q = 1.0 - q
-    X = np.repeat(sys.Q[None], len(qs), axis=0)
-    stall = StallDetector()
-    changes = np.full(len(qs), np.inf)  # by rate index; finished rates' entries are ignored
-    policy_steps = np.zeros(len(qs), dtype=int)
-
-    def finish(j, outcome):
-        """Give the rate of stack row j its result; the row leaves at the end of this step."""
-        results[live[j]] = outcome
-        done[j] = True
-
-    def solution(j, P, residual):
-        """The solution of stack row j, found at step `it`."""
-        i = live[j]
-        return RiccatiSolution(P=P.copy(), q_used=qs[i], iterations=it + int(policy_steps[i]), residual=float(residual))
-
-    for it in range(1, MAX_ITERATIONS + 1):
-        if not len(live):
-            return results
-        Xn = _mare_step(X, sys, one_minus_q)
-        norm = _fro(Xn)
-        done = ~(norm <= DIVERGENCE_NORM)  # NaN and inf included
-        if done.any():
-            for j in np.flatnonzero(done):
-                finish(j, _diverged(qs[live[j]]))
-        rel_change = _fro(Xn - X) / (1.0 + norm)
-        X = Xn
-        small = (rel_change <= STEP_TOL) & ~done
-        if small.any():
-            small = np.flatnonzero(small)
-            Xs = X[small]
-            residual = _fro(_mare_step(Xs, sys, one_minus_q[small]) - Xs) / (1.0 + norm[small])
-            for j, r in zip(small, residual):
-                if r <= RESIDUAL_TOL:
-                    finish(j, solution(j, X[j], r))
-        if _policy_due(it):
-            todo = np.flatnonzero(~done)
-            if len(todo) == 1:
-                j = todo[0]
-                P, steps, residual = _policy_iteration(sys, float(q[j, 0, 0]), X[j])
-                policy_steps[live[j]] += steps
-                if P is not None:
-                    finish(j, solution(j, P, residual))
-            elif len(todo):
-                P, steps, residual, solved = _policy_iteration_rates(sys, q[todo], X[todo])
-                policy_steps[live[todo]] += steps
-                for j, Pj, r in zip(todo[solved], P[solved], residual[solved]):
-                    finish(j, solution(j, Pj, r))
-        changes[live] = rel_change
-        stalled = stall.stalled(it, changes)
-        if stalled is not False:  # a window ended: one verdict per rate
-            for j in np.flatnonzero(stalled[live] & ~done):
-                finish(j, _stalled(it, qs[live[j]]))
-        if done.any():
-            keep = ~done
-            live, q, one_minus_q, X = live[keep], q[keep], one_minus_q[keep], X[keep]
-    for i in live:
-        results[i] = _capped(qs[i])
+    X = _mare_step(np.repeat(sys.Q[None], len(qs), axis=0), sys, one_minus_q)
+    K = _feedback_gain(sys, X)
+    L = _lifted_map(sys, K, q)
+    rho = _radii(L)
+    steps = np.ones(len(qs), dtype=int)  # the Riccati step, then one per Lyapunov solve
+    rows = np.flatnonzero(~_ms_stable(rho))  # the rates that anneal
+    gamma, L = (1.0 - RHO_MARGIN) / rho[rows], L[rows]
+    while len(rows):
+        g = gamma[:, None, None]
+        _, P = _policy_evaluation(sys, K[rows], g * L, one_minus_q[rows], np.eye(sys.n**2))
+        X[rows] = Xr = g * P
+        K[rows] = Kr = _feedback_gain(sys, Xr)
+        L = _lifted_map(sys, Kr, q[rows])
+        rho = _radii(L)
+        steps[rows] += 1
+        stable = _ms_stable(rho)
+        next_gamma = (1.0 - RHO_MARGIN) / rho
+        stuck = ~stable & ~(next_gamma > gamma * (1.0 + GAMMA_FLOOR))
+        for i, last in zip(rows[stuck], gamma[stuck]):
+            results[i] = _no_gain(qs[i], last)
+        keep = ~stable & ~stuck
+        rows, gamma, L = rows[keep], next_gamma[keep], L[keep]
+    live = np.array([i for i, r in enumerate(results) if r is None], dtype=int)
+    hewer = []
+    if len(live) == 1:
+        (i,) = live
+        hewer = [_policy_iteration(sys, float(q[i, 0, 0]), K[i], X[i])]
+    elif len(live):
+        P, taken, residual, solved = _policy_iteration_rates(sys, q[live], K[live], X[live])
+        hewer = [(Pi if ok else None, t, r) for Pi, t, r, ok in zip(P, taken, residual, solved)]
+    for i, (P, taken, residual) in zip(live, hewer):
+        if P is None:
+            results[i] = _hewer_failed(qs[i], residual)
+        else:
+            results[i] = RiccatiSolution(
+                P=P.copy(), q_used=qs[i], iterations=int(steps[i] + taken), residual=float(residual)
+            )
     return results
 
 
@@ -616,21 +594,20 @@ def _rate_key(q) -> tuple:
 def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
     """Solve the modified Riccati equation for loss rate q.
 
-    Value iteration starts from X = Q.  After steps 1, 2, 4, ... and then
-    every POLICY_CHECK_EVERY steps, the gain of the current iterate is tested
-    for mean-square stability at q (dense spectral radius of its lifted map
-    below 1 - RHO_MARGIN).  A stabilizing gain certifies that q is
+    One Riccati step from X = Q gives the first gain, which is tested for
+    mean-square stability at q (dense spectral radius of its lifted map
+    below 1 - RHO_MARGIN).  A gain that fails is improved by discount
+    annealing until one passes; a stabilizing gain certifies that q is
     feasible and starts Hewer's policy iteration, which converges
     quadratically.  Its result is returned only when the relative Frobenius
-    residual of one Riccati step is below RESIDUAL_TOL; otherwise value
-    iteration resumes where it left off, and returns once its own change is
-    below STEP_TOL and its residual below RESIDUAL_TOL.
-    Iterate blow-up, a stalled iteration (the message gives the step at
-    which it stopped) or the iteration cap raises NoSolutionError, with
-    `reason` "diverged", "stalled" or "cap", which signals that q is at or
-    above the critical probability (no gain is then mean-square stabilizing).
-    The solve is the lock-step driver `_lockstep` on a stack of one rate, so
-    a rate gets the same bits here as in any grid or bisection.
+    residual of one Riccati step is below RESIDUAL_TOL.  NoSolutionError
+    signals that q is at or above the critical probability (no gain is then
+    mean-square stabilizing), with `reason` "annealing" when the annealing's
+    discount stopped rising (the message gives where it stopped), or
+    "hewer" when Hewer's iteration from a stabilizing gain ended short of
+    its tolerance.  The solve is the lock-step solver `_lockstep` on a stack
+    of one rate, so a rate gets the same bits here as in any grid or
+    bisection.
 
     The plant's memo keeps every standard (q = 0) solution, which the
     sample-complexity bounds of each design ask for again, and the
@@ -660,9 +637,7 @@ def dare_solve(sys: SystemSpec) -> RiccatiSolution:
     return mare_solve(sys, 0.0)
 
 
-def _bisect_rates(
-    sys: SystemSpec, lo: float, hi: float, tol: float, score, graded=None, ahead_max: float = math.inf
-) -> tuple[float, float]:
+def _bisect_rates(sys: SystemSpec, lo: float, hi: float, tol: float, score, graded=None) -> tuple[float, float]:
     """Bisect [lo, hi] to width tol.  score(qs, outcomes) gives one score per
     rate of the list qs from its outcome, its RiccatiSolution or
     NoSolutionError; a midpoint becomes lo where its score is positive and hi
@@ -685,10 +660,6 @@ def _bisect_rates(
     Derivatives*, 1973), the next batch holds instead every midpoint that
     the bisection can probe, all the way to width tol, while the root lies
     within BISECT_BAND * tol of r.
-
-    A batch holds no midpoint above `ahead_max` but the one the bisection
-    takes next: a caller that knows the rates above it to be slow to solve,
-    or infeasible, has each such midpoint solved only when it is taken.
     """
     known = None if graded is None else dict(graded)
     outcomes, scores = {}, {}
@@ -701,7 +672,6 @@ def _bisect_rates(
             else:
                 w = BISECT_BAND * tol
                 probes = _bisection_midpoints(lo, hi, tol, math.inf, (r - w, r + w))
-            probes = [p for p in probes if p <= ahead_max or p == mid]
             outcomes = dict(zip(probes, _mare_solve_rates(sys, probes)))
             try:
                 scores = dict(zip(probes, score(probes, list(outcomes.values()))))

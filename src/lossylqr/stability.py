@@ -396,10 +396,7 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
     one midpoint at a time from that midpoint's own score, so the result is
     the plain bisection's to the last bit.  The standard solution is one
     `dare_solve`, a stack of one rate.  When q_c is only bracketed, the
-    bisection runs up to the bracket's upper end, but its batches hold no
-    midpoint above the lower end that it does not take: where q_c lies at
-    the lower end, such a midpoint has no solution and its solve runs for
-    thousands of steps before it stalls.
+    bisection runs up to the bracket's upper end.
     """
     _check_threshold_variant(sys, variant)
     cp = critical_probability(sys, refine=False)
@@ -427,7 +424,7 @@ def zero_sample_safe_q(sys: SystemSpec, variant: str) -> float:
         scores[solved] = bounds(q[solved], P)[0] - q[solved]
         return scores
 
-    lo, hi = _bisect_rates(sys, 0.0, cp.upper, SAFE_Q_BISECT_TOL, excess, {0.0: at_zero}, cp.lower)
+    lo, hi = _bisect_rates(sys, 0.0, cp.upper, SAFE_Q_BISECT_TOL, excess, {0.0: at_zero})
     return 0.5 * (lo + hi)
 
 

@@ -20,7 +20,6 @@ from lossylqr import (
     symmetrize,
 )
 from lossylqr import numerics
-from lossylqr.numerics import StallDetector
 from conftest import fresh
 
 
@@ -33,46 +32,6 @@ class TestEmptyMatrix:
 
     def test_empty_stack_of_matrices_is_not_a_matrix_of_zero_size(self):
         assert symmetrize(np.zeros((0, 2, 2))).shape == (0, 2, 2)
-
-
-class TestStallDetector:
-    """Windows of StallDetector.WINDOW steps: from START on, a window whose
-    smallest change is not 10 % below the last window's counts as a stall,
-    and two in a row stop the run."""
-
-    @staticmethod
-    def verdicts(runs) -> dict:
-        """The array of verdicts at the end of each window, by step."""
-        stall, out = StallDetector(), {}
-        for it in range(1, 4 * StallDetector.START):
-            verdict = stall.stalled(it, np.array([run(it) for run in runs]))
-            if it % StallDetector.WINDOW:
-                assert verdict is False
-            else:
-                out[it] = verdict.tolist()
-        return out
-
-    def test_windowed_verdicts(self):
-        w, start = StallDetector.WINDOW, StallDetector.START
-        # A flat run, one 15 % lower each window, and one that is flat from
-        # two windows after START on.  Nothing stalls before START; the flat
-        # run's windows from START on are both stalls by START + WINDOW, the
-        # late run's two windows after it flattens.
-        out = self.verdicts(
-            [lambda it: 1.0, lambda it: 0.85 ** (it // w), lambda it: 0.85 ** min(it // w, start // w + 2)]
-        )
-        assert all(v == [False] * 3 for it, v in out.items() if it < start + w)
-        assert out[start + w] == [True, False, False]
-        assert out[start + 3 * w] == [True, False, False]
-        assert out[start + 4 * w] == [True, False, True]
-        assert all(v[1] is False for v in out.values())
-
-    def test_one_improving_window_resets_the_count(self):
-        w, start = StallDetector.WINDOW, StallDetector.START
-        # Flat, but 20 % lower from START on: the window that ends at
-        # START + WINDOW improves, so the first stall there does not count.
-        out = self.verdicts([lambda it: 0.8 if it > start else 1.0])
-        assert [it for it, v in out.items() if v == [True]][0] == start + 3 * w
 
 
 class TestSymEigExtremes:

@@ -655,6 +655,10 @@ def count_fallbacks(monkeypatch) -> list:
     return columns
 
 
+# An unstable eigenvalue with 1 / MARGIN_A^2 = 0.4 + 1e-12.
+MARGIN_A = (0.4 + 1e-12) ** -0.5
+
+
 class TestBatchedOracle:
     """`region_map`'s batched, column-wise oracle equals the per-cell reference bit for bit."""
 
@@ -701,16 +705,22 @@ class TestBatchedOracle:
             rm = assert_map_equals_per_cell(sys, 0.01, variant)
             assert len(rm.q_grid) % 3 != 0
 
-    @pytest.mark.parametrize("name", ["example1", "example2"])
-    def test_grid_rates_without_a_solution(self, request, monkeypatch, name):
-        # With a one-step cap the 5 grid rates from 0.40 up get no Riccati
-        # solution: they are left out as columns and get a zero bound as rows.
-        sys = request.getfixturevalue(name)
-        sys = fresh(sys)
-        monkeypatch.setattr(riccati, "MAX_ITERATIONS", 1)
+    @pytest.mark.parametrize("name", ["example1", "example2", "not-stabilizable"])
+    def test_grid_rates_without_a_solution(self, request, name):
+        # Grid rates without a Riccati solution are left out as columns and
+        # get a zero bound as rows.  example1 and example2 have their unstable
+        # eigenvalue 1.5 moved to MARGIN_A, so that q_c = 0.4 + 1e-12 and the
+        # last grid rate, 0.40, admits no gain with rho below 1 - RHO_MARGIN;
+        # with the unstable mode out of reach of B, no rate of the grid does.
+        if name == "not-stabilizable":
+            sys, rows, columns = SystemSpec(A=np.diag([2.0, 0.5]), B=[[0.0], [1.0]], Q=np.eye(2), R=1.0), 25, 0
+        else:
+            plant = request.getfixturevalue(name)
+            A = np.where(plant.A == 1.5, MARGIN_A, plant.A)
+            sys, rows, columns = SystemSpec(A=A, B=plant.B, Q=plant.Q, R=plant.R), 41, 40
         for variant in admitted_variants(sys):
             rm = assert_map_equals_per_cell(sys, 0.01, variant)
-            assert len(rm.q_grid) == 45 and len(rm.q_hat_grid) == 40
+            assert (len(rm.q_grid), len(rm.q_hat_grid)) == (rows, columns)
 
 
 FLIP_GRID = np.arange(0.0, 1.0, 0.01)
@@ -1263,41 +1273,18 @@ class TestOneGainSolvePerDesign:
 QC_AT_LOWER = SystemSpec(A=np.diag([1.2, 1.1, 0.0]), B=[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], Q=np.eye(3), R=np.eye(2))
 
 
-def recorded_probes(monkeypatch) -> list:
-    """Each lock-step `_mare_solve_rates` call's list of rates, in order."""
-    calls = []
-    solve = riccati._mare_solve_rates
-    monkeypatch.setattr(riccati, "_mare_solve_rates", lambda sys, qs: calls.append(list(qs)) or solve(sys, qs))
-    return calls
-
-
 class TestSafeRateBelowBracketedQc:
-    """When q_c is only bracketed, the safe-rate batches hold no midpoint above
-    the bracket's lower end that the bisection does not take."""
+    """When q_c is only bracketed and lies at the bracket's lower end, the safe
+    rate bisects up to the upper end and keeps the plain bisection's bits."""
 
-    def test_plain_bits_and_no_probe_above_the_lower_end(self, monkeypatch):
+    def test_plain_bits(self):
         cp = critical_probability(QC_AT_LOWER, refine=False)
         assert cp.exact is None and cp.lower < 0.5740 < 0.6944 < cp.upper
         refined = critical_probability(fresh(QC_AT_LOWER))
         assert refined.lower == refined.upper == cp.lower
         expected = plain_safe_rate(fresh(QC_AT_LOWER), "general")
-        calls = recorded_probes(monkeypatch)
         q_star = zero_sample_safe_q(fresh(QC_AT_LOWER), "general")
         assert q_star.hex() == expected.hex() == (1.8874804178873696e-05).hex()
-        assert calls and max(max(qs) for qs in calls) <= cp.lower
-
-    @pytest.mark.parametrize("plant, variant", BENCH_SAFE_CASES)
-    def test_exact_qc_batches_are_unchanged(self, request, monkeypatch, plant, variant):
-        # An exact q_c is the bracket's lower end and the bisection's upper end.
-        sys_ = request.getfixturevalue(plant)
-        calls = recorded_probes(monkeypatch)
-        capped = zero_sample_safe_q(fresh(sys_), variant)
-        capped_calls = list(calls)
-        calls.clear()
-        bisect = stability._bisect_rates
-        monkeypatch.setattr(stability, "_bisect_rates", lambda *args: bisect(*args[:6]))
-        assert zero_sample_safe_q(fresh(sys_), variant).hex() == capped.hex()
-        assert calls == capped_calls
 
 
 class TestCongruenceFiniteness:
