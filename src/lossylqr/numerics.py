@@ -19,17 +19,26 @@ pass float64 arrays of square matrices, the checks the layer leaves out.
 A gufunc fills the result of each matrix that fails, alone or in a stack,
 with NaN and raises the invalid flag; every other matrix of a stack gets
 the bits of its own call.  The layer has two failure rules.  The first five
-run inside numpy's own `np.errstate`, whose `call` handler raises numpy's
-LinAlgError with numpy's message on a singular, non-positive-definite or
-non-converging input.  `_solve_each` and `_has_cholesky` ignore the flag
-and read the NaN marks of one call: a singular system gets a NaN solution,
-and a matrix without a Cholesky factor the verdict False, with no retry.
+run in the error state that numpy.linalg enters, whose `call` handler
+raises numpy's LinAlgError with numpy's message on a singular,
+non-positive-definite or non-converging input.  `_solve_each` and
+`_has_cholesky` ignore the flag and read the NaN marks of one call: a
+singular system gets a NaN solution, and a matrix without a Cholesky
+factor the verdict False, with no retry.
+
+These error states, three raising and one ignoring every flag (which
+`_ignored` enters for the Riccati solver), are built once at import with
+numpy's private `_make_extobj`, as `np.errstate` builds its own.  A call
+sets its state in numpy's per-thread context variable and resets it on
+return or raise: about 0.3 us, against 2.3 us for an `np.errstate`
+(timeit, numpy 2.4.6), and the caller's state is left as it was.
 
 `_eigvals` keeps numpy's finite-input check and always returns complex
 eigenvalues, where numpy returns a real array when every imaginary part is
 zero: its callers take moduli, real and imaginary parts, and |x + 0j| =
-hypot(x, 0) = |x| exactly.  The gufunc names are those of numpy 2.4.6; a
-numpy without one of them fails at import with an error that names it.
+hypot(x, 0) = |x| exactly.  The gufunc and error-state names are those
+of numpy 2.4.6; a numpy without one of them fails at import with an error
+that names it.
 The rest of numpy.linalg is called as it is: `svd` (the rank test of B
 in `riccati`, once per q_c or invertible-B check) and `cond` (the rare
 warning path of `_spectral_radius`), and `norm` has `_fro`.
@@ -40,24 +49,35 @@ import operator
 import warnings
 
 import numpy as np
+from numpy._core import umath
 from numpy.linalg import _umath_linalg
 
 from .errors import InvalidInputError, NotPSDError, NumericalFailureError
 
 
+def _numpy_private(module, name: str):
+    """The private attribute `name` of a numpy module; ImportError naming it
+    when this numpy has none."""
+    try:
+        return getattr(module, name)
+    except AttributeError:
+        raise ImportError(
+            f"numpy {np.__version__} has no {module.__name__}.{name}, which lossylqr's LAPACK layer calls"
+        ) from None
+
+
 def _gufunc(name: str):
     """The gufunc `name` of numpy.linalg._umath_linalg; ImportError naming it
     when this numpy has none."""
-    try:
-        return getattr(_umath_linalg, name)
-    except AttributeError:
-        raise ImportError(
-            f"numpy {np.__version__} has no numpy.linalg._umath_linalg.{name}, which lossylqr's LAPACK layer calls"
-        ) from None
+    return _numpy_private(_umath_linalg, name)
 
 
 _SOLVE, _SOLVE1, _CHOLESKY_LO = _gufunc("solve"), _gufunc("solve1"), _gufunc("cholesky_lo")
 _EIGVALS, _EIGVALSH_LO, _EIGH_LO = _gufunc("eigvals"), _gufunc("eigvalsh_lo"), _gufunc("eigh_lo")
+# np.errstate builds an error state on entry and sets it in this context
+# variable; the layer builds each of its states once.
+_make_extobj = _numpy_private(umath, "_make_extobj")
+_ERRSTATE = _numpy_private(umath, "_extobj_contextvar")
 
 
 def _singular(err, flag):
@@ -72,51 +92,91 @@ def _not_converged(err, flag):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
-def _lapack_errors(handler) -> np.errstate:
+def _lapack_errors(handler):
     """numpy.linalg's error state around a gufunc: LAPACK's failure flag
     calls `handler`, and floating-point flags are ignored."""
-    return np.errstate(call=handler, invalid="call", over="ignore", divide="ignore", under="ignore")
+    return _make_extobj(call=handler, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+_SINGULAR = _lapack_errors(_singular)
+_NOT_POSITIVE_DEFINITE = _lapack_errors(_not_positive_definite)
+_NOT_CONVERGED = _lapack_errors(_not_converged)
+_IGNORED = _make_extobj(all="ignore")
+
+
+class _ignored:
+    """A context in which numpy ignores every floating-point flag, entered
+    from the prebuilt state instead of a new np.errstate."""
+
+    __slots__ = ("_token",)
+
+    def __enter__(self):
+        self._token = _ERRSTATE.set(_IGNORED)
+
+    def __exit__(self, *exc_info):
+        _ERRSTATE.reset(self._token)
+
+
+# Each call below sets and resets its error state itself: a shared helper
+# would add about 0.25 us to every call.
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve(a, b): a (d,) right-hand side, or a (d, c) one, or
     stacks of both against a (k, d, d) stack of a."""
-    gufunc = _SOLVE1 if b.ndim == 1 else _SOLVE
-    with _lapack_errors(_singular):
-        return gufunc(a, b, signature="dd->d")
+    token = _ERRSTATE.set(_SINGULAR)
+    try:
+        return (_SOLVE1 if b.ndim == 1 else _SOLVE)(a, b, signature="dd->d")
+    finally:
+        _ERRSTATE.reset(token)
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`_solve` with a (d, c) right-hand side, where a singular matrix, alone
     or in a stack, gives NaN in place of its solution instead of raising."""
-    with np.errstate(all="ignore"):
+    token = _ERRSTATE.set(_IGNORED)
+    try:
         return _SOLVE(a, b, signature="dd->d")
+    finally:
+        _ERRSTATE.reset(token)
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """np.linalg.cholesky(a): the lower factor of a matrix or of each of a stack."""
-    with _lapack_errors(_not_positive_definite):
+    token = _ERRSTATE.set(_NOT_POSITIVE_DEFINITE)
+    try:
         return _CHOLESKY_LO(a, signature="d->d")
+    finally:
+        _ERRSTATE.reset(token)
 
 
 def _eigvals(a: np.ndarray) -> np.ndarray:
     """np.linalg.eigvals(a) as complex numbers, also where all are real."""
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    with _lapack_errors(_not_converged):
+    token = _ERRSTATE.set(_NOT_CONVERGED)
+    try:
         return _EIGVALS(a, signature="d->D")
+    finally:
+        _ERRSTATE.reset(token)
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """np.linalg.eigvalsh(a): ascending eigenvalues from the lower triangle."""
-    with _lapack_errors(_not_converged):
+    token = _ERRSTATE.set(_NOT_CONVERGED)
+    try:
         return _EIGVALSH_LO(a, signature="d->d")
+    finally:
+        _ERRSTATE.reset(token)
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh(a): ascending eigenvalues and eigenvectors from the lower triangle."""
-    with _lapack_errors(_not_converged):
+    token = _ERRSTATE.set(_NOT_CONVERGED)
+    try:
         return _EIGH_LO(a, signature="d->dd")
+    finally:
+        _ERRSTATE.reset(token)
 
 
 # Relative tolerance for treating a matrix as symmetric.
@@ -249,8 +309,12 @@ def _has_cholesky(X: np.ndarray):
     which says nothing of a matrix with a non-finite entry.  One call factors
     the stack; numpy fills the factor of a failed member with NaN, which its
     last entry shows."""
-    with np.errstate(all="ignore"):
-        last = _CHOLESKY_LO(X, signature="d->d")[..., -1, -1][()]  # [()]: one matrix gives a scalar
+    token = _ERRSTATE.set(_IGNORED)
+    try:
+        factor = _CHOLESKY_LO(X, signature="d->d")
+    finally:
+        _ERRSTATE.reset(token)
+    last = factor[..., -1, -1][()]  # [()]: one matrix gives a scalar
     return last == last
 
 

@@ -14,20 +14,19 @@ mean-square stabilizing at q: the lifted second-moment map
 (1-q) (A+BK)(x)(A+BK) + q A(x)A has spectral radius below one.
 
 `mare_solve` takes one Riccati step from X = Q.  When the gain K_1 of that
-iterate is mean-square stabilizing (dense spectral radius of its lifted map
-below 1 - RHO_MARGIN), it certifies that q is feasible and starts Hewer's
-policy iteration (IEEE TAC 1971), which converges quadratically from any
+iterate is mean-square stabilizing (spectral radius of its lifted map below
+1 - RHO_MARGIN), it certifies that q is feasible and starts Hewer's policy
+iteration (IEEE TAC 1971), which converges quadratically from any
 stabilizing gain.  Otherwise discount annealing (Lamperski, CDC 2020;
 Perdomo et al., NeurIPS 2021) finds one: scaling (A, B) by sqrt(gamma)
 scales every gain's lifted map by gamma, so a gain with radius rho
 stabilizes the plant discounted by gamma = (1 - RHO_MARGIN) / rho, and one
 Hewer step on that plant gives the next gain and the next gamma.  A gamma
 that rises by less than GAMMA_FLOOR (relative) in one step means that no
-stabilizing gain was found.  Each later gain of Hewer's iteration is
-certified by the Lyapunov solve that evaluates it (Costa, Fragoso &
+stabilizing gain was found.  K_1 and each later gain of Hewer's iteration
+are certified by the Lyapunov solve that evaluates them (Costa, Fragoso &
 Marques, Discrete-Time Markov Jump Linear Systems, 2005), and the dense
-test decides only where that certificate proves nothing
-(`_solve_certifies`).
+radius decides only where that proves nothing (`_solve_certifies`).
 
 A plant keeps its own results: `SystemSpec` holds read-only matrices, its
 constants A (x) A and lambda_min(Q), and a private memo, so repeated calls
@@ -41,28 +40,25 @@ functions ask for them, and the standard solution, which the
 sample-complexity bound of each design asks for, outlives the other rates
 of designs in between.
 
-One function runs this solve, `_lockstep`, and a single rate is a stack
-of one: `mare_solve` (hence every design) passes one rate, and
+One function runs this solve, `_lockstep`: `mare_solve` (hence every
+design) passes one rate, whose first step and K_1 are 2-d, and
 `_mare_solve_rates` a list of rates, which it steps in lock-step on one
 (k, n, n) stack.  Each step costs one set of numpy calls for the whole
-stack instead of one per rate, a rate leaves the annealing where it passes
-or stops, and it gets the same bits (P, iteration count, residual, or the
+stack, and a rate gets the same bits (P, iteration count, residual, or the
 error and its reason) in any stack.  The step formulas (`_gain_solve` with
 `_mare_step`, `_mare_step_gain` and `_feedback_gain`, then `_lifted_map`,
 `_policy_evaluation` and `_solve_certifies`) take one matrix or a stack.
 One solve S = (R + B^T X B)^{-1} (A^T X B)^T serves a whole step: the gain
-weight is (A^T X B) S and the gain of X is -S, so a Hewer step solves with
-R + B^T P B once for its residual and its next gain.  Hewer's iteration
-has two forms, picked by the rows that reach it: one row runs the 2-d
+weight is (A^T X B) S and the gain of X is -S.  Hewer's iteration has two
+forms, picked by the rows that reach it: one row runs the 2-d
 `_policy_iteration`, several rows the stacked `_policy_iteration_rates`.
-Both take each step in one order: the lifted map, the evaluation
-(`_policy_evaluation`, one column per gain), the certificate of a later
-gain and the improvement; a stack member leaves where the 2-d form
-returns.  Both forms are kept because each is the faster on its own
-workload: the stacked one on every one-row phase costs the benchmark's
-`design` about a quarter of its designs per second, and the 2-d one on
-every row costs its `regions` about three quarters of its cells per second
-(seed 1, one BLAS thread).  The grid
+Both start from the evaluation of their first gain and take each step in
+one order: the improvement, then the new gain's lifted map, evaluation
+(one column per gain) and certificate; a stack member leaves where the 2-d
+form returns.  Each form is the faster on its own workload: the stacked
+one on every one-row phase costs the benchmark's `design` about a quarter
+of its designs per second, and the 2-d one on every row costs its
+`regions` about three quarters of its cells per second.  The grid
 of `region_map`, of the threshold curve and of `gap_curve`, and the probes
 of both bisections (`_bisect_rates`: the q_c refinement of
 `critical_probability` and `zero_sample_safe_q`), are solved in lock-step.
@@ -92,7 +88,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, LossyLqrError, NoSolutionError
 from .numerics import _dense_spectral_radius, _fro, _has_cholesky, sym_eig_extremes, symmetrize
-from .numerics import _check_rate, _eigvals, _solve, _solve_each
+from .numerics import _check_rate, _eigvals, _ignored, _solve, _solve_each
 
 # Hewer's iteration stops once its update is below STEP_TOL, and its P is a
 # solution when the relative residual of one Riccati step is below RESIDUAL_TOL.
@@ -219,7 +215,8 @@ class RiccatiSolution:
 
     `iterations` is 1, for the Riccati step from Q that gives the first
     gain, plus one per lifted Lyapunov solve: those of discount annealing
-    and those of Hewer's iteration; `residual` is the relative Frobenius
+    and those of Hewer's iteration (K_1's evaluation is its test, not a
+    step, where K_1 anneals); `residual` is the relative Frobenius
     residual of one Riccati step at P.
     """
 
@@ -397,20 +394,17 @@ def _policy_evaluation(sys: SystemSpec, K: np.ndarray, L: np.ndarray, one_minus_
     return cost, 0.5 * (P + P.mT)
 
 
-def _policy_iteration(
-    sys: SystemSpec, q: float, K: np.ndarray, X: np.ndarray
-) -> tuple[np.ndarray | None, int, float]:
-    """Hewer's policy iteration from K, the gain of X, which `_lockstep` has
-    found mean-square stabilizing at q.
+def _policy_iteration(sys: SystemSpec, q: float, X: np.ndarray, Pn: np.ndarray) -> tuple[np.ndarray | None, int, float]:
+    """Hewer's policy iteration from Pn, the evaluation of the gain of X,
+    which `_lockstep` has found mean-square stabilizing at q.
 
-    Each step evaluates the current gain exactly (`_policy_evaluation`) and
-    then improves the gain; the Riccati step that gives the residual of P and
-    the next gain share one solve (`_mare_step_gain`).  Each gain after K is
-    certified by its own solve (`_solve_certifies`, with the plant's
-    lambda_min(Q)), and by the dense test only when that proves nothing.
-    It stops once the update (the first one measured from X) is below
-    STEP_TOL, or keeps the previous P once the Riccati residual no longer
-    falls (its rounding floor).  Returns (P, steps, residual); P is None
+    Each step improves the gain, where the Riccati step that gives the
+    residual of Pn and the next gain share one solve (`_mare_step_gain`),
+    then evaluates the new gain exactly (`_policy_evaluation`), certified by
+    that solve (`_solve_certifies`) or else by the dense test.  It stops once
+    the update (the first one measured from X) is below STEP_TOL, or keeps
+    the previous P once the Riccati residual no longer falls (its rounding
+    floor).  Returns (P, steps, residual), steps counting Pn; P is None
     when a later gain was not mean-square stabilizing or P fails the
     residual gate of `mare_solve`.
     """
@@ -418,20 +412,20 @@ def _policy_iteration(
     one_minus_q = 1.0 - q
     P, steps, residual = X, 0, np.inf
     while True:
-        L = _lifted_map(sys, K, q)
-        cost, Pn = _policy_evaluation(sys, K, L, one_minus_q, eye)
-        if steps and not _solve_certifies(L, Pn, cost, sys._lmin_Q) and not _ms_stable(_dense_spectral_radius(L)):
-            return None, steps, residual
         steps += 1
         norm = _fro(Pn)
-        step, Kn = _mare_step_gain(Pn, sys, one_minus_q)
+        step, K = _mare_step_gain(Pn, sys, one_minus_q)
         new_residual = _fro(step - Pn) / (1.0 + norm)
         if not new_residual < residual:
             break
         change = _fro(Pn - P) / (1.0 + norm)
-        P, K, residual = Pn, Kn, new_residual
+        P, residual = Pn, new_residual
         if change <= STEP_TOL:
             break
+        L = _lifted_map(sys, K, q)
+        cost, Pn = _policy_evaluation(sys, K, L, one_minus_q, eye)
+        if not _solve_certifies(L, Pn, cost, sys._lmin_Q) and not _ms_stable(_dense_spectral_radius(L)):
+            return None, steps, residual
     return (P if residual <= RESIDUAL_TOL else None), steps, residual
 
 
@@ -452,14 +446,13 @@ def _hewer_failed(q, residual) -> NoSolutionError:
 
 
 def _policy_iteration_rates(
-    sys: SystemSpec, q: np.ndarray, K: np.ndarray, X: np.ndarray
+    sys: SystemSpec, q: np.ndarray, X: np.ndarray, Pn: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_policy_iteration` in lock-step from a (p, m, n) stack K of the gains
-    of the (p, n, n) stack X at rates q, a (p, 1, 1) array, each step in the
-    2-d form's order; a member leaves where the 2-d form returns, so no gain
-    is evaluated for a member that has left.  Returns (P, steps, residual,
-    solved) with one entry per member; P[j] is the solution where solved[j]
-    holds."""
+    """`_policy_iteration` in lock-step from the (p, n, n) stacks X and Pn,
+    at rates q, a (p, 1, 1) array, each step in the 2-d form's order; a
+    member leaves where the 2-d form returns, so no gain is evaluated for a
+    member that has left.  Returns (P, steps, residual, solved) with one
+    entry per member; P[j] is the solution where solved[j] holds."""
     p = len(X)
     eye = np.eye(sys.n**2)
     out = X.copy()  # each member's P, by member index
@@ -469,16 +462,7 @@ def _policy_iteration_rates(
     one_minus_q = 1.0 - q
     live = np.arange(p)  # member index of each row of K, L and Pn
     taken = 0
-    while len(live):
-        L = _lifted_map(sys, K, q[live])
-        cost, Pn = _policy_evaluation(sys, K, L, one_minus_q[live], eye)
-        if taken:
-            stable = _solve_certifies(L, Pn, cost, sys._lmin_Q)
-            if not stable.all():
-                stable[~stable] = _ms_stable(_dense_spectral_radius(L[~stable]))
-                live, Pn = live[stable], Pn[stable]
-                if not len(live):
-                    break
+    while True:
         taken += 1
         steps[live] = taken
         norm = _fro(Pn)
@@ -494,6 +478,16 @@ def _policy_iteration_rates(
         done = live[stop]
         solved[done] = residual[done] <= RESIDUAL_TOL
         live, K = live[~stop], K[~stop]
+        if not len(live):
+            break
+        L = _lifted_map(sys, K, q[live])
+        cost, Pn = _policy_evaluation(sys, K, L, one_minus_q[live], eye)
+        stable = _solve_certifies(L, Pn, cost, sys._lmin_Q)
+        if not stable.all():
+            stable[~stable] = _ms_stable(_dense_spectral_radius(L[~stable]))
+            live, Pn = live[stable], Pn[stable]
+            if not len(live):
+                break
     return out, steps, residual, solved
 
 
@@ -526,55 +520,71 @@ def _radii(L: np.ndarray) -> np.ndarray:
 
 def _lockstep(sys: SystemSpec, qs: list) -> list:
     """The Riccati driver: the solve of each valid rate of qs on one (k, n, n)
-    stack, one result per rate (see `_mare_solve_rates`); `mare_solve` passes
-    a stack of one.
+    stack, one result per rate (see `_mare_solve_rates`), with numpy's
+    floating-point flags ignored (an overflow leaves a non-finite entry,
+    which no test passes); `mare_solve` passes a stack of one.
 
-    One Riccati step from Q gives each rate its first gain K_1 and one
-    batched dense radius its verdict.  The rates whose K_1 fails it anneal
-    in lock-step, each with its own discount gamma: one evaluation of the
-    gain on the plant scaled by sqrt(gamma) (lifted map gamma L(K)), its
-    improvement there (the gain of gamma P) and the dense radius of the new
-    gain per step.  A rate leaves the annealing once its gain passes, or
-    with NoSolutionError once gamma rises by less than GAMMA_FLOOR.  Every
-    rate with a stabilizing gain then runs Hewer's iteration from it: the
-    2-d `_policy_iteration` when there is one such rate, and
-    `_policy_iteration_rates` on their stack when there are several.  The
-    two take each step in one order and give a rate the same bits, and each
-    is the faster on its own workload (the 2-d one on the single rate of
-    every design, the stacked one on a grid's rows)."""
-    results = [None] * len(qs)
+    One Riccati step from Q gives each rate its first gain K_1, which its
+    evaluation at q certifies (`_solve_certifies`) or else the dense radius
+    judges.  The rates whose K_1 fails anneal in lock-step, each with its own
+    discount gamma: one evaluation of the gain on the plant scaled by
+    sqrt(gamma) (lifted map gamma L(K)), its improvement there (the gain of
+    gamma P) and the dense radius of the new gain per step.  A rate leaves
+    once its gain passes, which is then evaluated at q, or with
+    NoSolutionError once gamma rises by less than GAMMA_FLOOR.  Every rate
+    with a stabilizing gain then runs Hewer's iteration from that
+    evaluation: the 2-d `_policy_iteration` for one such rate, and
+    `_policy_iteration_rates` on the stack of several."""
+    k = len(qs)
+    results = [None] * k
     q = np.array(qs, dtype=float).reshape(-1, 1, 1)
     one_minus_q = 1.0 - q
-    X = _mare_step(np.repeat(sys.Q[None], len(qs), axis=0), sys, one_minus_q)
-    K = _feedback_gain(sys, X)
-    L = _lifted_map(sys, K, q)
-    rho = _radii(L)
-    steps = np.ones(len(qs), dtype=int)  # the Riccati step, then one per Lyapunov solve
-    rows = np.flatnonzero(~_ms_stable(rho))  # the rates that anneal
-    gamma, L = (1.0 - RHO_MARGIN) / rho[rows], L[rows]
-    while len(rows):
-        g = gamma[:, None, None]
-        _, P = _policy_evaluation(sys, K[rows], g * L, one_minus_q[rows], np.eye(sys.n**2))
-        X[rows] = Xr = g * P
-        K[rows] = Kr = _feedback_gain(sys, Xr)
-        L = _lifted_map(sys, Kr, q[rows])
-        rho = _radii(L)
-        steps[rows] += 1
-        stable = _ms_stable(rho)
-        next_gamma = (1.0 - RHO_MARGIN) / rho
-        stuck = ~stable & ~(next_gamma > gamma * (1.0 + GAMMA_FLOOR))
-        for i, last in zip(rows[stuck], gamma[stuck]):
-            results[i] = _no_gain(qs[i], last)
-        keep = ~stable & ~stuck
-        rows, gamma, L = rows[keep], next_gamma[keep], L[keep]
-    live = np.array([i for i, r in enumerate(results) if r is None], dtype=int)
-    hewer = []
-    if len(live) == 1:
-        (i,) = live
-        hewer = [_policy_iteration(sys, float(q[i, 0, 0]), K[i], X[i])]
-    elif len(live):
-        P, taken, residual, solved = _policy_iteration_rates(sys, q[live], K[live], X[live])
-        hewer = [(Pi if ok else None, t, r) for Pi, t, r, ok in zip(P, taken, residual, solved)]
+    eye = np.eye(sys.n**2)
+    with _ignored():
+        # One rate takes its first step and K_1 on 2-d arrays.
+        Q, q1, m1 = (sys.Q, q[0], one_minus_q[0]) if k == 1 else (np.repeat(sys.Q[None], k, axis=0), q, one_minus_q)
+        X = _mare_step(Q, sys, m1)
+        K = _feedback_gain(sys, X)
+        L = _lifted_map(sys, K, q1)
+        cost, P = _policy_evaluation(sys, K, L, m1, eye)
+        proven = _solve_certifies(L, P, cost, sys._lmin_Q)
+        X, P = X.reshape(k, *X.shape[-2:]), P.reshape(k, *P.shape[-2:])
+        steps = np.ones(k, dtype=int)  # the Riccati step, then one per Lyapunov solve
+        if not proven.all():  # the dense test decides these rows
+            rows = np.flatnonzero(~proven)
+            K, L = K.reshape(k, *K.shape[-2:]), L.reshape(k, *L.shape[-2:])
+            rho = _radii(L[rows])
+            unstable = ~_ms_stable(rho)
+            rows, gamma = rows[unstable], (1.0 - RHO_MARGIN) / rho[unstable]  # the rates that anneal
+            Lr, annealed = L[rows], np.zeros(k, dtype=bool)
+            while len(rows):
+                g = gamma[:, None, None]
+                _, Pr = _policy_evaluation(sys, K[rows], g * Lr, one_minus_q[rows], eye)
+                X[rows] = Xr = g * Pr
+                K[rows] = Kr = _feedback_gain(sys, Xr)
+                Lr = _lifted_map(sys, Kr, q[rows])
+                rho = _radii(Lr)
+                steps[rows] += 1
+                stable = _ms_stable(rho)
+                L[rows[stable]] = Lr[stable]
+                annealed[rows[stable]] = True
+                next_gamma = (1.0 - RHO_MARGIN) / rho
+                stuck = ~stable & ~(next_gamma > gamma * (1.0 + GAMMA_FLOOR))
+                for i, last in zip(rows[stuck], gamma[stuck]):
+                    results[i] = _no_gain(qs[i], last)
+                keep = ~stable & ~stuck
+                rows, gamma, Lr = rows[keep], next_gamma[keep], Lr[keep]
+            rows = np.flatnonzero(annealed)
+            if len(rows):
+                _, P[rows] = _policy_evaluation(sys, K[rows], L[rows], one_minus_q[rows], eye)
+        live = [i for i, r in enumerate(results) if r is None]
+        hewer = []
+        if len(live) == 1:
+            (i,) = live
+            hewer = [_policy_iteration(sys, float(q[i, 0, 0]), X[i], P[i])]
+        elif len(live):
+            P, taken, residual, solved = _policy_iteration_rates(sys, q[live], X[live], P[live])
+            hewer = [(Pi if ok else None, t, r) for Pi, t, r, ok in zip(P, taken, residual, solved)]
     for i, (P, taken, residual) in zip(live, hewer):
         if P is None:
             results[i] = _hewer_failed(qs[i], residual)
@@ -595,11 +605,11 @@ def mare_solve(sys: SystemSpec, q: float) -> RiccatiSolution:
     """Solve the modified Riccati equation for loss rate q.
 
     One Riccati step from X = Q gives the first gain, which is tested for
-    mean-square stability at q (dense spectral radius of its lifted map
-    below 1 - RHO_MARGIN).  A gain that fails is improved by discount
-    annealing until one passes; a stabilizing gain certifies that q is
-    feasible and starts Hewer's policy iteration, which converges
-    quadratically.  Its result is returned only when the relative Frobenius
+    mean-square stability at q (spectral radius of its lifted map below
+    1 - RHO_MARGIN, certified by its evaluation or else dense).  A gain
+    that fails is improved by discount annealing until one passes; a
+    stabilizing gain certifies that q is feasible and starts Hewer's policy
+    iteration, which converges quadratically.  Its result is returned only when the relative Frobenius
     residual of one Riccati step is below RESIDUAL_TOL.  NoSolutionError
     signals that q is at or above the critical probability (no gain is then
     mean-square stabilizing), with `reason` "annealing" when the annealing's
@@ -739,8 +749,9 @@ def critical_probability(sys: SystemSpec, refine: bool = True) -> CriticalProbab
         prod_sq = 1.0
         max_sq = 1.0
     else:
-        prod_sq = float(np.prod(unstable**2))
-        max_sq = float(np.max(unstable) ** 2)
+        with _ignored():  # a modulus past 1e154 squares to inf
+            prod_sq = float(np.prod(unstable**2))
+            max_sq = float(np.max(unstable) ** 2)
     lower = min(1.0, 1.0 / prod_sq)
     upper = min(1.0, 1.0 / max_sq)
 

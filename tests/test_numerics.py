@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -622,6 +624,12 @@ class TestLapackLayer:
         with pytest.raises(ImportError, match=r"numpy\.linalg\._umath_linalg\.no_such_kernel"):
             numerics._gufunc("no_such_kernel")
 
+    def test_a_missing_error_state_name_is_named(self):
+        from numpy._core import umath
+
+        with pytest.raises(ImportError, match=r"numpy\._core\.umath\._no_such_state"):
+            numerics._numpy_private(umath, "_no_such_state")
+
     def test_no_public_call_outside_the_layer(self):
         """No module of the package calls numpy.linalg's solve, cholesky,
         eigvals, eigvalsh or eigh, nor imports them, outside the layer."""
@@ -641,3 +649,108 @@ class TestLapackLayer:
                 elif isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "numpy.linalg._linalg"):
                     found += [f"{path.name}:{node.lineno}: import {a.name}" for a in node.names if a.name in kernels]
         assert found == []
+
+
+def flagging(*args, signature):
+    """A LAPACK gufunc that fails: it raises numpy's invalid flag, as a
+    failed factorization does, and returns NaN."""
+    return np.sqrt(np.full(args[-1].shape, -1.0))
+
+
+class TestLapackErrorStates:
+    """The layer enters error states built once at import: each raising call
+    gives numpy's LinAlgError and message where LAPACK flags a failure, and
+    every call leaves the caller's error state as it was."""
+
+    rng = np.random.default_rng(31)
+    square = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
+    spd = square @ square.T
+    turn = square - square.T + np.eye(4)  # complex eigenvalues, which both return as complex
+    RAISING = {
+        "solve": (numerics._solve, "_SOLVE", "solve", np.linalg.solve, (square, np.ones((4, 2)))),
+        "solve1": (numerics._solve, "_SOLVE1", "solve1", np.linalg.solve, (square, np.ones(4))),
+        "cholesky": (numerics._cholesky, "_CHOLESKY_LO", "cholesky_lo", np.linalg.cholesky, (spd,)),
+        "eigvals": (numerics._eigvals, "_EIGVALS", "eigvals", np.linalg.eigvals, (turn,)),
+        "eigvalsh": (numerics._eigvalsh, "_EIGVALSH_LO", "eigvalsh_lo", np.linalg.eigvalsh, (spd,)),
+        "eigh": (numerics._eigh, "_EIGH_LO", "eigh_lo", public_eigh, (spd,)),
+    }
+    CALLER_STATES = {
+        "default": {},
+        "raise": {"all": "raise"},
+        "call": {"all": "call", "call": lambda err, flag: None},
+        "mixed": {"over": "warn", "invalid": "raise", "divide": "print", "under": "ignore"},
+    }
+
+    @staticmethod
+    def fail_everywhere(monkeypatch, constant, kernel):
+        """Make the layer's gufunc and the one numpy's public function calls fail."""
+        monkeypatch.setattr(numerics, constant, flagging)
+        monkeypatch.setattr(np.linalg._umath_linalg, kernel, flagging)
+
+    @pytest.mark.parametrize("case", list(RAISING))
+    def test_failure_flag_gives_numpy_error(self, monkeypatch, case):
+        layer, constant, kernel, public, args = self.RAISING[case]
+        self.fail_everywhere(monkeypatch, constant, kernel)
+        expected = layer_outcome(public, *args)
+        assert expected[0] is np.linalg.LinAlgError
+        assert layer_outcome(layer, *args) == expected
+
+    @pytest.mark.parametrize("state", list(CALLER_STATES))
+    @pytest.mark.parametrize("case", list(RAISING))
+    def test_caller_state_is_kept(self, monkeypatch, case, state):
+        layer, constant, kernel, public, args = self.RAISING[case]
+        with np.errstate(**self.CALLER_STATES[state]):
+            caller = np.geterr(), np.geterrcall()
+            assert layer_outcome(layer, *args) == layer_outcome(public, *args)
+            assert (np.geterr(), np.geterrcall()) == caller
+            with monkeypatch.context() as patch:
+                self.fail_everywhere(patch, constant, kernel)
+                with pytest.raises(np.linalg.LinAlgError):
+                    layer(*args)
+            assert (np.geterr(), np.geterrcall()) == caller
+
+    @pytest.mark.parametrize("state", list(CALLER_STATES))
+    def test_ignoring_calls_keep_the_caller_state(self, state):
+        singular = np.zeros((3, 3))
+        with np.errstate(**self.CALLER_STATES[state]):
+            caller = np.geterr(), np.geterrcall()
+            assert np.isnan(numerics._solve_each(singular, np.ones((3, 1)))).all()
+            assert not numerics._has_cholesky(-self.spd)
+            with numerics._ignored():
+                assert np.geterr() == dict.fromkeys(caller[0], "ignore")
+                np.float64(1e300) * 1e300
+            assert (np.geterr(), np.geterrcall()) == caller
+
+    def test_threads_get_their_own_outcomes(self):
+        """Four threads mix singular and regular solves, each in its own
+        caller state; every call gets its own outcome, and every thread
+        keeps its state."""
+        threads, calls = 4, 300
+        rng = np.random.default_rng(37)
+        systems = rng.normal(size=(threads, calls, 3, 3)) + 3.0 * np.eye(3)
+        systems[:, ::3] = 0.0  # a singular system in every third call
+        rhs = rng.normal(size=(threads, calls, 3, 1))
+        expected = [[layer_outcome(np.linalg.solve, a, b) for a, b in zip(*pair)] for pair in zip(systems, rhs)]
+        states = list(self.CALLER_STATES.values())
+        got, kept = [None] * threads, [None] * threads
+        start = threading.Barrier(threads)
+
+        def run(t):
+            with np.errstate(**states[t]):
+                caller = np.geterr(), np.geterrcall()
+                start.wait()
+                got[t] = [layer_outcome(numerics._solve, a, b) for a, b in zip(systems[t], rhs[t])]
+                kept[t] = (np.geterr(), np.geterrcall()) == caller
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between the calls
+        try:
+            workers = [threading.Thread(target=run, args=(t,)) for t in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert kept == [True] * threads
+        assert got == expected

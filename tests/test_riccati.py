@@ -162,9 +162,16 @@ class TestMareSolve:
     def test_overflowing_plant_finds_no_gain(self):
         # A (x) A and the first Riccati step overflow, so every lifted map has
         # a non-finite entry: its radius counts as inf, and gamma stays at 0.
+        # The solver and q_c's closed form ignore numpy's overflow flags.
         plant = SystemSpec(A=[[1e200]], B=1.0, Q=1.0, R=1.0)
-        with np.errstate(all="ignore"), pytest.raises(NoSolutionError, match="q=0.3; .* at gamma=0 "):
-            mare_solve(plant, 0.3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NoSolutionError, match="q=0.3; .* at gamma=0 ") as info:
+                mare_solve(plant, 0.3)
+            qc = critical_probability(plant)
+        assert caught == []
+        assert info.value.reason == "annealing"
+        assert (qc.exact, qc.method) == (0.0, "invertible_B")
 
     def test_rejects_out_of_range_rate(self, example1):
         with pytest.raises(InvalidInputError):
@@ -791,25 +798,30 @@ class TestHewerCertificate:
         assert not self.scalar_case(0.5, P=5.0)
 
     @pytest.mark.parametrize(
-        "Q, certified",
-        [(np.eye(2), True), (np.diag([1.0, 1e-12]), False)],
+        "Q, first, certified",
+        [(np.eye(2), [True, True, False], True), (np.diag([1.0, 1e-12]), [False] * 3, False)],
         ids=["bound_passes", "bound_fails"],
     )
-    def test_dense_route_gives_the_same_solution(self, monkeypatch, Q, certified):
-        sys = SystemSpec(A=[[1.5, 0.1], [0.0, 1.0]], B=np.eye(2), Q=Q, R=np.eye(2))
-        outcomes = []
+    def test_dense_route_gives_the_same_solution(self, monkeypatch, Q, first, certified):
+        # K_1's certificate (one per rate, from `_lockstep`) and those of the
+        # later gains are recorded apart; K_1 at 0.44, 0.004 below q_c, is
+        # left to the dense test, which sends it to the annealing.
+        plant = SystemSpec(A=[[1.5, 0.1], [0.0, 1.0]], B=np.eye(2), Q=Q, R=np.eye(2))
+        outcomes = {"first": [], "later": []}
         bound = riccati._solve_certifies
 
         def recorded(*args):
-            outcomes.append(bound(*args))
-            return outcomes[-1]
+            verdict = bound(*args)
+            outcomes["first" if from_lockstep() else "later"].append(bool(verdict))
+            return verdict
 
         monkeypatch.setattr(riccati, "_solve_certifies", recorded)
-        solutions = [solve_alone(sys, q) for q in (0.1, 0.3, 0.44)]
-        assert outcomes and set(outcomes) == {certified}
-        monkeypatch.setattr(riccati, "_solve_certifies", lambda *args: False)
+        solutions = [solve_alone(plant, q) for q in (0.1, 0.3, 0.44)]
+        assert outcomes["first"] == first
+        assert outcomes["later"] and set(outcomes["later"]) == {certified}
+        monkeypatch.setattr(riccati, "_solve_certifies", lambda L, P, cost, q_floor: np.zeros(P.shape[:-2], dtype=bool))
         for q, sol in zip((0.1, 0.3, 0.44), solutions):
-            dense = solve_alone(sys, q)
+            dense = solve_alone(plant, q)
             np.testing.assert_array_equal(sol.P, dense.P)
             assert (sol.iterations, sol.residual) == (dense.iterations, dense.residual)
 
@@ -824,6 +836,46 @@ class TestHewerCertificate:
     def test_pinned_near_critical(self, example1, q, P, iterations, residual):
         sol = solve_alone(example1, q)
         assert (sol.P[0, 0], sol.iterations, sol.residual) == (P, iterations, residual)
+
+    def test_first_gain_routes_agree(self, example1, example2, plant3, monkeypatch):
+        """K_1 is certified by Hewer's first evaluation and otherwise decided
+        by the dense test: wherever the certificate proves K_1, its dense
+        radius passes too, and sending every K_1 to the dense test gives each
+        rate the same bits, from 0 up to 1.01 times the lower end of q_c's
+        bracket on the paper plants and the 80-plant recipe."""
+        rng = np.random.default_rng(21)
+        plants = [example1, example2, plant3] + [random_stabilizable_system(rng, 5) for _ in range(80)]
+        bound = riccati._solve_certifies
+        proven = unproven = 0
+
+        def checked(L, P, cost, q_floor):
+            nonlocal proven, unproven
+            verdict = bound(L, P, cost, q_floor)
+            if from_lockstep():
+                radii = riccati._radii(L.reshape(-1, *L.shape[-2:]))
+                assert riccati._ms_stable(radii[np.reshape(verdict, -1)]).all()
+                proven += np.count_nonzero(verdict)
+                unproven += np.size(verdict) - np.count_nonzero(verdict)
+            return verdict
+
+        def dense_first(L, P, cost, q_floor):
+            return np.zeros(P.shape[:-2], dtype=bool) if from_lockstep() else bound(L, P, cost, q_floor)
+
+        for plant in plants:
+            lower = feasible_rate_ceiling(plant)
+            qs = [f * lower for f in (0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 0.9999, 1.0, 1.01) if f * lower < 1.0]
+            monkeypatch.setattr(riccati, "_solve_certifies", checked)
+            certified = riccati._mare_solve_rates(plant, qs)
+            monkeypatch.setattr(riccati, "_solve_certifies", dense_first)
+            dense = riccati._mare_solve_rates(plant, qs)
+            assert [solve_outcome(r) for r in certified] == [solve_outcome(r) for r in dense]
+        assert proven and unproven
+
+
+def from_lockstep() -> bool:
+    """Whether the caller of the caller is `_lockstep`: a certificate test of
+    K_1, where one of the Hewer forms tests a later gain."""
+    return sys._getframe(2).f_code is riccati._lockstep.__code__
 
 
 def solve_outcome(result) -> tuple:
